@@ -43,11 +43,6 @@ from .sources import EppSource
 DEFAULT_POLARIZATION = (1.0, 1.0, 1.0)
 
 
-def resolvent(omega, zeta):
-    """Interval resolvent 1/(omega - zeta) for a pole zeta = w_ab - i gamma."""
-    return 1.0 / (omega - zeta)
-
-
 @dataclass(frozen=True)
 class ExcitonSystem:
     """Aggregate eigensystem bundled with bath transport and projected dipoles.
@@ -228,55 +223,56 @@ def pathway_weights(system: ExcitonSystem):
     return wk, w_transport, w_coherence
 
 
-def _closed_pathways(z: PoleTable, wk, w_transport, w_coherence, ket, bra):
-    """Five pathway partial sums (without the decay prefactor), each (N_f,)."""
-    n_f, n_e = z.fe.shape
+def _preparation_invariants(system: ExcitonSystem):
+    """The source-independent inputs of a preparation: the pole table and
+    the dipole weight tensors of :func:`pathway_weights`.  Nothing mutates
+    them, so one build is shared read-only by every target of a scan."""
+    return PoleTable.from_system(system), pathway_weights(system)
 
+
+def _closed_pathways(z: PoleTable, wk, w_transport, w_coherence, ket, bra):
+    """Five pathway partial sums (without the decay prefactor), each (N_f,).
+
+    Every source argument is passed at the rank its poles need and the
+    source broadcasts each pair; the comments give the argument shapes.
+    """
     # fully coherent ladder: factorizes into a ket sum over e and a bra sum
-    # over e' at fixed f
-    ket1 = ket(z.fg[:, None] - z.eg[None, :], np.broadcast_to(z.eg, (n_f, n_e)))
+    # over e' at fixed f; (f, e) with (e,), and (f, e) with (f, e)
+    ket1 = ket(z.fg[:, None] - z.eg[None, :], z.eg)
     bra1 = bra(z.fe - z.ff[:, None], z.fg[:, None] - z.fe)
     p1 = (wk * ket1).sum(axis=1) * (wk * bra1).sum(axis=1)
 
     # transport pathways: middle interval is a one-exciton population summed
     # over eigenmodes p, with the fourth interaction on the ket (p2) or the
-    # bra (p4) side
+    # bra (p4) side, on axes (f, e, u, p).  a1 = eg varies with e alone and
+    # a3 = eg - zp with (e, p).
     zp = z.modes
     a1 = z.eg[None, :, None, None]
     a3 = (z.eg[:, None] - zp[None, :])[None, :, None, :]
-    ket_eg = ket(
-        np.broadcast_to(z.fe[:, None, :, None] - zp, (n_f, n_e, n_e, zp.size)),
-        np.broadcast_to(a1, (n_f, n_e, n_e, zp.size)),
-    )
-    bra_p = bra(
-        np.broadcast_to((z.fe - z.ff[:, None])[:, None, :, None], ket_eg.shape),
-        np.broadcast_to(a3, ket_eg.shape),
-    )
+    ket_eg = ket(z.fe[:, None, :, None] - zp, a1)  # (f, 1, u, p) with (1, e, 1, 1)
+    bra_p = bra((z.fe - z.ff[:, None])[:, None, :, None], a3)  # (f, 1, u, 1) with (1, e, 1, p)
     p2 = np.einsum("feup,feup->f", w_transport, ket_eg * bra_p, optimize=True)
+    del ket_eg, bra_p
 
-    ket4 = ket(
-        np.broadcast_to((z.ff[:, None] - z.ef)[:, None, :, None], ket_eg.shape),
-        np.broadcast_to(a1, ket_eg.shape),
-    )
-    bra4 = bra(
-        np.broadcast_to(zp[None, None, None, :] - z.ef[:, None, :, None], ket_eg.shape),
-        np.broadcast_to(a3, ket_eg.shape),
-    )
-    p4 = np.einsum("feup,feup->f", w_transport, ket4 * bra4, optimize=True)
+    # p4's ket leg does not depend on p: (f, 1, u) with (1, e, 1), evaluated
+    # on (f, e, u); its bra leg is (f, 1, u, p) with (1, e, 1, p)
+    ket4 = ket((z.ff[:, None] - z.ef)[:, None, :], z.eg[None, :, None])
+    bra4 = bra(zp - z.ef[:, None, :, None], a3)
+    p4 = np.einsum("feu,feup->f", ket4, w_transport * bra4, optimize=True)
+    del bra4
 
     # coherence pathways: middle interval is an off-diagonal one-exciton
-    # coherence e-e', again with ket- and bra-sided completion
-    shape3 = (n_f, n_e, n_e)
-    a1c = np.broadcast_to(z.eg[None, :, None], shape3)
-    a3c = np.broadcast_to((z.eg[:, None] - z.ee)[None, :, :], shape3)
-    ket3 = ket(np.broadcast_to(z.fe[:, None, :] - z.ee[None, :, :], shape3), a1c)
-    bra3 = bra(
-        np.broadcast_to(z.fe[:, None, :] - z.ff[:, None, None], shape3), a3c
-    )
+    # coherence a-b, again with ket- and bra-sided completion, on axes
+    # (f, a, b); a1 = eg varies with a alone and a3 = eg - ee with (a, b)
+    a1c = z.eg[:, None]
+    a3c = z.eg[:, None] - z.ee
+    ket3 = ket(z.fe[:, None, :] - z.ee[None, :, :], a1c)  # (f, a, b) with (a, 1)
+    bra3 = bra((z.fe - z.ff[:, None])[:, None, :], a3c)  # (f, 1, b) with (a, b)
     p3 = np.einsum("fab,fab->f", w_coherence, ket3 * bra3, optimize=True)
 
-    ket5 = ket(np.broadcast_to((z.ff[:, None] - z.ef)[:, :, None], shape3), a1c)
-    bra5 = bra(z.ee[None, :, :] - z.ef[:, :, None], a3c)
+    # p5's ket leg does not depend on b: (f, a, 1) with (a, 1)
+    ket5 = ket((z.ff[:, None] - z.ef)[:, :, None], a1c)
+    bra5 = bra(z.ee[None, :, :] - z.ef[:, :, None], a3c)  # (f, a, b) with (a, b)
     p5 = np.einsum("fab,fab->f", w_coherence, ket5 * bra5, optimize=True)
 
     return np.stack([p1, p2, p3, p4, p5])
@@ -287,17 +283,22 @@ def prepare_closed_form(
     source,
     t_fs: float = 0.0,
     target_label: str | None = None,
+    *,
+    invariants=None,
 ) -> PreparationResult:
     """Evaluate the five-pathway closed form of the prepared distribution.
 
     Each pathway is the source correlation at complex pole-difference
     arguments weighted by its dipole chain; the whole sum carries the
     two-exciton depopulation prefactor exp(-Gamma_f 2 pi c t).
+    ``invariants`` lets a caller that prepares many sources on one system
+    pass the ``_preparation_invariants(system)`` it built once.
     """
     if t_fs < 0.0:
         raise ValueError(f"evaluation time must be non-negative, got {t_fs}")
-    z = PoleTable.from_system(system)
-    wk, w_transport, w_coherence = pathway_weights(system)
+    if invariants is None:
+        invariants = _preparation_invariants(system)
+    z, (wk, w_transport, w_coherence) = invariants
     partials = _closed_pathways(
         z, wk, w_transport, w_coherence, source.preparation_ket, source.preparation_bra
     )
@@ -358,10 +359,11 @@ def scan_targets(
 
     Rows are max-normalized for rendering; ``raw`` keeps the unnormalized
     values and ``selectivity`` the ratio of target population to total row
-    mass, which is normalization-invariant.  Targets are independent, so
-    with ``threads > 1`` they are evaluated in a thread pool; rows are
-    assembled by index and the result is bitwise independent of the
-    thread count.
+    mass, which is normalization-invariant.  The pole table and dipole
+    weights do not depend on the source and are built once per scan.
+    Targets are independent, so with ``threads > 1`` they are evaluated in
+    a thread pool; rows are assembled by index and the result is bitwise
+    independent of the thread count.
     """
     if targets is None:
         targets = np.arange(system.n_two)
@@ -372,10 +374,13 @@ def scan_targets(
         raise ValueError("scan targets must index the two-exciton manifold")
 
     energies = system.eig.energies_f[targets]
+    invariants = _preparation_invariants(system)
 
     def prepare_one(idx: int, energy: float) -> PreparationResult:
         source = scan_source(source_template, float(energy), mode)
-        return prepare_closed_form(system, source, t_fs, target_label=f"f{idx:03d}")
+        return prepare_closed_form(
+            system, source, t_fs, target_label=f"f{idx:03d}", invariants=invariants
+        )
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

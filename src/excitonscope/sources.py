@@ -12,10 +12,28 @@ the exact Fourier transform of E0 exp(-t^2 / (2 tau0^2)),
 
     A_p(w) = E0 sqrt(pi / G) exp(-(w - w_p)^2_ang / (4 G)),  G = 1 / (2 tau0^2),
 
-with the detuning converted to rad/fs.  Everything is entire in the
-frequency arguments, so the correlators extend to complex frequency by
-direct evaluation; conjugated field legs use conj(f(conj(w))), which is
-the analytic continuation of the conjugate amplitude.
+with the detuning converted to rad/fs.  Each phase-matching branch is
+evaluated through the identity
+
+    sinc(phi) e^{i phi} = expm1(2 i phi) / (2 i phi),
+
+one transcendental per point, with a series branch for |2 phi| below
+``_SINC_SERIES_RADIUS``; when w_1 == w_2 the two branches coincide and
+one is evaluated and doubled.  phi is linear in each argument, so it is
+built per axis on that argument's own shape, and a zero group delay adds
+no term at all.
+
+Everything is entire in the frequency arguments, so the correlators
+extend to complex frequency by direct evaluation.  A conjugated field leg
+is the analytic continuation conj(f(conj(w))) of the conjugate
+amplitude; since the pump Gaussian and the phase have real coefficients,
+the conjugate JSA leg is the same expression with -2 i phi in place of
+2 i phi and needs no conjugation passes.
+
+``preparation_ket(x, y)`` and ``preparation_bra(x, y)`` of every source
+must broadcast their two arguments against each other: the preparation
+engine passes each pole-difference argument at its own, usually lower,
+rank and the result takes the broadcast shape.
 """
 
 from __future__ import annotations
@@ -38,6 +56,20 @@ def csinc(z):
     z2 = z * z
     series = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
     return np.where(small, series, out)
+
+
+def _expm1_ratio(w):
+    """expm1(w)/w for complex w with a series branch near the origin.
+
+    At w = 2i phi this is csinc(phi) e^{i phi}, one phase-matching branch.
+    """
+    w = np.asarray(w, dtype=complex)
+    small = np.abs(w) < _SINC_SERIES_RADIUS
+    if not small.any():
+        return np.expm1(w) / w
+    safe = np.where(small, 1.0, w)
+    series = 1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0))
+    return np.where(small, series, np.expm1(safe) / safe)
 
 
 def gaussian_gamma_from_tau(tau_fs: float) -> float:
@@ -82,6 +114,12 @@ class EppSource:
     double as the reference frequencies inside the phase-matching
     arguments, ``pump_center`` is the sum-frequency center, ``tau_pump``
     the pump duration, and ``t1``/``t2`` the crystal group delays.
+
+    Each phase-matching branch costs one ``expm1`` on the shape of the
+    arguments it depends on (``omega_b`` alone when ``t1 == 0``), the pump
+    one ``exp`` on the broadcast shape; the conjugate leg flips the sign
+    of 2 i phi instead of conjugating.  All methods broadcast their two
+    frequency arguments against each other.
     """
 
     omega1: float
@@ -110,29 +148,54 @@ class EppSource:
         return gaussian_gamma_from_tau(self.tau_pump)
 
     def pump_amplitude(self, omega):
-        detuning = (np.asarray(omega, dtype=complex) - self.pump_center) * units.TWO_PI_C
+        """A_p(omega) with one complex exp per point."""
         g = self.pump_gamma
-        return self.e0 * np.sqrt(np.pi / g) * np.exp(-detuning * detuning / (4.0 * g))
+        # i^2 in the squared scaled detuning gives the Gaussian's exponent
+        d = np.asarray((np.asarray(omega, dtype=complex) - self.pump_center)
+                       * (0.5j * units.TWO_PI_C / np.sqrt(g)))
+        d *= d
+        np.exp(d, out=d)
+        d *= self.e0 * np.sqrt(np.pi / g)
+        return d[()]  # a scalar for a scalar argument
 
-    def _phase(self, omega_a, omega_b, reference):
-        return 0.5 * units.TWO_PI_C * (
-            (omega_a - reference) * self.t1 + (omega_b - reference) * self.t2
-        )
+    def _matching(self, wa, wb, sign):
+        """Sum over branches of expm1(2 i sign phi_r) / (2 i sign phi_r).
+
+        sign = +1 gives F's phase-matching factor, -1 its conjugate leg.
+        2 i phi_r is built per axis, and a zero group delay adds no term.
+        """
+        k = sign * 1j * units.TWO_PI_C
+
+        def branch(reference):
+            w = 0.0
+            if self.t1:
+                w = (k * self.t1) * (wa - reference)
+            if self.t2:
+                w = w + (k * self.t2) * (wb - reference)
+            return _expm1_ratio(w)
+
+        if self.omega1 == self.omega2:
+            return 2.0 * branch(self.omega1)
+        return branch(self.omega1) + branch(self.omega2)
+
+    def _amplitude(self, omega_a, omega_b, sign):
+        wa = np.asarray(omega_a, dtype=complex)
+        wb = np.asarray(omega_b, dtype=complex)
+        amplitude = self.pump_amplitude(wa + wb)
+        amplitude *= self.alpha * self._matching(wa, wb, sign)
+        return amplitude
 
     def jsa(self, omega_a, omega_b):
         """Joint spectral amplitude F(omega_a, omega_b)."""
-        wa = np.asarray(omega_a, dtype=complex)
-        wb = np.asarray(omega_b, dtype=complex)
-        phi1 = self._phase(wa, wb, self.omega1)
-        phi2 = self._phase(wa, wb, self.omega2)
-        matching = csinc(phi1) * np.exp(1j * phi1) + csinc(phi2) * np.exp(1j * phi2)
-        return self.alpha * self.pump_amplitude(wa + wb) * matching
+        return self._amplitude(omega_a, omega_b, 1.0)
 
     def jsa_conjugate(self, omega_a, omega_b):
-        """conj(F(conj(omega_a), conj(omega_b))), the conjugate leg."""
-        wa = np.conj(np.asarray(omega_a, dtype=complex))
-        wb = np.conj(np.asarray(omega_b, dtype=complex))
-        return np.conj(self.jsa(wa, wb))
+        """conj(F(conj(omega_a), conj(omega_b))), the conjugate leg.
+
+        Pump and phase have real coefficients, so this is F with -2 i phi
+        in place of 2 i phi.
+        """
+        return self._amplitude(omega_a, omega_b, -1.0)
 
     def four_point(self, omega4, omega3, omega2, omega1):
         """<E*(w4) E*(w3) E(w2) E(w1)> for the twin-photon state."""
@@ -142,7 +205,8 @@ class EppSource:
     # field components that can precede it, which is the globally
     # conjugated form of four_point (same real-valued observables).  The
     # ket legs therefore carry the conjugate-phase continuation and the
-    # bra legs the direct amplitude.
+    # bra legs the direct amplitude.  Both take their two arguments at any
+    # shapes that broadcast against each other.
     def preparation_ket(self, omega2, omega1):
         return self.jsa_conjugate(omega2, omega1)
 

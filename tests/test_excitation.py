@@ -1,9 +1,19 @@
-import numpy as np
-import pytest
+import itertools
 from dataclasses import replace
 
-from excitonscope import EppSource, ExcitonSystem, prepare_closed_form, scan_source, scan_targets
+import numpy as np
+import pytest
+
+from excitonscope import (
+    CoherentSource,
+    EppSource,
+    ExcitonSystem,
+    prepare_closed_form,
+    scan_source,
+    scan_targets,
+)
 from excitonscope.bath import BathSpec
+from excitonscope.excitation import PoleTable, pathway_weights
 from excitonscope.units import TWO_PI_C
 
 from conftest import dimer_bath, make_dimer
@@ -18,6 +28,89 @@ def dimer_source(system, **kw):
     )
     defaults.update(kw)
     return EppSource(**defaults)
+
+
+class BroadcastingSource:
+    """Hands the wrapped source both arguments at their broadcast shape."""
+
+    def __init__(self, source):
+        self.source = source
+
+    def preparation_ket(self, x, y):
+        return self.source.preparation_ket(*np.broadcast_arrays(x, y))
+
+    def preparation_bra(self, x, y):
+        return self.source.preparation_bra(*np.broadcast_arrays(x, y))
+
+
+def engine_sources(system):
+    ee, ef = system.eig.energies_e, system.eig.energies_f
+    return [
+        EppSource(ee[0], ee[1], ef[1], 120.0, 0.0, 20.0),
+        EppSource(ee[0], ee[-1], ef[-1], 80.0, 3.0, 13.0),
+        scan_source(EppSource(ee[0], ee[1], ef[1], 120.0, 0.0, 20.0), ef[-1], "degenerate"),
+        CoherentSource.identical(ef[1] / 2.0, 60.0),
+    ]
+
+
+def loop_pathways(system, source):
+    """The five pathway sums at t = 0 as plain loops over the pole chains,
+    with the summed term magnitudes of each as the rounding scale."""
+    z = PoleTable.from_system(system)
+    wk, wt, wc = pathway_weights(system)
+    ket, bra = source.preparation_ket, source.preparation_bra
+    n_f, n_e = z.fe.shape
+    sums = np.zeros((5, n_f), dtype=complex)
+    mags = np.zeros((5, n_f))
+    for f in range(n_f):
+        kets = [wk[f, e] * ket(z.fg[f] - z.eg[e], z.eg[e]) for e in range(n_e)]
+        bras = [wk[f, e] * bra(z.fe[f, e] - z.ff[f], z.fg[f] - z.fe[f, e]) for e in range(n_e)]
+        sums[0, f] = sum(kets) * sum(bras)
+        mags[0, f] = sum(map(abs, kets)) * sum(map(abs, bras))
+        for e, u, p in itertools.product(range(n_e), range(n_e), range(z.modes.size)):
+            zp, a3 = z.modes[p], z.eg[e] - z.modes[p]
+            terms = (ket(z.fe[f, u] - zp, z.eg[e]) * bra(z.fe[f, u] - z.ff[f], a3),
+                     ket(z.ff[f] - z.ef[f, u], z.eg[e]) * bra(zp - z.ef[f, u], a3))
+            for k, term in zip((1, 3), terms):
+                sums[k, f] += wt[f, e, u, p] * term
+                mags[k, f] += abs(wt[f, e, u, p] * term)
+        for a, b in itertools.permutations(range(n_e), 2):
+            a3 = z.eg[a] - z.ee[a, b]
+            terms = (ket(z.fe[f, b] - z.ee[a, b], z.eg[a]) * bra(z.fe[f, b] - z.ff[f], a3),
+                     ket(z.ff[f] - z.ef[f, a], z.eg[a]) * bra(z.ee[a, b] - z.ef[f, a], a3))
+            for k, term in zip((2, 4), terms):
+                sums[k, f] += wc[f, a, b] * term
+                mags[k, f] += abs(wc[f, a, b] * term)
+    return sums, mags
+
+
+@pytest.mark.parametrize("system_name", ["dimer_system", "trimer_system"])
+def test_pathways_match_plain_loops(system_name, request):
+    system = request.getfixturevalue(system_name)
+    for source in engine_sources(system):
+        partials = prepare_closed_form(system, source).pathway_partials
+        sums, mags = loop_pathways(system, source)
+        assert mags.max(axis=1).min() > 0.0
+        assert np.all(np.abs(partials - sums) <= 1e-12 * mags), source
+
+
+@pytest.mark.parametrize("system_name", ["dimer_system", "trimer_system"])
+def test_lower_rank_arguments_match_broadcast_evaluation(system_name, request):
+    system = request.getfixturevalue(system_name)
+    for source in engine_sources(system):
+        direct = prepare_closed_form(system, source, t_fs=40.0).pathway_partials
+        broadcast = prepare_closed_form(system, BroadcastingSource(source), t_fs=40.0).pathway_partials
+        scale = np.abs(broadcast).sum(axis=0)
+        assert np.all(scale > 0.0)
+        assert np.all(np.abs(direct - broadcast) <= 1e-13 * scale[None, :]), source
+
+
+def test_scan_rows_match_single_preparations(trimer_system):
+    template = dimer_source(trimer_system, t1=3.0, t2=13.0)
+    scan = scan_targets(trimer_system, template, mode="mediated")
+    for row, energy in enumerate(trimer_system.eig.energies_f):
+        single = prepare_closed_form(trimer_system, scan_source(template, energy, "mediated"))
+        assert np.array_equal(scan.raw[row], single.populations)
 
 
 def test_field_strength_enters_quadratically(dimer_system):

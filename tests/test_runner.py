@@ -4,10 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from excitonscope import PreparationResult
 from excitonscope.config import ConfigError, from_dict
 from excitonscope.runner import (
+    NEGATIVE_MASS_WARN_RATIO,
     _fmt,
     _matrix_csv,
+    _preparation_warnings,
     resolve_threads,
     run_scenario,
 )
@@ -196,3 +199,26 @@ def test_auto_detection_axes_cover_emission_lines(tmp_path, dimer_file):
     assert n_fe == 17
     # dimer f->e gaps span 11428 .. 13070 cm^-1; the auto axis pads both ends
     assert lo_fe < 11428.0 and hi_fe > 13070.0
+
+def _prepared(raw):
+    raw = np.asarray(raw, dtype=float)
+    return PreparationResult(
+        populations=np.clip(raw, 0.0, None), raw=raw, pathway_partials=np.zeros((5, raw.size)),
+        time_fs=0.0, method="closed-form", regularized=False, source_summary={},
+    )
+
+
+def test_default_excite_does_not_warn_about_rounding_negatives(tmp_path):
+    manifest = run_scenario(from_dict({"scenario": "excite"}), out_dir=str(tmp_path / "excite"))
+    assert not [w for w in manifest.warnings if "negative preparation" in w]
+
+
+def test_negative_preparation_lobe_is_reported_with_its_mass_ratio():
+    below = 0.5 * NEGATIVE_MASS_WARN_RATIO * 3.0
+    assert _preparation_warnings(_prepared([1.0, -below, 2.0])) == []
+    notes = _preparation_warnings(_prepared([1.0, -0.3, 2.0, -0.0]))
+    assert notes == [
+        "clipped 1 negative preparation values holding 1.000e-01 of the positive mass "
+        "(most negative -3.000e-01)"
+    ]
+    assert len(_preparation_warnings(_prepared([-1.0, 0.0]))) == 1

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excitonscope import CoherentSource, EppSource, GaussianPulse, jsi_map
-from excitonscope.sources import csinc, gaussian_gamma_from_tau
+from excitonscope.sources import _SINC_SERIES_RADIUS, _expm1_ratio, csinc, gaussian_gamma_from_tau
 from excitonscope.units import TWO_PI_C
 
 
@@ -37,6 +37,68 @@ def test_csinc_series_joins_smoothly():
     for z in (9.9e-5, 1.01e-4, 1e-4 + 1e-4j, 9e-5 - 5e-5j):
         direct = np.sin(complex(z)) / complex(z)
         assert complex(csinc(z)) == pytest.approx(direct, rel=1e-12)
+
+
+def test_expm1_ratio_is_sinc_times_phase():
+    # expm1(2 i phi) / (2 i phi) == csinc(phi) e^{i phi}, with phi and -phi
+    # for the direct and the conjugate leg, on both sides of the series radius
+    edge = 0.5 * _SINC_SERIES_RADIUS
+    phis = [0.0, 0.3 * edge, 0.99 * edge * np.exp(0.7j), 1.01 * edge * np.exp(-2.1j),
+            2.0 * edge, 1e-3 - 2e-3j, 0.4 + 0.1j, -3.0 + 1.5j, 25.0 - 4.0j, -17.0 - 0.2j]
+    for phi in phis:
+        for sign in (1.0, -1.0):
+            got = complex(_expm1_ratio(2j * sign * phi))
+            expected = complex(csinc(phi) * np.exp(1j * sign * phi))
+            assert abs(got - expected) <= 1e-13 * abs(expected), (phi, sign)
+    assert complex(_expm1_ratio(0.0)) == 1.0
+    values = np.array(phis)
+    assert _expm1_ratio(2j * values) == pytest.approx(csinc(values) * np.exp(1j * values),
+                                                      rel=1e-13)
+
+
+def two_branch_jsa(source, wa, wb):
+    """F = alpha A_p(wa + wb) sum_r csinc(phi_r) e^{i phi_r}, as documented."""
+    g = source.pump_gamma
+    detuning = (wa + wb - source.pump_center) * TWO_PI_C
+    pump = source.e0 * np.sqrt(np.pi / g) * np.exp(-detuning * detuning / (4.0 * g))
+    matching = 0.0
+    for reference in (source.omega1, source.omega2):
+        phi = 0.5 * TWO_PI_C * ((wa - reference) * source.t1 + (wb - reference) * source.t2)
+        matching = matching + csinc(phi) * np.exp(1j * phi)
+    return source.alpha * pump * matching
+
+
+def _complex_points(shape_a, shape_b, seed=3):
+    rng = np.random.default_rng(seed)
+    wa = rng.uniform(12000.0, 12600.0, shape_a) + 1j * rng.uniform(-60.0, 60.0, shape_a)
+    wb = rng.uniform(12000.0, 12600.0, shape_b) + 1j * rng.uniform(-60.0, 60.0, shape_b)
+    return wa, wb
+
+
+@pytest.mark.parametrize("delays", [(0.0, 10.0), (3.0, 13.0), (0.0, 0.0)])
+@pytest.mark.parametrize("references", [(12100.0, 12500.0), (12300.0, 12300.0)])
+def test_jsa_matches_two_branch_formula(delays, references):
+    source = make_source(omega1=references[0], omega2=references[1], tau_pump=120.0,
+                         t1=delays[0], t_ent=delays[1], alpha=1.3, e0=0.7)
+    wa, wb = _complex_points((6, 1, 4), (1, 5, 4))
+    expected = two_branch_jsa(source, wa, wb)
+    assert source.jsa(wa, wb) == pytest.approx(expected, rel=1e-12)
+    conjugate = np.conj(two_branch_jsa(source, np.conj(wa), np.conj(wb)))
+    assert source.jsa_conjugate(wa, wb) == pytest.approx(conjugate, rel=1e-12)
+    # lower-rank arguments broadcast to the same values
+    full_a, full_b = np.broadcast_arrays(wa, wb)
+    assert source.jsa(wa, wb) == pytest.approx(source.jsa(full_a, full_b), rel=1e-14)
+    scalar = source.jsa(complex(wa[0, 0, 0]), complex(wb[0, 0, 0]))
+    assert np.ndim(scalar) == 0
+    assert complex(scalar) == pytest.approx(expected[0, 0, 0], rel=1e-12)
+
+
+def test_jsa_conjugate_leg_off_the_real_axis():
+    for t1, t2 in ((0.0, 10.0), (3.0, 13.0)):
+        source = make_source(t1=t1, t_ent=t2)
+        wa, wb = _complex_points((9, 1), (1, 7), seed=11)
+        direct = np.conj(source.jsa(np.conj(wa), np.conj(wb)))
+        assert source.jsa_conjugate(wa, wb) == pytest.approx(direct, rel=1e-13)
 
 
 def test_gaussian_gamma_from_tau():
