@@ -145,13 +145,7 @@ class PairIndex:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("n_sites must be at least 1")
-        first, second = [], []
-        for m in range(self.n_sites):
-            for n in range(m, self.n_sites):
-                first.append(m)
-                second.append(n)
-        a = np.asarray(first, dtype=int)
-        b = np.asarray(second, dtype=int)
+        a, b = np.triu_indices(self.n_sites)
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "first_site", a)
@@ -165,14 +159,6 @@ class PairIndex:
     def overtone_mask(self) -> np.ndarray:
         return self.first_site == self.second_site
 
-    @property
-    def n_overtone(self) -> int:
-        return self.n_sites
-
-    @property
-    def n_combination(self) -> int:
-        return self.size - self.n_sites
-
     def index(self, m: int, n: int) -> int:
         """Flat index of the pair ``(m, n)`` (order insensitive)."""
         if not (0 <= m < self.n_sites and 0 <= n < self.n_sites):
@@ -182,6 +168,3 @@ class PairIndex:
         # row m starts after rows 0..m-1, each row k holds n_sites - k entries
         offset = m * self.n_sites - m * (m - 1) // 2
         return offset + (n - m)
-
-    def pairs(self):
-        return list(zip(self.first_site.tolist(), self.second_site.tolist()))

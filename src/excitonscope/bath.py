@@ -154,14 +154,11 @@ def site_occupations(eig: ExcitonEigensystem, manifold: str) -> np.ndarray:
         return eig.t1**2
     if manifold != "two":
         raise ValueError(f"unknown manifold {manifold!r}")
-    n_sites = eig.pairs.n_sites
-    t2sq = eig.t2**2
-    occ = np.zeros((eig.n_two, n_sites))
-    a = eig.pairs.first_site
-    b = eig.pairs.second_site
-    for p in range(eig.pairs.size):
-        occ[:, a[p]] += t2sq[:, p]
-        occ[:, b[p]] += t2sq[:, p]
+    occ = np.zeros((eig.n_two, eig.pairs.n_sites))
+    # both sites of pair p in turn (a_0, b_0, a_1, b_1, ...), so every
+    # occupation accumulates its terms in pair order
+    sites = np.stack([eig.pairs.first_site, eig.pairs.second_site], axis=1).ravel()
+    np.add.at(occ, (slice(None), sites), np.repeat(eig.t2**2, 2, axis=1))
     return occ
 
 
@@ -283,16 +280,14 @@ def build_transport_matrix(
     overlap = overlap_matrix(eig, spec, manifold)
     n = energies.size
     beta = bath.beta
+    # energies are sorted ascending, so state a lies above state b
+    a, b = np.tril_indices(n, -1)
+    gap = energies[a] - energies[b]
+    down = phonon_correlation_real(bath, gap) * overlap[a, b]
+    up = down * np.exp(-beta * gap)
     k = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a):
-            # energies are sorted ascending, so state a lies above state b
-            gap = energies[a] - energies[b]
-            down = phonon_correlation_real(bath, gap) * overlap[a, b]
-            up = down * np.exp(-beta * gap)
-            k[b, a] = -down
-            k[a, b] = -up
-    np.fill_diagonal(k, 0.0)
+    k[b, a] = -down
+    k[a, b] = -up
     np.fill_diagonal(k, -k.sum(axis=0))
     depopulation = np.diag(k).copy()
     isolated = tuple(int(i) for i in np.nonzero(depopulation <= 0.0)[0]) if n > 1 else ()

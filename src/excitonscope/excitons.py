@@ -49,22 +49,19 @@ def build_two_exciton_hamiltonian(spec: AggregateSpec, pairs: PairIndex | None =
     diag[over] = 2.0 * energies[a[over]] + u1[a[over]]
     np.fill_diagonal(h2, diag)
 
-    sqrt2 = math.sqrt(2.0)
-    for p in range(size):
-        ap, bp = a[p], b[p]
-        for q in range(p + 1, size):
-            aq, bq = a[q], b[q]
-            shared = {ap, bp} & {aq, bq}
-            if len(shared) != 1:
-                continue
-            s = shared.pop()
-            u = ap if bp == s else bp
-            v = aq if bq == s else bq
-            element = j[u, v]
-            if ap == bp or aq == bq:
-                element *= sqrt2
-            h2[p, q] = element
-            h2[q, p] = element
+    p, q = np.triu_indices(size, 1)
+    ap, bp, aq, bq = a[p], b[p], a[q], b[q]
+    bp_in_q = (bp == aq) | (bp == bq)
+    bq_in_p = (bq == ap) | (bq == bp)
+    shared = ((ap == aq) | (ap == bq)).astype(int) + (bp_in_q & (ap != bp))
+    hop = shared == 1
+    # with one site shared, each pair hops from its other site; an
+    # overtone's other site is its own
+    u = np.where(bp_in_q, ap, bp)[hop]
+    v = np.where(bq_in_p, aq, bq)[hop]
+    element = j[u, v] * np.where(over[p] | over[q], math.sqrt(2.0), 1.0)[hop]
+    h2[p[hop], q[hop]] = element
+    h2[q[hop], p[hop]] = element
     return h2
 
 

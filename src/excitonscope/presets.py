@@ -2,8 +2,8 @@
 
 The package ships one synthetic 14-site aggregate (two stacked rings of
 seven chromophores with dipole-dipole couplings; not fitted to any
-measured pigment-protein complex) plus the bath and filter parameters
-used by the documented reference scenarios.  Everything here is an
+measured pigment-protein complex) plus the bath parameters used by the
+documented reference scenarios.  Everything here is an
 ordinary starting point, not a physical claim.
 """
 
@@ -16,12 +16,6 @@ import numpy as np
 from .aggregate import AggregateSpec
 from .bath import BathSpec
 from .excitation import ExcitonSystem
-from .sources import EppSource
-
-REFERENCE_SIGMA_OMEGA = 10.0
-REFERENCE_SIGMA_T = 4.8681
-REFERENCE_T_WAIT_TWO = 0.0
-REFERENCE_T_WAIT_ONE = 100.0
 
 
 def bundled_aggregate() -> AggregateSpec:
@@ -50,17 +44,3 @@ def bright_pair(system: ExcitonSystem) -> tuple[int, int]:
     strength = np.linalg.norm(system.dipoles.d_eg, axis=1)
     a, b = np.argsort(strength)[-2:]
     return (int(min(a, b)), int(max(a, b)))
-
-
-def reference_source(system: ExcitonSystem, target: int = 7) -> EppSource:
-    """Entangled pair with photons on the two brightest one-exciton lines
-    and the pump sum-tuned to a low-rung two-exciton target."""
-    e1, e2 = bright_pair(system)
-    return EppSource(
-        omega1=float(system.eig.energies_e[e1]),
-        omega2=float(system.eig.energies_e[e2]),
-        pump_center=float(system.eig.energies_f[target]),
-        tau_pump=150.0,
-        t1=0.0,
-        t2=10.0,
-    )
