@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import units
 from .aggregate import AggregateSpec
@@ -115,6 +114,10 @@ def phonon_correlation(bath: BathSpec, omega, include_imag: bool = False):
 
 
 def _imag_correlation_pv(bath: BathSpec, big_omega: float) -> float:
+    # imported here: scipy.integrate is most of the package's import time,
+    # and only this diagnostic needs it
+    from scipy import integrate
+
     beta = bath.beta
 
     def symmetric(w):

@@ -194,26 +194,19 @@ def coincidence_snapshot(
     green_e = population_propagator(system.transport_one, grid.t_wait_one)
 
     # two-exciton side: all f' emitters feeding each shared e, both branches
-    side_fe = np.zeros((system.n_one, grid.omega_fe.size), dtype=complex)
-    for fp in range(system.n_two):
-        for e in range(system.n_one):
-            weight = populations_f[fp] * dd_fe[fp, e]
-            if weight == 0.0:
-                continue
-            pos, neg = _lineshape_branches(
-                grid.omega_fe, w_fe[fp, e], g_fe[fp, e],
-                filter_fe.sigma_omega, filter_fe.sigma_t,
-            )
-            side_fe[e] += weight * (pos + neg)
+    pos, neg = _lineshape_branches(
+        grid.omega_fe, w_fe[:, :, None], g_fe[:, :, None],
+        filter_fe.sigma_omega, filter_fe.sigma_t,
+    )
+    weight = populations_f[:, None] * dd_fe
+    side_fe = (weight[..., None] * (pos + neg)).sum(axis=0)
 
     # one-exciton side: transport from the shared e to the emitter e'
-    side_eg = np.zeros((system.n_one, grid.omega_eg.size), dtype=complex)
-    for ep in range(system.n_one):
-        pos, _ = _lineshape_branches(
-            grid.omega_eg, w_eg[ep], g_eg[ep],
-            filter_eg.sigma_omega, filter_eg.sigma_t,
-        )
-        side_eg += dd_eg[ep] * np.outer(green_e[ep, :], pos)
+    pos, _ = _lineshape_branches(
+        grid.omega_eg, w_eg[:, None], g_eg[:, None],
+        filter_eg.sigma_omega, filter_eg.sigma_t,
+    )
+    side_eg = (dd_eg[:, None, None] * (green_e[:, :, None] * pos[:, None, :])).sum(axis=0)
 
     signal = 2.0 * np.real(np.einsum("ei,ej->ij", side_fe, side_eg))
     signal *= grid.detector_dos
@@ -343,12 +336,10 @@ def _time_oracle_map(
     phase_neg = np.exp(+1j * ang * np.outer(s_nodes, omega_fe_axis)) * s_w[:, None]
     maps = prof1 @ phase_pos + prof2 @ phase_neg
 
-    l_eg = np.empty((system.n_one, omega_eg_axis.size), dtype=complex)
-    for ep in range(system.n_one):
-        l_eg[ep], _ = _lineshape_branches(
-            omega_eg_axis, w_eg[ep], g_eg[ep],
-            filter_eg.sigma_omega, filter_eg.sigma_t,
-        )
+    l_eg, _ = _lineshape_branches(
+        omega_eg_axis, w_eg[:, None], g_eg[:, None],
+        filter_eg.sigma_omega, filter_eg.sigma_t,
+    )
     weights = dd_fe[:, :, None] * dd_eg[None, None, :]
     return 2.0 * np.real(np.einsum("feua,feu,ub->ab", maps, weights, l_eg))
 

@@ -1,33 +1,32 @@
 """Run configuration for the command-line scenarios.
 
-A run is described by a single JSON object.  Every field has a default;
-the minimal valid config is ``{"scenario": "model-info"}``.  Defaults:
+A run is one JSON object; only ``scenario`` is required.  Each field's
+default is written once, on its dataclass field below (the bath's in
+:func:`presets.reference_bath`), and its check, message and conversion
+once, as a ``_Rule`` in the field's metadata.  One walker checks every
+section against these tables, and one serializer writes them back.
 
-scenario        required, one of model-info | jsa | excite | excite-scan
-                | propagate | coincidence | panel-study
+scenario        model-info | jsa | excite | excite-scan | propagate
+                | coincidence | panel-study
 aggregate       "bundled" (packaged 14-site model) or a JSON file path,
                 resolved relative to the config file
-polarization    [1, 1, 1]
-bath            lambda0 1.5, gamma0 60.0, temperature 77.0,
-                pure_dephasing 0.0, brownian_modes []
-source          mode "entangled"; omega1/omega2/pump_center "auto"
-                (brightest one-exciton lines, pump tuned to ``target``),
-                tau_pump 150 fs, t1 0, t2 10 fs, alpha 1, e0 1;
-                coherent mode uses center "auto", tau 60 fs, scale 1
-filters         sigma_omega 10.0, sigma_t 4.8681 (cm^-1)
-waiting         t_wait_two 0.0, t_wait_one 100.0 (fs)
-grids           omega_fe/omega_eg "auto" ([lo, hi, n] to override),
-                points 128, pad 60.0 cm^-1 around the line positions
-time_fs         0.0 (preparation snapshot time)
-snapshot_times  [50, 100, 250, 1000] (fs, propagate columns)
-targets         "all" or a list of two-exciton indices (excite-scan)
-scan_mode       "degenerate" | "mediated"
-target          7 (two-exciton state auto sources are tuned to)
-out_dir         "runs"
-threads         null (fall back to EXCITONSCOPE_THREADS, then 1)
-seed            null (reserved; current scenarios are deterministic)
-format          "csv" | "json"
-emit_plots      true (write gnuplot scripts next to the data)
+polarization    three numbers
+bath            lambda0, gamma0, pure_dephasing (cm^-1), temperature (K),
+                brownian_modes [[lambda, omega, gamma], ...]
+source          entangled mode: omega1, omega2, pump_center (cm^-1 or "auto":
+                brightest one-exciton lines, pump tuned to ``target``),
+                tau_pump, t1, t2 (fs), alpha, e0; coherent mode: center
+                (cm^-1 or "auto"), tau (fs), scale
+filters         gate widths sigma_omega, sigma_t (cm^-1)
+waiting         t_wait_two, t_wait_one (fs)
+grids           omega_fe, omega_eg: "auto" (line positions +- pad, cm^-1,
+                on ``points`` samples) or [lo, hi, n]
+time_fs         preparation snapshot time; snapshot_times: propagate columns (fs)
+targets         "all" or two-exciton indices (excite-scan), scan_mode
+                "degenerate" | "mediated"; target: state auto sources tune to
+out_dir, format ("csv" | "json"), emit_plots (gnuplot scripts next to data)
+threads         null (EXCITONSCOPE_THREADS, then 1) or a count; seed: null or
+                an integer, reserved (current scenarios are deterministic)
 
 ``load_config`` validates the whole object before constructing anything
 and reports every offending field at once.
@@ -39,8 +38,10 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .bath import BathSpec
+from .presets import reference_bath
 
 SCENARIOS = (
     "model-info",
@@ -66,175 +67,228 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(lines))
 
 
-@dataclass(frozen=True)
-class SourceConfig:
-    mode: str = "entangled"
-    omega1: float | str = "auto"
-    omega2: float | str = "auto"
-    pump_center: float | str = "auto"
-    tau_pump: float = 150.0
-    t1: float = 0.0
-    t2: float = 10.0
-    alpha: float = 1.0
-    e0: float = 1.0
-    center: float | str = "auto"
-    tau: float = 60.0
-    scale: float = 1.0
+class _Rule(NamedTuple):
+    """Check, message (text, or a function of the rejected value) and
+    conversion of one leaf field."""
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    sigma_omega: float = 10.0
-    sigma_t: float = 4.8681
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
-class WaitingConfig:
-    t_wait_two: float = 0.0
-    t_wait_one: float = 100.0
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    omega_fe: tuple | str = "auto"
-    omega_eg: tuple | str = "auto"
-    points: int = 128
-    pad: float = 60.0
-
-    def to_dict(self) -> dict:
-        def enc(axis):
-            return axis if isinstance(axis, str) else list(axis)
-
-        return {
-            "omega_fe": enc(self.omega_fe),
-            "omega_eg": enc(self.omega_eg),
-            "points": self.points,
-            "pad": self.pad,
-        }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: str
-    aggregate: str = "bundled"
-    polarization: tuple = (1.0, 1.0, 1.0)
-    bath: BathSpec = field(default_factory=lambda: BathSpec(1.5, 60.0, (), 77.0))
-    source: SourceConfig = field(default_factory=SourceConfig)
-    filters: FilterConfig = field(default_factory=FilterConfig)
-    waiting: WaitingConfig = field(default_factory=WaitingConfig)
-    grids: GridConfig = field(default_factory=GridConfig)
-    time_fs: float = 0.0
-    snapshot_times: tuple = (50.0, 100.0, 250.0, 1000.0)
-    targets: tuple | str = "all"
-    scan_mode: str = "degenerate"
-    target: int = 7
-    out_dir: str = "runs"
-    threads: int | None = None
-    seed: int | None = None
-    format: str = "csv"
-    emit_plots: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "aggregate": self.aggregate,
-            "polarization": list(self.polarization),
-            "bath": {
-                "lambda0": self.bath.lambda0,
-                "gamma0": self.bath.gamma0,
-                "temperature": self.bath.temperature,
-                "pure_dephasing": self.bath.pure_dephasing,
-                "brownian_modes": [list(m) for m in self.bath.brownian_modes],
-            },
-            "source": self.source.to_dict(),
-            "filters": self.filters.to_dict(),
-            "waiting": self.waiting.to_dict(),
-            "grids": self.grids.to_dict(),
-            "time_fs": self.time_fs,
-            "snapshot_times": list(self.snapshot_times),
-            "targets": self.targets if isinstance(self.targets, str) else list(self.targets),
-            "scan_mode": self.scan_mode,
-            "target": self.target,
-            "out_dir": self.out_dir,
-            "threads": self.threads,
-            "seed": self.seed,
-            "format": self.format,
-            "emit_plots": self.emit_plots,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+    ok: Callable[[object], bool]
+    message: str | Callable[[object], str]
+    convert: Callable = lambda v: v
 
 
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _num_or_auto(x) -> bool:
-    return x == "auto" or _is_num(x)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-class _Checker:
-    """Accumulates (field path, message) pairs over a raw JSON object."""
-
-    def __init__(self, raw: dict):
-        self.raw = raw
-        self.problems: list[tuple[str, str]] = []
-
-    def flag(self, path: str, msg: str):
-        self.problems.append((path, msg))
-
-    def section(self, name: str) -> dict:
-        value = self.raw.get(name, {})
-        if not isinstance(value, dict):
-            self.flag(name, "must be an object")
-            return {}
-        return value
-
-    def take(self, section: dict, prefix: str, key: str, default, check, msg: str):
-        if key not in section:
-            return default
-        value = section[key]
-        if not check(value):
-            self.flag(f"{prefix}{key}" if prefix else key, msg)
-            return default
-        return value
-
-    def reject_unknown(self, section: dict, prefix: str, known):
-        for key in section:
-            if key not in known:
-                self.flag(f"{prefix}{key}" if prefix else key, "unknown field")
+def _is_list(x) -> bool:
+    return isinstance(x, (list, tuple))
 
 
-def _parse_axis(checker: _Checker, grids: dict, key: str):
-    if key not in grids:
-        return "auto"
-    value = grids[key]
-    if value == "auto":
-        return "auto"
-    ok = (
-        isinstance(value, (list, tuple))
-        and len(value) == 3
-        and _is_num(value[0])
-        and _is_num(value[1])
-        and isinstance(value[2], int)
-        and not isinstance(value[2], bool)
-        and value[1] > value[0]
-        and value[2] >= 2
+def _floats(values) -> tuple:
+    return tuple(float(x) for x in values)
+
+
+_BOUNDS = {"": lambda v: True, ">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0}
+
+
+def _number(bound: str = "", unit: str = "") -> _Rule:
+    """A float, optionally bounded below by zero (``">= 0"`` or ``"> 0"``)."""
+    text = " ".join(part for part in ("must be a number", bound, unit) if part)
+    return _Rule(lambda v: _is_num(v) and _BOUNDS[bound](v), text, float)
+
+
+def _integer(low: int | None = None, nullable: bool = False) -> _Rule:
+    text = "must be " + ("null or " if nullable else "") + "an integer"
+    text += "" if low is None else f" >= {low}"
+    return _Rule(lambda v: (nullable and v is None)
+                 or (_is_int(v) and (low is None or v >= low)), text)
+
+
+def _one_of(options) -> _Rule:
+    return _Rule(lambda v: v in options, "must be " + " or ".join(map(repr, options)))
+
+
+def _keyword_or(word: str, rule: _Rule) -> _Rule:
+    """``rule``, or the keyword ``word`` kept as given."""
+    return _Rule(lambda v: v == word or rule.ok(v), rule.message,
+                 lambda v: v if v == word else rule.convert(v))
+
+
+def _aggregate(base_dir: str) -> _Rule:
+    """"bundled", or a JSON file path resolved relative to ``base_dir``."""
+
+    def named(v):
+        return isinstance(v, str) and v != ""
+
+    def resolve(v):
+        return os.path.normpath(os.path.join(base_dir, v))
+
+    return _Rule(
+        lambda v: v == "bundled" or (named(v) and os.path.isfile(resolve(v))),
+        lambda v: f"no such file: {resolve(v)}" if named(v) else "must be a non-empty string",
+        lambda v: v if v == "bundled" else resolve(v),
     )
-    if not ok:
-        checker.flag(f"grids.{key}", 'must be "auto" or [lo, hi, n] with hi > lo, n >= 2')
-        return "auto"
-    return (float(value[0]), float(value[1]), int(value[2]))
+
+
+def _scenario_message(value) -> str:
+    head = "required" if value is None else f"unknown scenario {value!r}"
+    return f"{head}; one of " + ", ".join(SCENARIOS)
+
+
+def _brownian_mode(m) -> bool:
+    return (_is_list(m) and len(m) == 3 and all(map(_is_num, m))
+            and m[0] >= 0 and m[1] > 0 and m[2] > 0)
+
+
+_NUMBER_OR_AUTO = _keyword_or("auto", _Rule(_is_num, 'must be a number or "auto"', float))
+_AXIS = _keyword_or("auto", _Rule(
+    lambda v: (_is_list(v) and len(v) == 3 and _is_num(v[0]) and _is_num(v[1])
+               and _is_int(v[2]) and v[1] > v[0] and v[2] >= 2),
+    'must be "auto" or [lo, hi, n] with hi > lo, n >= 2',
+    lambda v: (float(v[0]), float(v[1]), int(v[2])),
+))
+_TARGETS = _keyword_or("all", _Rule(
+    lambda v: _is_list(v) and len(v) > 0 and all(_is_int(t) and t >= 0 for t in v),
+    'must be "all" or a non-empty list of indices >= 0',
+    lambda v: tuple(int(t) for t in v),
+))
+_TIMES = _Rule(lambda v: _is_list(v) and len(v) > 0 and all(_is_num(t) and t >= 0 for t in v),
+               "must be a non-empty list of numbers >= 0 (fs)", _floats)
+_VECTOR = _Rule(lambda v: _is_list(v) and len(v) == 3 and all(map(_is_num, v)),
+                "must be a list of three numbers", _floats)
+_NAME = _Rule(lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
+# BathSpec lives in bath.py; its rules are listed here, in serialization order
+_BATH = {
+    "lambda0": _number(">= 0"),
+    "gamma0": _number("> 0"),
+    "temperature": _number("> 0"),
+    "pure_dephasing": _number(">= 0"),
+    "brownian_modes": _Rule(lambda v: _is_list(v) and all(map(_brownian_mode, v)),
+                            "must be a list of [lambda, omega, gamma] with omega, gamma > 0",
+                            lambda v: tuple(map(_floats, v))),
+}
+
+
+def _field(default, rule: _Rule):
+    return field(default=default, metadata={"rule": rule})
+
+
+def _section(factory, table=None):
+    """A nested object; its rule is its own field table."""
+    return field(default_factory=factory, metadata={"rule": table or _table(factory)})
+
+
+def _table(cls) -> dict:
+    """Field name -> rule (or a section's table), in field order."""
+    return {f.name: f.metadata["rule"] for f in dataclasses.fields(cls)}
+
+
+class _Plain:
+    """``to_dict`` for the config dataclasses: plain JSON data, field order."""
+
+    def to_dict(self) -> dict:
+        return _plain(self, _table(type(self)))
+
+
+@dataclass(frozen=True)
+class SourceConfig(_Plain):
+    mode: str = _field("entangled", _one_of(SOURCE_MODES))
+    omega1: float | str = _field("auto", _NUMBER_OR_AUTO)
+    omega2: float | str = _field("auto", _NUMBER_OR_AUTO)
+    pump_center: float | str = _field("auto", _NUMBER_OR_AUTO)
+    tau_pump: float = _field(150.0, _number("> 0", "(fs)"))
+    t1: float = _field(0.0, _number("", "(fs)"))
+    t2: float = _field(10.0, _number("", "(fs)"))
+    alpha: float = _field(1.0, _number("> 0"))
+    e0: float = _field(1.0, _number("> 0"))
+    center: float | str = _field("auto", _NUMBER_OR_AUTO)
+    tau: float = _field(60.0, _number("> 0", "(fs)"))
+    scale: float = _field(1.0, _number("> 0"))
+
+
+@dataclass(frozen=True)
+class FilterConfig(_Plain):
+    sigma_omega: float = _field(10.0, _number("> 0", "(cm^-1)"))
+    sigma_t: float = _field(4.8681, _number("> 0", "(cm^-1)"))
+
+
+@dataclass(frozen=True)
+class WaitingConfig(_Plain):
+    t_wait_two: float = _field(0.0, _number(">= 0", "(fs)"))
+    t_wait_one: float = _field(100.0, _number(">= 0", "(fs)"))
+
+
+@dataclass(frozen=True)
+class GridConfig(_Plain):
+    omega_fe: tuple | str = _field("auto", _AXIS)
+    omega_eg: tuple | str = _field("auto", _AXIS)
+    points: int = _field(128, _integer(2))
+    pad: float = _field(60.0, _number(">= 0", "(cm^-1)"))
+
+
+@dataclass(frozen=True)
+class RunConfig(_Plain):
+    scenario: str = field(metadata={"rule": _Rule(lambda v: v in SCENARIOS, _scenario_message)})
+    aggregate: str = _field("bundled", _aggregate("."))
+    polarization: tuple = _field((1.0, 1.0, 1.0), _VECTOR)
+    bath: BathSpec = _section(reference_bath, _BATH)
+    source: SourceConfig = _section(SourceConfig)
+    filters: FilterConfig = _section(FilterConfig)
+    waiting: WaitingConfig = _section(WaitingConfig)
+    grids: GridConfig = _section(GridConfig)
+    time_fs: float = _field(0.0, _number(">= 0", "(fs)"))
+    snapshot_times: tuple = _field((50.0, 100.0, 250.0, 1000.0), _TIMES)
+    targets: tuple | str = _field("all", _TARGETS)
+    scan_mode: str = _field("degenerate", _one_of(SCAN_MODES))
+    target: int = _field(7, _integer(0))
+    out_dir: str = _field("runs", _NAME)
+    threads: int | None = _field(None, _integer(1, nullable=True))
+    seed: int | None = _field(None, _integer(nullable=True))
+    format: str = _field("csv", _one_of(FORMATS))
+    emit_plots: bool = _field(True, _Rule(lambda v: isinstance(v, bool), "must be true or false"))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2) + "\n"
+
+
+_SECTION_DEFAULTS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
+
+
+def _walk(table: dict, raw: dict, prefix: str, problems: list) -> dict:
+    """Check ``raw`` against ``table`` and return the converted values it
+    gives, sections built over their defaults; append every problem."""
+    problems.extend((prefix + key, "unknown field") for key in raw if key not in table)
+    values = {}
+    for name, rule in table.items():
+        path = prefix + name
+        if isinstance(rule, dict):
+            section = raw.get(name, {})
+            if isinstance(section, dict):
+                given = _walk(rule, section, path + ".", problems)
+                values[name] = dataclasses.replace(_SECTION_DEFAULTS[name](), **given)
+            else:
+                problems.append((path, "must be an object"))
+        elif name in raw:
+            value = raw[name]
+            if rule.ok(value):
+                values[name] = rule.convert(value)
+            else:
+                message = rule.message(value) if callable(rule.message) else rule.message
+                problems.append((path, message))
+    return values
+
+
+def _plain(value, table):
+    """JSON data of a config value, keys in ``table`` order, tuples as lists."""
+    if isinstance(table, dict):
+        return {name: _plain(getattr(value, name), rule) for name, rule in table.items()}
+    if isinstance(value, tuple):
+        return [_plain(item, None) for item in value]
+    return value
 
 
 def from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
@@ -245,180 +299,13 @@ def from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     """
     if not isinstance(raw, dict):
         raise ConfigError([("<root>", "config must be a JSON object")])
-    c = _Checker(raw)
-
-    known_top = {
-        "scenario", "aggregate", "polarization", "bath", "source", "filters",
-        "waiting", "grids", "time_fs", "snapshot_times", "targets", "scan_mode",
-        "target", "out_dir", "threads", "seed", "format", "emit_plots",
-    }
-    c.reject_unknown(raw, "", known_top)
-
-    scenario = raw.get("scenario")
-    if scenario is None:
-        c.flag("scenario", "required; one of " + ", ".join(SCENARIOS))
-        scenario = "model-info"
-    elif scenario not in SCENARIOS:
-        c.flag("scenario", f"unknown scenario {scenario!r}; one of " + ", ".join(SCENARIOS))
-        scenario = "model-info"
-
-    aggregate = c.take(raw, "", "aggregate", "bundled",
-                       lambda v: isinstance(v, str) and v, "must be a non-empty string")
-    if aggregate != "bundled":
-        resolved = aggregate if os.path.isabs(aggregate) else os.path.join(base_dir, aggregate)
-        resolved = os.path.normpath(resolved)
-        if os.path.isfile(resolved):
-            aggregate = resolved
-        else:
-            c.flag("aggregate", f"no such file: {resolved}")
-
-    pol = c.take(raw, "", "polarization", [1.0, 1.0, 1.0],
-                 lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_num, v)),
-                 "must be a list of three numbers")
-
-    bath_raw = c.section("bath")
-    c.reject_unknown(bath_raw, "bath.",
-                     {"lambda0", "gamma0", "temperature", "pure_dephasing", "brownian_modes"})
-    lambda0 = c.take(bath_raw, "bath.", "lambda0", 1.5,
-                     lambda v: _is_num(v) and v >= 0, "must be a number >= 0")
-    gamma0 = c.take(bath_raw, "bath.", "gamma0", 60.0,
-                    lambda v: _is_num(v) and v > 0, "must be a number > 0")
-    temperature = c.take(bath_raw, "bath.", "temperature", 77.0,
-                         lambda v: _is_num(v) and v > 0, "must be a number > 0")
-    dephasing = c.take(bath_raw, "bath.", "pure_dephasing", 0.0,
-                       lambda v: _is_num(v) and v >= 0, "must be a number >= 0")
-
-    def _modes_ok(v):
-        return isinstance(v, (list, tuple)) and all(
-            isinstance(m, (list, tuple)) and len(m) == 3 and all(map(_is_num, m))
-            and m[0] >= 0 and m[1] > 0 and m[2] > 0
-            for m in v
-        )
-
-    modes = c.take(bath_raw, "bath.", "brownian_modes", [], _modes_ok,
-                   "must be a list of [lambda, omega, gamma] with omega, gamma > 0")
-
-    src_raw = c.section("source")
-    c.reject_unknown(src_raw, "source.",
-                     {"mode", "omega1", "omega2", "pump_center", "tau_pump",
-                      "t1", "t2", "alpha", "e0", "center", "tau", "scale"})
-    mode = c.take(src_raw, "source.", "mode", "entangled",
-                  lambda v: v in SOURCE_MODES, "must be 'entangled' or 'coherent'")
-    omega1 = c.take(src_raw, "source.", "omega1", "auto", _num_or_auto,
-                    'must be a number or "auto"')
-    omega2 = c.take(src_raw, "source.", "omega2", "auto", _num_or_auto,
-                    'must be a number or "auto"')
-    pump_center = c.take(src_raw, "source.", "pump_center", "auto", _num_or_auto,
-                         'must be a number or "auto"')
-    tau_pump = c.take(src_raw, "source.", "tau_pump", 150.0,
-                      lambda v: _is_num(v) and v > 0, "must be a number > 0 (fs)")
-    t1 = c.take(src_raw, "source.", "t1", 0.0, _is_num, "must be a number (fs)")
-    t2 = c.take(src_raw, "source.", "t2", 10.0, _is_num, "must be a number (fs)")
-    alpha = c.take(src_raw, "source.", "alpha", 1.0,
-                   lambda v: _is_num(v) and v > 0, "must be a number > 0")
-    e0 = c.take(src_raw, "source.", "e0", 1.0,
-                lambda v: _is_num(v) and v > 0, "must be a number > 0")
-    center = c.take(src_raw, "source.", "center", "auto", _num_or_auto,
-                    'must be a number or "auto"')
-    tau = c.take(src_raw, "source.", "tau", 60.0,
-                 lambda v: _is_num(v) and v > 0, "must be a number > 0 (fs)")
-    scale = c.take(src_raw, "source.", "scale", 1.0,
-                   lambda v: _is_num(v) and v > 0, "must be a number > 0")
-
-    filt_raw = c.section("filters")
-    c.reject_unknown(filt_raw, "filters.", {"sigma_omega", "sigma_t"})
-    sigma_omega = c.take(filt_raw, "filters.", "sigma_omega", 10.0,
-                         lambda v: _is_num(v) and v > 0, "must be a number > 0 (cm^-1)")
-    sigma_t = c.take(filt_raw, "filters.", "sigma_t", 4.8681,
-                     lambda v: _is_num(v) and v > 0, "must be a number > 0 (cm^-1)")
-
-    wait_raw = c.section("waiting")
-    c.reject_unknown(wait_raw, "waiting.", {"t_wait_two", "t_wait_one"})
-    t_wait_two = c.take(wait_raw, "waiting.", "t_wait_two", 0.0,
-                        lambda v: _is_num(v) and v >= 0, "must be a number >= 0 (fs)")
-    t_wait_one = c.take(wait_raw, "waiting.", "t_wait_one", 100.0,
-                        lambda v: _is_num(v) and v >= 0, "must be a number >= 0 (fs)")
-
-    grids_raw = c.section("grids")
-    c.reject_unknown(grids_raw, "grids.", {"omega_fe", "omega_eg", "points", "pad"})
-    axis_fe = _parse_axis(c, grids_raw, "omega_fe")
-    axis_eg = _parse_axis(c, grids_raw, "omega_eg")
-    points = c.take(grids_raw, "grids.", "points", 128,
-                    lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 2,
-                    "must be an integer >= 2")
-    pad = c.take(grids_raw, "grids.", "pad", 60.0,
-                 lambda v: _is_num(v) and v >= 0, "must be a number >= 0 (cm^-1)")
-
-    time_fs = c.take(raw, "", "time_fs", 0.0,
-                     lambda v: _is_num(v) and v >= 0, "must be a number >= 0 (fs)")
-    snap = c.take(raw, "", "snapshot_times", [50.0, 100.0, 250.0, 1000.0],
-                  lambda v: isinstance(v, (list, tuple)) and len(v) > 0
-                  and all(_is_num(t) and t >= 0 for t in v),
-                  "must be a non-empty list of numbers >= 0 (fs)")
-
-    targets = raw.get("targets", "all")
-    if targets != "all":
-        ok = isinstance(targets, (list, tuple)) and len(targets) > 0 and all(
-            isinstance(t, int) and not isinstance(t, bool) and t >= 0 for t in targets
-        )
-        if ok:
-            targets = tuple(int(t) for t in targets)
-        else:
-            c.flag("targets", 'must be "all" or a non-empty list of indices >= 0')
-            targets = "all"
-
-    scan_mode = c.take(raw, "", "scan_mode", "degenerate",
-                       lambda v: v in SCAN_MODES, "must be 'degenerate' or 'mediated'")
-    target = c.take(raw, "", "target", 7,
-                    lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-                    "must be an integer >= 0")
-    out_dir = c.take(raw, "", "out_dir", "runs",
-                     lambda v: isinstance(v, str) and v, "must be a non-empty string")
-    threads = c.take(raw, "", "threads", None,
-                     lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool) and v >= 1),
-                     "must be null or an integer >= 1")
-    seed = c.take(raw, "", "seed", None,
-                  lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool)),
-                  "must be null or an integer")
-    fmt = c.take(raw, "", "format", "csv",
-                 lambda v: v in FORMATS, "must be 'csv' or 'json'")
-    emit_plots = c.take(raw, "", "emit_plots", True,
-                        lambda v: isinstance(v, bool), "must be true or false")
-
-    if c.problems:
-        raise ConfigError(c.problems)
-
-    return RunConfig(
-        scenario=scenario,
-        aggregate=aggregate,
-        polarization=tuple(float(x) for x in pol),
-        bath=BathSpec(float(lambda0), float(gamma0),
-                      tuple(tuple(float(x) for x in m) for m in modes),
-                      float(temperature), float(dephasing)),
-        source=SourceConfig(
-            mode=mode,
-            omega1=omega1 if omega1 == "auto" else float(omega1),
-            omega2=omega2 if omega2 == "auto" else float(omega2),
-            pump_center=pump_center if pump_center == "auto" else float(pump_center),
-            tau_pump=float(tau_pump), t1=float(t1), t2=float(t2),
-            alpha=float(alpha), e0=float(e0),
-            center=center if center == "auto" else float(center),
-            tau=float(tau), scale=float(scale),
-        ),
-        filters=FilterConfig(float(sigma_omega), float(sigma_t)),
-        waiting=WaitingConfig(float(t_wait_two), float(t_wait_one)),
-        grids=GridConfig(axis_fe, axis_eg, int(points), float(pad)),
-        time_fs=float(time_fs),
-        snapshot_times=tuple(float(t) for t in snap),
-        targets=targets,
-        scan_mode=scan_mode,
-        target=int(target),
-        out_dir=out_dir,
-        threads=threads,
-        seed=seed,
-        format=fmt,
-        emit_plots=emit_plots,
-    )
+    problems: list[tuple[str, str]] = []
+    # scenario has no default: a missing one is checked as null ("required")
+    table = {**_table(RunConfig), "aggregate": _aggregate(base_dir)}
+    values = _walk(table, {"scenario": None, **raw}, "", problems)
+    if problems:
+        raise ConfigError(problems)
+    return RunConfig(**values)
 
 
 def load_config(path: str) -> RunConfig:

@@ -1,9 +1,10 @@
-"""Plain-loop references for the model build.
+"""Plain-loop references for the model build and the detection stage.
 
-The library builds the two-exciton Hamiltonian, the per-site occupations
-and the secular rate matrices from array expressions.  These are the same
-quantities written one pair at a time, in the order the arithmetic is
-done, so the array versions must reproduce them bit for bit.
+The library builds the two-exciton Hamiltonian, the per-site occupations,
+the secular rate matrices and the factorized coincidence map from array
+expressions.  These are the same quantities written one pair at a time,
+in the order the arithmetic is done, so the array versions must reproduce
+them bit for bit.
 """
 
 import math
@@ -11,6 +12,8 @@ import math
 import numpy as np
 
 from excitonscope.bath import phonon_correlation_real
+from excitonscope.coincidence import _detection_tables, _lineshape_branches
+from excitonscope.propagators import population_propagator
 
 
 def loop_two_exciton_hamiltonian(spec, pairs):
@@ -78,3 +81,39 @@ def loop_rate_matrix(eig, spec, bath, manifold):
     np.fill_diagonal(k, 0.0)
     np.fill_diagonal(k, -k.sum(axis=0))
     return k
+
+
+def loop_coincidence_snapshot(system, rho_ff, filter_fe, filter_eg, grid):
+    """Normalized, clipped coincidence map and its clipped cell count, one
+    (f', e) emitter pair and one e' emitter at a time; pairs of zero weight
+    are skipped."""
+    w_fe, g_fe, w_eg, g_eg, dd_fe, dd_eg = _detection_tables(system)
+    populations_f = population_propagator(system.transport_two, grid.t_wait_two) @ rho_ff
+    green_e = population_propagator(system.transport_one, grid.t_wait_one)
+
+    side_fe = np.zeros((system.n_one, grid.omega_fe.size), dtype=complex)
+    for fp in range(system.n_two):
+        for e in range(system.n_one):
+            weight = populations_f[fp] * dd_fe[fp, e]
+            if weight == 0.0:
+                continue
+            pos, neg = _lineshape_branches(
+                grid.omega_fe, w_fe[fp, e], g_fe[fp, e],
+                filter_fe.sigma_omega, filter_fe.sigma_t,
+            )
+            side_fe[e] += weight * (pos + neg)
+
+    side_eg = np.zeros((system.n_one, grid.omega_eg.size), dtype=complex)
+    for ep in range(system.n_one):
+        pos, _ = _lineshape_branches(
+            grid.omega_eg, w_eg[ep], g_eg[ep],
+            filter_eg.sigma_omega, filter_eg.sigma_t,
+        )
+        side_eg += dd_eg[ep] * np.outer(green_e[ep, :], pos)
+
+    signal = 2.0 * np.real(np.einsum("ei,ej->ij", side_fe, side_eg))
+    signal *= grid.detector_dos
+    peak = np.abs(signal).max(initial=0.0)
+    if peak > 0.0:
+        signal = signal / peak
+    return np.clip(signal, 0.0, None), int(np.count_nonzero(signal < 0.0))

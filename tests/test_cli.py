@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,3 +119,14 @@ def test_parser_lists_all_scenarios():
     for name in ("model-info", "jsa", "excite", "excite-scan",
                  "propagate", "coincidence", "panel-study"):
         assert name in helptext
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """scipy.integrate serves one diagnostic and is most of the import time."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, excitonscope.cli; print('scipy.integrate' in sys.modules)"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"

@@ -13,6 +13,8 @@ from excitonscope import (
 from excitonscope.coincidence import spectral_gate, temporal_gate
 from excitonscope.units import TWO_PI_C
 
+from loop_reference import loop_coincidence_snapshot
+
 
 def make_grid(system, n=31, **kw):
     w_fe = system.eig.omega_fe()
@@ -221,3 +223,21 @@ def test_time_oracle_restricted_to_small_systems(bundled):
             REFERENCE_FILTER,
             REFERENCE_FILTER,
         )
+
+
+@pytest.mark.parametrize("name", ["dimer_system", "trimer_system", "bundled"])
+@pytest.mark.parametrize("waits", [(0.0, 100.0), (50.0, 1000.0), (0.0, 0.0)])
+def test_snapshot_matches_loop_reference(request, name, waits):
+    system = request.getfixturevalue(name)
+    rng = np.random.default_rng(7)
+    rho = rng.random(system.n_two)
+    rho[::3] = 0.0  # zero weights: the loop skips them, the array sums them
+    gate_eg = FilterSpec(omega_center=0.0, sigma_omega=12.0, sigma_t=3.0)
+    axes = dict(n=40, t_wait_two=waits[0], t_wait_one=waits[1])
+    for populations in (rho, np.eye(system.n_two)[-1]):
+        grid = coincidence_snapshot(system, populations, REFERENCE_FILTER, gate_eg,
+                                    make_grid(system, **axes))
+        expected, clipped = loop_coincidence_snapshot(
+            system, populations, REFERENCE_FILTER, gate_eg, make_grid(system, **axes))
+        assert np.array_equal(grid.result, expected)
+        assert grid.clipped_cells == clipped

@@ -1,8 +1,13 @@
+import dataclasses
 import json
+import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import excitonscope
 from excitonscope.bath import BathSpec
 from excitonscope.config import (
     ConfigError,
@@ -150,3 +155,124 @@ def test_to_dict_is_plain_json_data():
     text = cfg.to_json()
     assert json.loads(text)["scenario"] == "panel-study"
     assert isinstance(cfg.to_dict()["bath"]["brownian_modes"], list)
+
+# Every leaf field of the run config: one valid non-default value (as given
+# in JSON, then as stored), one invalid value and the message it draws.
+BUNDLED_JSON = os.path.normpath(
+    os.path.join(os.path.dirname(excitonscope.__file__), "data", "aggregate14.json"))
+NUMBER_OR_AUTO = 'must be a number or "auto"'
+AXIS = 'must be "auto" or [lo, hi, n] with hi > lo, n >= 2'
+FIELD_CASES = [
+    ("scenario", "jsa", "jsa", "teleport",
+     "unknown scenario 'teleport'; one of " + ", ".join(SCENARIOS)),
+    ("aggregate", BUNDLED_JSON, BUNDLED_JSON, "", "must be a non-empty string"),
+    ("polarization", [0, 1, 2], (0.0, 1.0, 2.0), [1, 2], "must be a list of three numbers"),
+    ("bath.lambda0", 2, 2.0, -1.0, "must be a number >= 0"),
+    ("bath.gamma0", 30, 30.0, 0, "must be a number > 0"),
+    ("bath.temperature", 300, 300.0, 0.0, "must be a number > 0"),
+    ("bath.pure_dephasing", 5, 5.0, -0.5, "must be a number >= 0"),
+    ("bath.brownian_modes", [[12, 740, 25]], ((12.0, 740.0, 25.0),), [[1.0, 2.0]],
+     "must be a list of [lambda, omega, gamma] with omega, gamma > 0"),
+    ("source.mode", "coherent", "coherent", "thermal", "must be 'entangled' or 'coherent'"),
+    ("source.omega1", 12000, 12000.0, "high", NUMBER_OR_AUTO),
+    ("source.omega2", 12400.5, 12400.5, None, NUMBER_OR_AUTO),
+    ("source.pump_center", 24000, 24000.0, [1.0], NUMBER_OR_AUTO),
+    ("source.tau_pump", 80, 80.0, 0, "must be a number > 0 (fs)"),
+    ("source.t1", -3, -3.0, "x", "must be a number (fs)"),
+    ("source.t2", 0, 0.0, None, "must be a number (fs)"),
+    ("source.alpha", 2, 2.0, -1.0, "must be a number > 0"),
+    ("source.e0", 0.5, 0.5, 0, "must be a number > 0"),
+    ("source.center", 12200, 12200.0, True, NUMBER_OR_AUTO),
+    ("source.tau", 30, 30.0, -5.0, "must be a number > 0 (fs)"),
+    ("source.scale", 3, 3.0, False, "must be a number > 0"),
+    ("filters.sigma_omega", 20, 20.0, 0.0, "must be a number > 0 (cm^-1)"),
+    ("filters.sigma_t", 0.5409, 0.5409, -1.0, "must be a number > 0 (cm^-1)"),
+    ("waiting.t_wait_two", 50, 50.0, -1.0, "must be a number >= 0 (fs)"),
+    ("waiting.t_wait_one", 1000, 1000.0, "late", "must be a number >= 0 (fs)"),
+    ("grids.omega_fe", [100, 400, 64], (100.0, 400.0, 64), [400.0, 100.0, 64], AXIS),
+    ("grids.omega_eg", [12000.5, 12900, 2], (12000.5, 12900.0, 2), [1.0, 2.0, 2.5], AXIS),
+    ("grids.points", 64, 64, 1, "must be an integer >= 2"),
+    ("grids.pad", 30, 30.0, -1.0, "must be a number >= 0 (cm^-1)"),
+    ("time_fs", 25, 25.0, -1.0, "must be a number >= 0 (fs)"),
+    ("snapshot_times", [10, 20.5], (10.0, 20.5), [], "must be a non-empty list of numbers >= 0 (fs)"),
+    ("targets", [3, 0], (3, 0), [-1], 'must be "all" or a non-empty list of indices >= 0'),
+    ("scan_mode", "mediated", "mediated", "random", "must be 'degenerate' or 'mediated'"),
+    ("target", 3, 3, True, "must be an integer >= 0"),
+    ("out_dir", "elsewhere", "elsewhere", "", "must be a non-empty string"),
+    ("threads", 2, 2, 0, "must be null or an integer >= 1"),
+    ("seed", 42, 42, 1.5, "must be null or an integer"),
+    ("format", "json", "json", "xml", "must be 'csv' or 'json'"),
+    ("emit_plots", False, False, 1, "must be true or false"),
+]
+SECTIONS = ("bath", "source", "filters", "waiting", "grids")
+
+
+def _raw(path, value):
+    section, _, leaf = path.rpartition(".")
+    raw = {"scenario": "excite"}
+    raw.update({section: {leaf: value}} if section else {leaf: value})
+    return raw
+
+
+def _at(cfg, path):
+    for name in path.split("."):
+        cfg = getattr(cfg, name)
+    return cfg
+
+
+def test_field_cases_cover_every_leaf_field():
+    cfg = reference_config("excite")
+    leaves = set()
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name in SECTIONS:
+            leaves |= {f"{f.name}.{g.name}" for g in dataclasses.fields(value)}
+        else:
+            leaves.add(f.name)
+    assert len(leaves) == len(FIELD_CASES) == 38
+    assert {case[0] for case in FIELD_CASES} == leaves
+
+
+@pytest.mark.parametrize("path, given, stored, bad, message", FIELD_CASES,
+                         ids=[case[0] for case in FIELD_CASES])
+def test_each_field_accepts_converts_and_rejects(path, given, stored, bad, message):
+    assert repr(_at(reference_config("excite"), path)) != repr(stored)
+    cfg = from_dict(_raw(path, given))
+    assert repr(_at(cfg, path)) == repr(stored)
+    assert from_dict(cfg.to_dict()) == cfg
+    assert from_dict(json.loads(cfg.to_json())) == cfg
+
+    with pytest.raises(ConfigError) as err:
+        from_dict(_raw(path, bad))
+    assert err.value.problems == ((path, message),)
+    assert err.value.fields == (path,)
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_each_section_must_be_an_object_without_unknown_fields(section):
+    for bad in (5, [], None, "auto"):
+        with pytest.raises(ConfigError) as err:
+            from_dict({"scenario": "excite", section: bad})
+        assert err.value.problems == ((section, "must be an object"),)
+    with pytest.raises(ConfigError) as err:
+        from_dict({"scenario": "excite", section: {"junk": 1}})
+    assert err.value.problems == ((f"{section}.junk", "unknown field"),)
+
+
+def test_problems_are_listed_in_field_order():
+    raw = {"emit_plots": 0, "zzz": 1, "grids": {"pad": -1, "points": 0, "omega_fe": 3},
+           "bath": {"junk": 1, "gamma0": 0}, "scenario": "teleport"}
+    with pytest.raises(ConfigError) as err:
+        from_dict(raw)
+    assert err.value.fields == (
+        "zzz", "scenario", "bath.junk", "bath.gamma0",
+        "grids.omega_fe", "grids.points", "grids.pad", "emit_plots",
+    )
+
+
+def test_readme_config_block_is_the_default_coincidence_run():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```jsonc\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    text = re.sub(r"//[^\n]*", "", blocks[0])
+    assert from_dict(json.loads(text)) == RunConfig(scenario="coincidence")
