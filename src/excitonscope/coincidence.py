@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import units
-from .excitation import ExcitonSystem, PoleTable
+from .excitation import ExcitonSystem
 from .propagators import population_propagator
 
 
@@ -160,7 +160,7 @@ def _detection_tables(system: ExcitonSystem):
     Cartesian norms rather than the projected amplitudes used on the
     excitation side.
     """
-    poles = PoleTable.from_system(system)
+    poles = system.poles
     dm_eg, dm_fe = system.dipoles.magnitudes()
     return (
         poles.fe.real, -poles.fe.imag,

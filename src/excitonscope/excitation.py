@@ -24,7 +24,8 @@ signal as the plain four-point correlator.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,18 @@ class ExcitonSystem:
     def n_two(self) -> int:
         return self.eig.n_two
 
+    # Nothing mutates the two tables below, so every preparation and every
+    # detection map of a system, in any thread, shares one build of each.
+    @cached_property
+    def poles(self) -> "PoleTable":
+        """The resolvent pole table of this system."""
+        return PoleTable.from_system(self)
+
+    @cached_property
+    def weights(self) -> "PathwayWeights":
+        """The factored dipole weights of the five preparation pathways."""
+        return PathwayWeights.from_system(self)
+
 
 @dataclass(frozen=True)
 class PoleTable:
@@ -152,7 +165,11 @@ class PreparationResult:
     ``pathway_partials`` holds the five complex partial sums per f state,
     including the overall population-decay prefactor, so that
     ``raw == 2 Re(sum of partials)`` holds exactly; ``populations`` is the
-    clipped non-negative distribution.
+    clipped non-negative distribution.  The closed form's ``diagnostics``
+    give each pathway's sum over f of |partial| (``pathway_abs_sums``) and
+    the ``cancellation_ratio`` sum_f |sum of partials| / sum |partials|:
+    near 1 the pathways add, near 0 they cancel and the rounding error of
+    ``raw`` grows by its inverse.
     """
 
     populations: np.ndarray
@@ -173,109 +190,136 @@ class PreparationResult:
 
 
 def describe_source(source) -> dict:
-    """Flat parameter echo of a source object for result metadata."""
+    """Flat parameter echo of a source object for result metadata: its class
+    name and, for a dataclass source, its fields."""
     summary = {"kind": type(source).__name__}
-    if isinstance(source, EppSource):
-        summary.update(
-            omega1=source.omega1,
-            omega2=source.omega2,
-            pump_center=source.pump_center,
-            tau_pump=source.tau_pump,
-            t1=source.t1,
-            t2=source.t2,
-            alpha=source.alpha,
-            e0=source.e0,
-        )
-    else:
-        pulses = getattr(source, "pulses", ())
-        summary["pulses"] = [
-            {"center": p.center, "tau": p.tau, "scale": p.scale} for p in pulses
-        ]
+    if is_dataclass(source):
+        summary.update(asdict(source))
     return summary
 
 
-def pathway_weights(system: ExcitonSystem):
-    """Dipole weight tensors shared by the closed form and the quadrature.
+@dataclass(frozen=True)
+class PathwayWeights:
+    """Dipole weights of the pathways, factored by the axes they vary on.
 
-    Returns (wk, w_transport, w_coherence): ``wk[f, e] = d_eg[e] d_fe[f, e]``
-    feeds the fully coherent pathway, ``w_transport[f, e, u, p]`` carries the
-    transport eigen-sum chi_R D^-1 chi_L between the bra index e and the ket
-    index u, and ``w_coherence[f, e, e']`` the off-diagonal dipole chain.
+    ``coherent[f, e] = d_eg[e] d_fe[f, e]`` feeds the fully coherent
+    pathway.  The transport pathways weigh (f, e, u, p) by
+    ``fe_squared[f, u] * transport[e, u, p]``, with ``fe_squared = d_fe^2``
+    and ``transport`` the eigen-sum d_eg[e]^2 chi_R[u, p] / dpp[p]
+    chi_L[p, e] between the bra index e and the ket index u.
+    ``coherence[f, e, e']`` is the off-diagonal dipole chain.
     """
-    d1 = system.d_eg
-    d2 = system.d_fe
-    one = system.transport_one
-    wk = d1[None, :] * d2
 
-    w_transport = np.einsum(
-        "e,fu,up,p,pe->feup",
-        d1 * d1,
-        d2 * d2,
-        one.chi_right,
-        1.0 / one.dpp,
-        one.chi_left,
-        optimize=True,
-    )
+    coherent: np.ndarray
+    fe_squared: np.ndarray
+    transport: np.ndarray
+    coherence: np.ndarray
 
-    n_e = system.n_one
-    off = ~np.eye(n_e, dtype=bool)
-    w_coherence = wk[:, :, None] * wk[:, None, :] * off[None, :, :]
-    return wk, w_transport, w_coherence
-
-
-def _preparation_invariants(system: ExcitonSystem):
-    """The source-independent inputs of a preparation: the pole table and
-    the dipole weight tensors of :func:`pathway_weights`.  Nothing mutates
-    them, so one build is shared read-only by every target of a scan."""
-    return PoleTable.from_system(system), pathway_weights(system)
+    @classmethod
+    def from_system(cls, system: ExcitonSystem) -> "PathwayWeights":
+        d1 = system.d_eg
+        d2 = system.d_fe
+        one = system.transport_one
+        wk = d1[None, :] * d2
+        transport = np.einsum(
+            "e,up,p,pe->eup", d1 * d1, one.chi_right, 1.0 / one.dpp, one.chi_left,
+            optimize=True,
+        )
+        off = ~np.eye(system.n_one, dtype=bool)
+        return cls(
+            coherent=wk,
+            fe_squared=d2 * d2,
+            transport=transport,
+            coherence=wk[:, :, None] * wk[:, None, :] * off[None, :, :],
+        )
 
 
-def _closed_pathways(z: PoleTable, wk, w_transport, w_coherence, ket, bra):
+def pathway_weights(system: ExcitonSystem):
+    """Dipole weight tensors in the expanded form the quadrature oracle uses.
+
+    Returns (wk, w_transport, w_coherence): ``wk`` and ``w_coherence`` as in
+    :class:`PathwayWeights`, and the 4-D
+    ``w_transport[f, e, u, p] = fe_squared[f, u] transport[e, u, p]``.
+    """
+    w = system.weights
+    w_transport = w.fe_squared[:, None, :, None] * w.transport[None, :, :, :]
+    return w.coherent, w_transport, w.coherence
+
+
+def _closed_pathways(z: PoleTable, w: PathwayWeights, source):
     """Five pathway partial sums (without the decay prefactor), each (N_f,).
 
-    Every source argument is passed at the rank its poles need and the
-    source broadcasts each pair; the comments give the argument shapes.
+    The fully coherent ladder p1 factorizes into a ket sum and a bra sum,
+    so it takes the two legs separately.  p2-p5 take one
+    ``source.preparation_pair`` call each, every leg as its sum frequency
+    and second argument, each built at the rank its poles need; the
+    comments give the shapes on the pathway's axes.
     """
-    # fully coherent ladder: factorizes into a ket sum over e and a bra sum
-    # over e' at fixed f; (f, e) with (e,), and (f, e) with (f, e)
-    ket1 = ket(z.fg[:, None] - z.eg[None, :], z.eg)
-    bra1 = bra(z.fe - z.ff[:, None], z.fg[:, None] - z.fe)
-    p1 = (wk * ket1).sum(axis=1) * (wk * bra1).sum(axis=1)
+    # p1 on axes (f, e): ket (f, e) with (e,), bra (f, e) with (f, e)
+    ket1 = source.preparation_ket(z.fg[:, None] - z.eg[None, :], z.eg)
+    bra1 = source.preparation_bra(z.fe - z.ff[:, None], z.fg[:, None] - z.fe)
+    p1 = (w.coherent * ket1).sum(axis=1) * (w.coherent * bra1).sum(axis=1)
 
-    # transport pathways: middle interval is a one-exciton population summed
-    # over eigenmodes p, with the fourth interaction on the ket (p2) or the
-    # bra (p4) side, on axes (f, e, u, p).  a1 = eg varies with e alone and
-    # a3 = eg - zp with (e, p).
+    # transport pathways on axes (f, e, u, p): the middle interval is a
+    # one-exciton population summed over eigenmodes p, with the fourth
+    # interaction on the ket (p2) or the bra (p4) side.  The ket's second
+    # argument eg varies with e alone, the bra's, eg - zp, with (e, p).
     zp = z.modes
-    a1 = z.eg[None, :, None, None]
-    a3 = (z.eg[:, None] - zp[None, :])[None, :, None, :]
-    ket_eg = ket(z.fe[:, None, :, None] - zp, a1)  # (f, 1, u, p) with (1, e, 1, 1)
-    bra_p = bra((z.fe - z.ff[:, None])[:, None, :, None], a3)  # (f, 1, u, 1) with (1, e, 1, p)
-    p2 = np.einsum("feup,feup->f", w_transport, ket_eg * bra_p, optimize=True)
-    del ket_eg, bra_p
+    eg = z.eg[None, :, None, None]
+    eg_p = (z.eg[:, None] - zp[None, :])[None, :, None, :]
 
-    # p4's ket leg does not depend on p: (f, 1, u) with (1, e, 1), evaluated
-    # on (f, e, u); its bra leg is (f, 1, u, p) with (1, e, 1, p)
-    ket4 = ket((z.ff[:, None] - z.ef)[:, None, :], z.eg[None, :, None])
-    bra4 = bra(zp - z.ef[:, None, :, None], a3)
-    p4 = np.einsum("feu,feup->f", ket4, w_transport * bra4, optimize=True)
-    del bra4
+    # p2: both sums are (f, e, u, p), (fe - zp) + eg and (fe - ff) + (eg - zp)
+    pair = source.preparation_pair(
+        (z.fe[:, None, :, None] - zp) + eg, eg,
+        (z.fe - z.ff[:, None])[:, None, :, None] + eg_p, eg_p,
+    )
+    # plain einsum: the optimized path would copy the 4-D pair to transpose it
+    p2 = np.einsum("fu,eup,feup->f", w.fe_squared, w.transport, pair)
+    del pair
 
-    # coherence pathways: middle interval is an off-diagonal one-exciton
-    # coherence a-b, again with ket- and bra-sided completion, on axes
-    # (f, a, b); a1 = eg varies with a alone and a3 = eg - ee with (a, b)
-    a1c = z.eg[:, None]
-    a3c = z.eg[:, None] - z.ee
-    ket3 = ket(z.fe[:, None, :] - z.ee[None, :, :], a1c)  # (f, a, b) with (a, 1)
-    bra3 = bra((z.fe - z.ff[:, None])[:, None, :], a3c)  # (f, 1, b) with (a, b)
-    p3 = np.einsum("fab,fab->f", w_coherence, ket3 * bra3, optimize=True)
+    # p4: both sums are (f, e, u, 1), (ff - ef) + eg and eg - ef; the mode
+    # pole cancels in the bra's sum (zp - ef) + (eg - zp)
+    pair = source.preparation_pair(
+        (z.ff[:, None] - z.ef)[:, None, :, None] + eg, eg,
+        eg - z.ef[:, None, :, None], eg_p,
+    )
+    p4 = np.einsum("fu,eup,feup->f", w.fe_squared, w.transport, pair)
+    del pair
 
-    # p5's ket leg does not depend on b: (f, a, 1) with (a, 1)
-    ket5 = ket((z.ff[:, None] - z.ef)[:, :, None], a1c)
-    bra5 = bra(z.ee[None, :, :] - z.ef[:, :, None], a3c)  # (f, a, b) with (a, b)
-    p5 = np.einsum("fab,fab->f", w_coherence, ket5 * bra5, optimize=True)
+    # coherence pathways on axes (f, a, b): the middle interval is an
+    # off-diagonal one-exciton coherence a-b, again with ket- and bra-sided
+    # completion.  The ket's second argument eg varies with a alone, the
+    # bra's, eg - ee, with (a, b).
+    eg_a = z.eg[:, None]
+    eg_ab = eg_a - z.ee
+
+    # p3: both sums are (f, a, b), (fe - ee) + eg and (fe - ff) + (eg - ee)
+    pair = source.preparation_pair(
+        (z.fe[:, None, :] - z.ee[None, :, :]) + eg_a, eg_a,
+        (z.fe - z.ff[:, None])[:, None, :] + eg_ab, eg_ab,
+    )
+    p3 = np.einsum("fab,fab->f", w.coherence, pair, optimize=True)
+
+    # p5: both sums are (f, a, 1), (ff - ef) + eg and eg - ef; the coherence
+    # pole cancels in the bra's sum (ee - ef) + (eg - ee)
+    pair = source.preparation_pair(
+        (z.ff[:, None] - z.ef)[:, :, None] + eg_a, eg_a,
+        eg_a - z.ef[:, :, None], eg_ab,
+    )
+    p5 = np.einsum("fab,fab->f", w.coherence, pair, optimize=True)
 
     return np.stack([p1, p2, p3, p4, p5])
+
+
+def _diagnostics(partials: np.ndarray) -> dict:
+    """Pathway magnitudes and their cancellation, for the run record."""
+    magnitudes = np.abs(partials)
+    total = float(magnitudes.sum())
+    net = float(np.abs(partials.sum(axis=0)).sum())
+    return {
+        "pathway_abs_sums": {f"p{k + 1}": float(m) for k, m in enumerate(magnitudes.sum(axis=1))},
+        "cancellation_ratio": net / total if total > 0.0 else 1.0,
+    }
 
 
 def prepare_closed_form(
@@ -283,25 +327,17 @@ def prepare_closed_form(
     source,
     t_fs: float = 0.0,
     target_label: str | None = None,
-    *,
-    invariants=None,
 ) -> PreparationResult:
     """Evaluate the five-pathway closed form of the prepared distribution.
 
     Each pathway is the source correlation at complex pole-difference
     arguments weighted by its dipole chain; the whole sum carries the
     two-exciton depopulation prefactor exp(-Gamma_f 2 pi c t).
-    ``invariants`` lets a caller that prepares many sources on one system
-    pass the ``_preparation_invariants(system)`` it built once.
     """
     if t_fs < 0.0:
         raise ValueError(f"evaluation time must be non-negative, got {t_fs}")
-    if invariants is None:
-        invariants = _preparation_invariants(system)
-    z, (wk, w_transport, w_coherence) = invariants
-    partials = _closed_pathways(
-        z, wk, w_transport, w_coherence, source.preparation_ket, source.preparation_bra
-    )
+    z = system.poles
+    partials = _closed_pathways(z, system.weights, source)
     decay = np.exp(-z.gamma_ff * units.TWO_PI_C * t_fs)
     partials = partials * decay[None, :]
     raw = 2.0 * partials.sum(axis=0).real
@@ -314,6 +350,7 @@ def prepare_closed_form(
         regularized=z.regularized,
         source_summary=describe_source(source),
         target_label=target_label,
+        diagnostics=_diagnostics(partials),
     )
 
 
@@ -360,7 +397,7 @@ def scan_targets(
     Rows are max-normalized for rendering; ``raw`` keeps the unnormalized
     values and ``selectivity`` the ratio of target population to total row
     mass, which is normalization-invariant.  The pole table and dipole
-    weights do not depend on the source and are built once per scan.
+    weights do not depend on the source and are built once per system.
     Targets are independent, so with ``threads > 1`` they are evaluated in
     a thread pool; rows are assembled by index and the result is bitwise
     independent of the thread count.
@@ -374,13 +411,10 @@ def scan_targets(
         raise ValueError("scan targets must index the two-exciton manifold")
 
     energies = system.eig.energies_f[targets]
-    invariants = _preparation_invariants(system)
 
     def prepare_one(idx: int, energy: float) -> PreparationResult:
         source = scan_source(source_template, float(energy), mode)
-        return prepare_closed_form(
-            system, source, t_fs, target_label=f"f{idx:03d}", invariants=invariants
-        )
+        return prepare_closed_form(system, source, t_fs, target_label=f"f{idx:03d}")
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -389,10 +423,8 @@ def scan_targets(
         results = [prepare_one(idx, energy) for idx, energy in zip(targets, energies)]
 
     raw = np.zeros((targets.size, system.n_two))
-    regularized = False
     for row, result in enumerate(results):
         raw[row] = result.populations
-        regularized = regularized or result.regularized
 
     peaks = raw.max(axis=1)
     safe = np.where(peaks > 0.0, peaks, 1.0)
@@ -411,5 +443,5 @@ def scan_targets(
         mode=mode,
         time_fs=float(t_fs),
         source_summary=describe_source(source_template),
-        regularized=regularized,
+        regularized=system.poles.regularized,
     )

@@ -454,7 +454,7 @@ def _chart_bra(ctx: _Ctx, lv: dict):
 
 
 def _run_level(system: ExcitonSystem, source, t_fs, window_scale, level) -> np.ndarray:
-    z = PoleTable.from_system(system)
+    z = system.poles
     wk, wt, wc = pathway_weights(system)
     smooth = feature_scale(source)
     ket_sum, bra_sum = sum_centers(source)
@@ -528,7 +528,7 @@ def prepare_quadrature_oracle(
         pathway_partials=partials[2],
         time_fs=float(t_fs),
         method="quadrature",
-        regularized=PoleTable.from_system(system).regularized,
+        regularized=system.poles.regularized,
         source_summary=describe_source(source),
         target_label=target_label,
         diagnostics={

@@ -381,6 +381,7 @@ def _prepare(cfg, system, resolved, warnings):
     source = resolve_source(cfg, system)
     prep = prepare_closed_form(system, source, t_fs=cfg.time_fs)
     resolved["source"] = describe_source(source)
+    resolved["preparation"] = prep.diagnostics
     warnings.extend(_preparation_warnings(prep))
     return prep
 

@@ -19,9 +19,14 @@ evaluated through the identity
 
 one transcendental per point, with a series branch for |2 phi| below
 ``_SINC_SERIES_RADIUS``; when w_1 == w_2 the two branches coincide and
-one is evaluated and doubled.  phi is linear in each argument, so it is
-built per axis on that argument's own shape, and a zero group delay adds
-no term at all.
+one is evaluated and doubled.  A leg is evaluated from its sum frequency
+s = wa + wb and its second argument wb, the variables the pump and the
+engine's poles come in:
+
+    2 phi_r = T1 (s - 2 w_r) + (T2 - T1)(wb - w_r),
+
+built per axis on each argument's own shape, so a zero T1 or a zero
+entanglement time adds no term at all.
 
 Everything is entire in the frequency arguments, so the correlators
 extend to complex frequency by direct evaluation.  A conjugated field leg
@@ -30,10 +35,24 @@ amplitude; since the pump Gaussian and the phase have real coefficients,
 the conjugate JSA leg is the same expression with -2 i phi in place of
 2 i phi and needs no conjugation passes.
 
-``preparation_ket(x, y)`` and ``preparation_bra(x, y)`` of every source
-must broadcast their two arguments against each other: the preparation
-engine passes each pole-difference argument at its own, usually lower,
-rank and the result takes the broadcast shape.
+The preparation engine talks to a source through three methods:
+
+- ``preparation_ket(x, y)`` and ``preparation_bra(x, y)``, one field leg
+  each; the engine's factorized coherent pathway calls them directly.
+- ``preparation_pair(ket_sum, ket_y, bra_sum, bra_y)``, the product
+  ``preparation_ket(ket_sum - ket_y, ket_y) *
+  preparation_bra(bra_sum - bra_y, bra_y)`` for every other pathway.
+  Each leg comes as its sum frequency s = x + y and its second argument
+  y.  The pump of a pair source depends on s alone, and the engine builds
+  each s at the rank its poles really have (a pole that cancels in the
+  sum never enters it), so the pump costs one ``exp`` per point of the
+  sums' shape, not of the full pathway grid.
+
+All three broadcast their arguments against each other: the engine
+passes each argument at its own, usually lower, rank and the result takes
+the broadcast shape.  The sums handed to ``preparation_pair`` are built
+for that one call, and a source may compute in them: a complex array that
+owns its data may be overwritten.
 """
 
 from __future__ import annotations
@@ -106,6 +125,27 @@ class GaussianPulse:
         return np.conj(self.amplitude(np.conj(np.asarray(omega, dtype=complex))))
 
 
+def _scratch(omega, *readers):
+    """``omega`` itself if a result may be built in it, else None.
+
+    That holds for a complex array that owns its data, as the engine's sums
+    do, and shares no memory with an argument still to be read.
+    """
+    if (isinstance(omega, np.ndarray) and omega.dtype == complex and omega.base is None
+            and omega.flags.writeable
+            and not any(np.may_share_memory(omega, r) for r in readers)):
+        return omega
+    return None
+
+
+def _into(ufunc, a, b):
+    """ufunc(a, b), written into the array ``a`` when it has the broadcast shape."""
+    a = np.asarray(a)
+    if a.shape == np.broadcast_shapes(a.shape, np.shape(b)):
+        return ufunc(a, b, out=a)
+    return ufunc(a, b)
+
+
 @dataclass(frozen=True)
 class EppSource:
     """Entangled photon pair source.
@@ -115,11 +155,13 @@ class EppSource:
     arguments, ``pump_center`` is the sum-frequency center, ``tau_pump``
     the pump duration, and ``t1``/``t2`` the crystal group delays.
 
-    Each phase-matching branch costs one ``expm1`` on the shape of the
-    arguments it depends on (``omega_b`` alone when ``t1 == 0``), the pump
-    one ``exp`` on the broadcast shape; the conjugate leg flips the sign
-    of 2 i phi instead of conjugating.  All methods broadcast their two
-    frequency arguments against each other.
+    A leg is evaluated from its sum frequency and second argument: the
+    pump costs one ``exp`` on the shape of the sum, each phase-matching
+    branch one ``expm1`` on the shape of the arguments it depends on (the
+    second argument alone when ``t1 == 0``); the conjugate leg flips the
+    sign of 2 i phi instead of conjugating.  ``preparation_pair`` adds the
+    two legs' pump exponents, so a ket-bra pair costs one pump ``exp``.
+    All methods broadcast their frequency arguments against each other.
     """
 
     omega1: float
@@ -147,31 +189,37 @@ class EppSource:
     def pump_gamma(self) -> float:
         return gaussian_gamma_from_tau(self.tau_pump)
 
+    def _pump_exponent(self, omega, out=None):
+        """ln(A_p(omega) / (e0 sqrt(pi/G))), written into ``out`` if given."""
+        # i^2 in the squared scaled detuning gives the Gaussian's exponent
+        d = np.subtract(omega, self.pump_center, out=out, dtype=complex)
+        d *= 0.5j * units.TWO_PI_C / np.sqrt(self.pump_gamma)
+        d *= d
+        return d
+
     def pump_amplitude(self, omega):
         """A_p(omega) with one complex exp per point."""
-        g = self.pump_gamma
-        # i^2 in the squared scaled detuning gives the Gaussian's exponent
-        d = np.asarray((np.asarray(omega, dtype=complex) - self.pump_center)
-                       * (0.5j * units.TWO_PI_C / np.sqrt(g)))
-        d *= d
+        d = np.asarray(self._pump_exponent(omega))
         np.exp(d, out=d)
-        d *= self.e0 * np.sqrt(np.pi / g)
+        d *= self.e0 * np.sqrt(np.pi / self.pump_gamma)
         return d[()]  # a scalar for a scalar argument
 
-    def _matching(self, wa, wb, sign):
+    def _matching(self, s, wb, sign):
         """Sum over branches of expm1(2 i sign phi_r) / (2 i sign phi_r).
 
-        sign = +1 gives F's phase-matching factor, -1 its conjugate leg.
-        2 i phi_r is built per axis, and a zero group delay adds no term.
+        ``s`` is the sum frequency wa + wb.  sign = +1 gives F's
+        phase-matching factor, -1 its conjugate leg.  2 i phi_r is built
+        per axis, and a zero T1 or entanglement time adds no term.
         """
         k = sign * 1j * units.TWO_PI_C
+        t_ent = self.entanglement_time
 
         def branch(reference):
             w = 0.0
             if self.t1:
-                w = (k * self.t1) * (wa - reference)
-            if self.t2:
-                w = w + (k * self.t2) * (wb - reference)
+                w = (k * self.t1) * (s - 2.0 * reference)
+            if t_ent:
+                w = w + (k * t_ent) * (wb - reference)
             return _expm1_ratio(w)
 
         if self.omega1 == self.omega2:
@@ -179,10 +227,10 @@ class EppSource:
         return branch(self.omega1) + branch(self.omega2)
 
     def _amplitude(self, omega_a, omega_b, sign):
-        wa = np.asarray(omega_a, dtype=complex)
         wb = np.asarray(omega_b, dtype=complex)
-        amplitude = self.pump_amplitude(wa + wb)
-        amplitude *= self.alpha * self._matching(wa, wb, sign)
+        s = np.asarray(omega_a, dtype=complex) + wb
+        amplitude = self.pump_amplitude(s)
+        amplitude *= self.alpha * self._matching(s, wb, sign)
         return amplitude
 
     def jsa(self, omega_a, omega_b):
@@ -212,6 +260,23 @@ class EppSource:
 
     def preparation_bra(self, omega4, omega3):
         return self.jsa(omega4, omega3)
+
+    def preparation_pair(self, ket_sum, ket_y, bra_sum, bra_y):
+        """preparation_ket(ket_sum - ket_y, ket_y) * preparation_bra(bra_sum - bra_y, bra_y).
+
+        The two pump Gaussians multiply by adding their exponents, so the
+        pair costs one ``exp`` per point of the sums' broadcast shape.  The
+        matching factors are built first, per axis; the exponent is then
+        built in the sum arrays themselves when they are complex arrays
+        that own their data, and the result takes the place of ``ket_sum``
+        when that has the full broadcast shape.
+        """
+        scale = (self.alpha * self.e0) ** 2 * (np.pi / self.pump_gamma)
+        factor = scale * self._matching(ket_sum, ket_y, -1.0) * self._matching(bra_sum, bra_y, 1.0)
+        exponent = self._pump_exponent(ket_sum, _scratch(ket_sum, bra_sum))
+        exponent = _into(np.add, exponent, self._pump_exponent(bra_sum, _scratch(bra_sum)))
+        np.exp(exponent, out=exponent)
+        return _into(np.multiply, exponent, factor)[()]
 
 
 @dataclass(frozen=True)
@@ -257,6 +322,11 @@ class CoherentSource:
     def preparation_bra(self, omega4, omega3):
         a3, a4 = self.pulses[2], self.pulses[3]
         return a4.amplitude(omega4) * a3.amplitude(omega3)
+
+    def preparation_pair(self, ket_sum, ket_y, bra_sum, bra_y):
+        """The product of the two legs, each given as (sum, second argument)."""
+        return (self.preparation_ket(ket_sum - ket_y, ket_y)
+                * self.preparation_bra(bra_sum - bra_y, bra_y))
 
 
 def jsi_map(source: EppSource, omega_a_grid, omega_b_grid) -> np.ndarray:

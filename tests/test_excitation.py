@@ -8,6 +8,9 @@ from excitonscope import (
     CoherentSource,
     EppSource,
     ExcitonSystem,
+    FilterSpec,
+    SignalGrid,
+    coincidence_snapshot,
     prepare_closed_form,
     scan_source,
     scan_targets,
@@ -31,7 +34,7 @@ def dimer_source(system, **kw):
 
 
 class BroadcastingSource:
-    """Hands the wrapped source both arguments at their broadcast shape."""
+    """Hands the wrapped source all its arguments at their broadcast shape."""
 
     def __init__(self, source):
         self.source = source
@@ -41,6 +44,27 @@ class BroadcastingSource:
 
     def preparation_bra(self, x, y):
         return self.source.preparation_bra(*np.broadcast_arrays(x, y))
+
+    def preparation_pair(self, ket_sum, ket_y, bra_sum, bra_y):
+        return self.source.preparation_pair(*np.broadcast_arrays(ket_sum, ket_y, bra_sum, bra_y))
+
+
+class RecordingSource:
+    """Records the shapes of the sums the engine passes to each pair call."""
+
+    def __init__(self, source):
+        self.source = source
+        self.sums = []
+
+    def preparation_ket(self, x, y):
+        return self.source.preparation_ket(x, y)
+
+    def preparation_bra(self, x, y):
+        return self.source.preparation_bra(x, y)
+
+    def preparation_pair(self, ket_sum, ket_y, bra_sum, bra_y):
+        self.sums.append((np.shape(ket_sum), np.shape(bra_sum)))
+        return self.source.preparation_pair(ket_sum, ket_y, bra_sum, bra_y)
 
 
 def engine_sources(system):
@@ -103,6 +127,52 @@ def test_lower_rank_arguments_match_broadcast_evaluation(system_name, request):
         scale = np.abs(broadcast).sum(axis=0)
         assert np.all(scale > 0.0)
         assert np.all(np.abs(direct - broadcast) <= 1e-13 * scale[None, :]), source
+
+
+def test_pair_sums_have_the_rank_of_their_poles(trimer_system):
+    # only p2's sums span all four axes (f, e, u, p); the mode pole cancels
+    # in p4's bra sum and the coherence pole in p5's, so the pump exp never
+    # runs on the full grid of those pathways
+    n_f, n_e, n_p = trimer_system.n_two, trimer_system.n_one, trimer_system.poles.modes.size
+    recorder = RecordingSource(engine_sources(trimer_system)[1])
+    prepare_closed_form(trimer_system, recorder)
+    p2, p4, p3, p5 = ((n_f, n_e, n_e, n_p),) * 2, ((n_f, n_e, n_e, 1),) * 2, \
+        ((n_f, n_e, n_e),) * 2, ((n_f, n_e, 1),) * 2
+    assert recorder.sums == [p2, p4, p3, p5]
+
+
+def test_diagnostics_report_pathway_cancellation(trimer_system):
+    for source in engine_sources(trimer_system):
+        result = prepare_closed_form(trimer_system, source, t_fs=40.0)
+        partials = result.pathway_partials
+        sums = result.diagnostics["pathway_abs_sums"]
+        assert list(sums) == ["p1", "p2", "p3", "p4", "p5"]
+        assert list(sums.values()) == pytest.approx(np.abs(partials).sum(axis=1), rel=1e-14)
+        ratio = result.diagnostics["cancellation_ratio"]
+        assert ratio == pytest.approx(
+            np.abs(partials.sum(axis=0)).sum() / np.abs(partials).sum(), rel=1e-14)
+        assert 0.0 < ratio <= 1.0
+
+
+def test_tables_are_built_once_per_system(monkeypatch):
+    builds = []
+    original = PoleTable.from_system.__func__
+
+    def counted(cls, system):
+        builds.append(system)
+        return original(cls, system)
+
+    monkeypatch.setattr(PoleTable, "from_system", classmethod(counted))
+    system = ExcitonSystem.build(make_dimer(), dimer_bath())
+    source = dimer_source(system)
+    scan_targets(system, source, threads=2)
+    rho = prepare_closed_form(system, source).populations
+    grid = SignalGrid(np.linspace(11400.0, 13100.0, 8), np.linspace(12000.0, 12600.0, 8), 10.0, 20.0)
+    gate = FilterSpec(0.0, 12.0, 0.0, 1.0)
+    for _ in range(2):
+        coincidence_snapshot(system, rho, gate, gate, grid)
+    assert builds == [system]
+    assert system.weights is system.weights
 
 
 def test_scan_rows_match_single_preparations(trimer_system):

@@ -121,6 +121,9 @@ def test_manifest_contents(tmp_path, dimer_file):
     assert data["scenario"] == "excite"
     assert data["config"]["aggregate"] == dimer_file
     assert data["resolved"]["threads"] == 1
+    preparation = data["resolved"]["preparation"]
+    assert list(preparation["pathway_abs_sums"]) == ["p1", "p2", "p3", "p4", "p5"]
+    assert 0.0 < preparation["cancellation_ratio"] <= 1.0
     assert {t["stage"] for t in data["timings"]} >= {"build-model", "write-artifacts"}
     for key in ("excitonscope", "python", "numpy", "scipy"):
         assert key in data["versions"]

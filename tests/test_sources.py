@@ -93,6 +93,58 @@ def test_jsa_matches_two_branch_formula(delays, references):
     assert complex(scalar) == pytest.approx(expected[0, 0, 0], rel=1e-12)
 
 
+def _near(references, shape, rng):
+    """Complex frequencies 1e-3 to 30 cm^-1 from randomly chosen references."""
+    offset = np.exp(rng.uniform(np.log(1e-3), np.log(30.0), shape)
+                    + 1j * rng.uniform(0.0, 2.0 * np.pi, shape))
+    return rng.choice(references, shape) + offset
+
+
+def _branch_arguments(source, s, y, sign):
+    """2 i sign phi_r of both branches at sum frequency s, second argument y."""
+    k = sign * 1j * TWO_PI_C
+    return [k * (source.t1 * (s - 2.0 * r) + source.entanglement_time * (y - r))
+            for r in (source.omega1, source.omega2)]
+
+
+@pytest.mark.parametrize("t1", [0.0, 3.0])
+@pytest.mark.parametrize("references", [(12100.0, 12500.0), (12300.0, 12300.0)])
+def test_pair_is_the_product_of_its_legs(t1, references):
+    source = make_source(omega1=references[0], omega2=references[1], tau_pump=120.0,
+                         t1=t1, t_ent=t1 + 10.0, alpha=1.3, e0=0.7)
+    rng = np.random.default_rng(5)
+    ket_x, ket_y = _near(references, (5, 1, 6), rng), _near(references, (1, 4, 6), rng)
+    bra_x, bra_y = _near(references, (5, 4, 1), rng), _near(references, (1, 4, 6), rng)
+    ket_sum, bra_sum = ket_x + ket_y, bra_x + bra_y
+    for s, y, sign in ((ket_sum, ket_y, -1.0), (bra_sum, bra_y, 1.0)):
+        radii = np.abs(_branch_arguments(source, s, y, sign))
+        assert (radii < _SINC_SERIES_RADIUS).any() and (radii > _SINC_SERIES_RADIUS).any()
+    expected = source.preparation_ket(ket_x, ket_y) * source.preparation_bra(bra_x, bra_y)
+    # the sums are complex arrays of their own, so the pair may compute in them
+    pair = source.preparation_pair(ket_sum, ket_y, bra_sum, bra_y)
+    assert pair.shape == (5, 4, 6)
+    assert np.all(np.abs(pair - expected) <= 1e-13 * np.abs(expected))
+    # the same from read-only views, left as they are
+    ket_sum, bra_sum = ket_x + ket_y, bra_x + bra_y
+    views = [np.broadcast_to(a, a.shape) for a in (ket_sum, ket_y, bra_sum, bra_y)]
+    assert np.array_equal(source.preparation_pair(*views), pair)
+    assert np.array_equal(views[0], ket_x + ket_y)
+    scalar = source.preparation_pair(complex(ket_sum[0, 0, 0]), complex(ket_y[0, 0, 0]),
+                                     complex(bra_sum[0, 0, 0]), complex(bra_y[0, 0, 0]))
+    assert np.ndim(scalar) == 0
+    assert complex(scalar) == pytest.approx(pair[0, 0, 0], rel=1e-14)
+
+
+def test_coherent_pair_is_the_product_of_its_legs():
+    source = CoherentSource.identical(12300.0, 60.0)
+    rng = np.random.default_rng(6)
+    ket_x, ket_y = _near([12300.0], (5, 1, 6), rng), _near([12300.0], (1, 4, 6), rng)
+    bra_x, bra_y = _near([12300.0], (5, 4, 1), rng), _near([12300.0], (1, 4, 6), rng)
+    expected = source.preparation_ket(ket_x, ket_y) * source.preparation_bra(bra_x, bra_y)
+    pair = source.preparation_pair(ket_x + ket_y, ket_y, bra_x + bra_y, bra_y)
+    assert np.all(np.abs(pair - expected) <= 1e-13 * np.abs(expected))
+
+
 def test_jsa_conjugate_leg_off_the_real_axis():
     for t1, t2 in ((0.0, 10.0), (3.0, 13.0)):
         source = make_source(t1=t1, t_ent=t2)
