@@ -18,18 +18,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import FORMATS, SCENARIOS, ConfigError, load_config, reference_config
-from .runner import run_scenario
-
-_DESCRIPTIONS = {
-    "model-info": "eigenstate energies, widths and dipole strengths",
-    "jsa": "joint spectral intensity of the photon-pair source",
-    "excite": "prepared two-exciton distribution for one source",
-    "excite-scan": "preparation map over all scan targets",
-    "propagate": "prepared populations relaxing through the bath",
-    "coincidence": "filtered two-photon coincidence map",
-    "panel-study": "coincidence maps over filter/waiting variations",
-}
+from .config import FORMATS, ConfigError, load_config, reference_config
+from .runner import SCENARIO_RUNS, run_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,8 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="scenario")
-    for name in SCENARIOS:
-        p = sub.add_parser(name, help=_DESCRIPTIONS[name])
+    for name, run in SCENARIO_RUNS.items():
+        p = sub.add_parser(name, help=run.__doc__)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="JSON run configuration (default: bundled reference)")
         p.add_argument("--out", metavar="DIR", default=None,

@@ -140,7 +140,6 @@ class SignalGrid:
     omega_eg: np.ndarray
     t_wait_two: float
     t_wait_one: float
-    detector_dos: float = 1.0
     result: np.ndarray | None = None
     clipped_cells: int = 0
 
@@ -149,8 +148,6 @@ class SignalGrid:
         self.omega_eg = np.atleast_1d(np.asarray(self.omega_eg, dtype=float))
         if self.t_wait_two < 0.0 or self.t_wait_one < 0.0:
             raise ValueError("waiting times must be non-negative")
-        if self.detector_dos <= 0.0:
-            raise ValueError("detector density of states must be positive")
 
 
 def _detection_tables(system: ExcitonSystem):
@@ -209,7 +206,6 @@ def coincidence_snapshot(
     side_eg = (dd_eg[:, None, None] * (green_e[:, :, None] * pos[:, None, :])).sum(axis=0)
 
     signal = 2.0 * np.real(np.einsum("ei,ej->ij", side_fe, side_eg))
-    signal *= grid.detector_dos
     peak = np.abs(signal).max(initial=0.0)
     if peak > 0.0:
         signal = signal / peak
@@ -392,45 +388,40 @@ def coincidence_time_oracle(
     return float(value[0, 0])
 
 
+# The six-panel filtering study: each label and the changes it makes to the
+# reference gates and waiting times.  Spectral and temporal width changes
+# apply to both gates.
+PANELS = {
+    "reference": {},
+    "sigma_omega_20": {"sigma_omega": 20.0},
+    "t_wait_one_1000": {"t_wait_one": 1000.0},
+    "sigma_omega_20_t_wait_one_1000": {"sigma_omega": 20.0, "t_wait_one": 1000.0},
+    "sigma_t_0.5409": {"sigma_t": 0.5409},
+    "t_wait_two_50": {"t_wait_two": 50.0},
+}
+
+
 def parameter_study(
     system: ExcitonSystem,
     rho_ff: np.ndarray,
     filter_fe: FilterSpec,
     filter_eg: FilterSpec,
     grid: SignalGrid,
-    variations=None,
 ):
-    """Snapshot maps for the six-panel filtering study.
-
-    The default set varies the spectral gate width, the one-exciton
-    waiting time, both together, the temporal gate width, and the
-    two-exciton waiting time against the reference configuration.
-    Spectral and temporal width changes apply to both gates.
-    """
-    if variations is None:
-        variations = [
-            ("reference", {}),
-            ("sigma_omega_20", {"sigma_omega": 20.0}),
-            ("t_wait_one_1000", {"t_wait_one": 1000.0}),
-            ("sigma_omega_20_t_wait_one_1000", {"sigma_omega": 20.0, "t_wait_one": 1000.0}),
-            ("sigma_t_0.5409", {"sigma_t": 0.5409}),
-            ("t_wait_two_50", {"t_wait_two": 50.0}),
-        ]
+    """Snapshot maps for the six-panel filtering study, one per ``PANELS``
+    label: the reference configuration, the spectral gate width, the
+    one-exciton waiting time, both together, the temporal gate width, and
+    the two-exciton waiting time varied against it."""
     results = {}
-    for label, changes in variations:
-        fe, eg = filter_fe, filter_eg
-        if "sigma_omega" in changes:
-            fe = replace(fe, sigma_omega=changes["sigma_omega"])
-            eg = replace(eg, sigma_omega=changes["sigma_omega"])
-        if "sigma_t" in changes:
-            fe = replace(fe, sigma_t=changes["sigma_t"])
-            eg = replace(eg, sigma_t=changes["sigma_t"])
+    for label, changes in PANELS.items():
+        gates = {k: v for k, v in changes.items() if k in ("sigma_omega", "sigma_t")}
         panel = SignalGrid(
             omega_fe=grid.omega_fe.copy(),
             omega_eg=grid.omega_eg.copy(),
             t_wait_two=changes.get("t_wait_two", grid.t_wait_two),
             t_wait_one=changes.get("t_wait_one", grid.t_wait_one),
-            detector_dos=grid.detector_dos,
         )
-        results[label] = coincidence_snapshot(system, rho_ff, fe, eg, panel)
+        results[label] = coincidence_snapshot(
+            system, rho_ff, replace(filter_fe, **gates), replace(filter_eg, **gates), panel
+        )
     return results

@@ -179,7 +179,6 @@ class PreparationResult:
     method: str
     regularized: bool
     source_summary: dict
-    target_label: str | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def normalized(self) -> np.ndarray:
@@ -326,7 +325,6 @@ def prepare_closed_form(
     system: ExcitonSystem,
     source,
     t_fs: float = 0.0,
-    target_label: str | None = None,
 ) -> PreparationResult:
     """Evaluate the five-pathway closed form of the prepared distribution.
 
@@ -349,7 +347,6 @@ def prepare_closed_form(
         method="closed-form",
         regularized=z.regularized,
         source_summary=describe_source(source),
-        target_label=target_label,
         diagnostics=_diagnostics(partials),
     )
 
@@ -412,15 +409,14 @@ def scan_targets(
 
     energies = system.eig.energies_f[targets]
 
-    def prepare_one(idx: int, energy: float) -> PreparationResult:
-        source = scan_source(source_template, float(energy), mode)
-        return prepare_closed_form(system, source, t_fs, target_label=f"f{idx:03d}")
+    def prepare_one(energy: float) -> PreparationResult:
+        return prepare_closed_form(system, scan_source(source_template, float(energy), mode), t_fs)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(prepare_one, targets, energies))
+            results = list(pool.map(prepare_one, energies))
     else:
-        results = [prepare_one(idx, energy) for idx, energy in zip(targets, energies)]
+        results = [prepare_one(energy) for energy in energies]
 
     raw = np.zeros((targets.size, system.n_two))
     for row, result in enumerate(results):

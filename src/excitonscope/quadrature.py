@@ -493,7 +493,6 @@ def prepare_quadrature_oracle(
     t_fs: float = 0.0,
     window_scale: float = 8.0,
     rtol: float = 1e-3,
-    target_label: str | None = None,
 ) -> PreparationResult:
     """Brute-force preparation distribution with a two-level convergence check.
 
@@ -530,7 +529,6 @@ def prepare_quadrature_oracle(
         method="quadrature",
         regularized=system.poles.regularized,
         source_summary=describe_source(source),
-        target_label=target_label,
         diagnostics={
             "level_difference": diff,
             "window_scale": float(window_scale),

@@ -18,6 +18,7 @@ axis respectively.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -38,8 +39,9 @@ from .propagators import population_evolve
 from .sources import CoherentSource, EppSource, jsi_map
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
+def _fmt(x) -> str:
+    """CSV cell: a float in 17 significant digits, anything else as text."""
+    return f"{x:.16e}" if isinstance(x, float) else str(x)
 
 
 def resolve_threads(explicit: int | None, configured: int | None) -> tuple[int, str | None]:
@@ -104,64 +106,56 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _csv(rows) -> str:
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
 def _matrix_csv(row_axis, col_axis, values) -> str:
-    cols = [str(len(col_axis))] + [_fmt(c) for c in col_axis]
-    lines = [",".join(cols)]
-    for coord, row in zip(row_axis, values):
-        lines.append(",".join([_fmt(coord)] + [_fmt(v) for v in row]))
-    return "\n".join(lines) + "\n"
-
-
-def _table_csv(headers, columns) -> str:
-    """columns is a list of equal-length string lists, one per header."""
-    lines = [",".join(headers)]
-    for row in zip(*columns):
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _matrix_json(row_name, row_axis, col_name, col_axis, values) -> str:
-    payload = {
-        "row_axis_name": row_name,
-        "row_axis": [float(x) for x in row_axis],
-        "col_axis_name": col_name,
-        "col_axis": [float(x) for x in col_axis],
-        "values": [[float(v) for v in row] for row in values],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _table_json(headers, raw_columns) -> str:
-    payload = {name: list(col) for name, col in zip(headers, raw_columns)}
-    return json.dumps(payload, indent=2) + "\n"
+    head = [len(col_axis), *col_axis.tolist()]
+    body = ([r, *v.tolist()] for r, v in zip(row_axis.tolist(), values))
+    return _csv(itertools.chain([head], body))
 
 
 class _Sink:
-    """Collects artifacts in order; flushed atomically by run_scenario."""
+    """Collects artifacts in order; flushed atomically by run_scenario.
 
-    def __init__(self, fmt: str):
+    Plot scripts go with CSV data only, and only when ``emit_plots`` asks
+    for them.
+    """
+
+    def __init__(self, fmt: str, emit_plots: bool):
         self.fmt = fmt
+        self.plots = emit_plots and fmt == "csv"
         self.items: list = []
 
-    def matrix(self, stem, row_name, row_axis, col_name, col_axis, values):
-        if self.fmt == "csv":
-            self.items.append((stem + ".csv", _matrix_csv(row_axis, col_axis, values)))
-        else:
-            self.items.append(
-                (stem + ".json", _matrix_json(row_name, row_axis, col_name, col_axis, values))
-            )
+    def _add(self, name: str, text: str) -> str:
+        self.items.append((name, text))
+        return name
 
-    def table(self, stem, headers, string_columns, raw_columns):
+    def matrix(self, stem, row_name, row_axis, col_name, col_axis, values) -> str:
         if self.fmt == "csv":
-            self.items.append((stem + ".csv", _table_csv(headers, string_columns)))
-        else:
-            self.items.append((stem + ".json", _table_json(headers, raw_columns)))
+            return self._add(stem + ".csv", _matrix_csv(row_axis, col_axis, values))
+        return self.json(stem + ".json", {
+            "row_axis_name": row_name,
+            "row_axis": row_axis.tolist(),
+            "col_axis_name": col_name,
+            "col_axis": col_axis.tolist(),
+            "values": values.tolist(),
+        })
 
-    def json(self, name, payload: dict):
-        self.items.append((name, json.dumps(payload, indent=2) + "\n"))
+    def table(self, stem, columns: dict) -> str:
+        """``columns`` maps each header, in order, to a typed column."""
+        lists = {name: np.asarray(col).tolist() for name, col in columns.items()}
+        if self.fmt == "csv":
+            return self._add(stem + ".csv", _csv([list(lists), *zip(*lists.values())]))
+        return self.json(stem + ".json", lists)
+
+    def json(self, name, payload: dict) -> str:
+        return self._add(name, json.dumps(payload, indent=2) + "\n")
 
     def script(self, name, text):
-        self.items.append((name, text))
+        if self.plots:
+            self._add(name, text)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +205,11 @@ def _axis_values(spec, auto_lo: float, auto_hi: float, points: int) -> np.ndarra
     return np.linspace(lo, hi, n)
 
 
+def _axis_record(axis: np.ndarray) -> list:
+    """``[lo, hi, n]`` of an evenly spaced axis, as a config gives it."""
+    return [float(axis[0]), float(axis[-1]), int(axis.size)]
+
+
 def resolve_detection_axes(cfg: RunConfig, system: ExcitonSystem):
     """Detector-center axes covering the emission lines plus padding."""
     pad, points = cfg.grids.pad, cfg.grids.points
@@ -228,10 +227,11 @@ def resolve_detection_axes(cfg: RunConfig, system: ExcitonSystem):
 NEGATIVE_MASS_WARN_RATIO = 1e-9
 
 
+_REGULARIZED_NOTE = "pole table regularized: coherence widths floored to 1e-3 cm^-1"
+
+
 def _preparation_warnings(prep) -> list:
-    notes = []
-    if prep.regularized:
-        notes.append("pole table regularized: coherence widths floored to 1e-3 cm^-1")
+    notes = [_REGULARIZED_NOTE] if prep.regularized else []
     raw = prep.raw
     negative = -float(raw[raw < 0.0].sum())
     positive = float(raw[raw > 0.0].sum())
@@ -309,7 +309,8 @@ def emit_multiplot_script(csv_names, png_name: str, titles, xlabel: str, ylabel:
 # scenarios
 
 
-def _run_model_info(cfg, system, sink, clock, warnings, resolved, threads):
+def _run_model_info(cfg, system, sink, clock, warnings, resolved):
+    """eigenstate energies, widths and dipole strengths"""
     dm_eg, dm_fe = system.dipoles.magnitudes()
     strength_f = np.sqrt((dm_fe**2).sum(axis=1))
     manifolds = {
@@ -322,8 +323,7 @@ def _run_model_info(cfg, system, sink, clock, warnings, resolved, threads):
         "bath": cfg.to_dict()["bath"],
         "polarization": list(cfg.polarization),
     }
-    col_manifold, col_index, col_energy, col_width, col_strength = [], [], [], [], []
-    for name, (energies, widths, strengths) in manifolds.items():
+    for name, (energies, widths, _) in manifolds.items():
         info[name] = {
             "count": int(energies.size),
             "energy_min": float(energies.min()),
@@ -331,25 +331,21 @@ def _run_model_info(cfg, system, sink, clock, warnings, resolved, threads):
             "median_gap": float(np.median(np.diff(energies))),
             "median_depopulation": float(np.median(widths)),
         }
-        for i in range(energies.size):
-            col_manifold.append(name)
-            col_index.append(str(i))
-            col_energy.append(_fmt(energies[i]))
-            col_width.append(_fmt(widths[i]))
-            col_strength.append(_fmt(strengths[i]))
     clock.lap("analyze")
-    sink.table(
-        "levels",
-        ["manifold", "index", "energy_cm", "depopulation_cm", "dipole_strength"],
-        [col_manifold, col_index, col_energy, col_width, col_strength],
-        [col_manifold, [int(i) for i in col_index],
-         [float(x) for x in col_energy], [float(x) for x in col_width],
-         [float(x) for x in col_strength]],
-    )
+    sizes = [energies.size for energies, _, _ in manifolds.values()]
+    energies, widths, strengths = map(np.concatenate, zip(*manifolds.values()))
+    sink.table("levels", {
+        "manifold": np.repeat(list(manifolds), sizes),
+        "index": np.concatenate([np.arange(n) for n in sizes]),
+        "energy_cm": energies,
+        "depopulation_cm": widths,
+        "dipole_strength": strengths,
+    })
     sink.json("model.json", info)
 
 
-def _run_jsa(cfg, system, sink, clock, warnings, resolved, threads):
+def _run_jsa(cfg, system, sink, clock, warnings, resolved):
+    """joint spectral intensity of the photon-pair source"""
     source = resolve_source(cfg, system)
     if not isinstance(source, EppSource):
         raise ConfigError([("source.mode", "jsa scenario needs an entangled source")])
@@ -363,64 +359,51 @@ def _run_jsa(cfg, system, sink, clock, warnings, resolved, threads):
     axis_b = _axis_values(cfg.grids.omega_eg, source.omega2 - half, source.omega2 + half, points)
     intensity = jsi_map(source, axis_a, axis_b)
     clock.lap("evaluate-jsi")
-    resolved["axes"] = {
-        "omega_a": [float(axis_a[0]), float(axis_a[-1]), int(axis_a.size)],
-        "omega_b": [float(axis_b[0]), float(axis_b[-1]), int(axis_b.size)],
-    }
+    resolved["axes"] = {"omega_a": _axis_record(axis_a), "omega_b": _axis_record(axis_b)}
     sink.matrix("jsi", "omega_a_cm", axis_a, "omega_b_cm", axis_b, intensity)
     sink.json("metadata.json", {"source": resolved["source"], "axes": resolved["axes"]})
-    if cfg.emit_plots and sink.fmt == "csv":
-        sink.script("plot_jsi.gp", emit_heatmap_script(
-            "jsi.csv", "jsi.png",
-            "second photon (cm^-1)", "first photon (cm^-1)",
-            "normalized joint intensity",
-        ))
+    sink.script("plot_jsi.gp", emit_heatmap_script(
+        "jsi.csv", "jsi.png",
+        "second photon (cm^-1)", "first photon (cm^-1)",
+        "normalized joint intensity",
+    ))
 
 
-def _prepare(cfg, system, resolved, warnings):
+def _prepare(cfg, system, clock, warnings, resolved):
     source = resolve_source(cfg, system)
     prep = prepare_closed_form(system, source, t_fs=cfg.time_fs)
     resolved["source"] = describe_source(source)
     resolved["preparation"] = prep.diagnostics
     warnings.extend(_preparation_warnings(prep))
+    clock.lap("prepare")
     return prep
 
 
-def _population_table(system, value_columns):
-    """Shared leading columns: state index and two-exciton energy."""
-    n = system.n_two
-    energies = system.eig.energies_f
-    headers = ["state", "energy_cm"]
-    strings = [[str(i) for i in range(n)], [_fmt(e) for e in energies]]
-    raws = [list(range(n)), [float(e) for e in energies]]
-    for name, values in value_columns:
-        headers.append(name)
-        strings.append([_fmt(v) for v in values])
-        raws.append([float(v) for v in values])
-    return headers, strings, raws
+def _population_table(system, values: dict) -> dict:
+    """Shared leading columns, state index and two-exciton energy, then ``values``."""
+    return {"state": np.arange(system.n_two), "energy_cm": system.eig.energies_f, **values}
 
 
-def _run_excite(cfg, system, sink, clock, warnings, resolved, threads):
-    prep = _prepare(cfg, system, resolved, warnings)
-    clock.lap("prepare")
-    headers, strings, raws = _population_table(
-        system, [("population", prep.populations), ("raw", prep.raw)]
-    )
-    sink.table("populations", headers, strings, raws)
+def _run_excite(cfg, system, sink, clock, warnings, resolved):
+    """prepared two-exciton distribution for one source"""
+    prep = _prepare(cfg, system, clock, warnings, resolved)
+    sink.table("populations", _population_table(
+        system, {"population": prep.populations, "raw": prep.raw}
+    ))
     sink.json("metadata.json", {
         "source": resolved["source"],
         "time_fs": cfg.time_fs,
         "regularized": bool(prep.regularized),
         "total_population": float(prep.populations.sum()),
     })
-    if cfg.emit_plots and sink.fmt == "csv":
-        sink.script("plot_populations.gp", emit_bar_script(
-            "populations.csv", "populations.png", [3],
-            "two-exciton state", "prepared population",
-        ))
+    sink.script("plot_populations.gp", emit_bar_script(
+        "populations.csv", "populations.png", [3],
+        "two-exciton state", "prepared population",
+    ))
 
 
-def _run_excite_scan(cfg, system, sink, clock, warnings, resolved, threads):
+def _run_excite_scan(cfg, system, sink, clock, warnings, resolved):
+    """preparation map over all scan targets"""
     template = resolve_source(cfg, system)
     if not isinstance(template, EppSource):
         raise ConfigError([("source.mode", "excite-scan needs an entangled source")])
@@ -430,80 +413,78 @@ def _run_excite_scan(cfg, system, sink, clock, warnings, resolved, threads):
         raise ConfigError(
             [("targets", f"only {system.n_two} two-exciton states in this aggregate")]
         )
-    scan = scan_targets(system, template, targets, cfg.scan_mode, cfg.time_fs, threads)
+    scan = scan_targets(system, template, targets, cfg.scan_mode, cfg.time_fs,
+                        resolved["threads"])
     clock.lap("scan")
     if scan.regularized:
-        warnings.append("pole table regularized: coherence widths floored to 1e-3 cm^-1")
+        warnings.append(_REGULARIZED_NOTE)
     resolved["scan"] = {"mode": scan.mode, "targets": int(scan.targets.size)}
     sink.matrix("scan", "target", scan.targets.astype(float),
                 "state", np.arange(system.n_two, dtype=float), scan.matrix)
-    sink.table(
-        "selectivity",
-        ["target", "energy_cm", "selectivity"],
-        [[str(t) for t in scan.targets],
-         [_fmt(e) for e in scan.target_energies],
-         [_fmt(s) for s in scan.selectivity]],
-        [[int(t) for t in scan.targets],
-         [float(e) for e in scan.target_energies],
-         [float(s) for s in scan.selectivity]],
-    )
+    sink.table("selectivity", {
+        "target": scan.targets,
+        "energy_cm": scan.target_energies,
+        "selectivity": scan.selectivity,
+    })
     sink.json("metadata.json", {
         "source_template": resolved["source"],
         "mode": scan.mode,
         "time_fs": scan.time_fs,
         "median_selectivity": float(np.median(scan.selectivity)),
     })
-    if cfg.emit_plots and sink.fmt == "csv":
-        sink.script("plot_scan.gp", emit_heatmap_script(
-            "scan.csv", "scan.png",
-            "prepared two-exciton state", "scan target",
-            "row-normalized population", f"{scan.mode} targeting",
-        ))
+    sink.script("plot_scan.gp", emit_heatmap_script(
+        "scan.csv", "scan.png",
+        "prepared two-exciton state", "scan target",
+        "row-normalized population", f"{scan.mode} targeting",
+    ))
 
 
-def _run_propagate(cfg, system, sink, clock, warnings, resolved, threads):
-    prep = _prepare(cfg, system, resolved, warnings)
-    clock.lap("prepare")
+def _run_propagate(cfg, system, sink, clock, warnings, resolved):
+    """prepared populations relaxing through the bath"""
+    prep = _prepare(cfg, system, clock, warnings, resolved)
     times = np.asarray(cfg.snapshot_times, dtype=float)
     rows = population_evolve(system.transport_two, prep.populations, times)
     clock.lap("propagate")
     drift = float(np.max(np.abs(rows.sum(axis=1) - prep.populations.sum())))
     if drift > 1e-8 * max(prep.populations.sum(), 1.0):
         warnings.append(f"population trace drifted by {drift:.3e} during propagation")
-    value_columns = [(f"p_{t:g}fs", rows[k]) for k, t in enumerate(times)]
-    headers, strings, raws = _population_table(system, value_columns)
-    sink.table("snapshots", headers, strings, raws)
+    sink.table("snapshots", _population_table(
+        system, {f"p_{t:g}fs": row for t, row in zip(times, rows)}
+    ))
     sink.json("metadata.json", {
         "source": resolved["source"],
-        "snapshot_times_fs": [float(t) for t in times],
+        "snapshot_times_fs": times.tolist(),
         "initial_total": float(prep.populations.sum()),
         "trace_drift": drift,
     })
-    if cfg.emit_plots and sink.fmt == "csv":
-        cols = list(range(3, 3 + times.size))
-        sink.script("plot_snapshots.gp", emit_bar_script(
-            "snapshots.csv", "snapshots.png", cols,
-            "two-exciton state", "population",
-        ))
+    sink.script("plot_snapshots.gp", emit_bar_script(
+        "snapshots.csv", "snapshots.png", list(range(3, 3 + times.size)),
+        "two-exciton state", "population",
+    ))
 
 
-def _run_coincidence(cfg, system, sink, clock, warnings, resolved, threads):
-    prep = _prepare(cfg, system, resolved, warnings)
-    clock.lap("prepare")
+def _detection(cfg, system, clock, warnings, resolved):
+    """Prepared populations, the reference gates and an empty map on the
+    detection axes: the set-up every detection scenario shares."""
+    prep = _prepare(cfg, system, clock, warnings, resolved)
     axis_fe, axis_eg = resolve_detection_axes(cfg, system)
-    filter_fe, filter_eg = _filters(cfg)
     grid = SignalGrid(axis_fe, axis_eg, cfg.waiting.t_wait_two, cfg.waiting.t_wait_one)
-    coincidence_snapshot(system, prep.populations, filter_fe, filter_eg, grid)
+    return (prep.populations, *_filters(cfg), grid)
+
+
+def _run_coincidence(cfg, system, sink, clock, warnings, resolved):
+    """filtered two-photon coincidence map"""
+    populations, filter_fe, filter_eg, grid = _detection(cfg, system, clock, warnings, resolved)
+    coincidence_snapshot(system, populations, filter_fe, filter_eg, grid)
     clock.lap("snapshot")
     if grid.clipped_cells:
         warnings.append(
             f"clipped {grid.clipped_cells} negative interference cells in the map"
         )
-    resolved["axes"] = {
-        "omega_fe": [float(axis_fe[0]), float(axis_fe[-1]), int(axis_fe.size)],
-        "omega_eg": [float(axis_eg[0]), float(axis_eg[-1]), int(axis_eg.size)],
-    }
-    sink.matrix("signal", "omega_fe_cm", axis_fe, "omega_eg_cm", axis_eg, grid.result)
+    resolved["axes"] = {"omega_fe": _axis_record(grid.omega_fe),
+                        "omega_eg": _axis_record(grid.omega_eg)}
+    sink.matrix("signal", "omega_fe_cm", grid.omega_fe, "omega_eg_cm", grid.omega_eg,
+                grid.result)
     sink.json("metadata.json", {
         "source": resolved["source"],
         "filters": cfg.filters.to_dict(),
@@ -511,28 +492,21 @@ def _run_coincidence(cfg, system, sink, clock, warnings, resolved, threads):
         "axes": resolved["axes"],
         "normalization": "max",
     })
-    if cfg.emit_plots and sink.fmt == "csv":
-        sink.script("plot_signal.gp", emit_heatmap_script(
-            "signal.csv", "signal.png",
-            "second gate center (cm^-1)", "first gate center (cm^-1)",
-            "normalized coincidence rate",
-        ))
+    sink.script("plot_signal.gp", emit_heatmap_script(
+        "signal.csv", "signal.png",
+        "second gate center (cm^-1)", "first gate center (cm^-1)",
+        "normalized coincidence rate",
+    ))
 
 
-def _run_panel_study(cfg, system, sink, clock, warnings, resolved, threads):
-    prep = _prepare(cfg, system, resolved, warnings)
-    clock.lap("prepare")
-    axis_fe, axis_eg = resolve_detection_axes(cfg, system)
-    filter_fe, filter_eg = _filters(cfg)
-    grid = SignalGrid(axis_fe, axis_eg, cfg.waiting.t_wait_two, cfg.waiting.t_wait_one)
-    panels = parameter_study(system, prep.populations, filter_fe, filter_eg, grid)
+def _run_panel_study(cfg, system, sink, clock, warnings, resolved):
+    """coincidence maps over filter/waiting variations"""
+    panels = parameter_study(system, *_detection(cfg, system, clock, warnings, resolved))
     clock.lap("panels")
     names, meta = [], {}
     for label, filled in panels.items():
-        stem = f"panel_{label}"
-        names.append(stem + (".csv" if sink.fmt == "csv" else ".json"))
-        sink.matrix(stem, "omega_fe_cm", filled.omega_fe, "omega_eg_cm",
-                    filled.omega_eg, filled.result)
+        names.append(sink.matrix(f"panel_{label}", "omega_fe_cm", filled.omega_fe,
+                                 "omega_eg_cm", filled.omega_eg, filled.result))
         meta[label] = {
             "t_wait_two": filled.t_wait_two,
             "t_wait_one": filled.t_wait_one,
@@ -548,14 +522,15 @@ def _run_panel_study(cfg, system, sink, clock, warnings, resolved, threads):
         "base_filters": cfg.filters.to_dict(),
         "panels": meta,
     })
-    if cfg.emit_plots and sink.fmt == "csv":
-        sink.script("plot_panels.gp", emit_multiplot_script(
-            names, "panels.png", list(panels),
-            "second gate (cm^-1)", "first gate (cm^-1)",
-        ))
+    sink.script("plot_panels.gp", emit_multiplot_script(
+        names, "panels.png", list(panels),
+        "second gate (cm^-1)", "first gate (cm^-1)",
+    ))
 
 
-_SCENARIOS = {
+# One run function per name in config.SCENARIOS; its docstring is the
+# scenario's command-line help.
+SCENARIO_RUNS = {
     "model-info": _run_model_info,
     "jsa": _run_jsa,
     "excite": _run_excite,
@@ -579,16 +554,14 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None,
     n_threads, thread_note = resolve_threads(threads, cfg.threads)
 
     clock = _Stopwatch()
-    warnings: list = []
-    if thread_note:
-        warnings.append(thread_note)
+    warnings: list = [thread_note] if thread_note else []
     resolved: dict = {"threads": n_threads, "format": fmt, "out_dir": out}
 
     system = build_system(cfg)
     clock.lap("build-model")
 
-    sink = _Sink(fmt)
-    _SCENARIOS[cfg.scenario](cfg, system, sink, clock, warnings, resolved, n_threads)
+    sink = _Sink(fmt, cfg.emit_plots)
+    SCENARIO_RUNS[cfg.scenario](cfg, system, sink, clock, warnings, resolved)
 
     os.makedirs(out, exist_ok=True)
     for name, text in sink.items:

@@ -112,7 +112,6 @@ def loop_coincidence_snapshot(system, rho_ff, filter_fe, filter_eg, grid):
         side_eg += dd_eg[ep] * np.outer(green_e[ep, :], pos)
 
     signal = 2.0 * np.real(np.einsum("ei,ej->ij", side_fe, side_eg))
-    signal *= grid.detector_dos
     peak = np.abs(signal).max(initial=0.0)
     if peak > 0.0:
         signal = signal / peak

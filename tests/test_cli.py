@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from excitonscope.cli import build_parser, main
+from excitonscope.config import SCENARIOS
+from excitonscope.runner import SCENARIO_RUNS
 
 from conftest import make_dimer
 
@@ -119,6 +121,14 @@ def test_parser_lists_all_scenarios():
     for name in ("model-info", "jsa", "excite", "excite-scan",
                  "propagate", "coincidence", "panel-study"):
         assert name in helptext
+
+
+def test_every_scenario_has_a_run_and_its_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per scenario
+    assert list(SCENARIO_RUNS) == list(SCENARIOS)
+    helptext = build_parser().format_help()
+    for run in SCENARIO_RUNS.values():
+        assert run.__doc__ and run.__doc__ in helptext
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

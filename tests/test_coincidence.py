@@ -112,8 +112,6 @@ def test_lineshape_rejects_negative_width():
 def test_grid_validation():
     with pytest.raises(ValueError, match="waiting"):
         SignalGrid(np.array([1.0]), np.array([1.0]), -1.0, 0.0)
-    with pytest.raises(ValueError, match="density of states"):
-        SignalGrid(np.array([1.0]), np.array([1.0]), 0.0, 0.0, detector_dos=0.0)
 
 
 def test_snapshot_shape_and_normalization(dimer_system):

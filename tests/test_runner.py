@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from excitonscope import PreparationResult
-from excitonscope.config import ConfigError, from_dict
+from excitonscope import PreparationResult, coincidence, excitation, propagators, runner, sources
+from excitonscope.config import SCENARIOS, ConfigError, from_dict
 from excitonscope.runner import (
     NEGATIVE_MASS_WARN_RATIO,
     _fmt,
@@ -225,3 +225,56 @@ def test_negative_preparation_lobe_is_reported_with_its_mass_ratio():
         "(most negative -3.000e-01)"
     ]
     assert len(_preparation_warnings(_prepared([-1.0, 0.0]))) == 1
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_csv_and_json_artifacts_agree(tmp_path, dimer_file, scenario):
+    """Each table or matrix has the same columns and the same doubles in both formats."""
+    _, csv_out = run_into(tmp_path, dimer_file, scenario, subdir="csv")
+    _, json_out = run_into(tmp_path, dimer_file, scenario, subdir="json", format="json")
+    csv_names = [n for n in sorted(os.listdir(csv_out)) if not n.endswith(".gp")]
+    assert sorted(os.listdir(json_out)) == sorted(n.replace(".csv", ".json") for n in csv_names)
+    stems = [n[:-4] for n in csv_names if n.endswith(".csv")]
+    assert stems
+    for stem in stems:
+        with open(os.path.join(csv_out, stem + ".csv")) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()]
+        with open(os.path.join(json_out, stem + ".json")) as fh:
+            payload = json.load(fh)
+        if "values" in payload:
+            assert rows[0][0] == str(len(payload["col_axis"])), stem
+            assert [float(c) for c in rows[0][1:]] == payload["col_axis"], stem
+            assert [float(r[0]) for r in rows[1:]] == payload["row_axis"], stem
+            assert [[float(c) for c in r[1:]] for r in rows[1:]] == payload["values"], stem
+            continue
+        assert rows[0] == list(payload), stem
+        assert len(rows) - 1 == len(next(iter(payload.values()))), stem
+        for k, column in enumerate(payload.values()):
+            assert [type(v)(r[k]) for v, r in zip(column, rows[1:])] == column, (stem, rows[0][k])
+
+
+def test_benchmark_tracer_restores_runner_imports(monkeypatch):
+    """The benchmark's tracer patches these runner globals by name
+    (``owner.__dict__[attr]``), so renaming or inlining one of them breaks
+    only a traced benchmark run unless this test catches it."""
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    )
+    import spans
+
+    library = {
+        "prepare_closed_form": excitation.prepare_closed_form,
+        "scan_targets": excitation.scan_targets,
+        "jsi_map": sources.jsi_map,
+        "population_evolve": propagators.population_evolve,
+        "coincidence_snapshot": coincidence.coincidence_snapshot,
+    }
+    assert {name: runner.__dict__[name] for name in library} == library
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert all(runner.__dict__[name] is not func for name, func in library.items())
+    finally:
+        tracer.restore()
+    assert runner.prepare_closed_form is excitation.prepare_closed_form
+    assert {name: runner.__dict__[name] for name in library} == library
