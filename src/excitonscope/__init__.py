@@ -7,15 +7,12 @@ from .bath import (
     TransportModel,
     build_transport_matrix,
     ground_reference,
-    phonon_correlation,
     spectral_density,
 )
 from .coincidence import (
     FilterSpec,
     SignalGrid,
     coincidence_snapshot,
-    coincidence_time_map,
-    coincidence_time_oracle,
     filtered_lineshape,
     parameter_study,
     spectrogram,
@@ -36,7 +33,7 @@ from .excitons import (
     compute_transition_dipoles,
 )
 from .presets import bundled_aggregate, bundled_system, reference_bath
-from .propagators import coherence_green, population_evolve, population_propagator
+from .propagators import population_evolve, population_propagator
 from .sources import CoherentSource, EppSource, GaussianPulse, jsi_map
 
 __version__ = "0.1.0"
@@ -61,16 +58,12 @@ __all__ = [
     "build_two_exciton_hamiltonian",
     "bundled_aggregate",
     "bundled_system",
-    "coherence_green",
     "coincidence_snapshot",
-    "coincidence_time_map",
-    "coincidence_time_oracle",
     "compute_transition_dipoles",
     "filtered_lineshape",
     "ground_reference",
     "jsi_map",
     "parameter_study",
-    "phonon_correlation",
     "population_evolve",
     "population_propagator",
     "prepare_closed_form",

@@ -97,56 +97,6 @@ def phonon_correlation_real(bath: BathSpec, omega) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def phonon_correlation(bath: BathSpec, omega, include_imag: bool = False):
-    """C(omega) with the real part in closed form.
-
-    The imaginary (principal-value) part is off by default; when requested
-    it is computed by Cauchy-weighted quadrature, which is slow and only
-    meant for diagnostics.
-    """
-    real = phonon_correlation_real(bath, omega)
-    if not include_imag:
-        return real + 0.0j
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    imag = np.array([_imag_correlation_pv(bath, float(x)) for x in w])
-    result = np.atleast_1d(real) + 1.0j * imag
-    return result[0] if np.asarray(omega).ndim == 0 else result
-
-
-def _imag_correlation_pv(bath: BathSpec, big_omega: float) -> float:
-    # imported here: scipy.integrate is most of the package's import time,
-    # and only this diagnostic needs it
-    from scipy import integrate
-
-    beta = bath.beta
-
-    def symmetric(w):
-        return spectral_density(bath, w) / np.tanh(0.5 * beta * w)
-
-    def antisymmetric(w):
-        return spectral_density(bath, w)
-
-    cutoff = max(bath.gamma0 * 60.0, abs(big_omega) * 8.0 + 200.0)
-    for _, wj, gj in bath.brownian_modes:
-        cutoff = max(cutoff, (wj + 10.0 * gj) * 4.0)
-
-    def pv(func, pole):
-        total = 0.0
-        for lo, hi in ((-cutoff, pole - 1.0), (pole - 1.0, pole + 1.0), (pole + 1.0, cutoff)):
-            if lo >= hi:
-                continue
-            if lo < pole < hi:
-                val, _ = integrate.quad(func, lo, hi, weight="cauchy", wvar=pole, limit=400)
-            else:
-                val, _ = integrate.quad(lambda w: func(w) / (w - pole), lo, hi, limit=400)
-            total += val
-        return total
-
-    sym = pv(lambda w: 0.5 * symmetric(w), big_omega) + pv(lambda w: 0.5 * symmetric(w), -big_omega)
-    asym = pv(lambda w: 0.5 * antisymmetric(w), big_omega) - pv(lambda w: 0.5 * antisymmetric(w), -big_omega)
-    return (sym + asym) / (2.0 * np.pi)
-
-
 def site_occupations(eig: ExcitonEigensystem, manifold: str) -> np.ndarray:
     """Per-site excitation numbers n[a, m] of each eigenstate.
 
@@ -225,46 +175,30 @@ def ground_reference(energy: float = 0.0) -> TransportModel:
     )
 
 
-def eigendecompose_transport(rate_matrix: np.ndarray, stationary: np.ndarray | None = None):
+def eigendecompose_transport(rate_matrix: np.ndarray, stationary: np.ndarray):
     """Eigendecomposition (lambdas, chi_right, chi_left, dpp) of K.
 
-    With a detailed-balance stationary vector the decomposition goes
+    With the detailed-balance stationary vector the decomposition goes
     through the symmetrized form D^-1/2 K D^1/2 and is orthogonal by
-    construction; otherwise a general eigensolve is used and an
-    ill-conditioned eigenbasis (defective K) raises.
+    construction.
     """
     k = np.asarray(rate_matrix, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("rate matrix must be square")
-    if stationary is not None:
-        pi = np.asarray(stationary, dtype=float)
-        if pi.shape != (k.shape[0],) or np.any(pi <= 0.0):
-            raise ValueError("stationary weights must be positive with one entry per state")
-        root = np.sqrt(pi)
-        sym = k * (root[None, :] / root[:, None])
-        sym = 0.5 * (sym + sym.T)
-        lambdas, u = np.linalg.eigh(sym)
-        order = np.argsort(lambdas)
-        lambdas = lambdas[order]
-        u = u[:, order]
-        chi_right = u * root[:, None]
-        chi_left = u.T / root[None, :]
-        dpp = np.ones_like(lambdas)
-        return lambdas, chi_right, chi_left, dpp
-    values, vectors = np.linalg.eig(k)
-    cond = np.linalg.cond(vectors)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise np.linalg.LinAlgError(
-            "transport matrix eigenbasis is ill-conditioned (nearly defective); "
-            "perturb degenerate rates or supply the stationary vector"
-        )
-    order = np.argsort(values.real)
-    values = values[order]
-    vectors = vectors[:, order]
-    if np.abs(values.imag).max(initial=0.0) < 1e-9 * max(1.0, np.abs(values.real).max(initial=0.0)):
-        values = values.real
-    left = np.linalg.inv(vectors)
-    return values, vectors, left, np.ones(k.shape[0])
+    pi = np.asarray(stationary, dtype=float)
+    if pi.shape != (k.shape[0],) or np.any(pi <= 0.0):
+        raise ValueError("stationary weights must be positive with one entry per state")
+    root = np.sqrt(pi)
+    sym = k * (root[None, :] / root[:, None])
+    sym = 0.5 * (sym + sym.T)
+    lambdas, u = np.linalg.eigh(sym)
+    order = np.argsort(lambdas)
+    lambdas = lambdas[order]
+    u = u[:, order]
+    chi_right = u * root[:, None]
+    chi_left = u.T / root[None, :]
+    dpp = np.ones_like(lambdas)
+    return lambdas, chi_right, chi_left, dpp
 
 
 def build_transport_matrix(

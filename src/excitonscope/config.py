@@ -21,7 +21,8 @@ filters         gate widths sigma_omega, sigma_t (cm^-1)
 waiting         t_wait_two, t_wait_one (fs)
 grids           omega_fe, omega_eg: "auto" (line positions +- pad, cm^-1,
                 on ``points`` samples) or [lo, hi, n]
-time_fs         preparation snapshot time; snapshot_times: propagate columns (fs)
+time_fs         preparation snapshot time; snapshot_times: propagate columns (fs),
+                distinct in the 6 significant digits of their headers
 targets         "all" or two-exciton indices (excite-scan), scan_mode
                 "degenerate" | "mediated"; target: state auto sources tune to
 out_dir, format ("csv" | "json"), emit_plots (gnuplot scripts next to data)
@@ -156,8 +157,27 @@ _TARGETS = _keyword_or("all", _Rule(
     'must be "all" or a non-empty list of indices >= 0',
     lambda v: tuple(int(t) for t in v),
 ))
-_TIMES = _Rule(lambda v: _is_list(v) and len(v) > 0 and all(_is_num(t) and t >= 0 for t in v),
-               "must be a non-empty list of numbers >= 0 (fs)", _floats)
+
+
+def snapshot_label(t: float) -> str:
+    """Column header of the ``propagate`` snapshot at ``t`` fs."""
+    return f"p_{t:g}fs"
+
+
+def _times(v) -> bool:
+    return _is_list(v) and len(v) > 0 and all(_is_num(t) and t >= 0 for t in v)
+
+
+def _times_message(v) -> str:
+    if not _times(v):
+        return "must be a non-empty list of numbers >= 0 (fs)"
+    labels = ", ".join(snapshot_label(t) for t in v)
+    return f"times must differ in the 6 significant digits that name their columns, got {labels}"
+
+
+# each time names one column of the propagate table, so names must not collide
+_SNAPSHOT_TIMES = _Rule(lambda v: _times(v) and len(set(map(snapshot_label, v))) == len(v),
+                        _times_message, _floats)
 _VECTOR = _Rule(lambda v: _is_list(v) and len(v) == 3 and all(map(_is_num, v)),
                 "must be a list of three numbers", _floats)
 _NAME = _Rule(lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
@@ -241,7 +261,7 @@ class RunConfig(_Plain):
     waiting: WaitingConfig = _section(WaitingConfig)
     grids: GridConfig = _section(GridConfig)
     time_fs: float = _field(0.0, _number(">= 0", "(fs)"))
-    snapshot_times: tuple = _field((50.0, 100.0, 250.0, 1000.0), _TIMES)
+    snapshot_times: tuple = _field((50.0, 100.0, 250.0, 1000.0), _SNAPSHOT_TIMES)
     targets: tuple | str = _field("all", _TARGETS)
     scan_mode: str = _field("degenerate", _one_of(SCAN_MODES))
     target: int = _field(7, _integer(0))

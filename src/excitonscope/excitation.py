@@ -8,9 +8,9 @@ the transport eigenmodes, and two whose middle interval is a one-exciton
 coherence.  Each pathway is a chain of four interval resolvents; closing
 the frequency integrals at the resolvent poles collapses the chain onto
 the source four-point correlation evaluated at complex pole-difference
-arguments, which is the closed form implemented here.  The brute-force
-real-frequency quadrature of the same integrand lives in
-:mod:`excitonscope.quadrature` and serves as its oracle.
+arguments, which is the closed form implemented here.  The test suite
+checks it against a brute-force real-frequency quadrature of the same
+integrand (``tests/quadrature_oracle.py``).
 
 Pole convention: a coherence between states a and b oscillating at
 w_ab = E_a - E_b with width gamma_ab contributes 1/(w - zeta) with

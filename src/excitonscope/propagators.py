@@ -1,10 +1,8 @@
 """Time-domain propagators built on the transport eigendecomposition.
 
 Populations evolve under G(t) = chi_R exp(-lambda 2 pi c t) D^-1 chi_L for
-t >= 0.  Optical coherences evolve as damped phasors
-theta(t) exp((-i w_ab - gamma_ab) 2 pi c t); the retarded step makes them
-vanish for t < 0 while the population propagator treats negative time as
-an error, since transport has no meaningful backward branch.
+t >= 0; negative time is an error, since transport has no meaningful
+backward branch.
 """
 
 from __future__ import annotations
@@ -38,30 +36,16 @@ def population_evolve(model: TransportModel, rho0: np.ndarray, t_fs) -> np.ndarr
     return out[0] if np.asarray(t_fs).ndim == 0 else out
 
 
-def coherence_green(omega_ab, gamma_ab, t_fs):
-    """Retarded coherence factor theta(t) exp((-i w - gamma) 2 pi c t).
-
-    Frequencies and widths are in cm^-1, time in fs; arguments broadcast.
-    """
-    w = np.asarray(omega_ab, dtype=float)
-    g = np.asarray(gamma_ab, dtype=float)
-    t = np.asarray(t_fs, dtype=float)
-    phase = units.TWO_PI_C * t
-    out = np.where(t >= 0.0, np.exp((-1j * w - g) * phase), 0.0)
-    return out
-
-
-def floor_widths(gamma: np.ndarray, trigger: float = WIDTH_FLOOR_TRIGGER,
-                 value: float = WIDTH_FLOOR_VALUE):
+def floor_widths(gamma: np.ndarray):
     """Replace vanishing dephasing widths by a small positive floor.
 
     Returns the floored array and a flag telling whether anything changed.
     Resolvent denominators need strictly positive widths to stay integrable.
     """
     g = np.asarray(gamma, dtype=float)
-    mask = g < trigger
+    mask = g < WIDTH_FLOOR_TRIGGER
     if not np.any(mask):
         return g.copy(), False
     out = g.copy()
-    out[mask] = value
+    out[mask] = WIDTH_FLOOR_VALUE
     return out, True

@@ -32,7 +32,7 @@ import scipy
 from . import __version__, units
 from .aggregate import AggregateSpec
 from .coincidence import FilterSpec, SignalGrid, coincidence_snapshot, parameter_study
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, snapshot_label
 from .excitation import ExcitonSystem, describe_source, prepare_closed_form, scan_targets
 from .presets import bright_pair, bundled_aggregate
 from .propagators import population_evolve
@@ -449,7 +449,7 @@ def _run_propagate(cfg, system, sink, clock, warnings, resolved):
     if drift > 1e-8 * max(prep.populations.sum(), 1.0):
         warnings.append(f"population trace drifted by {drift:.3e} during propagation")
     sink.table("snapshots", _population_table(
-        system, {f"p_{t:g}fs": row for t, row in zip(times, rows)}
+        system, {snapshot_label(t): row for t, row in zip(times, rows)}
     ))
     sink.json("metadata.json", {
         "source": resolved["source"],

@@ -66,21 +66,10 @@ from . import units
 _SINC_SERIES_RADIUS = 1e-4
 
 
-def csinc(z):
-    """sin(z)/z for complex z with a series branch near the origin."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < _SINC_SERIES_RADIUS
-    safe = np.where(small, 1.0, z)
-    out = np.sin(safe) / safe
-    z2 = z * z
-    series = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    return np.where(small, series, out)
-
-
 def _expm1_ratio(w):
     """expm1(w)/w for complex w with a series branch near the origin.
 
-    At w = 2i phi this is csinc(phi) e^{i phi}, one phase-matching branch.
+    At w = 2i phi this is sinc(phi) e^{i phi}, one phase-matching branch.
     """
     w = np.asarray(w, dtype=complex)
     small = np.abs(w) < _SINC_SERIES_RADIUS

@@ -17,7 +17,8 @@ support, with extra subdivision wherever the evaluation-time phase
 e^{-i 2 pi c t x4} oscillates.  Resolvents are always evaluated exactly
 on the nodes; only the smooth source amplitudes are tabulated once per
 chart on regular auxiliary grids and pulled into the contractions by
-cubic interpolation.
+one sparse Catmull-Rom operator (:func:`_pull`).  Tables are stored with
+the grid axis first, so the operator reads whole rows.
 
 Windows.  Axes that carry the pump envelope decay like a Gaussian and
 are truncated at ``window_scale`` pump widths.  The axes the envelope
@@ -40,18 +41,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from . import units
-from .excitation import (
+from excitonscope import units
+from excitonscope.excitation import (
     ExcitonSystem,
     PoleTable,
     PreparationResult,
     describe_source,
     pathway_weights,
 )
-from .sources import CoherentSource, EppSource
+from excitonscope.sources import CoherentSource, EppSource
 
 _GRADE_RATIO = 5.0
 _PHASE_PER_NODE = 1.2  # rad of oscillation one quadrature node can carry
+_X1_BLOCK = 96  # x1 nodes per pull of the ket chart's h table
+_X2_BLOCK = 8  # middle-axis nodes per matmul in the bra chart
 
 _LEVELS = {
     1: dict(pole_nodes=5, base_nodes=8, base_panels=6, step_div=10),
@@ -207,62 +210,39 @@ def _reg_grid(lo: float, hi: float, step: float) -> RegGrid:
     return RegGrid(start=float(start), step=float(step), n=n)
 
 
-def _taps(grid: RegGrid, q):
-    """Catmull-Rom base indices and weights for queries on a regular grid."""
-    s = (np.asarray(q, dtype=float) - grid.start) / grid.step
+def _pull(grid: RegGrid, q, weight=1.0) -> sparse.csr_matrix:
+    """Catmull-Rom interpolation operator on ``grid``.
+
+    Applied to a table stored grid axis first, row i of the operator gives
+    the table at q[i] for 1-D queries.  For q of shape (..., m) the row
+    sums ``weight[..., j]`` times the table at q[..., j] over the last
+    axis, the rows following the leading axes; ``weight`` broadcasts
+    against ``q``.
+    """
+    q, weight = np.broadcast_arrays(np.asarray(q, dtype=float), weight)
+    if q.ndim == 1:
+        q, weight = q[:, None], weight[:, None]
+    s = (q - grid.start) / grid.step
     base = np.clip(np.floor(s).astype(np.int64), 1, grid.n - 3)
     f = s - base
     f2 = f * f
     f3 = f2 * f
-    w = np.stack(
+    taps = np.stack(
         [
             0.5 * (-f3 + 2.0 * f2 - f),
             0.5 * (3.0 * f3 - 5.0 * f2 + 2.0),
             0.5 * (-3.0 * f3 + 4.0 * f2 + f),
             0.5 * (f3 - f2),
-        ]
+        ],
+        axis=-1,
     )
-    return base, w
-
-
-def _sparse_diff(
-    grid: RegGrid,
-    rows_x: np.ndarray,
-    cols_x: np.ndarray,
-    coef: np.ndarray,
-    row_sign: float,
-    col_sign: float,
-):
-    """Sparse operator S with (S @ table)[i] = sum_j coef[j] table(q_ij, :)
-    for q_ij = row_sign x_i + col_sign y_j, table sampled on ``grid``."""
-    q = row_sign * rows_x[:, None] + col_sign * cols_x[None, :]
-    base, w = _taps(grid, q)
-    n_rows = rows_x.size
-    row_idx = np.broadcast_to(np.arange(n_rows)[:, None], q.shape)
-    rows = np.concatenate([row_idx.ravel()] * 4)
-    cols = np.concatenate([(base - 1 + k).ravel() for k in range(4)])
-    data = np.concatenate([(w[k] * coef[None, :]).ravel() for k in range(4)])
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n_rows, grid.n))
-
-
-def _pull_cols(table: np.ndarray, grid: RegGrid, q: np.ndarray) -> np.ndarray:
-    """Interpolate ``table`` (m, grid.n) along its second axis at q (k,)
-    giving (m, k)."""
-    base, w = _taps(grid, q)
-    out = w[0][None, :] * table[:, base - 1]
-    for k in range(1, 4):
-        out = out + w[k][None, :] * table[:, base - 1 + k]
-    return out
-
-
-def _pull_rows(table: np.ndarray, grid: RegGrid, q: np.ndarray) -> np.ndarray:
-    """Interpolate ``table`` (grid.n, m) along its first axis at q (k,)
-    giving (k, m)."""
-    base, w = _taps(grid, q)
-    out = w[0][:, None] * table[base - 1, :]
-    for k in range(1, 4):
-        out = out + w[k][:, None] * table[base - 1 + k, :]
-    return out
+    # four taps per summed query in each row, repeated columns merged
+    data = (taps * weight[..., None]).ravel()
+    cols = ((base - 1)[..., None] + np.arange(4)).ravel()
+    indptr = np.arange(0, data.size + 1, 4 * q.shape[-1])
+    op = sparse.csr_matrix((data, cols, indptr), shape=(indptr.size - 1, grid.n))
+    op.sum_duplicates()
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +267,10 @@ class _Ctx:
     pairs: list
 
 
-def _phase4(ctx: _Ctx, ax4: Axis) -> np.ndarray:
-    return ax4.weights * np.exp(-1j * ctx.t_ang * ax4.nodes)
+def _coef4(ctx: _Ctx, ax4: Axis) -> np.ndarray:
+    """Weight-folded x4 resolvent rows with the evaluation-time phase, (n_f, n4)."""
+    phase = ax4.weights * np.exp(-1j * ctx.t_ang * ax4.nodes)
+    return phase / (ax4.nodes - ctx.z.ff[:, None])
 
 
 def _chart_coherent(ctx: _Ctx, lv: dict) -> np.ndarray:
@@ -310,33 +292,24 @@ def _chart_coherent(ctx: _Ctx, lv: dict) -> np.ndarray:
     s1 = s1 + _pv_tail(z.eg, ax1.lo, ax1.hi)[:, None] * edge[None, :]
     ket_f = np.einsum("fe,eb->fb", ctx.wk, s1)
 
-    # bra side on a (x3 - x4, x2 - x3) table
+    # bra side on a (x3 - x4, x2 - x3) table: x4 is summed into rows
+    # (f, x3), then each x3 row is pulled at its own x2 - x3
     vg = _reg_grid(ax3.lo - ax4.hi, ax3.hi - ax4.lo, step)
     wg = _reg_grid(ax2.lo - ax3.hi, ax2.hi - ax3.lo, step)
     bvw = ctx.bra(vg.values[:, None], wg.values[None, :])
-    coef0 = _phase4(ctx, ax4)
     x3_rows = np.concatenate([ax3.nodes, [ax3.lo, ax3.hi]])
     n3 = ax3.nodes.size
+    t = _pull(vg, x3_rows[:, None] - ax4.nodes, _coef4(ctx, ax4)[:, None, :]) @ bvw
+    per_row = sparse.block_diag([_pull(wg, ax2.nodes - x3) for x3 in x3_rows])
+    b4s = (t.reshape(ctx.n_f, -1) @ per_row.T).reshape(ctx.n_f, x3_rows.size, -1)
 
-    base_w, w_w = _taps(wg, ax2.nodes[:, None] - x3_rows[None, :])
-    col_pick = np.arange(x3_rows.size)[None, :]
-
-    p1 = np.zeros(ctx.n_f, dtype=complex)
-    for f in range(ctx.n_f):
-        coef = coef0 / (ax4.nodes - z.ff[f])
-        t_f = _sparse_diff(vg, x3_rows, ax4.nodes, coef, 1.0, -1.0) @ bvw
-        b4s = w_w[0] * t_f[col_pick, base_w - 1]
-        for k in range(1, 4):
-            b4s = b4s + w_w[k] * t_f[col_pick, base_w - 1 + k]
-        core, e_lo, e_hi = b4s[:, :n3], b4s[:, n3], b4s[:, n3 + 1]
-        c_mat = core @ _res_rows(ax3, z.fe[f]).T
-        c_mat = c_mat + 0.5 * (e_lo + e_hi)[:, None] * _pv_tail(
-            z.fe[f], ax3.lo, ax3.hi
-        )[None, :]
-        bra_f = c_mat @ ctx.wk[f]
-        r_fg = ax2.weights / (ax2.nodes - z.fg[f])
-        p1[f] = np.sum(r_fg * ket_f[f] * bra_f)
-    return p1
+    core, e_lo, e_hi = b4s[:, :n3], b4s[:, n3], b4s[:, n3 + 1]
+    c = _res_rows(ax3, z.fe).reshape(ctx.n_f, ctx.n_e, n3) @ core
+    tail = _pv_tail(z.fe, ax3.lo, ax3.hi).reshape(ctx.n_f, ctx.n_e)
+    c = c + 0.5 * tail[:, :, None] * (e_lo + e_hi)[:, None, :]
+    bra_f = np.einsum("fe,feb->fb", ctx.wk, c)
+    r_fg = ax2.weights / (ax2.nodes - z.fg[:, None])
+    return np.sum(r_fg * ket_f * bra_f, axis=1)
 
 
 def _middle_poles(ctx: _Ctx) -> np.ndarray:
@@ -370,32 +343,29 @@ def _chart_ket(ctx: _Ctx, lv: dict):
         + z.fe.real.ravel()[None, None, :]
     ).ravel() - ctx.bra_sum
     ax4 = _axis(z.ff, [combos.min(), combos.max()], ctx.margin, ctx.smooth, lv, osc=ctx.t_ang)
+    n1, n3 = ax1.nodes.size, ax3.nodes.size
 
+    # h[u, (f, x3)]: x4 summed against the bra table, stored u first
     ug = _reg_grid(ax1.lo - ax2.hi, ax1.hi - ax2.lo, step)
     vg = _reg_grid(ax3.lo - ax4.hi, ax3.hi - ax4.lo, step)
     bv = ctx.bra(vg.values[:, None], ug.values[None, :])
-    coef0 = _phase4(ctx, ax4)
-    h = np.empty((ctx.n_f, ax3.nodes.size, ug.n), dtype=complex)
-    for f in range(ctx.n_f):
-        coef = coef0 / (ax4.nodes - z.ff[f])
-        h[f] = _sparse_diff(vg, ax3.nodes, ax4.nodes, coef, 1.0, -1.0) @ bv
+    sum4 = _pull(vg, ax3.nodes[:, None] - ax4.nodes, _coef4(ctx, ax4)[:, None, :])
+    h = np.ascontiguousarray((sum4 @ bv).T)
 
     v2g = _reg_grid(ax3.lo - ax2.hi, ax3.hi - ax2.lo, step)
     kt = ctx.ket(v2g.values[:, None], ax1.nodes[None, :])
 
     r1 = _res_rows(ax1, z.eg)
-    r2 = _res_rows(ax2, z2)
-    r3 = [_res_rows(ax3, z.fe[f]) for f in range(ctx.n_f)]
-
-    n_q = z2.size
-    out = np.zeros((ctx.n_f, ctx.n_e, ctx.n_e, n_q), dtype=complex)
+    r3 = _res_rows(ax3, z.fe).reshape(ctx.n_f, ctx.n_e, n3)
+    t = np.zeros((ax2.nodes.size, ctx.n_f, ctx.n_e, ctx.n_e), dtype=complex)
     for j, x2 in enumerate(ax2.nodes):
-        ktq = _pull_rows(kt, v2g, ax3.nodes - x2)
-        u_q = ax1.nodes - x2
-        for f in range(ctx.n_f):
-            m = ktq * _pull_cols(h[f], ug, u_q)
-            t = (r3[f] @ m) @ r1.T
-            out[f] += t.T[:, :, None] * r2[None, None, :, j]
+        ktq = (_pull(v2g, ax3.nodes - x2) @ kt).T
+        # x1 in blocks, so that each block's pull of h stays in cache
+        for a in range(0, n1, _X1_BLOCK):
+            rows = slice(a, a + _X1_BLOCK)
+            hq = (_pull(ug, ax1.nodes[rows] - x2) @ h).reshape(-1, ctx.n_f, n3)
+            t[j] += r3 @ (hq * ktq[rows, None, :]).transpose(1, 2, 0) @ r1.T[rows]
+    out = np.einsum("jfue,qj->feuq", t, _res_rows(ax2, z2), optimize=True)
     return _assemble(ctx, out, transport_first=True)
 
 
@@ -415,37 +385,36 @@ def _chart_bra(ctx: _Ctx, lv: dict):
         ctx.ket_sum - z.eg.real[:, None] + z.ef.real.ravel()[None, :]
     ).ravel()
     ax4 = _axis(z.ff, [combos.min(), combos.max()], ctx.margin, ctx.smooth, lv, osc=ctx.t_ang)
+    n1, n3 = ax1.nodes.size, ax3.nodes.size
 
     vg = _reg_grid(ax4.lo - ax3.hi, ax4.hi - ax3.lo, step)
     kt = ctx.ket(vg.values[:, None], ax1.nodes[None, :])
-    coef0 = _phase4(ctx, ax4)
-    s4 = np.empty((ctx.n_f, ax3.nodes.size, ax1.nodes.size), dtype=complex)
-    for f in range(ctx.n_f):
-        coef = coef0 / (ax4.nodes - z.ff[f])
-        s4[f] = _sparse_diff(vg, ax3.nodes, ax4.nodes, coef, -1.0, 1.0) @ kt
+    sum4 = _pull(vg, ax4.nodes - ax3.nodes[:, None], _coef4(ctx, ax4)[:, None, :])
+    s4 = (sum4 @ kt).reshape(ctx.n_f, n3, n1)
 
+    # the (x2 - x3, x1 - x2) bra table, stored x1 - x2 first
     wgrid = _reg_grid(ax2.lo - ax3.hi, ax2.hi - ax3.lo, step)
     zgrid = _reg_grid(ax1.lo - ax2.hi, ax1.hi - ax2.lo, step)
-    bt = ctx.bra(wgrid.values[:, None], zgrid.values[None, :])
+    bt = ctx.bra(wgrid.values[None, :], zgrid.values[:, None])
 
+    # x2 runs in blocks, each folded into s2 by one matmul
     r2 = _res_rows(ax2, z2)
-    n_q = z2.size
-    s2 = np.zeros((n_q, ax1.nodes.size, ax3.nodes.size), dtype=complex)
-    for j, x2 in enumerate(ax2.nodes):
-        btz = _pull_cols(bt, zgrid, ax1.nodes - x2)
-        m = _pull_rows(btz, wgrid, x2 - ax3.nodes)
-        s2 += r2[:, j][:, None, None] * m.T[None, :, :]
+    s2 = np.zeros((z2.size, n1 * n3), dtype=complex)
+    m = np.empty((_X2_BLOCK, n1, n3), dtype=complex)
+    for start in range(0, ax2.nodes.size, _X2_BLOCK):
+        block = ax2.nodes[start:start + _X2_BLOCK]
+        for i, x2 in enumerate(block):
+            m[i] = (_pull(zgrid, ax1.nodes - x2) @ bt) @ _pull(wgrid, x2 - ax3.nodes).T
+        s2 += r2[:, start:start + block.size] @ m[:block.size].reshape(block.size, -1)
+    s2 = s2.reshape(z2.size, n1, n3)
     tails = _pv_tail(z2, ax2.lo, ax2.hi)
     for edge in (ax2.lo, ax2.hi):
         bedge = ctx.bra(edge - ax3.nodes[None, :], ax1.nodes[:, None] - edge)
         s2 += 0.5 * tails[:, None, None] * bedge[None, :, :]
 
-    r1 = _res_rows(ax1, z.eg)
-    out = np.zeros((ctx.n_f, ctx.n_e, ctx.n_e, n_q), dtype=complex)
-    for f in range(ctx.n_f):
-        r3 = _res_rows(ax3, z.ef[f])
-        core = s4[f].T[None, :, :] * s2
-        out[f] = np.einsum("ea,qat,ut->euq", r1, core, r3, optimize=True)
+    core = s4.transpose(0, 2, 1)[:, None] * s2[None]
+    r3 = _res_rows(ax3, z.ef).reshape(ctx.n_f, ctx.n_e, n3)
+    out = np.einsum("ea,fqat,fut->feuq", _res_rows(ax1, z.eg), core, r3, optimize=True)
     return _assemble(ctx, out, transport_first=False)
 
 

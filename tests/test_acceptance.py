@@ -3,9 +3,11 @@
 One test per stated capability, each timed against its budget, so the
 verbose test listing reads as a pass/fail line per capability.  The
 independent references live in ``product_space`` (full 3^N
-diagonalization) and ``bath_reference`` (time-domain correlation
-quadrature); everything else is checked against closed forms evaluated
-through a slower, dumber route inside the test itself.
+diagonalization), ``bath_reference`` (time-domain correlation
+quadrature), ``quadrature_oracle`` (real-frequency quadrature of the
+preparation) and ``time_oracle`` (nested time integration of the
+coincidence map); everything else is checked against closed forms
+evaluated through a slower, dumber route inside the test itself.
 """
 
 import os
@@ -26,8 +28,6 @@ from excitonscope import (
     PairIndex,
     SignalGrid,
     coincidence_snapshot,
-    coincidence_time_map,
-    coincidence_time_oracle,
     compute_transition_dipoles,
     filtered_lineshape,
     population_evolve,
@@ -39,13 +39,14 @@ from excitonscope import (
 from excitonscope.bath import BathSpec, phonon_correlation_real
 from excitonscope.coincidence import temporal_gate
 from excitonscope.config import from_dict
-from excitonscope.quadrature import prepare_quadrature_oracle
 from excitonscope.runner import run_scenario
 from excitonscope.units import TWO_PI_C, beta_cm
 
 from bath_reference import re_correlation_time_domain
 from conftest import dimer_bath, make_dimer, make_trimer
 from product_space import sector_eigensystems, sector_transition_dipoles
+from quadrature_oracle import prepare_quadrature_oracle
+from time_oracle import coincidence_time_map, coincidence_time_oracle
 
 
 def generic_aggregate(n: int) -> AggregateSpec:

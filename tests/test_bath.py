@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excitonscope import BathSpec, phonon_correlation, spectral_density
+from excitonscope import BathSpec, spectral_density
 from excitonscope.bath import (
     phonon_correlation_real,
     site_occupations,
@@ -59,19 +59,6 @@ def test_spectral_density_antisymmetric(omega):
     j_neg = spectral_density(STRUCTURED_BATH, -omega)
     assert float(j_neg) == pytest.approx(-float(j_pos), rel=1e-14, abs=1e-300)
     assert float(j_pos) >= 0.0
-
-
-def test_phonon_correlation_complex_interface():
-    value = phonon_correlation(STRUCTURED_BATH, 310.0)
-    assert value.imag == 0.0
-    assert value.real == pytest.approx(phonon_correlation_real(STRUCTURED_BATH, 310.0))
-
-
-def test_phonon_correlation_pv_imaginary_is_finite():
-    small = BathSpec(5.0, 80.0, (), 300.0)
-    value = phonon_correlation(small, 120.0, include_imag=True)
-    assert np.isfinite(value.imag)
-    assert value.imag != 0.0
 
 
 def test_bath_spec_validation():

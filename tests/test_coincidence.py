@@ -5,7 +5,6 @@ from excitonscope import (
     FilterSpec,
     SignalGrid,
     coincidence_snapshot,
-    coincidence_time_oracle,
     filtered_lineshape,
     parameter_study,
     spectrogram,
@@ -14,6 +13,7 @@ from excitonscope.coincidence import spectral_gate, temporal_gate
 from excitonscope.units import TWO_PI_C
 
 from loop_reference import loop_coincidence_snapshot
+from time_oracle import coincidence_time_oracle
 
 
 def make_grid(system, n=31, **kw):

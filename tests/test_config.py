@@ -259,6 +259,19 @@ def test_each_section_must_be_an_object_without_unknown_fields(section):
     assert err.value.problems == ((f"{section}.junk", "unknown field"),)
 
 
+def test_snapshot_times_must_name_distinct_columns():
+    # each time heads one propagate column p_{t:g}fs; two alike would merge
+    with pytest.raises(ConfigError) as err:
+        from_dict({"scenario": "propagate", "snapshot_times": [50.0, 50.0000001, 100.0]})
+    assert err.value.problems == ((
+        "snapshot_times",
+        "times must differ in the 6 significant digits that name their columns, "
+        "got p_50fs, p_50fs, p_100fs",
+    ),)
+    assert from_dict({"scenario": "propagate", "snapshot_times": [50.0, 50.001]}).snapshot_times \
+        == (50.0, 50.001)
+
+
 def test_problems_are_listed_in_field_order():
     raw = {"emit_plots": 0, "zzz": 1, "grids": {"pad": -1, "points": 0, "omega_fe": 3},
            "bath": {"junk": 1, "gamma0": 0}, "scenario": "teleport"}

@@ -3,12 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from excitonscope import (
-    BathSpec,
-    coherence_green,
-    population_evolve,
-    population_propagator,
-)
+from scipy.linalg import expm
+
+from excitonscope import BathSpec, population_evolve, population_propagator
 from excitonscope.bath import eigendecompose_transport
 from excitonscope.propagators import (
     WIDTH_FLOOR_TRIGGER,
@@ -111,22 +108,11 @@ def test_general_eigendecomposition_agrees_with_symmetrized():
             k[a, b] = -down[min(a, b), max(a, b)] * np.sqrt(pi[a] / pi[b])
     np.fill_diagonal(k, -k.sum(axis=0))
 
-    lam_s, right_s, left_s, dpp_s = eigendecompose_transport(k, pi)
-    lam_g, right_g, left_g, dpp_g = eigendecompose_transport(k, None)
-    np.testing.assert_allclose(np.sort(lam_s), np.sort(lam_g.real), atol=1e-10)
-    t = 80.0
-    phase = TWO_PI_C * t
-    g_s = (right_s * np.exp(-lam_s * phase)[None, :] / dpp_s[None, :]) @ left_s
-    g_g = ((right_g * np.exp(-lam_g * phase)[None, :] / dpp_g[None, :]) @ left_g).real
-    np.testing.assert_allclose(g_s, g_g, atol=1e-9)
-
-
-def test_coherence_green_is_causal_and_damped():
-    omega, gamma = 120.0, 4.0
-    assert coherence_green(omega, gamma, -5.0) == 0.0
-    t = 30.0
-    expected = np.exp((-1j * omega - gamma) * TWO_PI_C * t)
-    assert coherence_green(omega, gamma, t) == pytest.approx(expected)
+    lam, right, left, dpp = eigendecompose_transport(k, pi)
+    np.testing.assert_allclose(np.sort(lam), np.sort(np.linalg.eigvals(k).real), atol=1e-10)
+    phase = TWO_PI_C * 80.0
+    g = (right * np.exp(-lam * phase)[None, :] / dpp[None, :]) @ left
+    np.testing.assert_allclose(g, expm(-k * phase), atol=1e-9)
 
 
 def test_floor_widths():
