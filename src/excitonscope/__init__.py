@@ -2,13 +2,7 @@
 probed by time-frequency filtered two-photon coincidence counting."""
 
 from .aggregate import AggregateSpec, PairIndex
-from .bath import (
-    BathSpec,
-    TransportModel,
-    build_transport_matrix,
-    ground_reference,
-    spectral_density,
-)
+from .bath import BathSpec, TransportModel, build_transport_matrix, spectral_density
 from .coincidence import (
     FilterSpec,
     SignalGrid,
@@ -34,7 +28,7 @@ from .excitons import (
 )
 from .presets import bundled_aggregate, bundled_system, reference_bath
 from .propagators import population_evolve, population_propagator
-from .sources import CoherentSource, EppSource, GaussianPulse, jsi_map
+from .sources import CoherentSource, EppSource, jsi_map
 
 __version__ = "0.1.0"
 
@@ -46,7 +40,6 @@ __all__ = [
     "ExcitonEigensystem",
     "ExcitonSystem",
     "FilterSpec",
-    "GaussianPulse",
     "PairIndex",
     "PreparationResult",
     "ScanResult",
@@ -61,7 +54,6 @@ __all__ = [
     "coincidence_snapshot",
     "compute_transition_dipoles",
     "filtered_lineshape",
-    "ground_reference",
     "jsi_map",
     "parameter_study",
     "population_evolve",

@@ -131,6 +131,8 @@ class TransportModel:
     eigendecomposition K chi_R = chi_R diag(lambdas), chi_L K =
     diag(lambdas) chi_L with dpp = diag(chi_L chi_R); ``depopulation``
     holds Gamma_a (total outflow) and ``energies`` the state energies.
+    The coherence widths built from these live in
+    :class:`excitonscope.excitation.PoleTable`.
     """
 
     energies: np.ndarray
@@ -140,39 +142,11 @@ class TransportModel:
     chi_left: np.ndarray
     dpp: np.ndarray
     depopulation: np.ndarray
-    stationary: np.ndarray
     pure_dephasing: float = 0.0
-    isolated_states: tuple = ()
 
     @property
     def size(self) -> int:
         return self.energies.size
-
-    def coherence_width(self, other: "TransportModel | None" = None) -> np.ndarray:
-        """gamma_ab = (Gamma_a + Gamma_b)/2 + pure dephasing, pairwise.
-
-        With ``other`` given, rows index this manifold and columns the
-        other one; the ground state is modelled by ``other=None`` rows of
-        zeros via :func:`ground_reference`.
-        """
-        ga = self.depopulation[:, None]
-        gb = self.depopulation[None, :] if other is None else other.depopulation[None, :]
-        return 0.5 * (ga + gb) + self.pure_dephasing
-
-
-def ground_reference(energy: float = 0.0) -> TransportModel:
-    """Trivial one-state transport model representing the shared ground state."""
-    one = np.ones((1, 1))
-    return TransportModel(
-        energies=np.array([energy]),
-        rate_matrix=np.zeros((1, 1)),
-        lambdas=np.zeros(1),
-        chi_right=one.copy(),
-        chi_left=one.copy(),
-        dpp=np.ones(1),
-        depopulation=np.zeros(1),
-        stationary=np.ones(1),
-    )
 
 
 def eigendecompose_transport(rate_matrix: np.ndarray, stationary: np.ndarray):
@@ -227,7 +201,6 @@ def build_transport_matrix(
     k[a, b] = -up
     np.fill_diagonal(k, -k.sum(axis=0))
     depopulation = np.diag(k).copy()
-    isolated = tuple(int(i) for i in np.nonzero(depopulation <= 0.0)[0]) if n > 1 else ()
 
     shifted = energies - energies.min()
     stationary = np.exp(-beta * shifted)
@@ -242,7 +215,5 @@ def build_transport_matrix(
         chi_left=chi_left,
         dpp=dpp,
         depopulation=depopulation,
-        stationary=stationary,
         pure_dephasing=bath.pure_dephasing,
-        isolated_states=isolated,
     )

@@ -26,8 +26,7 @@ time_fs         preparation snapshot time; snapshot_times: propagate columns (fs
 targets         "all" or two-exciton indices (excite-scan), scan_mode
                 "degenerate" | "mediated"; target: state auto sources tune to
 out_dir, format ("csv" | "json"), emit_plots (gnuplot scripts next to data)
-threads         null (EXCITONSCOPE_THREADS, then 1) or a count; seed: null or
-                an integer, reserved (current scenarios are deterministic)
+threads         null (EXCITONSCOPE_THREADS, then 1) or a count
 
 ``load_config`` validates the whole object before constructing anything
 and reports every offending field at once.
@@ -102,11 +101,9 @@ def _number(bound: str = "", unit: str = "") -> _Rule:
     return _Rule(lambda v: _is_num(v) and _BOUNDS[bound](v), text, float)
 
 
-def _integer(low: int | None = None, nullable: bool = False) -> _Rule:
-    text = "must be " + ("null or " if nullable else "") + "an integer"
-    text += "" if low is None else f" >= {low}"
-    return _Rule(lambda v: (nullable and v is None)
-                 or (_is_int(v) and (low is None or v >= low)), text)
+def _integer(low: int, nullable: bool = False) -> _Rule:
+    text = "must be " + ("null or " if nullable else "") + f"an integer >= {low}"
+    return _Rule(lambda v: (nullable and v is None) or (_is_int(v) and v >= low), text)
 
 
 def _one_of(options) -> _Rule:
@@ -267,7 +264,6 @@ class RunConfig(_Plain):
     target: int = _field(7, _integer(0))
     out_dir: str = _field("runs", _NAME)
     threads: int | None = _field(None, _integer(1, nullable=True))
-    seed: int | None = _field(None, _integer(nullable=True))
     format: str = _field("csv", _one_of(FORMATS))
     emit_plots: bool = _field(True, _Rule(lambda v: isinstance(v, bool), "must be true or false"))
 

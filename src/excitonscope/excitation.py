@@ -31,17 +31,15 @@ import numpy as np
 
 from . import units
 from .aggregate import AggregateSpec
-from .bath import (
-    BathSpec,
-    TransportModel,
-    build_transport_matrix,
-    ground_reference,
-)
+from .bath import BathSpec, TransportModel, build_transport_matrix
 from .excitons import ExcitonEigensystem, TransitionDipoles, compute_transition_dipoles
-from .propagators import floor_widths
 from .sources import EppSource
 
 DEFAULT_POLARIZATION = (1.0, 1.0, 1.0)
+# Widths below the trigger are raised to the floor value (cm^-1), so every
+# resolvent denominator keeps a strictly positive width.
+WIDTH_FLOOR_TRIGGER = 1e-8
+WIDTH_FLOOR_VALUE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,11 @@ class PoleTable:
     ``eg``/``fg``/``fe``/``ee``/``ef`` follow the (bra-state inside ket-state)
     labelling of the pathway chains, ``ff`` holds the two-exciton population
     poles -i Gamma_f and ``modes`` the one-exciton transport eigenpoles
-    -i lambda_p.  All widths are floored at the documented epsilon when they
-    fall below the collision threshold, recorded by ``regularized``.
+    -i lambda_p.  A coherence width is gamma_ab = (Gamma_a + Gamma_b)/2 plus
+    the bath's pure dephasing, with Gamma = 0 for the ground state, and
+    ``ef`` shares the widths of ``fe``.  Every width below
+    ``WIDTH_FLOOR_TRIGGER`` is raised to ``WIDTH_FLOOR_VALUE``, which
+    ``regularized`` records.
     """
 
     eg: np.ndarray
@@ -128,28 +129,31 @@ class PoleTable:
 
     @classmethod
     def from_system(cls, system: ExcitonSystem) -> "PoleTable":
+        g1 = system.transport_one.depopulation
+        g2 = system.transport_two.depopulation
+        pure = system.bath.pure_dephasing
+        widths = {
+            "eg": 0.5 * g1 + pure,
+            "fg": 0.5 * g2 + pure,
+            "fe": 0.5 * (g2[:, None] + g1[None, :]) + pure,
+            "ee": 0.5 * (g1[:, None] + g1[None, :]) + pure,
+            "ff": g2,
+            "modes": system.transport_one.lambdas,
+        }
+        low = {name: w < WIDTH_FLOOR_TRIGGER for name, w in widths.items()}
+        g = {name: np.where(low[name], WIDTH_FLOOR_VALUE, w) for name, w in widths.items()}
+
         eig = system.eig
-        one = system.transport_one
-        two = system.transport_two
-        ground = ground_reference()
-
-        g_eg, c1 = floor_widths(one.coherence_width(ground)[:, 0])
-        g_fg, c2 = floor_widths(two.coherence_width(ground)[:, 0])
-        g_fe, c3 = floor_widths(two.coherence_width(one))
-        g_ee, c4 = floor_widths(one.coherence_width())
-        g_ff, c5 = floor_widths(two.depopulation)
-        lam, c6 = floor_widths(one.lambdas)
-
         w_fe = eig.omega_fe()
         return cls(
-            eg=eig.energies_e - 1j * g_eg,
-            fg=eig.energies_f - 1j * g_fg,
-            fe=w_fe - 1j * g_fe,
-            ee=(eig.energies_e[:, None] - eig.energies_e[None, :]) - 1j * g_ee,
-            ef=-w_fe - 1j * g_fe,
-            ff=-1j * g_ff,
-            modes=-1j * lam,
-            regularized=bool(c1 or c2 or c3 or c4 or c5 or c6),
+            eg=eig.energies_e - 1j * g["eg"],
+            fg=eig.energies_f - 1j * g["fg"],
+            fe=w_fe - 1j * g["fe"],
+            ee=(eig.energies_e[:, None] - eig.energies_e[None, :]) - 1j * g["ee"],
+            ef=-w_fe - 1j * g["fe"],
+            ff=-1j * g["ff"],
+            modes=-1j * g["modes"],
+            regularized=any(bool(mask.any()) for mask in low.values()),
         )
 
     @property

@@ -75,11 +75,11 @@ def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.allclose(h, h.T, rtol=0.0, atol=1e-9 * max(1.0, float(np.abs(h).max()))):
         raise ValueError("matrix must be symmetric")
     values, vectors = np.linalg.eigh(h)
-    for col in range(vectors.shape[1]):
-        column = vectors[:, col]
-        nonzero = np.nonzero(np.abs(column) > _SIGN_TOL)[0]
-        if nonzero.size and column[nonzero[0]] < 0.0:
-            vectors[:, col] = -column
+    # the first entry above the tolerance of each column is made positive;
+    # a unit column always has one
+    first = np.argmax(np.abs(vectors) > _SIGN_TOL, axis=0)
+    flip = vectors[first, np.arange(vectors.shape[1])] < 0.0
+    vectors[:, flip] = -vectors[:, flip]
     return values, vectors
 
 

@@ -12,9 +12,6 @@ import numpy as np
 from . import units
 from .bath import TransportModel
 
-WIDTH_FLOOR_TRIGGER = 1e-8
-WIDTH_FLOOR_VALUE = 1e-3
-
 
 def population_propagator(model: TransportModel, t_fs: float) -> np.ndarray:
     """Matrix G(t) with G(0) = I and columns conserving probability."""
@@ -35,17 +32,3 @@ def population_evolve(model: TransportModel, rho0: np.ndarray, t_fs) -> np.ndarr
     out = decay * modes[None, :] @ model.chi_right.T
     return out[0] if np.asarray(t_fs).ndim == 0 else out
 
-
-def floor_widths(gamma: np.ndarray):
-    """Replace vanishing dephasing widths by a small positive floor.
-
-    Returns the floored array and a flag telling whether anything changed.
-    Resolvent denominators need strictly positive widths to stay integrable.
-    """
-    g = np.asarray(gamma, dtype=float)
-    mask = g < WIDTH_FLOOR_TRIGGER
-    if not np.any(mask):
-        return g.copy(), False
-    out = g.copy()
-    out[mask] = WIDTH_FLOOR_VALUE
-    return out, True

@@ -185,7 +185,7 @@ def resolve_source(cfg: RunConfig, system: ExcitonSystem):
         center = s.center
         if center == "auto":
             center = 0.5 * float(system.eig.energies_f[_checked_target(cfg, system)])
-        return CoherentSource.identical(float(center), s.tau, s.scale)
+        return CoherentSource(float(center), s.tau, s.scale)
     e1, e2 = bright_pair(system)
     omega1 = float(system.eig.energies_e[e1]) if s.omega1 == "auto" else s.omega1
     omega2 = float(system.eig.energies_e[e2]) if s.omega2 == "auto" else s.omega2

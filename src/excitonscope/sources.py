@@ -1,5 +1,8 @@
 """Photon-pair and classical pulse sources as four-point correlators.
 
+The classical reference is four identical Gaussian pulses (center, width,
+scale); its correlator is a product of four pulse amplitudes.
+
 The entangled pair from a type-II down-conversion crystal carries the
 joint spectral amplitude
 
@@ -57,7 +60,7 @@ owns its data may be overwritten.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,33 +88,6 @@ def gaussian_gamma_from_tau(tau_fs: float) -> float:
     if tau_fs <= 0.0:
         raise ValueError("temporal width must be positive")
     return 1.0 / (2.0 * tau_fs * tau_fs)
-
-
-@dataclass(frozen=True)
-class GaussianPulse:
-    """Transform-limited Gaussian amplitude: center in cm^-1, width in fs."""
-
-    center: float
-    tau: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("pulse width tau must be positive")
-
-    @property
-    def gamma(self) -> float:
-        return gaussian_gamma_from_tau(self.tau)
-
-    def amplitude(self, omega):
-        """A(omega), entire in omega (cm^-1, possibly complex)."""
-        detuning = (np.asarray(omega, dtype=complex) - self.center) * units.TWO_PI_C
-        g = self.gamma
-        return self.scale * np.sqrt(np.pi / g) * np.exp(-detuning * detuning / (4.0 * g))
-
-    def amplitude_conjugate(self, omega):
-        """Analytic continuation of conj(A), i.e. conj(A(conj(omega)))."""
-        return np.conj(self.amplitude(np.conj(np.asarray(omega, dtype=complex))))
 
 
 def _scratch(omega, *readers):
@@ -270,47 +246,45 @@ class EppSource:
 
 @dataclass(frozen=True)
 class CoherentSource:
-    """Classical four-pulse reference: the correlator factorizes.
+    """Classical reference: four identical Gaussian pulses (center, width, scale).
 
-    The bra legs carry the conjugates of the fourth and third profiles
-    while both ket legs reuse the first one, matching the factorized
-    product this benchmark is defined by; the second profile is kept for
-    completeness of the four-slot interface.
+    Each field leg is the transform-limited amplitude
+
+        A(w) = scale sqrt(pi / G) exp(-(w - center)^2_ang / (4 G)),  G = 1 / (2 tau^2),
+
+    with ``center`` in cm^-1 and ``tau`` in fs, and the correlator
+    factorizes into four of them.  A has real coefficients, so the
+    conjugate continuation conj(A(conj(w))) of a conjugated leg is A itself
+    and both preparation legs are the product A(x) A(y).
     """
 
-    pulses: tuple
+    center: float
+    tau: float
+    scale: float = 1.0
 
     def __post_init__(self):
-        pulses = tuple(self.pulses)
-        if len(pulses) != 4:
-            raise ValueError("CoherentSource needs exactly four pulse profiles")
-        if not all(isinstance(p, GaussianPulse) for p in pulses):
-            raise TypeError("pulse profiles must be GaussianPulse instances")
-        object.__setattr__(self, "pulses", pulses)
+        if self.tau <= 0.0:
+            raise ValueError("pulse width tau must be positive")
 
-    @classmethod
-    def identical(cls, center: float, tau: float, scale: float = 1.0) -> "CoherentSource":
-        pulse = GaussianPulse(center=center, tau=tau, scale=scale)
-        return cls(pulses=(pulse,) * 4)
+    @property
+    def gamma(self) -> float:
+        return gaussian_gamma_from_tau(self.tau)
+
+    def amplitude(self, omega):
+        """A(omega), entire in omega (cm^-1, possibly complex)."""
+        detuning = (np.asarray(omega, dtype=complex) - self.center) * units.TWO_PI_C
+        g = self.gamma
+        return self.scale * np.sqrt(np.pi / g) * np.exp(-detuning * detuning / (4.0 * g))
 
     def four_point(self, omega4, omega3, omega2, omega1):
-        a1, a3, a4 = self.pulses[0], self.pulses[2], self.pulses[3]
-        return (
-            a4.amplitude_conjugate(omega4)
-            * a3.amplitude_conjugate(omega3)
-            * a1.amplitude(omega2)
-            * a1.amplitude(omega1)
-        )
+        """<E*(w4) E*(w3) E(w2) E(w1)> for four identical pulses."""
+        return (self.amplitude(omega4) * self.amplitude(omega3)
+                * self.amplitude(omega2) * self.amplitude(omega1))
 
-    # Conjugated pairing used by the excitation integrals; for real pulse
-    # parameters this coincides with four_point on the real axis.
     def preparation_ket(self, omega2, omega1):
-        a1 = self.pulses[0]
-        return a1.amplitude_conjugate(omega2) * a1.amplitude_conjugate(omega1)
+        return self.amplitude(omega2) * self.amplitude(omega1)
 
-    def preparation_bra(self, omega4, omega3):
-        a3, a4 = self.pulses[2], self.pulses[3]
-        return a4.amplitude(omega4) * a3.amplitude(omega3)
+    preparation_bra = preparation_ket
 
     def preparation_pair(self, ket_sum, ket_y, bra_sum, bra_y):
         """The product of the two legs, each given as (sum, second argument)."""

@@ -19,11 +19,6 @@ BOLTZMANN_CM_PER_K = 0.6950348
 DEFAULT_TEMPERATURE_K = 300.0
 
 
-def angular(nu_cm):
-    """Angular frequency in rad/fs for an energy in cm^-1."""
-    return TWO_PI_C * np.asarray(nu_cm)
-
-
 def phase(nu_cm, t_fs):
     """Phase in radians accumulated by ``nu_cm`` (cm^-1) over ``t_fs`` (fs)."""
     return TWO_PI_C * np.asarray(nu_cm) * np.asarray(t_fs)

@@ -1,10 +1,10 @@
 """Plain-loop references for the model build and the detection stage.
 
 The library builds the two-exciton Hamiltonian, the per-site occupations,
-the secular rate matrices and the factorized coincidence map from array
-expressions.  These are the same quantities written one pair at a time,
-in the order the arithmetic is done, so the array versions must reproduce
-them bit for bit.
+the secular rate matrices, the pole widths and the factorized coincidence
+map from array expressions.  These are the same quantities written one
+pair at a time, in the order the arithmetic is done, so the array versions
+must reproduce them bit for bit.
 """
 
 import math
@@ -13,6 +13,7 @@ import numpy as np
 
 from excitonscope.bath import phonon_correlation_real
 from excitonscope.coincidence import _detection_tables, _lineshape_branches
+from excitonscope.excitation import WIDTH_FLOOR_TRIGGER, WIDTH_FLOOR_VALUE
 from excitonscope.propagators import population_propagator
 
 
@@ -81,6 +82,39 @@ def loop_rate_matrix(eig, spec, bath, manifold):
     np.fill_diagonal(k, 0.0)
     np.fill_diagonal(k, -k.sum(axis=0))
     return k
+
+
+def loop_pole_table(system):
+    """Floored width of every pole family, one element at a time, and
+    whether any was floored.
+
+    gamma_ab = (Gamma_a + Gamma_b)/2 + pure dephasing with Gamma = 0 for the
+    ground state; ``ff`` holds Gamma_f and ``modes`` lambda_p.  A width
+    below the trigger is replaced by the floor value.
+    """
+    g1 = system.transport_one.depopulation
+    g2 = system.transport_two.depopulation
+    pure = system.bath.pure_dephasing
+    floored = []
+
+    def floor(width):
+        if width < WIDTH_FLOOR_TRIGGER:
+            floored.append(width)
+            return WIDTH_FLOOR_VALUE
+        return width
+
+    def coherence(gamma_a, gamma_b):
+        return floor(0.5 * (gamma_a + gamma_b) + pure)
+
+    widths = {
+        "eg": [coherence(g1[e], 0.0) for e in range(g1.size)],
+        "fg": [coherence(g2[f], 0.0) for f in range(g2.size)],
+        "fe": [[coherence(g2[f], g1[e]) for e in range(g1.size)] for f in range(g2.size)],
+        "ee": [[coherence(g1[a], g1[b]) for b in range(g1.size)] for a in range(g1.size)],
+        "ff": [floor(g2[f]) for f in range(g2.size)],
+        "modes": [floor(lam) for lam in system.transport_one.lambdas],
+    }
+    return {name: np.array(w, dtype=float) for name, w in widths.items()}, bool(floored)
 
 
 def loop_coincidence_snapshot(system, rho_ff, filter_fe, filter_eg, grid):

@@ -72,7 +72,7 @@ def feature_scale(source) -> float:
                 scales.append(2.0 / (units.TWO_PI_C * delay))
         return min(scales)
     if isinstance(source, CoherentSource):
-        return min(1.0 / (units.TWO_PI_C * p.tau) for p in source.pulses)
+        return 1.0 / (units.TWO_PI_C * source.tau)
     raise TypeError(f"unsupported source type {type(source).__name__}")
 
 
@@ -80,9 +80,7 @@ def sum_centers(source) -> tuple[float, float]:
     """Center of the ket-pair and bra-pair frequency sums."""
     if isinstance(source, EppSource):
         return source.pump_center, source.pump_center
-    ket = source.pulses[0].center * 2.0
-    bra = source.pulses[2].center + source.pulses[3].center
-    return ket, bra
+    return 2.0 * source.center, 2.0 * source.center
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def test_c5_preparation_against_quadrature(dimer):
     ee, ef = dimer.eig.energies_e, dimer.eig.energies_f
     sources = [
         EppSource(ee[0], ee[1], ef[1], 30.0, 0.0, 100.0),
-        CoherentSource.identical(ef[1] / 2.0, 60.0),
+        CoherentSource(ef[1] / 2.0, 60.0),
     ]
     for source in sources:
         closed = prepare_closed_form(dimer, source, t_fs=160.0)

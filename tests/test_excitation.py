@@ -73,7 +73,7 @@ def engine_sources(system):
         EppSource(ee[0], ee[1], ef[1], 120.0, 0.0, 20.0),
         EppSource(ee[0], ee[-1], ef[-1], 80.0, 3.0, 13.0),
         scan_source(EppSource(ee[0], ee[1], ef[1], 120.0, 0.0, 20.0), ef[-1], "degenerate"),
-        CoherentSource.identical(ef[1] / 2.0, 60.0),
+        CoherentSource(ef[1] / 2.0, 60.0),
     ]
 
 

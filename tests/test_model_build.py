@@ -5,11 +5,17 @@ import pytest
 
 from excitonscope import AggregateSpec, BathSpec, ExcitonSystem, bath
 from excitonscope.bath import build_transport_matrix, site_occupations
+from excitonscope.excitation import WIDTH_FLOOR_VALUE
 from excitonscope.excitons import build_two_exciton_hamiltonian
 from excitonscope.presets import bundled_aggregate, reference_bath
 
 from conftest import dimer_bath, make_dimer, make_trimer
-from loop_reference import loop_rate_matrix, loop_site_occupations, loop_two_exciton_hamiltonian
+from loop_reference import (
+    loop_pole_table,
+    loop_rate_matrix,
+    loop_site_occupations,
+    loop_two_exciton_hamiltonian,
+)
 from test_acceptance import generic_aggregate
 
 BROWNIAN_BATH = BathSpec(2.0, 60.0, ((1.5, 740.0, 30.0),), 77.0)
@@ -84,3 +90,25 @@ def test_one_correlation_call_per_manifold(monkeypatch, manifold):
     monkeypatch.setattr(bath, "phonon_correlation_real", counted)
     build_transport_matrix(system.eig, spec, dimer_bath(), manifold)
     assert len(calls) == 1
+
+
+POLE_CASES = {
+    "bundled": (bundled_aggregate, reference_bath()),
+    # no bath coupling: every width of every family is floored
+    "isolated": (make_dimer, BathSpec(0.0, 40.0, (), 77.0)),
+    "dephased": (make_dimer, BathSpec(0.4, 40.0, ((1.5, 740.0, 30.0),), 77.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POLE_CASES))
+def test_pole_widths_match_loop(case):
+    factory, bath_spec = POLE_CASES[case]
+    system = ExcitonSystem.build(factory(), bath_spec)
+    poles = system.poles
+    widths, regularized = loop_pole_table(system)
+    for name in ("eg", "fg", "fe", "ee", "ff", "modes"):
+        assert np.array_equal(-getattr(poles, name).imag, widths[name]), name
+    assert np.array_equal(-poles.ef.imag, widths["fe"])
+    assert poles.regularized == regularized
+    if case == "isolated":
+        assert all(np.all(w == WIDTH_FLOOR_VALUE) for w in widths.values())

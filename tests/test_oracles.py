@@ -57,14 +57,13 @@ def test_oracles_are_not_public():
         importlib.import_module("excitonscope.quadrature")
     assert excitonscope.__all__ == [
         "AggregateSpec", "BathSpec", "CoherentSource", "EppSource",
-        "ExcitonEigensystem", "ExcitonSystem", "FilterSpec", "GaussianPulse",
-        "PairIndex", "PreparationResult", "ScanResult", "SignalGrid",
-        "TransitionDipoles", "TransportModel", "build_one_exciton_hamiltonian",
+        "ExcitonEigensystem", "ExcitonSystem", "FilterSpec", "PairIndex",
+        "PreparationResult", "ScanResult", "SignalGrid", "TransitionDipoles",
+        "TransportModel", "build_one_exciton_hamiltonian",
         "build_transport_matrix", "build_two_exciton_hamiltonian",
         "bundled_aggregate", "bundled_system", "coincidence_snapshot",
-        "compute_transition_dipoles", "filtered_lineshape", "ground_reference",
-        "jsi_map", "parameter_study", "population_evolve",
-        "population_propagator", "prepare_closed_form", "reference_bath",
-        "scan_source", "scan_targets", "spectral_density", "spectrogram",
-        "__version__",
+        "compute_transition_dipoles", "filtered_lineshape", "jsi_map",
+        "parameter_study", "population_evolve", "population_propagator",
+        "prepare_closed_form", "reference_bath", "scan_source", "scan_targets",
+        "spectral_density", "spectrogram", "__version__",
     ]

@@ -5,13 +5,8 @@ import pytest
 
 from scipy.linalg import expm
 
-from excitonscope import BathSpec, population_evolve, population_propagator
+from excitonscope import population_evolve, population_propagator
 from excitonscope.bath import eigendecompose_transport
-from excitonscope.propagators import (
-    WIDTH_FLOOR_TRIGGER,
-    WIDTH_FLOOR_VALUE,
-    floor_widths,
-)
 from excitonscope.units import TWO_PI_C, beta_cm
 
 
@@ -113,27 +108,3 @@ def test_general_eigendecomposition_agrees_with_symmetrized():
     phase = TWO_PI_C * 80.0
     g = (right * np.exp(-lam * phase)[None, :] / dpp[None, :]) @ left
     np.testing.assert_allclose(g, expm(-k * phase), atol=1e-9)
-
-
-def test_floor_widths():
-    gamma = np.array([0.5, 1e-9, 0.0, 2.0])
-    floored, changed = floor_widths(gamma)
-    assert changed
-    np.testing.assert_allclose(floored, [0.5, WIDTH_FLOOR_VALUE, WIDTH_FLOOR_VALUE, 2.0])
-    ok = np.array([0.5, 2.0])
-    same, untouched = floor_widths(ok)
-    assert not untouched
-    np.testing.assert_array_equal(same, ok)
-    assert WIDTH_FLOOR_TRIGGER < WIDTH_FLOOR_VALUE
-
-
-def test_isolated_states_flagged():
-    from excitonscope.bath import build_transport_matrix
-    from excitonscope.excitons import ExcitonEigensystem
-    from conftest import make_dimer
-
-    # at vanishing coupling to the bath nothing moves
-    spec = make_dimer()
-    eig = ExcitonEigensystem.from_spec(spec)
-    model = build_transport_matrix(eig, spec, BathSpec(0.0, 40.0, (), 77.0), "one")
-    assert len(model.isolated_states) == eig.n_one
