@@ -181,13 +181,18 @@ def coincidence_snapshot(
     populations_f = population_propagator(system.transport_two, grid.t_wait_two) @ rho
     green_e = population_propagator(system.transport_one, grid.t_wait_one)
 
-    # two-exciton side: all f' emitters feeding each shared e, both branches
-    pos, neg = _lineshape_branches(
-        grid.omega_fe, w_fe[:, :, None], g_fe[:, :, None],
-        filter_fe.sigma_omega, filter_fe.sigma_t,
-    )
+    # two-exciton side: all f' emitters feeding each shared e, both
+    # branches, one e at a time so that no temporary spans (f', e, omega)
     weight = populations_f[:, None] * dd_fe
-    side_fe = (weight[..., None] * (pos + neg)).sum(axis=0)
+    side_fe = np.empty((system.n_one, grid.omega_fe.size), dtype=complex)
+    for e in range(system.n_one):
+        pos, neg = _lineshape_branches(
+            grid.omega_fe, w_fe[:, e, None], g_fe[:, e, None],
+            filter_fe.sigma_omega, filter_fe.sigma_t,
+        )
+        pos += neg
+        pos *= weight[:, e, None]
+        side_fe[e] = pos.sum(axis=0)
 
     # one-exciton side: transport from the shared e to the emitter e'
     pos, _ = _lineshape_branches(

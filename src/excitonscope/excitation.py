@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -249,14 +249,31 @@ def pathway_weights(system: ExcitonSystem):
     return w.coherent, w_transport, w.coherence
 
 
+def _contract(*operands):
+    """sum over every axis but f of the product of labelled arrays, as (N_f,)."""
+    subscripts = ",".join(axes for axes, _ in operands) + "->f"
+    arrays = [array for _, array in operands]
+    path = _contraction_path(subscripts, tuple(a.shape for a in arrays))
+    return np.einsum(subscripts, *arrays, optimize=path)
+
+
+@lru_cache(maxsize=256)
+def _contraction_path(subscripts: str, shapes: tuple) -> list:
+    """The greedy einsum contraction order for operands of these shapes."""
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+
+
 def _closed_pathways(z: PoleTable, w: PathwayWeights, source):
     """Five pathway partial sums (without the decay prefactor), each (N_f,).
 
     The fully coherent ladder p1 factorizes into a ket sum and a bra sum,
     so it takes the two legs separately.  p2-p5 take one
-    ``source.preparation_pair`` call each, every leg as its sum frequency
-    and second argument, each built at the rank its poles need; the
-    comments give the shapes on the pathway's axes.
+    ``source.pair_factors(ket_x, ket_y, bra_x, bra_y)`` call each, every
+    argument a list of terms ``(axes, array)`` labelled by the pathway's
+    axes, and contract its weights with the returned factors in one
+    ``einsum``.  A pole that cancels in a leg's sum x + y appears in both
+    of its arguments with opposite signs.
     """
     # p1 on axes (f, e): ket (f, e) with (e,), bra (f, e) with (f, e)
     ket1 = source.preparation_ket(z.fg[:, None] - z.eg[None, :], z.eg)
@@ -265,51 +282,28 @@ def _closed_pathways(z: PoleTable, w: PathwayWeights, source):
 
     # transport pathways on axes (f, e, u, p): the middle interval is a
     # one-exciton population summed over eigenmodes p, with the fourth
-    # interaction on the ket (p2) or the bra (p4) side.  The ket's second
-    # argument eg varies with e alone, the bra's, eg - zp, with (e, p).
-    zp = z.modes
-    eg = z.eg[None, :, None, None]
-    eg_p = (z.eg[:, None] - zp[None, :])[None, :, None, :]
-
-    # p2: both sums are (f, e, u, p), (fe - zp) + eg and (fe - ff) + (eg - zp)
-    pair = source.preparation_pair(
-        (z.fe[:, None, :, None] - zp) + eg, eg,
-        (z.fe - z.ff[:, None])[:, None, :, None] + eg_p, eg_p,
-    )
-    # plain einsum: the optimized path would copy the 4-D pair to transpose it
-    p2 = np.einsum("fu,eup,feup->f", w.fe_squared, w.transport, pair)
-    del pair
-
-    # p4: both sums are (f, e, u, 1), (ff - ef) + eg and eg - ef; the mode
-    # pole cancels in the bra's sum (zp - ef) + (eg - zp)
-    pair = source.preparation_pair(
-        (z.ff[:, None] - z.ef)[:, None, :, None] + eg, eg,
-        eg - z.ef[:, None, :, None], eg_p,
-    )
-    p4 = np.einsum("fu,eup,feup->f", w.fe_squared, w.transport, pair)
-    del pair
+    # interaction on the ket (p2) or the bra (p4) side
+    transport = [("fu", w.fe_squared), ("eup", w.transport)]
+    eg, zp = ("e", z.eg), ("p", z.modes)
+    minus_zp = ("p", -z.modes)
+    # p2: ket (fe - zp, eg), bra (fe - ff, eg - zp)
+    p2 = _contract(*transport, *source.pair_factors(
+        [("fu", z.fe), minus_zp], [eg], [("fu", z.fe - z.ff[:, None])], [eg, minus_zp]))
+    # p4: ket (ff - ef, eg), bra (zp - ef, eg - zp)
+    p4 = _contract(*transport, *source.pair_factors(
+        [("fu", z.ff[:, None] - z.ef)], [eg], [zp, ("fu", -z.ef)], [eg, minus_zp]))
 
     # coherence pathways on axes (f, a, b): the middle interval is an
     # off-diagonal one-exciton coherence a-b, again with ket- and bra-sided
-    # completion.  The ket's second argument eg varies with a alone, the
-    # bra's, eg - ee, with (a, b).
-    eg_a = z.eg[:, None]
-    eg_ab = eg_a - z.ee
-
-    # p3: both sums are (f, a, b), (fe - ee) + eg and (fe - ff) + (eg - ee)
-    pair = source.preparation_pair(
-        (z.fe[:, None, :] - z.ee[None, :, :]) + eg_a, eg_a,
-        (z.fe - z.ff[:, None])[:, None, :] + eg_ab, eg_ab,
-    )
-    p3 = np.einsum("fab,fab->f", w.coherence, pair, optimize=True)
-
-    # p5: both sums are (f, a, 1), (ff - ef) + eg and eg - ef; the coherence
-    # pole cancels in the bra's sum (ee - ef) + (eg - ee)
-    pair = source.preparation_pair(
-        (z.ff[:, None] - z.ef)[:, :, None] + eg_a, eg_a,
-        eg_a - z.ef[:, :, None], eg_ab,
-    )
-    p5 = np.einsum("fab,fab->f", w.coherence, pair, optimize=True)
+    # completion
+    coherence = ("fab", w.coherence)
+    eg, ee, minus_ee = ("a", z.eg), ("ab", z.ee), ("ab", -z.ee)
+    # p3: ket (fe - ee, eg), bra (fe - ff, eg - ee)
+    p3 = _contract(coherence, *source.pair_factors(
+        [("fb", z.fe), minus_ee], [eg], [("fb", z.fe - z.ff[:, None])], [eg, minus_ee]))
+    # p5: ket (ff - ef, eg), bra (ee - ef, eg - ee)
+    p5 = _contract(coherence, *source.pair_factors(
+        [("fa", z.ff[:, None] - z.ef)], [eg], [ee, ("fa", -z.ef)], [eg, minus_ee]))
 
     return np.stack([p1, p2, p3, p4, p5])
 
@@ -321,7 +315,8 @@ def _diagnostics(partials: np.ndarray) -> dict:
     net = float(np.abs(partials.sum(axis=0)).sum())
     return {
         "pathway_abs_sums": {f"p{k + 1}": float(m) for k, m in enumerate(magnitudes.sum(axis=1))},
-        "cancellation_ratio": net / total if total > 0.0 else 1.0,
+        # the triangle inequality bounds the ratio by 1; rounding may not
+        "cancellation_ratio": min(net / total, 1.0) if total > 0.0 else 1.0,
     }
 
 
@@ -357,10 +352,15 @@ def prepare_closed_form(
 
 @dataclass
 class ScanResult:
-    """Row-per-target preparation map over the two-exciton manifold."""
+    """Row-per-target preparation map over the two-exciton manifold.
+
+    ``populations`` holds each target's clipped prepared distribution
+    (``PreparationResult.populations``) and ``matrix`` the same rows
+    max-normalized.
+    """
 
     matrix: np.ndarray
-    raw: np.ndarray
+    populations: np.ndarray
     targets: np.ndarray
     target_energies: np.ndarray
     selectivity: np.ndarray
@@ -395,13 +395,13 @@ def scan_targets(
 ) -> ScanResult:
     """Prepare every requested target in turn and stack the distributions.
 
-    Rows are max-normalized for rendering; ``raw`` keeps the unnormalized
-    values and ``selectivity`` the ratio of target population to total row
-    mass, which is normalization-invariant.  The pole table and dipole
-    weights do not depend on the source and are built once per system.
-    Targets are independent, so with ``threads > 1`` they are evaluated in
-    a thread pool; rows are assembled by index and the result is bitwise
-    independent of the thread count.
+    Rows are max-normalized for rendering; ``populations`` keeps the
+    unnormalized clipped distributions and ``selectivity`` the ratio of
+    target population to total row mass, which is normalization-invariant.
+    The pole table and dipole weights do not depend on the source and are
+    built once per system.  Targets are independent, so with
+    ``threads > 1`` they are evaluated in a thread pool; rows are assembled
+    by index and the result is bitwise independent of the thread count.
     """
     if targets is None:
         targets = np.arange(system.n_two)
@@ -422,21 +422,19 @@ def scan_targets(
     else:
         results = [prepare_one(energy) for energy in energies]
 
-    raw = np.zeros((targets.size, system.n_two))
-    for row, result in enumerate(results):
-        raw[row] = result.populations
-
-    peaks = raw.max(axis=1)
+    populations = np.stack([result.populations for result in results])
+    peaks = populations.max(axis=1)
     safe = np.where(peaks > 0.0, peaks, 1.0)
-    matrix = raw / safe[:, None]
+    matrix = populations / safe[:, None]
 
-    mass = raw.sum(axis=1)
+    mass = populations.sum(axis=1)
     selectivity = np.where(
-        mass > 0.0, raw[np.arange(targets.size), targets] / np.where(mass > 0.0, mass, 1.0), 0.0
+        mass > 0.0,
+        populations[np.arange(targets.size), targets] / np.where(mass > 0.0, mass, 1.0), 0.0
     )
     return ScanResult(
         matrix=matrix,
-        raw=raw,
+        populations=populations,
         targets=targets,
         target_energies=energies,
         selectivity=selectivity,

@@ -42,24 +42,29 @@ The preparation engine talks to a source through three methods:
 
 - ``preparation_ket(x, y)`` and ``preparation_bra(x, y)``, one field leg
   each; the engine's factorized coherent pathway calls them directly.
-- ``preparation_pair(ket_sum, ket_y, bra_sum, bra_y)``, the product
-  ``preparation_ket(ket_sum - ket_y, ket_y) *
-  preparation_bra(bra_sum - bra_y, bra_y)`` for every other pathway.
-  Each leg comes as its sum frequency s = x + y and its second argument
-  y.  The pump of a pair source depends on s alone, and the engine builds
-  each s at the rank its poles really have (a pole that cancels in the
-  sum never enters it), so the pump costs one ``exp`` per point of the
-  sums' shape, not of the full pathway grid.
+  Both broadcast their arguments against each other.
+- ``pair_factors(ket_x, ket_y, bra_x, bra_y)``, the product
+  ``preparation_ket(x, y) * preparation_bra(x', y')`` for every other
+  pathway, returned as a list of factors.  Each argument and each factor
+  is labelled: an argument is a list of terms ``(axes, array)`` whose sum
+  it is, and a factor is one ``(axes, array)``, with one array dimension
+  per character of ``axes``, each of the axis's full size.  The engine
+  multiplies the factors and its weights and sums over the pathway's axes
+  in one ``einsum``, so no factor is broadcast to the full pathway grid
+  unless the source returns it so.
 
-All three broadcast their arguments against each other: the engine
-passes each argument at its own, usually lower, rank and the result takes
-the broadcast shape.  The sums handed to ``preparation_pair`` are built
-for that one call, and a source may compute in them: a complex array that
-owns its data may be overwritten.
+The classical pulse factors for free: each leg is A(x) A(y), and each
+amplitude lives on its own argument's axes.  The pump of the pair source
+depends on the sum frequency s = x + y alone, and exp(kappa (s - w_p)^2)
+of a sum of terms on different axes is an exact product of factors, one
+per set of axes that two terms span together (``EppSource._pump_factors``).
+With T1 = 0 the phase matching depends on the second argument alone, so
+no factor spans more axes than a pair of terms.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +72,11 @@ import numpy as np
 from . import units
 
 _SINC_SERIES_RADIUS = 1e-4
+# Largest real part a factored pump exponent may have (see
+# ``EppSource.pair_factors``).  Below it no factor overflows, and factors
+# that compensate each other do so within e^50, which costs their product
+# about 50 eps of rounding.
+_FACTOR_EXPONENT_BOUND = 50.0
 
 
 def _expm1_ratio(w):
@@ -90,25 +100,45 @@ def gaussian_gamma_from_tau(tau_fs: float) -> float:
     return 1.0 / (2.0 * tau_fs * tau_fs)
 
 
-def _scratch(omega, *readers):
-    """``omega`` itself if a result may be built in it, else None.
+def on_axes(axes: str, labelled):
+    """A labelled array ``(own, array)`` as a view on ``axes``.
 
-    That holds for a complex array that owns its data, as the engine's sums
-    do, and shares no memory with an argument still to be read.
+    ``array`` has one dimension per character of ``own``; the view orders
+    them as in ``axes`` and has size 1 on every axis ``own`` lacks.
     """
-    if (isinstance(omega, np.ndarray) and omega.dtype == complex and omega.base is None
-            and omega.flags.writeable
-            and not any(np.may_share_memory(omega, r) for r in readers)):
-        return omega
-    return None
+    own, array = labelled
+    array = np.asarray(array)
+    kept = [c for c in axes if c in own]
+    array = array.transpose([own.index(c) for c in kept])
+    sizes = iter(array.shape)
+    return array.reshape([next(sizes) if c in own else 1 for c in axes])
 
 
-def _into(ufunc, a, b):
-    """ufunc(a, b), written into the array ``a`` when it has the broadcast shape."""
-    a = np.asarray(a)
-    if a.shape == np.broadcast_shapes(a.shape, np.shape(b)):
-        return ufunc(a, b, out=a)
-    return ufunc(a, b)
+def _grid(terms):
+    """The union of the terms' axes and the size of each."""
+    sizes = {}
+    for axes, array in terms:
+        sizes.update(zip(axes, np.shape(array)))
+    return "".join(sizes), tuple(sizes.values())
+
+
+def labelled_sum(terms):
+    """The sum of labelled terms, labelled by the union of their axes."""
+    axes, _ = _grid(terms)
+    return axes, sum(on_axes(axes, term) for term in terms)
+
+
+def _merged(terms):
+    """The terms with equal axis sets summed, and those that cancel to zero dropped."""
+    by_axes = {}
+    for own, array in terms:
+        key = frozenset(own)
+        if key in by_axes:
+            axes, total = by_axes[key]
+            by_axes[key] = (axes, total + on_axes(axes, (own, array)))
+        else:
+            by_axes[key] = (own, np.asarray(array))
+    return [(axes, total) for axes, total in by_axes.values() if total.any()]
 
 
 @dataclass(frozen=True)
@@ -124,9 +154,16 @@ class EppSource:
     pump costs one ``exp`` on the shape of the sum, each phase-matching
     branch one ``expm1`` on the shape of the arguments it depends on (the
     second argument alone when ``t1 == 0``); the conjugate leg flips the
-    sign of 2 i phi instead of conjugating.  ``preparation_pair`` adds the
-    two legs' pump exponents, so a ket-bra pair costs one pump ``exp``.
-    All methods broadcast their frequency arguments against each other.
+    sign of 2 i phi instead of conjugating.  The legs broadcast their
+    frequency arguments against each other.
+
+    ``pair_factors`` returns a ket-bra pair as labelled factors.  With
+    ``t1 == 0`` these are the pump, factored by the axis sets its sum
+    frequencies' terms span in pairs, and one phase-matching factor per
+    leg on its second argument's axes, so no factor has more axes than
+    two terms together.  Otherwise, or when a factor's exponent would
+    pass ``_FACTOR_EXPONENT_BOUND``, the pair is one factor on all the
+    axes of its arguments, with one pump ``exp`` per point.
     """
 
     omega1: float
@@ -154,10 +191,10 @@ class EppSource:
     def pump_gamma(self) -> float:
         return gaussian_gamma_from_tau(self.tau_pump)
 
-    def _pump_exponent(self, omega, out=None):
-        """ln(A_p(omega) / (e0 sqrt(pi/G))), written into ``out`` if given."""
+    def _pump_exponent(self, omega):
+        """ln(A_p(omega) / (e0 sqrt(pi/G)))."""
         # i^2 in the squared scaled detuning gives the Gaussian's exponent
-        d = np.subtract(omega, self.pump_center, out=out, dtype=complex)
+        d = np.subtract(omega, self.pump_center, dtype=complex)
         d *= 0.5j * units.TWO_PI_C / np.sqrt(self.pump_gamma)
         d *= d
         return d
@@ -172,9 +209,10 @@ class EppSource:
     def _matching(self, s, wb, sign):
         """Sum over branches of expm1(2 i sign phi_r) / (2 i sign phi_r).
 
-        ``s`` is the sum frequency wa + wb.  sign = +1 gives F's
-        phase-matching factor, -1 its conjugate leg.  2 i phi_r is built
-        per axis, and a zero T1 or entanglement time adds no term.
+        ``s`` is the sum frequency wa + wb, unused when ``t1 == 0``.
+        sign = +1 gives F's phase-matching factor, -1 its conjugate leg.
+        2 i phi_r is built per axis, and a zero T1 or entanglement time
+        adds no term.
         """
         k = sign * 1j * units.TWO_PI_C
         t_ent = self.entanglement_time
@@ -226,22 +264,89 @@ class EppSource:
     def preparation_bra(self, omega4, omega3):
         return self.jsa(omega4, omega3)
 
-    def preparation_pair(self, ket_sum, ket_y, bra_sum, bra_y):
-        """preparation_ket(ket_sum - ket_y, ket_y) * preparation_bra(bra_sum - bra_y, bra_y).
-
-        The two pump Gaussians multiply by adding their exponents, so the
-        pair costs one ``exp`` per point of the sums' broadcast shape.  The
-        matching factors are built first, per axis; the exponent is then
-        built in the sum arrays themselves when they are complex arrays
-        that own their data, and the result takes the place of ``ket_sum``
-        when that has the full broadcast shape.
-        """
+    def pair_factors(self, ket_x, ket_y, bra_x, bra_y):
+        """preparation_ket(x, y) * preparation_bra(x', y') as labelled
+        factors, as the class docstring describes."""
         scale = (self.alpha * self.e0) ** 2 * (np.pi / self.pump_gamma)
-        factor = scale * self._matching(ket_sum, ket_y, -1.0) * self._matching(bra_sum, bra_y, 1.0)
-        exponent = self._pump_exponent(ket_sum, _scratch(ket_sum, bra_sum))
-        exponent = _into(np.add, exponent, self._pump_exponent(bra_sum, _scratch(bra_sum)))
-        np.exp(exponent, out=exponent)
-        return _into(np.multiply, exponent, factor)[()]
+        pump = None if self.t1 else self._pump_factors(ket_x + ket_y, bra_x + bra_y)
+        if pump is not None:
+            (ket_axes, ket_w), (bra_axes, bra_w) = labelled_sum(ket_y), labelled_sum(bra_y)
+            ket_matching = scale * self._matching(None, ket_w, -1.0)
+            return [*pump, (ket_axes, np.broadcast_to(ket_matching, ket_w.shape)),
+                    (bra_axes, np.broadcast_to(self._matching(None, bra_w, 1.0), bra_w.shape))]
+        axes, shape = _grid(ket_x + ket_y + bra_x + bra_y)
+        ket_s, bra_s = (sum(on_axes(axes, t) for t in _merged(leg))
+                        for leg in (ket_x + ket_y, bra_x + bra_y))
+        ket_w, bra_w = (sum(on_axes(axes, t) for t in leg) for leg in (ket_y, bra_y))
+        # one array on all the axes at full size, built in place from here on
+        pair = np.multiply(self._matching(ket_s, ket_w, -1.0), self._matching(bra_s, bra_w, 1.0),
+                           out=np.empty(shape, dtype=complex))
+        exponent = self._pump_exponent(ket_s) + self._pump_exponent(bra_s)
+        pair *= np.exp(exponent, out=exponent)
+        pair *= scale
+        return [(axes, pair)]
+
+    def _pump_factors(self, *sums):
+        """The product of exp(kappa (s - pump_center)^2) over the sums s, as
+        labelled factors, or None where a factor would exceed the bound.
+
+        kappa = -(2 pi c)^2 / (4 G), and each sum is a list of labelled
+        terms, centred by ``_centred``.  The square of a sum expands into
+        one product per pair of its terms, on the union of the pair's axes.
+        Every axis set of a product that no other contains is one factor,
+        and each product goes into the first factor whose axes hold its
+        own.  Where the products a sum puts into one factor are all the
+        pairs of some of its terms, their share is the square of those
+        terms' sum, with no cancellation between the products.  Returns
+        None when the real part of a factor's exponent exceeds
+        ``_FACTOR_EXPONENT_BOUND``.
+        """
+        kappa = -((0.5 * units.TWO_PI_C) ** 2) / self.pump_gamma
+        legs = [self._centred(terms) for terms in sums]
+        pairs = [(k, i, j, _grid([leg[i], leg[j]])[0])
+                 for k, leg in enumerate(legs)
+                 for i, j in itertools.combinations_with_replacement(range(len(leg)), 2)]
+        homes = {}
+        for *_, axes in pairs:
+            if not any(set(axes) < set(other) for *_, other in pairs):
+                homes.setdefault(frozenset(axes), axes)
+        shares = {}
+        for k, i, j, axes in pairs:
+            home = next(h for key, h in homes.items() if key >= set(axes))
+            shares.setdefault((home, k), []).append((i, j))
+        sizes = dict(zip(*_grid([term for leg in legs for term in leg])))
+        exponents = {home: np.zeros([sizes[c] for c in home], dtype=complex)
+                     for home in homes.values()}
+        for (home, k), share in shares.items():
+            terms = {n: on_axes(home, legs[k][n]) for pair in share for n in pair}
+            if len(share) == len(terms) * (len(terms) + 1) // 2:
+                # all pairs of these terms: their share is the square of their sum
+                total = sum(terms.values())
+                total *= total
+                total *= kappa
+                exponents[home] += total
+            else:
+                for i, j in share:
+                    exponents[home] += ((kappa if i == j else 2.0 * kappa) * terms[i]) * terms[j]
+        if any(e.real.max() > _FACTOR_EXPONENT_BOUND for e in exponents.values()):
+            return None
+        return [(axes, np.exp(e, out=e)) for axes, e in exponents.items()]
+
+    def _centred(self, terms):
+        """The merged terms of a sum less their real means, widest first,
+        so that the largest products share the first factor and are squared
+        together there; the widest also less the rest of the pump center.
+
+        The means are rounded to whole wavenumbers, so their sum and its
+        difference to a nearby pump center are exact in floating point.
+        """
+        terms = _merged(terms)
+        means = [np.round(np.mean(t.real)) for _, t in terms]
+        centred = sorted(((own, t - mean) for (own, t), mean in zip(terms, means)),
+                         key=lambda term: -np.abs(term[1]).max())
+        own, widest = centred[0]
+        centred[0] = (own, widest + (sum(means) - self.pump_center))
+        return centred
 
 
 @dataclass(frozen=True)
@@ -286,10 +391,13 @@ class CoherentSource:
 
     preparation_bra = preparation_ket
 
-    def preparation_pair(self, ket_sum, ket_y, bra_sum, bra_y):
-        """The product of the two legs, each given as (sum, second argument)."""
-        return (self.preparation_ket(ket_sum - ket_y, ket_y)
-                * self.preparation_bra(bra_sum - bra_y, bra_y))
+    def pair_factors(self, ket_x, ket_y, bra_x, bra_y):
+        """A(x) A(y) A(x') A(y'), one factor per argument on that argument's axes."""
+        factors = []
+        for terms in (ket_x, ket_y, bra_x, bra_y):
+            axes, omega = labelled_sum(terms)
+            factors.append((axes, self.amplitude(omega)))
+        return factors
 
 
 def jsi_map(source: EppSource, omega_a_grid, omega_b_grid) -> np.ndarray:

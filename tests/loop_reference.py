@@ -1,10 +1,12 @@
-"""Plain-loop references for the model build and the detection stage.
+"""Plain-loop references for the model build, the transport pathways and the detection stage.
 
 The library builds the two-exciton Hamiltonian, the per-site occupations,
 the secular rate matrices, the pole widths and the factorized coincidence
 map from array expressions.  These are the same quantities written one
 pair at a time, in the order the arithmetic is done, so the array versions
-must reproduce them bit for bit.
+must reproduce them bit for bit.  The transport pathways of the
+preparation are written the same way in extended precision, as the
+reference for the closed form's rounding.
 """
 
 import math
@@ -15,6 +17,7 @@ from excitonscope.bath import phonon_correlation_real
 from excitonscope.coincidence import _detection_tables, _lineshape_branches
 from excitonscope.excitation import WIDTH_FLOOR_TRIGGER, WIDTH_FLOOR_VALUE
 from excitonscope.propagators import population_propagator
+from excitonscope.units import TWO_PI_C
 
 
 def loop_two_exciton_hamiltonian(spec, pairs):
@@ -150,3 +153,53 @@ def loop_coincidence_snapshot(system, rho_ff, filter_fe, filter_eg, grid):
     if peak > 0.0:
         signal = signal / peak
     return np.clip(signal, 0.0, None), int(np.count_nonzero(signal < 0.0))
+
+
+def extended_transport_pathways(system, source):
+    """p2 and p4 of an ``EppSource`` at t = 0, one (f, e, u, p) term at a
+    time in ``np.clongdouble``, each with its summed term magnitudes.
+
+    The poles and weights are the library's float64 values; every pole
+    difference, sum frequency, pump Gaussian and phase-matching branch is
+    evaluated in extended precision, so the result carries none of the
+    float64 rounding of sum frequencies near 2.4e4 cm^-1.
+    """
+    z = system.poles
+    w = system.weights
+    cx = np.clongdouble
+    two_pi_c = np.longdouble(TWO_PI_C)
+    gamma = 1 / (2 * np.longdouble(source.tau_pump) ** 2)
+    kappa = -(two_pi_c / 2) ** 2 / gamma
+    amplitude = (np.longdouble(source.alpha) * np.longdouble(source.e0)
+                 * np.sqrt(np.longdouble(np.pi) / gamma))
+    t1 = np.longdouble(source.t1)
+    t_ent = np.longdouble(source.t2) - t1
+
+    def leg(x, y, sign):
+        s = x + y
+        matching = cx(0)
+        for reference in (source.omega1, source.omega2):
+            r = np.longdouble(reference)
+            arg = sign * 1j * two_pi_c * (t1 * (s - 2 * r) + t_ent * (y - r))
+            matching += np.expm1(arg) / arg if arg != 0 else cx(1)
+        return amplitude * np.exp(kappa * (s - np.longdouble(source.pump_center)) ** 2) * matching
+
+    fe, ff, ef, eg, modes = (z.fe.astype(cx), z.ff.astype(cx), z.ef.astype(cx),
+                             z.eg.astype(cx), z.modes.astype(cx))
+    fe_squared = w.fe_squared.astype(np.longdouble)
+    transport = w.transport.astype(np.longdouble)
+    n_f, n_e = z.fe.shape
+    sums = np.zeros((2, n_f), dtype=cx)
+    mags = np.zeros((2, n_f), dtype=np.longdouble)
+    for f in range(n_f):
+        for e in range(n_e):
+            for u in range(n_e):
+                for p in range(modes.size):
+                    weight = fe_squared[f, u] * transport[e, u, p]
+                    bra_y = eg[e] - modes[p]
+                    terms = (leg(fe[f, u] - modes[p], eg[e], -1) * leg(fe[f, u] - ff[f], bra_y, 1),
+                             leg(ff[f] - ef[f, u], eg[e], -1) * leg(modes[p] - ef[f, u], bra_y, 1))
+                    for k, term in enumerate(terms):
+                        sums[k, f] += weight * term
+                        mags[k, f] += abs(weight * term)
+    return sums, mags

@@ -17,9 +17,11 @@ from excitonscope import (
 )
 from excitonscope.bath import BathSpec
 from excitonscope.excitation import PoleTable, pathway_weights
+from excitonscope.sources import _grid, on_axes
 from excitonscope.units import TWO_PI_C
 
-from conftest import dimer_bath, make_dimer
+from conftest import dimer_bath, make_dimer, make_trimer
+from loop_reference import extended_transport_pathways
 
 
 def dimer_source(system, **kw):
@@ -34,7 +36,8 @@ def dimer_source(system, **kw):
 
 
 class BroadcastingSource:
-    """Hands the wrapped source all its arguments at their broadcast shape."""
+    """Hands the engine every leg and every pair factor of the wrapped
+    source at the full shape of its pathway grid."""
 
     def __init__(self, source):
         self.source = source
@@ -45,16 +48,18 @@ class BroadcastingSource:
     def preparation_bra(self, x, y):
         return self.source.preparation_bra(*np.broadcast_arrays(x, y))
 
-    def preparation_pair(self, ket_sum, ket_y, bra_sum, bra_y):
-        return self.source.preparation_pair(*np.broadcast_arrays(ket_sum, ket_y, bra_sum, bra_y))
+    def pair_factors(self, *arguments):
+        axes, shape = _grid([term for terms in arguments for term in terms])
+        return [(axes, np.broadcast_to(on_axes(axes, factor), shape))
+                for factor in self.source.pair_factors(*arguments)]
 
 
 class RecordingSource:
-    """Records the shapes of the sums the engine passes to each pair call."""
+    """Records the axes and shapes of the factors of each pair call."""
 
     def __init__(self, source):
         self.source = source
-        self.sums = []
+        self.factors = []
 
     def preparation_ket(self, x, y):
         return self.source.preparation_ket(x, y)
@@ -62,9 +67,10 @@ class RecordingSource:
     def preparation_bra(self, x, y):
         return self.source.preparation_bra(x, y)
 
-    def preparation_pair(self, ket_sum, ket_y, bra_sum, bra_y):
-        self.sums.append((np.shape(ket_sum), np.shape(bra_sum)))
-        return self.source.preparation_pair(ket_sum, ket_y, bra_sum, bra_y)
+    def pair_factors(self, *arguments):
+        factors = self.source.pair_factors(*arguments)
+        self.factors.append([(axes, np.shape(array)) for axes, array in factors])
+        return factors
 
 
 def engine_sources(system):
@@ -74,6 +80,7 @@ def engine_sources(system):
         EppSource(ee[0], ee[-1], ef[-1], 80.0, 3.0, 13.0),
         scan_source(EppSource(ee[0], ee[1], ef[1], 120.0, 0.0, 20.0), ef[-1], "degenerate"),
         CoherentSource(ef[1] / 2.0, 60.0),
+        EppSource(ee[0], ee[1], ef[1], 120.0, 0.0, 0.0),
     ]
 
 
@@ -120,25 +127,68 @@ def test_pathways_match_plain_loops(system_name, request):
 
 @pytest.mark.parametrize("system_name", ["dimer_system", "trimer_system"])
 def test_lower_rank_arguments_match_broadcast_evaluation(system_name, request):
+    # the contraction order follows the factors' ranks, so the two sums
+    # round differently, by a multiple of eps of their summed term
+    # magnitudes: p2 cancels by up to 9e4 on the trimer
     system = request.getfixturevalue(system_name)
+    decay = np.exp(-system.poles.gamma_ff * TWO_PI_C * 40.0)
     for source in engine_sources(system):
         direct = prepare_closed_form(system, source, t_fs=40.0).pathway_partials
         broadcast = prepare_closed_form(system, BroadcastingSource(source), t_fs=40.0).pathway_partials
-        scale = np.abs(broadcast).sum(axis=0)
-        assert np.all(scale > 0.0)
-        assert np.all(np.abs(direct - broadcast) <= 1e-13 * scale[None, :]), source
+        scale = loop_pathways(system, source)[1] * decay
+        assert np.all(scale.max(axis=0) > 0.0)
+        assert np.all(np.abs(direct - broadcast) <= 1e-13 * scale), source
 
 
 def test_pair_sums_have_the_rank_of_their_poles(trimer_system):
-    # only p2's sums span all four axes (f, e, u, p); the mode pole cancels
-    # in p4's bra sum and the coherence pole in p5's, so the pump exp never
-    # runs on the full grid of those pathways
-    n_f, n_e, n_p = trimer_system.n_two, trimer_system.n_one, trimer_system.poles.modes.size
-    recorder = RecordingSource(engine_sources(trimer_system)[1])
-    prepare_closed_form(trimer_system, recorder)
-    p2, p4, p3, p5 = ((n_f, n_e, n_e, n_p),) * 2, ((n_f, n_e, n_e, 1),) * 2, \
-        ((n_f, n_e, n_e),) * 2, ((n_f, n_e, 1),) * 2
-    assert recorder.sums == [p2, p4, p3, p5]
+    # at t1 = 0 the pump factors by axis set, the matching factors depend on
+    # the second arguments alone and the classical legs on one argument
+    # each, so no factor of p2-p5 spans all of (f, e, u, p)
+    sources = engine_sources(trimer_system)
+    for source in (sources[0], sources[2], sources[3]):
+        recorder = RecordingSource(source)
+        prepare_closed_form(trimer_system, recorder)
+        assert len(recorder.factors) == 4
+        for factors in recorder.factors:
+            for axes, shape in factors:
+                assert len(axes) == len(shape) and all(n > 1 for n in shape)
+                assert not set("feup") <= set(axes), (source, axes)
+
+
+def test_guard_falls_back_to_the_unfactored_pair():
+    # with 5 cm^-1 of pure dephasing and a 5 ps pump, p2's (f, u, e) pump
+    # factor grows beyond the bound, so p2 comes back as one factor on the
+    # full grid while p3-p5 stay factored
+    system = ExcitonSystem.build(make_trimer(), BathSpec(0.4, 40.0, pure_dephasing=5.0))
+    source = replace(engine_sources(system)[0], tau_pump=5.0e3)
+    recorder = RecordingSource(source)
+    direct = prepare_closed_form(system, recorder).pathway_partials
+    grid = (system.n_two, system.n_one, system.n_one, system.poles.modes.size)
+    (axes, shape), = recorder.factors[0]
+    assert set(axes) == set("feup") and shape == grid
+    assert all(len(axes) < 4 for factors in recorder.factors[1:] for axes, _ in factors)
+    broadcast = prepare_closed_form(system, BroadcastingSource(source)).pathway_partials
+    scale = np.abs(broadcast).sum(axis=0)
+    assert scale.max() > 0.0
+    assert np.all(np.abs(direct - broadcast) <= 1e-13 * scale[None, :])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is no wider than double on this platform")
+@pytest.mark.parametrize("system_name, p2_bound", [("dimer_system", 1e-12), ("trimer_system", None)])
+def test_transport_pathways_match_extended_precision(system_name, p2_bound, request):
+    # Sum_p transport[e, u, p] vanishes for u != e, so p2 and p4 cancel, p2
+    # by up to 7e4 on the trimer: the bound scales with the summed term
+    # magnitudes, and on the dimer p2 also holds a bound of its own size
+    system = request.getfixturevalue(system_name)
+    sources = engine_sources(system)
+    for source in (sources[0], sources[2]):
+        partials = prepare_closed_form(system, source).pathway_partials[[1, 3]]
+        exact, mags = extended_transport_pathways(system, source)
+        error = np.abs(partials - exact).astype(float)
+        assert np.all(error <= 1e-15 * mags.astype(float)), source
+        if p2_bound is not None:
+            assert np.all(error[0] <= p2_bound * np.abs(exact[0]).astype(float)), source
 
 
 def test_diagnostics_report_pathway_cancellation(trimer_system):
@@ -180,7 +230,7 @@ def test_scan_rows_match_single_preparations(trimer_system):
     scan = scan_targets(trimer_system, template, mode="mediated")
     for row, energy in enumerate(trimer_system.eig.energies_f):
         single = prepare_closed_form(trimer_system, scan_source(template, energy, "mediated"))
-        assert np.array_equal(scan.raw[row], single.populations)
+        assert np.array_equal(scan.populations[row], single.populations)
 
 
 def test_field_strength_enters_quadratically(dimer_system):
@@ -243,7 +293,7 @@ def test_scan_rows_are_max_normalized(dimer_system):
     result = scan_targets(dimer_system, dimer_source(dimer_system))
     assert result.matrix.shape == (dimer_system.n_two, dimer_system.n_two)
     assert result.matrix.max(axis=1) == pytest.approx(np.ones(dimer_system.n_two))
-    assert np.all(result.raw >= 0.0)
+    assert np.all(result.populations >= 0.0)
     assert np.all((result.selectivity >= 0.0) & (result.selectivity <= 1.0))
     assert result.target_energies == pytest.approx(dimer_system.eig.energies_f)
     assert result.mode == "degenerate"
@@ -261,7 +311,7 @@ def test_scan_threading_is_bitwise_stable(dimer_system):
     template = dimer_source(dimer_system)
     serial = scan_targets(dimer_system, template, threads=1)
     pooled = scan_targets(dimer_system, template, threads=3)
-    assert np.array_equal(serial.raw, pooled.raw)
+    assert np.array_equal(serial.populations, pooled.populations)
     assert np.array_equal(serial.matrix, pooled.matrix)
     assert np.array_equal(serial.selectivity, pooled.selectivity)
 

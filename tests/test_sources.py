@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excitonscope import CoherentSource, EppSource, jsi_map
-from excitonscope.sources import _SINC_SERIES_RADIUS, _expm1_ratio, gaussian_gamma_from_tau
+from excitonscope.sources import (
+    _SINC_SERIES_RADIUS,
+    _expm1_ratio,
+    gaussian_gamma_from_tau,
+    labelled_sum,
+    on_axes,
+)
 from excitonscope.units import TWO_PI_C
 
 
@@ -118,42 +124,58 @@ def _branch_arguments(source, s, y, sign):
             for r in (source.omega1, source.omega2)]
 
 
+def _pair_arguments(references, rng):
+    """Labelled arguments of a pair shaped like p2's on axes (f, u, e, p):
+    ket (fu + p, e) and bra (fu, e + p), with small p terms.
+
+    Every value is a multiple of 2^-20 cm^-1, so every sum of them is exact
+    and the legs, which form the sum frequency near 2.5e4 cm^-1, carry no
+    rounding of it.
+    """
+    def near(refs, shape):
+        z = _near(refs, shape, rng)
+        return (np.round(z.real * 2**20) + 1j * np.round(z.imag * 2**20)) / 2**20
+
+    fu, e = near(references, (5, 4)), near(references, (6,))
+    ket_fu, p, bra_p = near(references, (5, 4)), near([0.0], (3,)), near([0.0], (3,))
+    return [("fu", ket_fu), ("p", p)], [("e", e)], [("fu", fu)], [("e", e), ("p", bra_p)]
+
+
+def _product_of_factors(factors, axes="fuep"):
+    product = 1.0
+    for factor in factors:
+        product = product * on_axes(axes, factor)
+    return product
+
+
 @pytest.mark.parametrize("t1", [0.0, 3.0])
 @pytest.mark.parametrize("references", [(12100.0, 12500.0), (12300.0, 12300.0)])
 def test_pair_is_the_product_of_its_legs(t1, references):
     source = make_source(omega1=references[0], omega2=references[1], tau_pump=120.0,
                          t1=t1, t_ent=t1 + 10.0, alpha=1.3, e0=0.7)
     rng = np.random.default_rng(5)
-    ket_x, ket_y = _near(references, (5, 1, 6), rng), _near(references, (1, 4, 6), rng)
-    bra_x, bra_y = _near(references, (5, 4, 1), rng), _near(references, (1, 4, 6), rng)
-    ket_sum, bra_sum = ket_x + ket_y, bra_x + bra_y
-    for s, y, sign in ((ket_sum, ket_y, -1.0), (bra_sum, bra_y, 1.0)):
+    arguments = _pair_arguments(references, rng)
+    ket_x, ket_y, bra_x, bra_y = (labelled_sum(terms) for terms in arguments)
+    full = [on_axes("fuep", argument) for argument in (ket_x, ket_y, bra_x, bra_y)]
+    for s, y, sign in ((full[0] + full[1], full[1], -1.0), (full[2] + full[3], full[3], 1.0)):
         radii = np.abs(_branch_arguments(source, s, y, sign))
         assert (radii < _SINC_SERIES_RADIUS).any() and (radii > _SINC_SERIES_RADIUS).any()
-    expected = source.preparation_ket(ket_x, ket_y) * source.preparation_bra(bra_x, bra_y)
-    # the sums are complex arrays of their own, so the pair may compute in them
-    pair = source.preparation_pair(ket_sum, ket_y, bra_sum, bra_y)
-    assert pair.shape == (5, 4, 6)
+    expected = source.preparation_ket(full[0], full[1]) * source.preparation_bra(full[2], full[3])
+    factors = source.pair_factors(*arguments)
+    assert all(len(axes) == np.ndim(array) for axes, array in factors)
+    pair = _product_of_factors(factors)
+    assert pair.shape == (5, 4, 6, 3)
     assert np.all(np.abs(pair - expected) <= 1e-13 * np.abs(expected))
-    # the same from read-only views, left as they are
-    ket_sum, bra_sum = ket_x + ket_y, bra_x + bra_y
-    views = [np.broadcast_to(a, a.shape) for a in (ket_sum, ket_y, bra_sum, bra_y)]
-    assert np.array_equal(source.preparation_pair(*views), pair)
-    assert np.array_equal(views[0], ket_x + ket_y)
-    scalar = source.preparation_pair(complex(ket_sum[0, 0, 0]), complex(ket_y[0, 0, 0]),
-                                     complex(bra_sum[0, 0, 0]), complex(bra_y[0, 0, 0]))
-    assert np.ndim(scalar) == 0
-    assert complex(scalar) == pytest.approx(pair[0, 0, 0], rel=1e-14)
 
 
 def test_coherent_pair_is_the_product_of_its_legs():
     source = CoherentSource(12300.0, 60.0)
-    rng = np.random.default_rng(6)
-    ket_x, ket_y = _near([12300.0], (5, 1, 6), rng), _near([12300.0], (1, 4, 6), rng)
-    bra_x, bra_y = _near([12300.0], (5, 4, 1), rng), _near([12300.0], (1, 4, 6), rng)
-    expected = source.preparation_ket(ket_x, ket_y) * source.preparation_bra(bra_x, bra_y)
-    pair = source.preparation_pair(ket_x + ket_y, ket_y, bra_x + bra_y, bra_y)
-    assert np.all(np.abs(pair - expected) <= 1e-13 * np.abs(expected))
+    arguments = _pair_arguments([12300.0], np.random.default_rng(6))
+    full = [on_axes("fuep", labelled_sum(terms)) for terms in arguments]
+    expected = source.preparation_ket(full[0], full[1]) * source.preparation_bra(full[2], full[3])
+    factors = source.pair_factors(*arguments)
+    assert [axes for axes, _ in factors] == ["fup", "e", "fu", "ep"]
+    assert np.all(np.abs(_product_of_factors(factors) - expected) <= 1e-13 * np.abs(expected))
 
 
 def test_jsa_conjugate_leg_off_the_real_axis():
