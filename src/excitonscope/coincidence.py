@@ -182,7 +182,11 @@ def coincidence_snapshot(
     green_e = population_propagator(system.transport_one, grid.t_wait_one)
 
     # two-exciton side: all f' emitters feeding each shared e, both
-    # branches, one e at a time so that no temporary spans (f', e, omega)
+    # branches.  This is the arithmetic of one (f', e, omega) expression,
+    # done one e at a time for the allocator, not to save work: temporaries
+    # of (f', e, omega) (3 MB bundled) sit above glibc's dynamic mmap
+    # threshold unless earlier frees raised it, and are then faulted in
+    # afresh on every map.  The maps are bitwise the same either way.
     weight = populations_f[:, None] * dd_fe
     side_fe = np.empty((system.n_one, grid.omega_fe.size), dtype=complex)
     for e in range(system.n_one):

@@ -23,6 +23,7 @@ signal as the plain four-point correlator.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import cached_property, lru_cache
@@ -209,13 +210,16 @@ class PathwayWeights:
     pathway.  The transport pathways weigh (f, e, u, p) by
     ``fe_squared[f, u] * transport[e, u, p]``, with ``fe_squared = d_fe^2``
     and ``transport`` the eigen-sum d_eg[e]^2 chi_R[u, p] / dpp[p]
-    chi_L[p, e] between the bra index e and the ket index u.
+    chi_L[p, e] between the bra index e and the ket index u, and
+    ``transport_sum[e, u]`` its sum over p, exact before one rounding
+    (d_eg[e]^2 delta_eu up to the rounding of the modes).
     ``coherence[f, e, e']`` is the off-diagonal dipole chain.
     """
 
     coherent: np.ndarray
     fe_squared: np.ndarray
     transport: np.ndarray
+    transport_sum: np.ndarray
     coherence: np.ndarray
 
     @classmethod
@@ -233,6 +237,7 @@ class PathwayWeights:
             coherent=wk,
             fe_squared=d2 * d2,
             transport=transport,
+            transport_sum=np.array([[math.fsum(terms) for terms in row] for row in transport]),
             coherence=wk[:, :, None] * wk[:, None, :] * off[None, :, :],
         )
 
@@ -264,16 +269,40 @@ def _contraction_path(subscripts: str, shapes: tuple) -> list:
     return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
 
 
+def _transport_pathway(w: PathwayWeights, factors, excess):
+    """sum over (e, u, p) of fe_squared[f, u] transport[e, u, p] times the
+    pair: the product of the factors and of 1 + m over the excess factors.
+
+    sum_p transport[e, u, p] is d_eg[e]^2 delta_eu, while its terms reach
+    1e5 times that on an ill-conditioned mode basis, so a pair that varies
+    little with p cancels to the same degree.  Where no factor depends on
+    p, the product of the 1 + m_j is expanded as
+    1 + sum_j (1 + m_1) ... (1 + m_{j-1}) m_j: the 1 takes the exact sum
+    ``transport_sum``, and the terms of the sum, small where the pair
+    varies little, the weights themselves.
+    """
+    weights = ("fu", w.fe_squared)
+    if any("p" in axes for axes, _ in factors):
+        total = _contract(weights, ("eup", w.transport), *factors)
+    else:
+        total = _contract(weights, ("eu", w.transport_sum), *factors)
+    for j, (axes, m) in enumerate(excess):
+        earlier = [(own, 1.0 + n) for own, n in excess[:j]]
+        total += _contract(weights, ("eup", w.transport), *factors, *earlier, (axes, m))
+    return total
+
+
 def _closed_pathways(z: PoleTable, w: PathwayWeights, source):
     """Five pathway partial sums (without the decay prefactor), each (N_f,).
 
     The fully coherent ladder p1 factorizes into a ket sum and a bra sum,
     so it takes the two legs separately.  p2-p5 take one
-    ``source.pair_factors(ket_x, ket_y, bra_x, bra_y)`` call each, every
-    argument a list of terms ``(axes, array)`` labelled by the pathway's
-    axes, and contract its weights with the returned factors in one
-    ``einsum``.  A pole that cancels in a leg's sum x + y appears in both
-    of its arguments with opposite signs.
+    ``source.pair_factors(ket_x, ket_y, bra_x, bra_y, shift)`` call each,
+    every argument a list of terms ``(axes, array)`` labelled by the
+    pathway's axes, the mode poles on axis p as the shift, and contract
+    its weights with the returned factors in ``einsum`` calls.  A pole
+    that cancels in a leg's sum x + y appears in both of its arguments
+    with opposite signs.
     """
     # p1 on axes (f, e): ket (f, e) with (e,), bra (f, e) with (f, e)
     ket1 = source.preparation_ket(z.fg[:, None] - z.eg[None, :], z.eg)
@@ -283,15 +312,13 @@ def _closed_pathways(z: PoleTable, w: PathwayWeights, source):
     # transport pathways on axes (f, e, u, p): the middle interval is a
     # one-exciton population summed over eigenmodes p, with the fourth
     # interaction on the ket (p2) or the bra (p4) side
-    transport = [("fu", w.fe_squared), ("eup", w.transport)]
-    eg, zp = ("e", z.eg), ("p", z.modes)
-    minus_zp = ("p", -z.modes)
+    eg, zp, minus_zp = ("e", z.eg), ("p", z.modes), ("p", -z.modes)
     # p2: ket (fe - zp, eg), bra (fe - ff, eg - zp)
-    p2 = _contract(*transport, *source.pair_factors(
-        [("fu", z.fe), minus_zp], [eg], [("fu", z.fe - z.ff[:, None])], [eg, minus_zp]))
+    p2 = _transport_pathway(w, *source.pair_factors(
+        [("fu", z.fe), minus_zp], [eg], [("fu", z.fe - z.ff[:, None])], [eg, minus_zp], shift="p"))
     # p4: ket (ff - ef, eg), bra (zp - ef, eg - zp)
-    p4 = _contract(*transport, *source.pair_factors(
-        [("fu", z.ff[:, None] - z.ef)], [eg], [zp, ("fu", -z.ef)], [eg, minus_zp]))
+    p4 = _transport_pathway(w, *source.pair_factors(
+        [("fu", z.ff[:, None] - z.ef)], [eg], [zp, ("fu", -z.ef)], [eg, minus_zp], shift="p"))
 
     # coherence pathways on axes (f, a, b): the middle interval is an
     # off-diagonal one-exciton coherence a-b, again with ket- and bra-sided
@@ -299,11 +326,13 @@ def _closed_pathways(z: PoleTable, w: PathwayWeights, source):
     coherence = ("fab", w.coherence)
     eg, ee, minus_ee = ("a", z.eg), ("ab", z.ee), ("ab", -z.ee)
     # p3: ket (fe - ee, eg), bra (fe - ff, eg - ee)
-    p3 = _contract(coherence, *source.pair_factors(
-        [("fb", z.fe), minus_ee], [eg], [("fb", z.fe - z.ff[:, None])], [eg, minus_ee]))
+    factors, _ = source.pair_factors(
+        [("fb", z.fe), minus_ee], [eg], [("fb", z.fe - z.ff[:, None])], [eg, minus_ee])
+    p3 = _contract(coherence, *factors)
     # p5: ket (ff - ef, eg), bra (ee - ef, eg - ee)
-    p5 = _contract(coherence, *source.pair_factors(
-        [("fa", z.ff[:, None] - z.ef)], [eg], [ee, ("fa", -z.ef)], [eg, minus_ee]))
+    factors, _ = source.pair_factors(
+        [("fa", z.ff[:, None] - z.ef)], [eg], [ee, ("fa", -z.ef)], [eg, minus_ee])
+    p5 = _contract(coherence, *factors)
 
     return np.stack([p1, p2, p3, p4, p5])
 

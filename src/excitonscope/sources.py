@@ -43,28 +43,34 @@ The preparation engine talks to a source through three methods:
 - ``preparation_ket(x, y)`` and ``preparation_bra(x, y)``, one field leg
   each; the engine's factorized coherent pathway calls them directly.
   Both broadcast their arguments against each other.
-- ``pair_factors(ket_x, ket_y, bra_x, bra_y)``, the product
+- ``pair_factors(ket_x, ket_y, bra_x, bra_y, shift=None)``, the product
   ``preparation_ket(x, y) * preparation_bra(x', y')`` for every other
-  pathway, returned as a list of factors.  Each argument and each factor
-  is labelled: an argument is a list of terms ``(axes, array)`` whose sum
-  it is, and a factor is one ``(axes, array)``, with one array dimension
-  per character of ``axes``, each of the axis's full size.  The engine
-  multiplies the factors and its weights and sums over the pathway's axes
-  in one ``einsum``, so no factor is broadcast to the full pathway grid
-  unless the source returns it so.
+  pathway, returned as labelled factors.  An argument is a list of terms
+  ``(axes, array)`` whose sum it is, and a factor is one ``(axes, array)``
+  with one array dimension per character of ``axes``, each of the axis's
+  full size.  Terms on the axes ``shift`` alone are shifts: the transport
+  pathways' mode poles, which move the pair little.  The call returns
+  ``(factors, excess)``, and the pair is the product of the factors and
+  of 1 + m over the excess factors m.  The factors are the pair with every
+  shift left out, so none has the shift's axes, and the excess factors
+  carry the change the shifts make, each computed without cancellation;
+  a source that cannot split a pair so returns it in its factors and no
+  excess.  The engine multiplies the factors and its weights and sums
+  over the pathway's axes in ``einsum`` calls, so no factor is broadcast
+  to the full pathway grid unless the source returns it so.
 
-The classical pulse factors for free: each leg is A(x) A(y), and each
-amplitude lives on its own argument's axes.  The pump of the pair source
-depends on the sum frequency s = x + y alone, and exp(kappa (s - w_p)^2)
-of a sum of terms on different axes is an exact product of factors, one
-per set of axes that two terms span together (``EppSource._pump_factors``).
-With T1 = 0 the phase matching depends on the second argument alone, so
-no factor spans more axes than a pair of terms.
+The classical pulse factors for free: each leg is A(x) A(y), each
+amplitude lives on its own argument's axes, and a shift s of an argument w
+multiplies A(w) by exp(c s (s + 2 (w - center))).  The pump of the pair
+source depends on the sum frequency alone and is one factor on the axes of
+the unshifted sum; a shift s of a sum of terms d_i multiplies it by
+exp(kappa s (s + 2 sum_i d_i)), a product of one factor per term.  With
+T1 = 0 the phase matching depends on the second argument alone, so no
+factor spans more axes than a leg's unshifted sum or a term and a shift.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +78,16 @@ import numpy as np
 from . import units
 
 _SINC_SERIES_RADIUS = 1e-4
-# Largest real part a factored pump exponent may have (see
-# ``EppSource.pair_factors``).  Below it no factor overflows, and factors
-# that compensate each other do so within e^50, which costs their product
-# about 50 eps of rounding.
-_FACTOR_EXPONENT_BOUND = 50.0
+# ``_expm1_ratio_change`` sums its series within this radius of the origin;
+# with this many terms the series is exact to 1e-18 at 1.5 times the radius.
+_CHANGE_SERIES_RADIUS = 0.5
+_CHANGE_SERIES_TERMS = 18
+# Range of the real part of an excess exponent E (see ``_grown``).  Above
+# it a factor exp(E) could overflow against the others, which it
+# compensates within e^50 at a cost of about 50 eps of their product's
+# rounding; below it 1 + expm1(E) keeps less than e^-1 of its relative
+# precision.  Outside the range a source returns the pair unsplit.
+_EXCESS_EXPONENT_RANGE = (-1.0, 50.0)
 
 
 def _expm1_ratio(w):
@@ -91,6 +102,34 @@ def _expm1_ratio(w):
     safe = np.where(small, 1.0, w)
     series = 1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0))
     return np.where(small, series, np.expm1(safe) / safe)
+
+
+def _expm1_ratio_change(w, d):
+    """g(w + d) - g(w) for g = ``_expm1_ratio``, with no cancellation for small d.
+
+    From expm1(w + d) = expm1(w) + e^w expm1(d) the change is
+    d (e^w g(d) - g(w)) / (w + d), which cancels only near the origin;
+    there it is the series sum_n ((w + d)^n - w^n) / (n + 1)!.  Where d
+    is not small the plain difference loses nothing.
+    """
+    w, d = np.broadcast_arrays(np.asarray(w, dtype=complex), np.asarray(d, dtype=complex))
+    radius = _CHANGE_SERIES_RADIUS
+    small_d = np.abs(d) < 0.5 * radius
+    near = small_d & (np.abs(w) < radius)
+    far = small_d & ~near
+    # the series, with change = (w + d)^n - w^n and power = w^n
+    ws, ds = np.where(near, w, 0.0), np.where(near, d, 0.0)
+    change, power, series, factorial = np.zeros_like(ws), np.ones_like(ws), np.zeros_like(ws), 1.0
+    for n in range(1, _CHANGE_SERIES_TERMS + 1):
+        change = (ws + ds) * change + ds * power
+        power = power * ws
+        factorial *= n + 1
+        series += change / factorial
+    # the closed form, where |w| >= radius keeps w + d away from zero
+    wc, dc = np.where(far, w, radius), np.where(far, d, 0.0)
+    closed = dc * (np.exp(wc) * _expm1_ratio(dc) - _expm1_ratio(wc)) / (wc + dc)
+    plain = _expm1_ratio(w + d) - _expm1_ratio(w)
+    return np.where(near, series, np.where(far, closed, plain))
 
 
 def gaussian_gamma_from_tau(tau_fs: float) -> float:
@@ -122,23 +161,79 @@ def _grid(terms):
     return "".join(sizes), tuple(sizes.values())
 
 
+def _summed(axes, terms):
+    """The sum of labelled terms as one array on ``axes``, of size 1 on the
+    axes none of them has."""
+    views = [on_axes(axes, term) for term in terms]
+    total = np.zeros(np.broadcast_shapes(*(view.shape for view in views)), dtype=complex)
+    for view in views:
+        total += view
+    return total
+
+
 def labelled_sum(terms):
     """The sum of labelled terms, labelled by the union of their axes."""
     axes, _ = _grid(terms)
-    return axes, sum(on_axes(axes, term) for term in terms)
+    return axes, _summed(axes, terms)
+
+
+def _union(axes, other):
+    return axes + "".join(c for c in other if c not in axes)
 
 
 def _merged(terms):
     """The terms with equal axis sets summed, and those that cancel to zero dropped."""
     by_axes = {}
     for own, array in terms:
-        key = frozenset(own)
-        if key in by_axes:
-            axes, total = by_axes[key]
-            by_axes[key] = (axes, total + on_axes(axes, (own, array)))
-        else:
-            by_axes[key] = (own, np.asarray(array))
+        _accumulate(by_axes, own, np.asarray(array))
     return [(axes, total) for axes, total in by_axes.values() if total.any()]
+
+
+def _split(terms, shift):
+    """The merged terms of a sum apart from its shift, and the merged shift,
+    the terms on the axes ``shift`` alone (none if ``shift`` is None)."""
+    return (_merged([term for term in terms if term[0] != shift]),
+            _merged([term for term in terms if term[0] == shift]))
+
+
+def _accumulate(groups, axes, array, combine=np.add):
+    """Combines a labelled array into the entry of ``groups`` with its axis set."""
+    key = frozenset(axes)
+    if key in groups:
+        own, total = groups[key]
+        groups[key] = (own, combine(total, on_axes(own, (axes, array))))
+    else:
+        groups[key] = (axes, array)
+
+
+def _excess_product(a, b):
+    """The excess of (1 + a)(1 + b) over 1."""
+    return a + b + a * b
+
+
+def _detuning(terms, center):
+    """Merged terms of a sum less ``center`` as terms of the same sum: each
+    term less its real mean rounded to a whole cm^-1, the last also less
+    the rest of ``center``.
+
+    A term near 1e4 cm^-1 loses no bits to the subtraction of a nearby
+    whole number and the rest is a whole number less ``center``, so summing
+    the terms rounds only their small remainders.
+    """
+    means = [np.round(np.mean(t.real)) for _, t in terms]
+    centred = [(own, t - mean) for (own, t), mean in zip(terms, means)] or [("", 0j)]
+    own, last = centred[-1]
+    centred[-1] = (own, last + (sum(means) - center))
+    return centred
+
+
+def _grown(groups):
+    """The excess expm1(E) of each exponent E of ``groups``, or None where
+    the real part of one leaves ``_EXCESS_EXPONENT_RANGE``."""
+    low, high = _EXCESS_EXPONENT_RANGE
+    if any(e.real.max() > high or e.real.min() < low for _, e in groups.values()):
+        return None
+    return [(axes, np.expm1(e)) for axes, e in groups.values()]
 
 
 @dataclass(frozen=True)
@@ -158,12 +253,18 @@ class EppSource:
     frequency arguments against each other.
 
     ``pair_factors`` returns a ket-bra pair as labelled factors.  With
-    ``t1 == 0`` these are the pump, factored by the axis sets its sum
-    frequencies' terms span in pairs, and one phase-matching factor per
-    leg on its second argument's axes, so no factor has more axes than
-    two terms together.  Otherwise, or when a factor's exponent would
-    pass ``_FACTOR_EXPONENT_BOUND``, the pair is one factor on all the
-    axes of its arguments, with one pump ``exp`` per point.
+    ``t1 == 0`` these are the pump on the axes of each leg's unshifted sum
+    frequency, centred on whole wavenumbers (``_detuning``) so that the
+    sum rounds only its small remainders, and one phase-matching factor
+    per leg on its unshifted second argument's axes.  A shift s of a sum
+    d (the sum less the pump center) multiplies the pump by
+    exp(kappa s (s + 2 d)), kappa = -(2 pi c)^2 / (4 G), which splits into
+    one excess factor expm1(...) per term of d; a shift of a second
+    argument changes the phase matching by ``_expm1_ratio_change``.  No
+    factor has more axes than a leg's unshifted sum, or a term and a
+    shift.  Otherwise, or when an excess exponent's real part would leave
+    ``_EXCESS_EXPONENT_RANGE``, the pair is one factor on all the axes of
+    its arguments, with one pump ``exp`` per point, and no excess.
     """
 
     omega1: float
@@ -264,89 +365,92 @@ class EppSource:
     def preparation_bra(self, omega4, omega3):
         return self.jsa(omega4, omega3)
 
-    def pair_factors(self, ket_x, ket_y, bra_x, bra_y):
+    def pair_factors(self, ket_x, ket_y, bra_x, bra_y, shift=None):
         """preparation_ket(x, y) * preparation_bra(x', y') as labelled
-        factors, as the class docstring describes."""
-        scale = (self.alpha * self.e0) ** 2 * (np.pi / self.pump_gamma)
-        pump = None if self.t1 else self._pump_factors(ket_x + ket_y, bra_x + bra_y)
-        if pump is not None:
-            (ket_axes, ket_w), (bra_axes, bra_w) = labelled_sum(ket_y), labelled_sum(bra_y)
-            ket_matching = scale * self._matching(None, ket_w, -1.0)
-            return [*pump, (ket_axes, np.broadcast_to(ket_matching, ket_w.shape)),
-                    (bra_axes, np.broadcast_to(self._matching(None, bra_w, 1.0), bra_w.shape))]
-        axes, shape = _grid(ket_x + ket_y + bra_x + bra_y)
-        ket_s, bra_s = (sum(on_axes(axes, t) for t in _merged(leg))
-                        for leg in (ket_x + ket_y, bra_x + bra_y))
-        ket_w, bra_w = (sum(on_axes(axes, t) for t in leg) for leg in (ket_y, bra_y))
-        # one array on all the axes at full size, built in place from here on
-        pair = np.multiply(self._matching(ket_s, ket_w, -1.0), self._matching(bra_s, bra_w, 1.0),
-                           out=np.empty(shape, dtype=complex))
-        exponent = self._pump_exponent(ket_s) + self._pump_exponent(bra_s)
-        pair *= np.exp(exponent, out=exponent)
-        pair *= scale
-        return [(axes, pair)]
+        ``(factors, excess)``, as the class docstring describes."""
+        if not self.t1:
+            factored = self._factored(ket_x, ket_y, bra_x, bra_y, shift)
+            if factored is not None:
+                return factored
+        return [self._unfactored(ket_x, ket_y, bra_x, bra_y)], []
 
-    def _pump_factors(self, *sums):
-        """The product of exp(kappa (s - pump_center)^2) over the sums s, as
-        labelled factors, or None where a factor would exceed the bound.
+    @property
+    def _kappa(self):
+        """The pump's exponent per squared detuning, in cm^2."""
+        return -((0.5 * units.TWO_PI_C) ** 2) / self.pump_gamma
 
-        kappa = -(2 pi c)^2 / (4 G), and each sum is a list of labelled
-        terms, centred by ``_centred``.  The square of a sum expands into
-        one product per pair of its terms, on the union of the pair's axes.
-        Every axis set of a product that no other contains is one factor,
-        and each product goes into the first factor whose axes hold its
-        own.  Where the products a sum puts into one factor are all the
-        pairs of some of its terms, their share is the square of those
-        terms' sum, with no cancellation between the products.  Returns
-        None when the real part of a factor's exponent exceeds
-        ``_FACTOR_EXPONENT_BOUND``.
-        """
-        kappa = -((0.5 * units.TWO_PI_C) ** 2) / self.pump_gamma
-        legs = [self._centred(terms) for terms in sums]
-        pairs = [(k, i, j, _grid([leg[i], leg[j]])[0])
-                 for k, leg in enumerate(legs)
-                 for i, j in itertools.combinations_with_replacement(range(len(leg)), 2)]
-        homes = {}
-        for *_, axes in pairs:
-            if not any(set(axes) < set(other) for *_, other in pairs):
-                homes.setdefault(frozenset(axes), axes)
-        shares = {}
-        for k, i, j, axes in pairs:
-            home = next(h for key, h in homes.items() if key >= set(axes))
-            shares.setdefault((home, k), []).append((i, j))
-        sizes = dict(zip(*_grid([term for leg in legs for term in leg])))
-        exponents = {home: np.zeros([sizes[c] for c in home], dtype=complex)
-                     for home in homes.values()}
-        for (home, k), share in shares.items():
-            terms = {n: on_axes(home, legs[k][n]) for pair in share for n in pair}
-            if len(share) == len(terms) * (len(terms) + 1) // 2:
-                # all pairs of these terms: their share is the square of their sum
-                total = sum(terms.values())
-                total *= total
-                total *= kappa
-                exponents[home] += total
-            else:
-                for i, j in share:
-                    exponents[home] += ((kappa if i == j else 2.0 * kappa) * terms[i]) * terms[j]
-        if any(e.real.max() > _FACTOR_EXPONENT_BOUND for e in exponents.values()):
+    @property
+    def _pair_scale(self):
+        return (self.alpha * self.e0) ** 2 * (np.pi / self.pump_gamma)
+
+    def _factored(self, ket_x, ket_y, bra_x, bra_y, shift):
+        """The pair at t1 = 0 as factors and excess factors, or None where
+        an excess exponent leaves its range."""
+        kappa = self._kappa
+        pump, growth, matching, excess = {}, {}, {}, {}
+        for x, y, sign in ((ket_x, ket_y, -1.0), (bra_x, bra_y, 1.0)):
+            base, shifts = _split(x + y, shift)
+            detuning = _detuning(base, self.pump_center)
+            axes, exponent = labelled_sum(detuning)
+            exponent *= exponent
+            exponent *= kappa
+            _accumulate(pump, axes, exponent)
+            for s_axes, s in shifts:
+                # kappa ((d + s)^2 - d^2) = 2 kappa s (d + s / 2), one product
+                # per term of d, the last taking s / 2
+                *terms, (own, last) = detuning
+                union = _union(own, s_axes)
+                terms.append((union, on_axes(union, (own, last)) + on_axes(union, (s_axes, 0.5 * s))))
+                for own, term in terms:
+                    union = _union(own, s_axes)
+                    _accumulate(growth, union, on_axes(union, (own, (2.0 * kappa) * term))
+                                * on_axes(union, (s_axes, s)))
+            base, shifts = _split(y, shift)
+            axes, wb = labelled_sum(base)
+            _accumulate(matching, axes, np.broadcast_to(self._matching(None, wb, sign), wb.shape),
+                        np.multiply)
+            for s_axes, s in shifts if self.entanglement_time else ():
+                union = _union(axes, s_axes)
+                _accumulate(excess, union, self._matching_excess(
+                    on_axes(union, (axes, wb)), on_axes(union, (s_axes, s)), sign))
+        grown = _grown(growth)
+        if grown is None:
             return None
-        return [(axes, np.exp(e, out=e)) for axes, e in exponents.items()]
+        for axes, m in grown:
+            _accumulate(excess, axes, m, _excess_product)
+        factors = []
+        for axes, exponent in pump.values():
+            factor = np.exp(exponent, out=exponent)
+            factor *= self._pair_scale
+            factors.append((axes, factor))
+        return factors + list(matching.values()), list(excess.values())
 
-    def _centred(self, terms):
-        """The merged terms of a sum less their real means, widest first,
-        so that the largest products share the first factor and are squared
-        together there; the widest also less the rest of the pump center.
+    def _matching_excess(self, wb, shift, sign):
+        """_matching(wb + shift) / _matching(wb) - 1 at t1 = 0 (equal
+        references give one branch; the doubling cancels)."""
+        k = sign * 1j * units.TWO_PI_C * self.entanglement_time
+        references = dict.fromkeys((self.omega1, self.omega2))
+        change = sum(_expm1_ratio_change(k * (wb - r), k * shift) for r in references)
+        return change / sum(_expm1_ratio(k * (wb - r)) for r in references)
 
-        The means are rounded to whole wavenumbers, so their sum and its
-        difference to a nearby pump center are exact in floating point.
-        """
-        terms = _merged(terms)
-        means = [np.round(np.mean(t.real)) for _, t in terms]
-        centred = sorted(((own, t - mean) for (own, t), mean in zip(terms, means)),
-                         key=lambda term: -np.abs(term[1]).max())
-        own, widest = centred[0]
-        centred[0] = (own, widest + (sum(means) - self.pump_center))
-        return centred
+    def _unfactored(self, ket_x, ket_y, bra_x, bra_y):
+        """The pair as one factor on all the axes of its arguments, with one
+        pump ``exp`` per point."""
+        axes, shape = _grid(ket_x + ket_y + bra_x + bra_y)
+        # one array on all the axes at full size, built in place from here
+        # on; the pump exponent has the axes of the sum frequencies only
+        pair, exponent = np.ones(shape, dtype=complex), 0.0
+        for x, y, sign in ((ket_x, ket_y, -1.0), (bra_x, bra_y, 1.0)):
+            d = _summed(axes, _detuning(_merged(x + y), self.pump_center))
+            exponent = exponent + np.square(d)
+            if self.t1:
+                d += self.pump_center
+            pair *= self._matching(d if self.t1 else None, _summed(axes, y), sign)
+            del d
+        exponent *= self._kappa
+        pair *= np.exp(exponent, out=exponent)
+        pair *= self._pair_scale
+        return axes, pair
 
 
 @dataclass(frozen=True)
@@ -391,13 +495,28 @@ class CoherentSource:
 
     preparation_bra = preparation_ket
 
-    def pair_factors(self, ket_x, ket_y, bra_x, bra_y):
-        """A(x) A(y) A(x') A(y'), one factor per argument on that argument's axes."""
-        factors = []
+    def pair_factors(self, ket_x, ket_y, bra_x, bra_y, shift=None):
+        """A(x) A(y) A(x') A(y'), one factor per argument on that argument's
+        unshifted axes, and per shift s of an argument w the excess
+        A(w + s) / A(w) - 1 = expm1(c s (s + 2 (w - center))),
+        c = -(2 pi c)^2 / (4 G).  Where the real part of such an exponent
+        would leave ``_EXCESS_EXPONENT_RANGE``, the factors are A of the
+        whole arguments and there is no excess."""
+        c = -(units.TWO_PI_C ** 2) / (4.0 * self.gamma)
+        factors, growth = [], {}
         for terms in (ket_x, ket_y, bra_x, bra_y):
-            axes, omega = labelled_sum(terms)
+            base, shifts = _split(terms, shift)
+            axes, omega = labelled_sum(base)
             factors.append((axes, self.amplitude(omega)))
-        return factors
+            for s_axes, s in shifts:
+                union = _union(axes, s_axes)
+                s = on_axes(union, (s_axes, s))
+                _accumulate(growth, union, c * s * (s + 2.0 * on_axes(union, (axes, omega - self.center))))
+        grown = _grown(growth)
+        if grown is None:
+            return [(axes, self.amplitude(omega))
+                    for axes, omega in map(labelled_sum, (ket_x, ket_y, bra_x, bra_y))], []
+        return factors, grown
 
 
 def jsi_map(source: EppSource, omega_a_grid, omega_b_grid) -> np.ndarray:

@@ -155,6 +155,27 @@ def loop_coincidence_snapshot(system, rho_ff, filter_fe, filter_eg, grid):
     return np.clip(signal, 0.0, None), int(np.count_nonzero(signal < 0.0))
 
 
+def extended_leg(source, x, y, sign):
+    """One field leg of an ``EppSource`` at complex x, y in ``np.clongdouble``:
+    ``preparation_ket`` for sign -1, ``preparation_bra`` for sign +1."""
+    cx = np.clongdouble
+    x, y = cx(x), cx(y)
+    two_pi_c = np.longdouble(TWO_PI_C)
+    gamma = 1 / (2 * np.longdouble(source.tau_pump) ** 2)
+    kappa = -(two_pi_c / 2) ** 2 / gamma
+    amplitude = (np.longdouble(source.alpha) * np.longdouble(source.e0)
+                 * np.sqrt(np.longdouble(np.pi) / gamma))
+    t1 = np.longdouble(source.t1)
+    t_ent = np.longdouble(source.t2) - t1
+    s = x + y
+    matching = cx(0)
+    for reference in (source.omega1, source.omega2):
+        r = np.longdouble(reference)
+        arg = sign * 1j * two_pi_c * (t1 * (s - 2 * r) + t_ent * (y - r))
+        matching += np.expm1(arg) / arg if arg != 0 else cx(1)
+    return amplitude * np.exp(kappa * (s - np.longdouble(source.pump_center)) ** 2) * matching
+
+
 def extended_transport_pathways(system, source):
     """p2 and p4 of an ``EppSource`` at t = 0, one (f, e, u, p) term at a
     time in ``np.clongdouble``, each with its summed term magnitudes.
@@ -167,22 +188,9 @@ def extended_transport_pathways(system, source):
     z = system.poles
     w = system.weights
     cx = np.clongdouble
-    two_pi_c = np.longdouble(TWO_PI_C)
-    gamma = 1 / (2 * np.longdouble(source.tau_pump) ** 2)
-    kappa = -(two_pi_c / 2) ** 2 / gamma
-    amplitude = (np.longdouble(source.alpha) * np.longdouble(source.e0)
-                 * np.sqrt(np.longdouble(np.pi) / gamma))
-    t1 = np.longdouble(source.t1)
-    t_ent = np.longdouble(source.t2) - t1
 
     def leg(x, y, sign):
-        s = x + y
-        matching = cx(0)
-        for reference in (source.omega1, source.omega2):
-            r = np.longdouble(reference)
-            arg = sign * 1j * two_pi_c * (t1 * (s - 2 * r) + t_ent * (y - r))
-            matching += np.expm1(arg) / arg if arg != 0 else cx(1)
-        return amplitude * np.exp(kappa * (s - np.longdouble(source.pump_center)) ** 2) * matching
+        return extended_leg(source, x, y, sign)
 
     fe, ff, ef, eg, modes = (z.fe.astype(cx), z.ff.astype(cx), z.ef.astype(cx),
                              z.eg.astype(cx), z.modes.astype(cx))

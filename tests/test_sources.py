@@ -7,11 +7,14 @@ from excitonscope import CoherentSource, EppSource, jsi_map
 from excitonscope.sources import (
     _SINC_SERIES_RADIUS,
     _expm1_ratio,
+    _expm1_ratio_change,
     gaussian_gamma_from_tau,
     labelled_sum,
     on_axes,
 )
 from excitonscope.units import TWO_PI_C
+
+from loop_reference import extended_leg
 
 
 def csinc(z):
@@ -73,6 +76,29 @@ def test_expm1_ratio_is_sinc_times_phase():
                                                       rel=1e-13)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is no wider than double on this platform")
+def test_expm1_ratio_change_has_no_cancellation():
+    # the change g(w + d) - g(w) of g = expm1(w)/w on the series branch
+    # (|w| < 0.5, |d| < 0.25), the closed form (|w| >= 0.5) and the plain
+    # difference (|d| >= 0.25), against the plain difference in extended
+    # precision, which keeps 1e-19 / |d| of the change and so 1e-15 here
+    rng = np.random.default_rng(9)
+
+    def ratio(x):
+        return np.expm1(x) / x
+
+    for w_size in (1e-3, 0.3, 2.0, 20.0):
+        w = w_size * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 40))
+        for d_size in (1e-4, 0.1, 1.0):
+            d = d_size * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 40))
+            wl, dl = w.astype(np.clongdouble), d.astype(np.clongdouble)
+            expected = ratio(wl + dl) - ratio(wl)
+            got = _expm1_ratio_change(w, d)
+            assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected)), (w_size, d_size)
+    assert np.all(_expm1_ratio_change(np.array([0.0, 0.3j]), 0.0) == 0.0)
+
+
 def two_branch_jsa(source, wa, wb):
     """F = alpha A_p(wa + wb) sum_r csinc(phi_r) e^{i phi_r}, as documented."""
     g = source.pump_gamma
@@ -124,28 +150,41 @@ def _branch_arguments(source, s, y, sign):
             for r in (source.omega1, source.omega2)]
 
 
-def _pair_arguments(references, rng):
+def _pair_arguments(references, rng, exact_sums=True, shift_size=1.0):
     """Labelled arguments of a pair shaped like p2's on axes (f, u, e, p):
-    ket (fu + p, e) and bra (fu, e + p), with small p terms.
+    ket (fu + p, e) and bra (fu, e + p), with p terms up to ``shift_size``
+    cm^-1 from zero.
 
-    Every value is a multiple of 2^-20 cm^-1, so every sum of them is exact
-    and the legs, which form the sum frequency near 2.5e4 cm^-1, carry no
-    rounding of it.
+    With ``exact_sums`` every value is a multiple of 2^-20 cm^-1, so every
+    sum of them is exact and the legs, which form the sum frequency near
+    2.5e4 cm^-1, carry no rounding of it.
     """
-    def near(refs, shape):
-        z = _near(refs, shape, rng)
-        return (np.round(z.real * 2**20) + 1j * np.round(z.imag * 2**20)) / 2**20
+    def near(refs, shape, scale=1.0):
+        z = scale * _near(refs, shape, rng)
+        if exact_sums:
+            z = (np.round(z.real * 2**20) + 1j * np.round(z.imag * 2**20)) / 2**20
+        return z
 
     fu, e = near(references, (5, 4)), near(references, (6,))
-    ket_fu, p, bra_p = near(references, (5, 4)), near([0.0], (3,)), near([0.0], (3,))
+    ket_fu = near(references, (5, 4))
+    # _near draws offsets up to 30 cm^-1
+    p, bra_p = (near([0.0], (3,), shift_size / 30.0) for _ in range(2))
     return [("fu", ket_fu), ("p", p)], [("e", e)], [("fu", fu)], [("e", e), ("p", bra_p)]
 
 
-def _product_of_factors(factors, axes="fuep"):
+def _pair(factors, excess, axes="fuep"):
+    """The product of the factors and of 1 + m over the excess factors m."""
     product = 1.0
     for factor in factors:
         product = product * on_axes(axes, factor)
+    for m in excess:
+        product = product * (1.0 + on_axes(axes, m))
     return product
+
+
+def _legs(source, arguments):
+    full = [on_axes("fuep", labelled_sum(terms)) for terms in arguments]
+    return source.preparation_ket(full[0], full[1]) * source.preparation_bra(full[2], full[3])
 
 
 @pytest.mark.parametrize("t1", [0.0, 3.0])
@@ -155,27 +194,85 @@ def test_pair_is_the_product_of_its_legs(t1, references):
                          t1=t1, t_ent=t1 + 10.0, alpha=1.3, e0=0.7)
     rng = np.random.default_rng(5)
     arguments = _pair_arguments(references, rng)
-    ket_x, ket_y, bra_x, bra_y = (labelled_sum(terms) for terms in arguments)
-    full = [on_axes("fuep", argument) for argument in (ket_x, ket_y, bra_x, bra_y)]
+    full = [on_axes("fuep", labelled_sum(terms)) for terms in arguments]
     for s, y, sign in ((full[0] + full[1], full[1], -1.0), (full[2] + full[3], full[3], 1.0)):
         radii = np.abs(_branch_arguments(source, s, y, sign))
         assert (radii < _SINC_SERIES_RADIUS).any() and (radii > _SINC_SERIES_RADIUS).any()
-    expected = source.preparation_ket(full[0], full[1]) * source.preparation_bra(full[2], full[3])
-    factors = source.pair_factors(*arguments)
-    assert all(len(axes) == np.ndim(array) for axes, array in factors)
-    pair = _product_of_factors(factors)
-    assert pair.shape == (5, 4, 6, 3)
-    assert np.all(np.abs(pair - expected) <= 1e-13 * np.abs(expected))
+    expected = _legs(source, arguments)
+    for shift in (None, "p"):
+        factors, excess = source.pair_factors(*arguments, shift=shift)
+        assert all(len(axes) == np.ndim(array) for axes, array in factors + excess)
+        if shift and not t1:
+            # the shifts enter the excess factors only
+            assert sorted(axes for axes, _ in excess) == ["ep", "fup"]
+            assert not any("p" in axes for axes, _ in factors)
+        else:
+            assert not excess
+        pair = _pair(factors, excess)
+        assert pair.shape == (5, 4, 6, 3)
+        assert np.all(np.abs(pair - expected) <= 1e-13 * np.abs(expected)), shift
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is no wider than double on this platform")
+@pytest.mark.parametrize("t1", [0.0, 3.0])
+def test_pair_and_legs_against_extended_precision(t1):
+    # On unrounded arguments the float64 legs round the sum frequency near
+    # 2.5e4 cm^-1 by up to 3.6e-12 cm^-1, which moves the pump's exponent by
+    # 2 |kappa| |s - w_p| times that, 8.5e-13 at the 460 cm^-1 detunings
+    # here.  The pair sums the terms centred on whole wavenumbers, so it
+    # keeps only the rounding of exponents up to |kappa| |s - w_p|^2 = 54,
+    # a few times 54 eps per leg.
+    references = (12100.0, 12500.0)
+    source = make_source(omega1=references[0], omega2=references[1], tau_pump=120.0,
+                         t1=t1, t_ent=t1 + 10.0, alpha=1.3, e0=0.7)
+    arguments = _pair_arguments(references, np.random.default_rng(7), exact_sums=False)
+    ket_x, ket_y, bra_x, bra_y = (on_axes("fuep", labelled_sum(terms)) for terms in arguments)
+    extended = np.frompyfunc(lambda *args: extended_leg(source, *args[:2], -1)
+                             * extended_leg(source, *args[2:], 1), 4, 1)
+    exact = extended(*np.broadcast_arrays(ket_x, ket_y, bra_x, bra_y)).astype(np.clongdouble)
+    scale = np.abs(exact).astype(float)
+    factors, excess = source.pair_factors(*arguments, shift="p")
+    assert bool(excess) == (not t1)
+    pair_error = np.abs(_pair(factors, excess) - exact).astype(float)
+    legs_error = np.abs(_legs(source, arguments) - exact).astype(float)
+    assert np.all(pair_error <= 5e-13 * scale)
+    assert np.all(legs_error <= 3e-12 * scale)
+    assert (pair_error / scale).max() < (legs_error / scale).max() / 2.0
 
 
 def test_coherent_pair_is_the_product_of_its_legs():
     source = CoherentSource(12300.0, 60.0)
     arguments = _pair_arguments([12300.0], np.random.default_rng(6))
-    full = [on_axes("fuep", labelled_sum(terms)) for terms in arguments]
-    expected = source.preparation_ket(full[0], full[1]) * source.preparation_bra(full[2], full[3])
-    factors = source.pair_factors(*arguments)
-    assert [axes for axes, _ in factors] == ["fup", "e", "fu", "ep"]
-    assert np.all(np.abs(_product_of_factors(factors) - expected) <= 1e-13 * np.abs(expected))
+    factors, excess = source.pair_factors(*arguments)
+    assert [axes for axes, _ in factors] == ["fup", "e", "fu", "ep"] and not excess
+    assert np.all(np.abs(_pair(factors, excess) - _legs(source, arguments))
+                  <= 1e-13 * np.abs(_legs(source, arguments)))
+    factors, excess = source.pair_factors(*arguments, shift="p")
+    assert [axes for axes, _ in factors] == ["fu", "e", "fu", "e"]
+    assert [axes for axes, _ in excess] == ["fup", "ep"]
+    assert np.all(np.abs(_pair(factors, excess) - _legs(source, arguments))
+                  <= 1e-13 * np.abs(_legs(source, arguments)))
+
+
+@pytest.mark.parametrize("source", [
+    make_source(tau_pump=1.0e3, t1=0.0, t_ent=10.0),
+    CoherentSource(12300.0, 1.0e3),
+])
+def test_pair_falls_back_where_an_excess_exponent_leaves_its_range(source):
+    # a shift s of an argument d moves the Gaussian's exponent by
+    # kappa s (s + 2 d), |kappa| = 0.018 at 1 ps: with shifts of any phase
+    # up to 0.1 cm^-1 and d up to 60 cm^-1 that stays within [-1, 50], with
+    # shifts up to 100 cm^-1 it does not
+    for shift_size, factored in ((0.1, True), (100.0, False)):
+        arguments = _pair_arguments([12300.0], np.random.default_rng(8), shift_size=shift_size)
+        factors, excess = source.pair_factors(*arguments, shift="p")
+        assert bool(excess) == factored
+        if not factored:
+            assert any("p" in axes for axes, _ in factors)
+        expected = _legs(source, arguments)
+        assert np.all(np.isfinite(expected)) and np.abs(expected).max() > 0.0
+        assert np.all(np.abs(_pair(factors, excess) - expected) <= 1e-13 * np.abs(expected))
 
 
 def test_jsa_conjugate_leg_off_the_real_axis():
