@@ -162,12 +162,12 @@ def _grid(terms):
 
 
 def _summed(axes, terms):
-    """The sum of labelled terms as one array on ``axes``, of size 1 on the
-    axes none of them has."""
-    views = [on_axes(axes, term) for term in terms]
-    total = np.zeros(np.broadcast_shapes(*(view.shape for view in views)), dtype=complex)
-    for view in views:
-        total += view
+    """The sum of labelled terms as a new array on ``axes``, of size 1 on
+    the axes none of them has.  The smaller terms are added first, so only
+    the last addition runs on the full shape."""
+    total = np.zeros((), dtype=complex)
+    for view in sorted((on_axes(axes, term) for term in terms), key=np.size):
+        total = total + view
     return total
 
 
@@ -307,13 +307,13 @@ class EppSource:
         d *= self.e0 * np.sqrt(np.pi / self.pump_gamma)
         return d[()]  # a scalar for a scalar argument
 
-    def _matching(self, s, wb, sign):
+    def _matching(self, s, wb, sign, center=0.0):
         """Sum over branches of expm1(2 i sign phi_r) / (2 i sign phi_r).
 
-        ``s`` is the sum frequency wa + wb, unused when ``t1 == 0``.
-        sign = +1 gives F's phase-matching factor, -1 its conjugate leg.
-        2 i phi_r is built per axis, and a zero T1 or entanglement time
-        adds no term.
+        ``s`` is the sum frequency wa + wb less ``center``, unused when
+        ``t1 == 0``.  sign = +1 gives F's phase-matching factor, -1 its
+        conjugate leg.  2 i phi_r is built per axis, and a zero T1 or
+        entanglement time adds no term.
         """
         k = sign * 1j * units.TWO_PI_C
         t_ent = self.entanglement_time
@@ -321,7 +321,7 @@ class EppSource:
         def branch(reference):
             w = 0.0
             if self.t1:
-                w = (k * self.t1) * (s - 2.0 * reference)
+                w = (k * self.t1) * (s + (center - 2.0 * reference))
             if t_ent:
                 w = w + (k * t_ent) * (wb - reference)
             return _expm1_ratio(w)
@@ -435,18 +435,23 @@ class EppSource:
 
     def _unfactored(self, ket_x, ket_y, bra_x, bra_y):
         """The pair as one factor on all the axes of its arguments, with one
-        pump ``exp`` per point."""
-        axes, shape = _grid(ket_x + ket_y + bra_x + bra_y)
-        # one array on all the axes at full size, built in place from here
-        # on; the pump exponent has the axes of the sum frequencies only
-        pair, exponent = np.ones(shape, dtype=complex), 0.0
-        for x, y, sign in ((ket_x, ket_y, -1.0), (bra_x, bra_y, 1.0)):
-            d = _summed(axes, _detuning(_merged(x + y), self.pump_center))
-            exponent = exponent + np.square(d)
-            if self.t1:
-                d += self.pump_center
-            pair *= self._matching(d if self.t1 else None, _summed(axes, y), sign)
-            del d
+        pump ``exp`` per point.  The axes of the second arguments lead, so
+        that numpy runs its inner loops over the block they broadcast on."""
+        axes, shape = _grid(ket_y + bra_y + ket_x + bra_x)
+        legs = ((ket_x, ket_y, -1.0), (bra_x, bra_y, 1.0))
+        # each leg's sum frequency less the pump center, on its own axes
+        ket_d, bra_d = (_summed(axes, _detuning(_merged(x + y), self.pump_center))
+                        for x, y, _ in legs)
+        ket_m, bra_m = (self._matching(d if self.t1 else None, _summed(axes, y), sign, self.pump_center)
+                        for d, (_, y, sign) in zip((ket_d, bra_d), legs))
+        # one array on all the axes at full size, and the exponent in the
+        # detunings, built in place from here on
+        pair = np.multiply(ket_m, bra_m, out=np.empty(shape, dtype=complex))
+        del ket_m, bra_m
+        ket_d *= ket_d
+        bra_d *= bra_d
+        in_ket = ket_d.shape == np.broadcast_shapes(ket_d.shape, bra_d.shape)
+        exponent = np.add(ket_d, bra_d, out=ket_d if in_ket else None)
         exponent *= self._kappa
         pair *= np.exp(exponent, out=exponent)
         pair *= self._pair_scale

@@ -57,8 +57,9 @@ class BroadcastingSource:
                      if not shift or c not in shift or any(shift in axes for axes, _ in factors)}
 
         def full(sizes, factor):
-            axes = "".join(sizes)
-            return axes, np.broadcast_to(on_axes(axes, factor), tuple(sizes.values()))
+            # the factor's own axes first, in their order, then the others
+            axes = factor[0] + "".join(c for c in sizes if c not in factor[0])
+            return axes, np.broadcast_to(on_axes(axes, factor), tuple(sizes[c] for c in axes))
 
         return [full(unshifted, f) for f in factors], [full(grid, m) for m in excess]
 
@@ -181,9 +182,9 @@ def test_guard_falls_back_to_the_unfactored_pair(trimer_system):
     source = replace(engine_sources(system)[0], tau_pump=2.0e3)
     recorder = RecordingSource(source)
     direct = prepare_closed_form(system, recorder).pathway_partials
-    grid = (system.n_two, system.n_one, system.n_one, system.poles.modes.size)
+    grid = dict(zip("feup", (system.n_two, system.n_one, system.n_one, system.poles.modes.size)))
     (axes, shape), = recorder.factors[0]
-    assert set(axes) == set("feup") and shape == grid and not recorder.excess[0]
+    assert dict(zip(axes, shape)) == grid and not recorder.excess[0]
     assert recorder.excess[1]
     assert all(len(axes) < 4 for factors in recorder.factors[1:] for axes, _ in factors)
     broadcast = prepare_closed_form(system, BroadcastingSource(source)).pathway_partials
