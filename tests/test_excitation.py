@@ -172,8 +172,8 @@ def test_pair_sums_have_the_rank_of_their_poles(trimer_system):
 
 def test_guard_falls_back_to_the_unfactored_pair(trimer_system):
     # An excess exponent grows as |kappa| lambda (lambda + 2 gamma) with the
-    # mode rates lambda, which a physical pole table keeps below the widths
-    # gamma whose pump overflows first.  Mode poles 1e4 times the trimer's
+    # mode rates lambda; on the test systems they stay far below the widths
+    # gamma, so the pump overflows first.  Mode poles 1e4 times the trimer's
     # (up to 31 cm^-1) and a 2 ps pump pass the bound in p2, so p2 comes
     # back as one factor on the full grid, while p4, whose pump takes no
     # shift, and p3 and p5 stay factored.
