@@ -15,7 +15,10 @@ the waiting times.
 factorization: the slow gate-time envelopes are absorbed into the overall
 normalization and the population propagators act for exactly
 ``t_wait_two`` (between pair absorption and the f -> e emission) and
-``t_wait_one`` (between the two emissions).  The test suite checks it
+``t_wait_one`` (between the two emissions).  On the two-exciton side
+the two delay branches of each emitter pair are summed in closed form
+(:func:`_branch_sum`), one real lineshape per (f', e) pair and gate
+frequency rather than two complex ones.  The test suite checks it
 against a brute-force evaluation of the nested gate-time integrals that
 keeps the full time arguments of both propagators
 (``tests/time_oracle.py``).
@@ -117,6 +120,23 @@ def _lineshape_branches(omega_bar, omega_ab, gamma_ab, sigma_omega, sigma_t):
     return pos, neg
 
 
+def _branch_sum(detune, gamma_ab, sigma_omega, sigma_t, weight):
+    """``weight`` times the sum of both branches of
+    :func:`_lineshape_branches`, as its real and imaginary parts.
+
+    With A+- = sigma_omega +- sigma_t + gamma_ab, P = detune^2 + A+ A-
+    and Q = 2 sigma_t detune, the sum is N (A+ + A-)(P + iQ) / (P^2 + Q^2),
+    N = 1 / (2 sigma_omega 2 pi c): one real division per point, and P > 0
+    wherever :func:`_check_negative_branch` holds.
+    """
+    a_pos = sigma_omega + sigma_t + gamma_ab
+    a_neg = sigma_omega - sigma_t + gamma_ab
+    p = detune * detune + a_pos * a_neg
+    q = (2.0 * sigma_t) * detune
+    r = (weight * (0.5 / sigma_omega / units.TWO_PI_C) * (a_pos + a_neg)) / (p * p + q * q)
+    return r * p, r * q
+
+
 @dataclass
 class SignalGrid:
     """Detector frequency axes (cm^-1), waiting times (fs) and the filled
@@ -124,7 +144,9 @@ class SignalGrid:
 
     ``result`` rows follow ``omega_fe`` (the f -> e gate scan) and columns
     ``omega_eg``; the map is max-normalized with small negative
-    interference residue clipped at zero.
+    interference residue clipped at zero.  ``clipped_cells`` counts the
+    clipped cells and ``clipped_fraction`` is their mass over the positive
+    mass of the normalized map.
     """
 
     omega_fe: np.ndarray
@@ -133,6 +155,7 @@ class SignalGrid:
     t_wait_one: float
     result: np.ndarray | None = None
     clipped_cells: int = 0
+    clipped_fraction: float = 0.0
 
     def __post_init__(self):
         self.omega_fe = np.atleast_1d(np.asarray(self.omega_fe, dtype=float))
@@ -182,35 +205,40 @@ def coincidence_snapshot(
     green_e = population_propagator(system.transport_one, grid.t_wait_one)
 
     # two-exciton side: all f' emitters feeding each shared e, both
-    # branches.  This is the arithmetic of one (f', e, omega) expression,
-    # done one e at a time for the allocator, not to save work: temporaries
-    # of (f', e, omega) (3 MB bundled) sit above glibc's dynamic mmap
-    # threshold unless earlier frees raised it, and are then faulted in
-    # afresh on every map.  The maps are bitwise the same either way.
+    # branches summed in closed form.  One e at a time keeps each
+    # temporary a real (f', omega) array, 105 KB on the bundled model: it
+    # stays in L2 cache and under glibc's 128 KB mmap threshold, so it is
+    # not faulted in afresh on every map.  The same arithmetic on
+    # (f', e, omega) at once is memory-bound: 6.8 against 2.3 ms for this
+    # side of a bundled map (2-vCPU x86-64 host, BLAS at 1 thread).
     weight = populations_f[:, None] * dd_fe
-    side_fe = np.empty((system.n_one, grid.omega_fe.size), dtype=complex)
+    side_re = np.empty((system.n_one, grid.omega_fe.size))
+    side_im = np.empty_like(side_re)
     for e in range(system.n_one):
-        pos, neg = _lineshape_branches(
-            grid.omega_fe, w_fe[:, e, None], g_fe[:, e, None],
-            filter_fe.sigma_omega, filter_fe.sigma_t,
+        re, im = _branch_sum(
+            grid.omega_fe - w_fe[:, e, None], g_fe[:, e, None],
+            filter_fe.sigma_omega, filter_fe.sigma_t, weight[:, e, None],
         )
-        pos += neg
-        pos *= weight[:, e, None]
-        side_fe[e] = pos.sum(axis=0)
+        side_re[e] = re.sum(axis=0)
+        side_im[e] = im.sum(axis=0)
 
     # one-exciton side: transport from the shared e to the emitter e'
     pos, _ = _lineshape_branches(
         grid.omega_eg, w_eg[:, None], g_eg[:, None],
         filter_eg.sigma_omega, filter_eg.sigma_t,
     )
-    side_eg = (dd_eg[:, None, None] * (green_e[:, :, None] * pos[:, None, :])).sum(axis=0)
+    side_eg = (dd_eg[:, None] * green_e).T @ pos
 
-    signal = 2.0 * np.real(np.einsum("ei,ej->ij", side_fe, side_eg))
+    signal = 2.0 * (side_re.T @ side_eg.real - side_im.T @ side_eg.imag)
     peak = np.abs(signal).max(initial=0.0)
     if peak > 0.0:
         signal = signal / peak
-    grid.clipped_cells = int(np.count_nonzero(signal < 0.0))
+    negative = signal < 0.0
+    grid.clipped_cells = int(np.count_nonzero(negative))
     grid.result = np.clip(signal, 0.0, None)
+    grid.clipped_fraction = (
+        float(-signal[negative].sum() / grid.result.sum()) if grid.clipped_cells else 0.0
+    )
     return grid
 
 

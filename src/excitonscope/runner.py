@@ -111,9 +111,12 @@ def _csv(rows) -> str:
 
 
 def _matrix_csv(row_axis, col_axis, values) -> str:
-    head = [len(col_axis), *col_axis.tolist()]
-    body = ([r, *v.tolist()] for r, v in zip(row_axis.tolist(), values))
-    return _csv(itertools.chain([head], body))
+    """Column count and axis, then each row's axis value and cells: every
+    float formatted as ``_fmt`` does, one ``%`` per row."""
+    row = ",".join(["%.16e"] * (len(col_axis) + 1)) + "\n"
+    head = _csv([[len(col_axis), *col_axis.tolist()]])
+    body = (row % (r, *v.tolist()) for r, v in zip(row_axis.tolist(), values))
+    return "".join(itertools.chain([head], body))
 
 
 class _Sink:
@@ -481,6 +484,7 @@ def _run_coincidence(cfg, system, sink, clock, warnings, resolved):
         warnings.append(
             f"clipped {grid.clipped_cells} negative interference cells in the map"
         )
+    resolved["clipped_fraction"] = grid.clipped_fraction
     resolved["axes"] = {"omega_fe": _axis_record(grid.omega_fe),
                         "omega_eg": _axis_record(grid.omega_eg)}
     sink.matrix("signal", "omega_fe_cm", grid.omega_fe, "omega_eg_cm", grid.omega_eg,
@@ -511,6 +515,7 @@ def _run_panel_study(cfg, system, sink, clock, warnings, resolved):
             "t_wait_two": filled.t_wait_two,
             "t_wait_one": filled.t_wait_one,
             "clipped_cells": filled.clipped_cells,
+            "clipped_fraction": filled.clipped_fraction,
         }
         if filled.clipped_cells:
             warnings.append(

@@ -4,9 +4,10 @@ The library builds the two-exciton Hamiltonian, the per-site occupations,
 the secular rate matrices, the pole widths and the factorized coincidence
 map from array expressions.  These are the same quantities written one
 pair at a time, in the order the arithmetic is done, so the array versions
-must reproduce them bit for bit.  The transport pathways of the
-preparation are written the same way in extended precision, as the
-reference for the closed form's rounding.
+must reproduce them bit for bit; the map alone sums its two lineshape
+branches in closed form and so matches its two-branch loop to rounding.
+The transport pathways of the preparation are written the same way in
+extended precision, as the reference for the closed form's rounding.
 """
 
 import math
@@ -120,10 +121,9 @@ def loop_pole_table(system):
     return {name: np.array(w, dtype=float) for name, w in widths.items()}, bool(floored)
 
 
-def loop_coincidence_snapshot(system, rho_ff, filter_fe, filter_eg, grid):
-    """Normalized, clipped coincidence map and its clipped cell count, one
-    (f', e) emitter pair and one e' emitter at a time; pairs of zero weight
-    are skipped."""
+def loop_signed_map(system, rho_ff, filter_fe, filter_eg, grid):
+    """Max-normalized coincidence map before clipping, one (f', e) emitter
+    pair and one e' emitter at a time; pairs of zero weight are skipped."""
     w_fe, g_fe, w_eg, g_eg, dd_fe, dd_eg = _detection_tables(system)
     populations_f = population_propagator(system.transport_two, grid.t_wait_two) @ rho_ff
     green_e = population_propagator(system.transport_one, grid.t_wait_one)
@@ -152,6 +152,13 @@ def loop_coincidence_snapshot(system, rho_ff, filter_fe, filter_eg, grid):
     peak = np.abs(signal).max(initial=0.0)
     if peak > 0.0:
         signal = signal / peak
+    return signal
+
+
+def loop_coincidence_snapshot(system, rho_ff, filter_fe, filter_eg, grid):
+    """Normalized, clipped coincidence map of :func:`loop_signed_map` and
+    its clipped cell count."""
+    signal = loop_signed_map(system, rho_ff, filter_fe, filter_eg, grid)
     return np.clip(signal, 0.0, None), int(np.count_nonzero(signal < 0.0))
 
 

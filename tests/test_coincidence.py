@@ -9,10 +9,15 @@ from excitonscope import (
     parameter_study,
     spectrogram,
 )
-from excitonscope.coincidence import spectral_gate, temporal_gate
+from excitonscope.coincidence import (
+    _branch_sum,
+    _lineshape_branches,
+    spectral_gate,
+    temporal_gate,
+)
 from excitonscope.units import TWO_PI_C
 
-from loop_reference import loop_coincidence_snapshot
+from loop_reference import loop_coincidence_snapshot, loop_signed_map
 from time_oracle import coincidence_time_oracle
 
 
@@ -102,6 +107,25 @@ def test_lineshape_negative_branch_guard():
     # wide enough coherence width rescues the branch
     pos, neg = filtered_lineshape(tight, 12000.0, 8.0)
     assert np.isfinite(pos) and np.isfinite(neg)
+
+
+@pytest.mark.parametrize(
+    "sigma_omega, sigma_t, gamma",
+    [
+        (10.0, 1e-9, 2.0),  # vanishing temporal width
+        (10.0, 10.0 + 2.0 - 1e-2, 2.0),  # near the tau < 0 divergence
+        (10.0, 4.8681, 2.7e-4),  # floored coherence width
+        (10.0, 4.8681, 100.0),  # broad coherence
+    ],
+)
+def test_branch_sum_closed_form(sigma_omega, sigma_t, gamma):
+    detune = np.linspace(-3000.0, 3000.0, 6001)
+    pos, neg = _lineshape_branches(detune, 0.0, gamma, sigma_omega, sigma_t)
+    expected = pos + neg
+    for weight in (1.0, 0.37):
+        re, im = _branch_sum(detune, gamma, sigma_omega, sigma_t, weight)
+        bound = 1e-15 * np.abs(weight * expected).max()
+        assert np.abs(re + 1j * im - weight * expected).max() <= bound
 
 
 def test_lineshape_rejects_negative_width():
@@ -237,5 +261,22 @@ def test_snapshot_matches_loop_reference(request, name, waits):
                                     make_grid(system, **axes))
         expected, clipped = loop_coincidence_snapshot(
             system, populations, REFERENCE_FILTER, gate_eg, make_grid(system, **axes))
-        assert np.array_equal(grid.result, expected)
+        # the map sums both lineshape branches in closed form, the loop
+        # adds the two complex branches: equal up to rounding
+        assert np.abs(grid.result - expected).max() <= 1e-14 * np.abs(expected).max()
         assert grid.clipped_cells == clipped
+
+
+@pytest.mark.parametrize("name", ["dimer_system", "bundled"])
+def test_snapshot_clipped_fraction(request, name):
+    system = request.getfixturevalue(name)
+    rho = np.random.default_rng(3).random(system.n_two)
+    grid = coincidence_snapshot(system, rho, REFERENCE_FILTER, REFERENCE_FILTER,
+                                make_grid(system, n=64))
+    signed = loop_signed_map(system, rho, REFERENCE_FILTER, REFERENCE_FILTER,
+                             make_grid(system, n=64))
+    negative_mass = -signed[signed < 0.0].sum()
+    assert grid.clipped_cells > 0
+    assert grid.clipped_fraction == pytest.approx(
+        negative_mass / signed[signed > 0.0].sum(), rel=1e-12
+    )

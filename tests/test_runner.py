@@ -138,6 +138,16 @@ def test_plot_scripts_reference_artifacts(tmp_path, dimer_file):
     assert "signal.png" in script
 
 
+def test_clipped_fraction_recorded(tmp_path, dimer_file):
+    _, out = run_into(tmp_path, dimer_file, "coincidence")
+    resolved = json.load(open(os.path.join(out, "manifest.json")))["resolved"]
+    assert isinstance(resolved["clipped_fraction"], float)
+    _, out = run_into(tmp_path, dimer_file, "panel-study", subdir="panels")
+    panels = json.load(open(os.path.join(out, "panels.json")))["panels"]
+    for meta in panels.values():
+        assert (meta["clipped_fraction"] > 0.0) == (meta["clipped_cells"] > 0)
+
+
 def test_json_format_emits_json_artifacts(tmp_path, dimer_file):
     manifest, out = run_into(tmp_path, dimer_file, "coincidence", format="json")
     assert "signal.json" in manifest.artifacts
