@@ -34,7 +34,7 @@ from . import units
 from .aggregate import AggregateSpec
 from .bath import BathSpec, TransportModel, build_transport_matrix
 from .excitons import ExcitonEigensystem, TransitionDipoles, compute_transition_dipoles
-from .sources import EppSource
+from .sources import EppSource, _grid, on_axes
 
 DEFAULT_POLARIZATION = (1.0, 1.0, 1.0)
 # Widths below the trigger are raised to the floor value (cm^-1), so every
@@ -283,6 +283,14 @@ def _transport_pathway(w: PathwayWeights, factors, excess):
     """
     weights = ("fu", w.fe_squared)
     if any("p" in axes for axes, _ in factors):
+        # the unsplit pair, multiplied out first so that the order of the
+        # contraction, which the cancellation over p makes visible, does not
+        # depend on how the source factored it
+        axes, shape = _grid(factors)
+        pair = np.ones(shape, dtype=complex)
+        for factor in factors:
+            pair *= on_axes(axes, factor)
+        factors = [(axes, pair)]
         total = _contract(weights, ("eup", w.transport), *factors)
     else:
         total = _contract(weights, ("eu", w.transport_sum), *factors)

@@ -57,16 +57,24 @@ The preparation engine talks to a source through three methods:
   a source that cannot split a pair so returns it in its factors and no
   excess.  The engine multiplies the factors and its weights and sums
   over the pathway's axes in ``einsum`` calls, so no factor is broadcast
-  to the full pathway grid unless the source returns it so.
+  to the full pathway grid unless the source returns it so.  The factors
+  of an unsplit pair, which carry the shift's axes, it multiplies into
+  one array first.
 
-The classical pulse factors for free: each leg is A(x) A(y), each
-amplitude lives on its own argument's axes, and a shift s of an argument w
-multiplies A(w) by exp(c s (s + 2 (w - center))).  The pump of the pair
-source depends on the sum frequency alone and is one factor on the axes of
-the unshifted sum; a shift s of a sum of terms d_i multiplies it by
-exp(kappa s (s + 2 sum_i d_i)), a product of one factor per term.  With
-T1 = 0 the phase matching depends on the second argument alone, so no
-factor spans more axes than a leg's unshifted sum or a term and a shift.
+Both sources factor a pair the same way.  Each Gaussian (the pump of a
+leg's sum frequency, or a classical amplitude of one argument) is taken
+on the axes of its unshifted sum d, centred on whole wavenumbers
+(``_detuning``) so that the sum rounds only its small remainders; the
+exponents on equal axis sets are added and exponentiated once, and the
+source's constant enters once.  A shift s of d multiplies the Gaussian by
+exp(kappa s (s + 2 d)), a product of one excess factor per term of d
+(``_gaussian``).  With T1 = 0 the phase matching depends on the second
+argument alone, so no factor spans more axes than a leg's unshifted sum
+or a term and a shift.  With T1 != 0 it depends on the whole sum
+frequency, and the pair is taken with no shift split off: each leg's
+matching factor lies on the union of its sum's and its second argument's
+axes.  So is a pair where an excess exponent would leave
+``_EXCESS_EXPONENT_RANGE``.
 """
 
 from __future__ import annotations
@@ -161,20 +169,15 @@ def _grid(terms):
     return "".join(sizes), tuple(sizes.values())
 
 
-def _summed(axes, terms):
-    """The sum of labelled terms as a new array on ``axes``, of size 1 on
-    the axes none of them has.  The smaller terms are added first, so only
-    the last addition runs on the full shape."""
+def labelled_sum(terms):
+    """The sum of labelled terms as a new array labelled by the union of
+    their axes.  The smaller terms are added first, so only the last
+    addition runs on the full shape."""
+    axes, _ = _grid(terms)
     total = np.zeros((), dtype=complex)
     for view in sorted((on_axes(axes, term) for term in terms), key=np.size):
         total = total + view
-    return total
-
-
-def labelled_sum(terms):
-    """The sum of labelled terms, labelled by the union of their axes."""
-    axes, _ = _grid(terms)
-    return axes, _summed(axes, terms)
+    return axes, total
 
 
 def _union(axes, other):
@@ -236,6 +239,44 @@ def _grown(groups):
     return [(axes, np.expm1(e)) for axes, e in groups.values()]
 
 
+def _gaussian(terms, shift, center, kappa, exponents, growth):
+    """The exponent kappa d^2 of a Gaussian of the sum of ``terms``, with
+    d the sum less its shift and less ``center``, and the change a shift s
+    makes to it.
+
+    kappa d^2 joins ``exponents`` by axis set.  The change
+    kappa ((d + s)^2 - d^2) = 2 kappa s (d + s / 2) joins ``growth`` as one
+    product per term of d, the last taking s / 2, so that no product has
+    more axes than a term and the shift.  Returns the terms of d, from
+    ``_detuning``.
+    """
+    base, shifts = _split(terms, shift)
+    detuning = _detuning(base, center)
+    axes, exponent = labelled_sum(detuning)
+    exponent *= exponent
+    exponent *= kappa
+    _accumulate(exponents, axes, exponent)
+    for s_axes, s in shifts:
+        *rest, (own, last) = detuning
+        union = _union(own, s_axes)
+        rest.append((union, on_axes(union, (own, last)) + on_axes(union, (s_axes, 0.5 * s))))
+        for own, term in rest:
+            union = _union(own, s_axes)
+            _accumulate(growth, union, on_axes(union, (own, (2.0 * kappa) * term))
+                        * on_axes(union, (s_axes, s)))
+    return detuning
+
+
+def _exponentiated(exponents, constant):
+    """exp of each grouped exponent, in place, as labelled factors whose
+    product is ``constant`` times exp of the sum of the exponents: the
+    first factor carries the constant."""
+    factors = [(axes, np.exp(exponent, out=exponent)) for axes, exponent in exponents.values()]
+    first = factors[0][1]
+    first *= constant
+    return factors
+
+
 @dataclass(frozen=True)
 class EppSource:
     """Entangled photon pair source.
@@ -252,19 +293,20 @@ class EppSource:
     sign of 2 i phi instead of conjugating.  The legs broadcast their
     frequency arguments against each other.
 
-    ``pair_factors`` returns a ket-bra pair as labelled factors.  With
-    ``t1 == 0`` these are the pump on the axes of each leg's unshifted sum
-    frequency, centred on whole wavenumbers (``_detuning``) so that the
-    sum rounds only its small remainders, and one phase-matching factor
-    per leg on its unshifted second argument's axes.  A shift s of a sum
+    ``pair_factors`` returns a ket-bra pair as labelled factors: the pump
+    exponents of both legs' sums, grouped by axis set and exponentiated
+    once, and one phase-matching factor per leg.  With ``t1 == 0`` and a
+    shift, the pump is taken on the axes of each unshifted sum and the
+    matching on each unshifted second argument's axes.  A shift s of a sum
     d (the sum less the pump center) multiplies the pump by
     exp(kappa s (s + 2 d)), kappa = -(2 pi c)^2 / (4 G), which splits into
     one excess factor expm1(...) per term of d; a shift of a second
     argument changes the phase matching by ``_expm1_ratio_change``.  No
     factor has more axes than a leg's unshifted sum, or a term and a
-    shift.  Otherwise, or when an excess exponent's real part would leave
-    ``_EXCESS_EXPONENT_RANGE``, the pair is one factor on all the axes of
-    its arguments, with one pump ``exp`` per point, and no excess.
+    shift.  With ``t1 != 0``, or where an excess exponent's real part
+    would leave ``_EXCESS_EXPONENT_RANGE``, the same factors are taken
+    with no shift split off, each matching factor on the axes of its
+    leg's sum and second argument, and there is no excess.
     """
 
     omega1: float
@@ -292,17 +334,12 @@ class EppSource:
     def pump_gamma(self) -> float:
         return gaussian_gamma_from_tau(self.tau_pump)
 
-    def _pump_exponent(self, omega):
-        """ln(A_p(omega) / (e0 sqrt(pi/G)))."""
-        # i^2 in the squared scaled detuning gives the Gaussian's exponent
-        d = np.subtract(omega, self.pump_center, dtype=complex)
-        d *= 0.5j * units.TWO_PI_C / np.sqrt(self.pump_gamma)
-        d *= d
-        return d
-
     def pump_amplitude(self, omega):
         """A_p(omega) with one complex exp per point."""
-        d = np.asarray(self._pump_exponent(omega))
+        # i^2 in the squared scaled detuning gives the Gaussian's exponent
+        d = np.asarray(np.subtract(omega, self.pump_center, dtype=complex))
+        d *= 0.5j * units.TWO_PI_C / np.sqrt(self.pump_gamma)
+        d *= d
         np.exp(d, out=d)
         d *= self.e0 * np.sqrt(np.pi / self.pump_gamma)
         return d[()]  # a scalar for a scalar argument
@@ -368,47 +405,30 @@ class EppSource:
     def pair_factors(self, ket_x, ket_y, bra_x, bra_y, shift=None):
         """preparation_ket(x, y) * preparation_bra(x', y') as labelled
         ``(factors, excess)``, as the class docstring describes."""
-        if not self.t1:
-            factored = self._factored(ket_x, ket_y, bra_x, bra_y, shift)
-            if factored is not None:
-                return factored
-        return [self._unfactored(ket_x, ket_y, bra_x, bra_y)], []
-
-    @property
-    def _kappa(self):
-        """The pump's exponent per squared detuning, in cm^2."""
-        return -((0.5 * units.TWO_PI_C) ** 2) / self.pump_gamma
-
-    @property
-    def _pair_scale(self):
-        return (self.alpha * self.e0) ** 2 * (np.pi / self.pump_gamma)
+        factored = None if self.t1 else self._factored(ket_x, ket_y, bra_x, bra_y, shift)
+        return factored or self._factored(ket_x, ket_y, bra_x, bra_y, None)
 
     def _factored(self, ket_x, ket_y, bra_x, bra_y, shift):
-        """The pair at t1 = 0 as factors and excess factors, or None where
-        an excess exponent leaves its range."""
-        kappa = self._kappa
+        """The pair as factors and excess factors with the terms on the axes
+        ``shift`` split off (none if ``shift`` is None), or None where an
+        excess exponent leaves its range."""
+        kappa = -((0.5 * units.TWO_PI_C) ** 2) / self.pump_gamma  # per squared detuning
         pump, growth, matching, excess = {}, {}, {}, {}
         for x, y, sign in ((ket_x, ket_y, -1.0), (bra_x, bra_y, 1.0)):
-            base, shifts = _split(x + y, shift)
-            detuning = _detuning(base, self.pump_center)
-            axes, exponent = labelled_sum(detuning)
-            exponent *= exponent
-            exponent *= kappa
-            _accumulate(pump, axes, exponent)
-            for s_axes, s in shifts:
-                # kappa ((d + s)^2 - d^2) = 2 kappa s (d + s / 2), one product
-                # per term of d, the last taking s / 2
-                *terms, (own, last) = detuning
-                union = _union(own, s_axes)
-                terms.append((union, on_axes(union, (own, last)) + on_axes(union, (s_axes, 0.5 * s))))
-                for own, term in terms:
-                    union = _union(own, s_axes)
-                    _accumulate(growth, union, on_axes(union, (own, (2.0 * kappa) * term))
-                                * on_axes(union, (s_axes, s)))
+            detuning = _gaussian(x + y, shift, self.pump_center, kappa, pump, growth)
             base, shifts = _split(y, shift)
-            axes, wb = labelled_sum(base)
-            _accumulate(matching, axes, np.broadcast_to(self._matching(None, wb, sign), wb.shape),
-                        np.multiply)
+            wb_axes, wb = labelled_sum(base)
+            if self.t1:
+                # the matching depends on the whole sum frequency as well
+                sum_axes, d = labelled_sum(detuning)
+                axes, shape = _grid([(sum_axes, d), (wb_axes, wb)])
+                m = self._matching(on_axes(axes, (sum_axes, d)), on_axes(axes, (wb_axes, wb)),
+                                   sign, self.pump_center)
+                del d  # on all of the leg's axes: freed before the next leg
+            else:
+                axes, shape = wb_axes, wb.shape
+                m = self._matching(None, wb, sign)
+            _accumulate(matching, axes, np.broadcast_to(m, shape), np.multiply)
             for s_axes, s in shifts if self.entanglement_time else ():
                 union = _union(axes, s_axes)
                 _accumulate(excess, union, self._matching_excess(
@@ -418,12 +438,8 @@ class EppSource:
             return None
         for axes, m in grown:
             _accumulate(excess, axes, m, _excess_product)
-        factors = []
-        for axes, exponent in pump.values():
-            factor = np.exp(exponent, out=exponent)
-            factor *= self._pair_scale
-            factors.append((axes, factor))
-        return factors + list(matching.values()), list(excess.values())
+        scale = (self.alpha * self.e0) ** 2 * (np.pi / self.pump_gamma)
+        return _exponentiated(pump, scale) + list(matching.values()), list(excess.values())
 
     def _matching_excess(self, wb, shift, sign):
         """_matching(wb + shift) / _matching(wb) - 1 at t1 = 0 (equal
@@ -432,30 +448,6 @@ class EppSource:
         references = dict.fromkeys((self.omega1, self.omega2))
         change = sum(_expm1_ratio_change(k * (wb - r), k * shift) for r in references)
         return change / sum(_expm1_ratio(k * (wb - r)) for r in references)
-
-    def _unfactored(self, ket_x, ket_y, bra_x, bra_y):
-        """The pair as one factor on all the axes of its arguments, with one
-        pump ``exp`` per point.  The axes of the second arguments lead, so
-        that numpy runs its inner loops over the block they broadcast on."""
-        axes, shape = _grid(ket_y + bra_y + ket_x + bra_x)
-        legs = ((ket_x, ket_y, -1.0), (bra_x, bra_y, 1.0))
-        # each leg's sum frequency less the pump center, on its own axes
-        ket_d, bra_d = (_summed(axes, _detuning(_merged(x + y), self.pump_center))
-                        for x, y, _ in legs)
-        ket_m, bra_m = (self._matching(d if self.t1 else None, _summed(axes, y), sign, self.pump_center)
-                        for d, (_, y, sign) in zip((ket_d, bra_d), legs))
-        # one array on all the axes at full size, and the exponent in the
-        # detunings, built in place from here on
-        pair = np.multiply(ket_m, bra_m, out=np.empty(shape, dtype=complex))
-        del ket_m, bra_m
-        ket_d *= ket_d
-        bra_d *= bra_d
-        in_ket = ket_d.shape == np.broadcast_shapes(ket_d.shape, bra_d.shape)
-        exponent = np.add(ket_d, bra_d, out=ket_d if in_ket else None)
-        exponent *= self._kappa
-        pair *= np.exp(exponent, out=exponent)
-        pair *= self._pair_scale
-        return axes, pair
 
 
 @dataclass(frozen=True)
@@ -501,27 +493,21 @@ class CoherentSource:
     preparation_bra = preparation_ket
 
     def pair_factors(self, ket_x, ket_y, bra_x, bra_y, shift=None):
-        """A(x) A(y) A(x') A(y'), one factor per argument on that argument's
-        unshifted axes, and per shift s of an argument w the excess
+        """A(x) A(y) A(x') A(y') as labelled ``(factors, excess)``: the
+        Gaussian exponents of the unshifted arguments grouped by axis set
+        and exponentiated, and per shift s of an argument w the excess
         A(w + s) / A(w) - 1 = expm1(c s (s + 2 (w - center))),
         c = -(2 pi c)^2 / (4 G).  Where the real part of such an exponent
-        would leave ``_EXCESS_EXPONENT_RANGE``, the factors are A of the
-        whole arguments and there is no excess."""
+        would leave ``_EXCESS_EXPONENT_RANGE``, the pair is taken with no
+        shift split off."""
         c = -(units.TWO_PI_C ** 2) / (4.0 * self.gamma)
-        factors, growth = [], {}
+        exponents, growth = {}, {}
         for terms in (ket_x, ket_y, bra_x, bra_y):
-            base, shifts = _split(terms, shift)
-            axes, omega = labelled_sum(base)
-            factors.append((axes, self.amplitude(omega)))
-            for s_axes, s in shifts:
-                union = _union(axes, s_axes)
-                s = on_axes(union, (s_axes, s))
-                _accumulate(growth, union, c * s * (s + 2.0 * on_axes(union, (axes, omega - self.center))))
+            _gaussian(terms, shift, self.center, c, exponents, growth)
         grown = _grown(growth)
         if grown is None:
-            return [(axes, self.amplitude(omega))
-                    for axes, omega in map(labelled_sum, (ket_x, ket_y, bra_x, bra_y))], []
-        return factors, grown
+            return self.pair_factors(ket_x, ket_y, bra_x, bra_y)
+        return _exponentiated(exponents, (self.scale * np.sqrt(np.pi / self.gamma)) ** 4), grown
 
 
 def jsi_map(source: EppSource, omega_a_grid, omega_b_grid) -> np.ndarray:

@@ -11,17 +11,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 SPEED_OF_LIGHT_CM_PER_FS = 2.99792458e-5
 TWO_PI_C = 2.0 * math.pi * SPEED_OF_LIGHT_CM_PER_FS
 BOLTZMANN_CM_PER_K = 0.6950348
 DEFAULT_TEMPERATURE_K = 300.0
-
-
-def phase(nu_cm, t_fs):
-    """Phase in radians accumulated by ``nu_cm`` (cm^-1) over ``t_fs`` (fs)."""
-    return TWO_PI_C * np.asarray(nu_cm) * np.asarray(t_fs)
 
 
 def beta_cm(temperature_k: float) -> float:

@@ -331,8 +331,8 @@ def test_c9_full_scale_runs(bundled, tmp_path):
     assert time.perf_counter() - start < 600.0
     run_scenario(cfg, out_dir=str(tmp_path / "pooled"), threads=4)
     for name in ("scan.csv", "selectivity.csv"):
-        a = open(tmp_path / "serial" / name, "rb").read()
-        b = open(tmp_path / "pooled" / name, "rb").read()
+        a = (tmp_path / "serial" / name).read_bytes()
+        b = (tmp_path / "pooled" / name).read_bytes()
         assert a == b, f"{name} differs between thread counts"
 
     # a full-resolution detection map on the bundled model

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,7 +58,7 @@ def test_subcommand_overrides_config_scenario(dimer_setup, tmp_path, capsys):
     out = str(tmp_path / "run")
     code = main(["propagate", "--config", cfg_path, "--out", out])
     assert code == 0
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     assert manifest["scenario"] == "propagate"
     assert os.path.isfile(os.path.join(out, "snapshots.csv"))
 
@@ -103,7 +104,7 @@ def test_outputs_identical_across_thread_flag(dimer_setup, tmp_path, capsys):
     assert main(["excite-scan", "--config", cfg_path, "--out", a, "--threads", "1"]) == 0
     assert main(["excite-scan", "--config", cfg_path, "--out", b, "--threads", "4"]) == 0
     for name in ("scan.csv", "selectivity.csv"):
-        assert open(os.path.join(a, name), "rb").read() == open(os.path.join(b, name), "rb").read()
+        assert Path(a, name).read_bytes() == Path(b, name).read_bytes()
 
 
 def test_format_json_flag(dimer_setup, tmp_path, capsys):

@@ -170,21 +170,35 @@ def test_pair_sums_have_the_rank_of_their_poles(trimer_system):
                 assert not excess
 
 
+def test_pair_sums_at_nonzero_t1_split_off_no_shift(trimer_system):
+    # at t1 != 0 the matching factor depends on the whole sum frequency, so
+    # no pathway splits off its mode poles: p2-p5 have no excess, and the
+    # coherence pathways p3 and p5 still have no factor beyond (f, a, b)
+    recorder = RecordingSource(engine_sources(trimer_system)[1])
+    prepare_closed_form(trimer_system, recorder)
+    assert len(recorder.factors) == 4 and not any(recorder.excess)
+    for factors in recorder.factors[2:]:  # p3, p5
+        for axes, shape in factors:
+            assert len(axes) == len(shape) and all(n > 1 for n in shape)
+            assert set(axes) <= set("fab"), axes
+
+
 def test_guard_falls_back_to_the_unfactored_pair(trimer_system):
     # An excess exponent grows as |kappa| lambda (lambda + 2 gamma) with the
     # mode rates lambda; on the test systems they stay far below the widths
     # gamma, so the pump overflows first.  Mode poles 1e4 times the trimer's
     # (up to 31 cm^-1) and a 2 ps pump pass the bound in p2, so p2 comes
-    # back as one factor on the full grid, while p4, whose pump takes no
-    # shift, and p3 and p5 stay factored.
+    # back unsplit, with its pump one factor on the full grid and no
+    # excess, while p4, whose pump takes no shift, and p3 and p5 stay
+    # factored.
     one = trimer_system.transport_one
     system = replace(trimer_system, transport_one=replace(one, lambdas=one.lambdas * 1e4))
     source = replace(engine_sources(system)[0], tau_pump=2.0e3)
     recorder = RecordingSource(source)
     direct = prepare_closed_form(system, recorder).pathway_partials
     grid = dict(zip("feup", (system.n_two, system.n_one, system.n_one, system.poles.modes.size)))
-    (axes, shape), = recorder.factors[0]
-    assert dict(zip(axes, shape)) == grid and not recorder.excess[0]
+    spanning = [dict(zip(axes, shape)) for axes, shape in recorder.factors[0] if len(axes) == 4]
+    assert spanning == [grid] and not recorder.excess[0]
     assert recorder.excess[1]
     assert all(len(axes) < 4 for factors in recorder.factors[1:] for axes, _ in factors)
     broadcast = prepare_closed_form(system, BroadcastingSource(source)).pathway_partials

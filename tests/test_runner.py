@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def test_manifest_contents(tmp_path, dimer_file):
 
 def test_plot_scripts_reference_artifacts(tmp_path, dimer_file):
     _, out = run_into(tmp_path, dimer_file, "coincidence")
-    script = open(os.path.join(out, "plot_signal.gp")).read()
+    script = Path(out, "plot_signal.gp").read_text()
     assert "signal.csv" in script
     assert "nonuniform matrix" in script
     assert "signal.png" in script
@@ -140,10 +141,10 @@ def test_plot_scripts_reference_artifacts(tmp_path, dimer_file):
 
 def test_clipped_fraction_recorded(tmp_path, dimer_file):
     _, out = run_into(tmp_path, dimer_file, "coincidence")
-    resolved = json.load(open(os.path.join(out, "manifest.json")))["resolved"]
+    resolved = json.loads(Path(out, "manifest.json").read_text())["resolved"]
     assert isinstance(resolved["clipped_fraction"], float)
     _, out = run_into(tmp_path, dimer_file, "panel-study", subdir="panels")
-    panels = json.load(open(os.path.join(out, "panels.json")))["panels"]
+    panels = json.loads(Path(out, "panels.json").read_text())["panels"]
     for meta in panels.values():
         assert (meta["clipped_fraction"] > 0.0) == (meta["clipped_cells"] > 0)
 
@@ -189,8 +190,8 @@ def test_scan_csv_identical_across_thread_counts(tmp_path, dimer_file):
     run_scenario(cfg, out_dir=str(tmp_path / "serial"), threads=1)
     run_scenario(cfg, out_dir=str(tmp_path / "pooled"), threads=4)
     for name in ("scan.csv", "selectivity.csv"):
-        a = open(tmp_path / "serial" / name, "rb").read()
-        b = open(tmp_path / "pooled" / name, "rb").read()
+        a = (tmp_path / "serial" / name).read_bytes()
+        b = (tmp_path / "pooled" / name).read_bytes()
         assert a == b
 
 
@@ -198,7 +199,7 @@ def test_propagate_snapshot_columns(tmp_path, dimer_file):
     manifest, out = run_into(
         tmp_path, dimer_file, "propagate", snapshot_times=[50.0, 100.0, 250.0, 1000.0]
     )
-    lines = open(os.path.join(out, "snapshots.csv")).read().strip().split("\n")
+    lines = Path(out, "snapshots.csv").read_text().strip().split("\n")
     header = lines[0].split(",")
     assert header[:2] == ["state", "energy_cm"]
     assert header[2:] == ["p_50fs", "p_100fs", "p_250fs", "p_1000fs"]
@@ -207,7 +208,7 @@ def test_propagate_snapshot_columns(tmp_path, dimer_file):
 
 def test_auto_detection_axes_cover_emission_lines(tmp_path, dimer_file):
     _, out = run_into(tmp_path, dimer_file, "coincidence")
-    meta = json.load(open(os.path.join(out, "metadata.json")))
+    meta = json.loads(Path(out, "metadata.json").read_text())
     lo_fe, hi_fe, n_fe = meta["axes"]["omega_fe"]
     assert n_fe == 17
     # dimer f->e gaps span 11428 .. 13070 cm^-1; the auto axis pads both ends

@@ -249,10 +249,31 @@ def test_coherent_pair_is_the_product_of_its_legs():
     assert np.all(np.abs(_pair(factors, excess) - _legs(source, arguments))
                   <= 1e-13 * np.abs(_legs(source, arguments)))
     factors, excess = source.pair_factors(*arguments, shift="p")
-    assert [axes for axes, _ in factors] == ["fu", "e", "fu", "e"]
+    # the Gaussian exponents of the arguments on equal axis sets are grouped
+    assert [axes for axes, _ in factors] == ["fu", "e"]
     assert [axes for axes, _ in excess] == ["fup", "ep"]
     assert np.all(np.abs(_pair(factors, excess) - _legs(source, arguments))
                   <= 1e-13 * np.abs(_legs(source, arguments)))
+
+
+@pytest.mark.parametrize("source", [
+    make_source(tau_pump=120.0, t1=0.0, t_ent=10.0, alpha=1.3, e0=0.7),
+    make_source(tau_pump=120.0, t1=3.0, t_ent=13.0, alpha=1.3, e0=0.7),
+    CoherentSource(12300.0, 60.0, 1.7),
+])
+def test_pair_on_unequal_axis_sets_is_the_product_of_its_legs(source):
+    # the ket's sum frequency lies on (f, e) and the bra's on (f, g), so the
+    # Gaussian exponents form more than one group, and the source's constant
+    # still enters the pair once; the frequencies are multiples of 2^-20
+    # cm^-1, so the legs form their sums exactly
+    references = [12100.0, 12500.0]
+    rng = np.random.default_rng(10)
+    f, e, f_bra, g = (np.round(_near(references, (n,), rng) * 2**20) / 2**20 for n in (5, 4, 5, 3))
+    factors, excess = source.pair_factors([("f", f)], [("e", e)], [("f", f_bra)], [("g", g)])
+    assert not excess
+    expected = (source.preparation_ket(f[:, None, None], e[None, :, None])
+                * source.preparation_bra(f_bra[:, None, None], g[None, None, :]))
+    assert np.all(np.abs(_pair(factors, excess, "feg") - expected) <= 1e-13 * np.abs(expected))
 
 
 @pytest.mark.parametrize("source", [
