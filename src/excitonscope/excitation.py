@@ -15,17 +15,16 @@ integrand (``tests/quadrature_oracle.py``).
 Pole convention: a coherence between states a and b oscillating at
 w_ab = E_a - E_b with width gamma_ab contributes 1/(w - zeta) with
 zeta = w_ab - i*gamma_ab in the lower half plane.  The ket legs of the
-source enter through their conjugate-phase continuation
-(``preparation_ket``) so that every contour closure lands on its own
-pole; this is the globally conjugated description of the same real
-signal as the plain four-point correlator.
+source (see ``sources``) enter through their conjugate-phase continuation
+so that every contour closure lands on its own pole; this is the globally
+conjugated description of the same real signal as the plain correlator.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -180,10 +179,7 @@ class PreparationResult:
     populations: np.ndarray
     raw: np.ndarray
     pathway_partials: np.ndarray
-    time_fs: float
-    method: str
     regularized: bool
-    source_summary: dict
     diagnostics: dict = field(default_factory=dict)
 
     def normalized(self) -> np.ndarray:
@@ -191,15 +187,6 @@ class PreparationResult:
         if peak <= 0.0:
             return np.zeros_like(self.populations)
         return self.populations / peak
-
-
-def describe_source(source) -> dict:
-    """Flat parameter echo of a source object for result metadata: its class
-    name and, for a dataclass source, its fields."""
-    summary = {"kind": type(source).__name__}
-    if is_dataclass(source):
-        summary.update(asdict(source))
-    return summary
 
 
 @dataclass(frozen=True)
@@ -269,78 +256,78 @@ def _contraction_path(subscripts: str, shapes: tuple) -> list:
     return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
 
 
-def _transport_pathway(w: PathwayWeights, factors, excess):
-    """sum over (e, u, p) of fe_squared[f, u] transport[e, u, p] times the
-    pair: the product of the factors and of 1 + m over the excess factors.
+def _pathway(weights, summed, factors, excess):
+    """sum over every axis but f of the labelled ``weights`` times the
+    pair: the product of the factors and of 1 + m over the excess factors m.
 
-    sum_p transport[e, u, p] is d_eg[e]^2 delta_eu, while its terms reach
-    1e5 times that on an ill-conditioned mode basis, so a pair that varies
-    little with p cancels to the same degree.  Where no factor depends on
-    p, the product of the 1 + m_j is expanded as
-    1 + sum_j (1 + m_1) ... (1 + m_{j-1}) m_j: the 1 takes the exact sum
-    ``transport_sum``, and the terms of the sum, small where the pair
-    varies little, the weights themselves.
+    ``summed`` is ``weights`` summed over the shift's axes, which no
+    split-off factor has.  The product of the 1 + m_j is expanded as
+    1 + sum_j (1 + m_1) ... (1 + m_{j-1}) m_j: the 1 takes ``summed`` and
+    the terms, small where the pair varies little with the shift, the
+    weights.  So the transport pathways' pair does not inherit the
+    cancellation of sum_p transport[e, u, p] = d_eg[e]^2 delta_eu, whose
+    terms reach 1e5 times that on an ill-conditioned mode basis.
     """
-    weights = ("fu", w.fe_squared)
-    if any("p" in axes for axes, _ in factors):
+    kept = set("".join(axes for axes, _ in summed))
+    if any(not kept.issuperset(axes) for axes, _ in factors):
         # the unsplit pair, multiplied out first so that the order of the
-        # contraction, which the cancellation over p makes visible, does not
-        # depend on how the source factored it
+        # contraction, which the cancellation over the shift's axes makes
+        # visible, does not depend on how the source factored it
         axes, shape = _grid(factors)
         pair = np.ones(shape, dtype=complex)
         for factor in factors:
             pair *= on_axes(axes, factor)
         factors = [(axes, pair)]
-        total = _contract(weights, ("eup", w.transport), *factors)
+        total = _contract(*weights, *factors)
     else:
-        total = _contract(weights, ("eu", w.transport_sum), *factors)
+        total = _contract(*summed, *factors)
     for j, (axes, m) in enumerate(excess):
         earlier = [(own, 1.0 + n) for own, n in excess[:j]]
-        total += _contract(weights, ("eup", w.transport), *factors, *earlier, (axes, m))
+        total += _contract(*weights, *factors, *earlier, (axes, m))
     return total
 
 
 def _closed_pathways(z: PoleTable, w: PathwayWeights, source):
     """Five pathway partial sums (without the decay prefactor), each (N_f,).
 
-    The fully coherent ladder p1 factorizes into a ket sum and a bra sum,
-    so it takes the two legs separately.  p2-p5 take one
-    ``source.pair_factors(ket_x, ket_y, bra_x, bra_y, shift)`` call each,
-    every argument a list of terms ``(axes, array)`` labelled by the
-    pathway's axes, the mode poles on axis p as the shift, and contract
-    its weights with the returned factors in ``einsum`` calls.  A pole
-    that cancels in a leg's sum x + y appears in both of its arguments
-    with opposite signs.
+    Each pathway is one ``source.pair_factors(ket_x, ket_y, bra_x, bra_y,
+    shift)`` call, every argument a list of terms ``(axes, array)``
+    labelled by the pathway's axes, contracted with its weights by
+    ``_pathway``.  A pole that cancels in a leg's sum x + y appears in both
+    of its arguments with opposite signs.  The transport pathways pass
+    their mode poles on axis p as the shift.
     """
-    # p1 on axes (f, e): ket (f, e) with (e,), bra (f, e) with (f, e)
-    ket1 = source.preparation_ket(z.fg[:, None] - z.eg[None, :], z.eg)
-    bra1 = source.preparation_bra(z.fe - z.ff[:, None], z.fg[:, None] - z.fe)
-    p1 = (w.coherent * ket1).sum(axis=1) * (w.coherent * bra1).sum(axis=1)
+    # p1 on axes (f, a, b), the ket through one-exciton state a, the bra b:
+    # ket (fg - eg, eg), bra (fe - ff, fg - fe)
+    coherent = [("fa", w.coherent), ("fb", w.coherent)]
+    p1 = _pathway(coherent, coherent, *source.pair_factors(
+        [("f", z.fg), ("a", -z.eg)], [("a", z.eg)],
+        [("fb", z.fe), ("f", -z.ff)], [("f", z.fg), ("fb", -z.fe)]))
 
     # transport pathways on axes (f, e, u, p): the middle interval is a
     # one-exciton population summed over eigenmodes p, with the fourth
     # interaction on the ket (p2) or the bra (p4) side
+    transport = [("fu", w.fe_squared), ("eup", w.transport)]
+    summed = [("fu", w.fe_squared), ("eu", w.transport_sum)]
     eg, zp, minus_zp = ("e", z.eg), ("p", z.modes), ("p", -z.modes)
     # p2: ket (fe - zp, eg), bra (fe - ff, eg - zp)
-    p2 = _transport_pathway(w, *source.pair_factors(
+    p2 = _pathway(transport, summed, *source.pair_factors(
         [("fu", z.fe), minus_zp], [eg], [("fu", z.fe - z.ff[:, None])], [eg, minus_zp], shift="p"))
     # p4: ket (ff - ef, eg), bra (zp - ef, eg - zp)
-    p4 = _transport_pathway(w, *source.pair_factors(
+    p4 = _pathway(transport, summed, *source.pair_factors(
         [("fu", z.ff[:, None] - z.ef)], [eg], [zp, ("fu", -z.ef)], [eg, minus_zp], shift="p"))
 
     # coherence pathways on axes (f, a, b): the middle interval is an
     # off-diagonal one-exciton coherence a-b, again with ket- and bra-sided
     # completion
-    coherence = ("fab", w.coherence)
+    coherence = [("fab", w.coherence)]
     eg, ee, minus_ee = ("a", z.eg), ("ab", z.ee), ("ab", -z.ee)
     # p3: ket (fe - ee, eg), bra (fe - ff, eg - ee)
-    factors, _ = source.pair_factors(
-        [("fb", z.fe), minus_ee], [eg], [("fb", z.fe - z.ff[:, None])], [eg, minus_ee])
-    p3 = _contract(coherence, *factors)
+    p3 = _pathway(coherence, coherence, *source.pair_factors(
+        [("fb", z.fe), minus_ee], [eg], [("fb", z.fe - z.ff[:, None])], [eg, minus_ee]))
     # p5: ket (ff - ef, eg), bra (ee - ef, eg - ee)
-    factors, _ = source.pair_factors(
-        [("fa", z.ff[:, None] - z.ef)], [eg], [ee, ("fa", -z.ef)], [eg, minus_ee])
-    p5 = _contract(coherence, *factors)
+    p5 = _pathway(coherence, coherence, *source.pair_factors(
+        [("fa", z.ff[:, None] - z.ef)], [eg], [ee, ("fa", -z.ef)], [eg, minus_ee]))
 
     return np.stack([p1, p2, p3, p4, p5])
 
@@ -379,10 +366,7 @@ def prepare_closed_form(
         populations=np.clip(raw, 0.0, None),
         raw=raw,
         pathway_partials=partials,
-        time_fs=float(t_fs),
-        method="closed-form",
         regularized=z.regularized,
-        source_summary=describe_source(source),
         diagnostics=_diagnostics(partials),
     )
 
@@ -402,8 +386,6 @@ class ScanResult:
     target_energies: np.ndarray
     selectivity: np.ndarray
     mode: str
-    time_fs: float
-    source_summary: dict
     regularized: bool
 
 
@@ -454,6 +436,9 @@ def scan_targets(
         return prepare_closed_form(system, scan_source(source_template, float(energy), mode), t_fs)
 
     if threads > 1:
+        # cached_property has no lock from Python 3.12 on, so the tables are
+        # built here, before two workers can each build them
+        system.poles, system.weights
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(prepare_one, energies))
     else:
@@ -476,7 +461,5 @@ def scan_targets(
         target_energies=energies,
         selectivity=selectivity,
         mode=mode,
-        time_fs=float(t_fs),
-        source_summary=describe_source(source_template),
         regularized=system.poles.regularized,
     )

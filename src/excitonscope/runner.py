@@ -33,7 +33,7 @@ from . import __version__, units
 from .aggregate import AggregateSpec
 from .coincidence import FilterSpec, SignalGrid, coincidence_snapshot, parameter_study
 from .config import ConfigError, RunConfig, snapshot_label
-from .excitation import ExcitonSystem, describe_source, prepare_closed_form, scan_targets
+from .excitation import ExcitonSystem, prepare_closed_form, scan_targets
 from .presets import bright_pair, bundled_aggregate
 from .propagators import population_evolve
 from .sources import CoherentSource, EppSource, jsi_map
@@ -169,8 +169,16 @@ def build_system(cfg: RunConfig) -> ExcitonSystem:
     if cfg.aggregate == "bundled":
         spec = bundled_aggregate()
     else:
-        spec = AggregateSpec.from_json(cfg.aggregate)
+        try:
+            spec = AggregateSpec.from_json(cfg.aggregate)
+        except ValueError as exc:  # JSONDecodeError is one too
+            raise ConfigError([("aggregate", f"{cfg.aggregate}: {exc}")]) from exc
     return ExcitonSystem.build(spec, cfg.bath, cfg.polarization)
+
+
+def describe_source(source) -> dict:
+    """The class name and fields of a source, for the run record."""
+    return {"kind": type(source).__name__, **dataclasses.asdict(source)}
 
 
 def _checked_target(cfg: RunConfig, system: ExcitonSystem) -> int:
@@ -189,6 +197,8 @@ def resolve_source(cfg: RunConfig, system: ExcitonSystem):
         if center == "auto":
             center = 0.5 * float(system.eig.energies_f[_checked_target(cfg, system)])
         return CoherentSource(float(center), s.tau, s.scale)
+    if s.t2 < s.t1:
+        raise ConfigError([("source.t2", f"must be >= source.t1 = {s.t1} (fs)")])
     e1, e2 = bright_pair(system)
     omega1 = float(system.eig.energies_e[e1]) if s.omega1 == "auto" else s.omega1
     omega2 = float(system.eig.energies_e[e2]) if s.omega2 == "auto" else s.omega2
@@ -432,7 +442,7 @@ def _run_excite_scan(cfg, system, sink, clock, warnings, resolved):
     sink.json("metadata.json", {
         "source_template": resolved["source"],
         "mode": scan.mode,
-        "time_fs": scan.time_fs,
+        "time_fs": cfg.time_fs,
         "median_selectivity": float(np.median(scan.selectivity)),
     })
     sink.script("plot_scan.gp", emit_heatmap_script(

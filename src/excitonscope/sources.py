@@ -38,28 +38,30 @@ amplitude; since the pump Gaussian and the phase have real coefficients,
 the conjugate JSA leg is the same expression with -2 i phi in place of
 2 i phi and needs no conjugation passes.
 
-The preparation engine talks to a source through three methods:
+A source's two field legs ``preparation_ket(x, y)`` and
+``preparation_bra(x, y)``, which broadcast their arguments, define a pair
+plainly: the reference evaluations in the tests take them, and the pair
+source's bra leg is its ``jsa``.  The preparation engine talks to a
+source through one method:
 
-- ``preparation_ket(x, y)`` and ``preparation_bra(x, y)``, one field leg
-  each; the engine's factorized coherent pathway calls them directly.
-  Both broadcast their arguments against each other.
 - ``pair_factors(ket_x, ket_y, bra_x, bra_y, shift=None)``, the product
-  ``preparation_ket(x, y) * preparation_bra(x', y')`` for every other
-  pathway, returned as labelled factors.  An argument is a list of terms
-  ``(axes, array)`` whose sum it is, and a factor is one ``(axes, array)``
-  with one array dimension per character of ``axes``, each of the axis's
-  full size.  Terms on the axes ``shift`` alone are shifts: the transport
-  pathways' mode poles, which move the pair little.  The call returns
-  ``(factors, excess)``, and the pair is the product of the factors and
-  of 1 + m over the excess factors m.  The factors are the pair with every
-  shift left out, so none has the shift's axes, and the excess factors
-  carry the change the shifts make, each computed without cancellation;
-  a source that cannot split a pair so returns it in its factors and no
-  excess.  The engine multiplies the factors and its weights and sums
-  over the pathway's axes in ``einsum`` calls, so no factor is broadcast
-  to the full pathway grid unless the source returns it so.  The factors
-  of an unsplit pair, which carry the shift's axes, it multiplies into
-  one array first.
+  ``preparation_ket(x, y) * preparation_bra(x', y')`` for each of the
+  five pathways, returned as labelled factors.  An argument is a list of
+  terms ``(axes, array)`` whose sum it is, and a factor is one
+  ``(axes, array)`` with one array dimension per character of ``axes``,
+  each of the axis's full size.  Terms on equal axis sets are added, and
+  a pole that cancels in a sum drops out of it exactly.  Terms on the
+  axes ``shift`` alone are shifts: the transport pathways' mode poles,
+  which move the pair little.  The call returns ``(factors, excess)``,
+  and the pair is the product of the factors and of 1 + m over the excess
+  factors m.  The factors are the pair with every shift left out, so
+  none has the shift's axes, and the excess factors carry the change the
+  shifts make, each computed without cancellation; a source that cannot
+  split a pair so returns it in its factors and no excess.  The engine
+  multiplies the factors and its weights and sums over the pathway's axes
+  in ``einsum`` calls, so no factor is broadcast to the full pathway grid
+  unless the source returns it so.  The factors of an unsplit pair, which
+  carry the shift's axes, it multiplies into one array first.
 
 Both sources factor a pair the same way.  Each Gaussian (the pump of a
 leg's sum frequency, or a classical amplitude of one argument) is taken
@@ -394,13 +396,9 @@ class EppSource:
     # field components that can precede it, which is the globally
     # conjugated form of four_point (same real-valued observables).  The
     # ket legs therefore carry the conjugate-phase continuation and the
-    # bra legs the direct amplitude.  Both take their two arguments at any
-    # shapes that broadcast against each other.
-    def preparation_ket(self, omega2, omega1):
-        return self.jsa_conjugate(omega2, omega1)
-
-    def preparation_bra(self, omega4, omega3):
-        return self.jsa(omega4, omega3)
+    # bra legs the direct amplitude.
+    preparation_ket = jsa_conjugate
+    preparation_bra = jsa
 
     def pair_factors(self, ket_x, ket_y, bra_x, bra_y, shift=None):
         """preparation_ket(x, y) * preparation_bra(x', y') as labelled

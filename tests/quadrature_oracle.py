@@ -46,7 +46,6 @@ from excitonscope.excitation import (
     ExcitonSystem,
     PoleTable,
     PreparationResult,
-    describe_source,
     pathway_weights,
 )
 from excitonscope.sources import CoherentSource, EppSource
@@ -492,10 +491,7 @@ def prepare_quadrature_oracle(
         populations=np.clip(raw, 0.0, None),
         raw=raw,
         pathway_partials=partials[2],
-        time_fs=float(t_fs),
-        method="quadrature",
         regularized=system.poles.regularized,
-        source_summary=describe_source(source),
         diagnostics={
             "level_difference": diff,
             "window_scale": float(window_scale),

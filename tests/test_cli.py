@@ -73,6 +73,24 @@ def test_config_error_exit_code(dimer_setup, tmp_path, capsys):
     assert "bath.gamma0" in err
 
 
+@pytest.mark.parametrize("source, aggregate, field", [
+    ({"t1": 20.0, "t2": 10.0}, None, "source.t2"),
+    ({}, '{"site_energies": [12000.0]}', "aggregate"),
+    ({}, "site_energies: [12000.0]", "aggregate"),
+], ids=["group-delays", "aggregate-fields", "aggregate-json"])
+def test_config_errors_found_after_validation_name_their_field(
+        tmp_path, capsys, source, aggregate, field):
+    cfg = {"scenario": "excite", "source": source}
+    if aggregate is not None:
+        (tmp_path / "aggregate.json").write_text(aggregate)
+        cfg["aggregate"] = "aggregate.json"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["excite", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"invalid configuration:\n  {field}: " in capsys.readouterr().err
+
+
 def test_numerical_error_exit_code(dimer_setup, tmp_path, capsys):
     _, root = dimer_setup
     # a temporal gate wider than the spectral gate has no convergent

@@ -284,9 +284,22 @@ def test_problems_are_listed_in_field_order():
     )
 
 
-def test_readme_config_block_is_the_default_coincidence_run():
+def readme_block(language: str) -> str:
+    """The one code block of ``language`` in the README."""
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```jsonc\n(.*?)```", readme, flags=re.S)
+    blocks = re.findall(rf"```{language}\n(.*?)```", readme, flags=re.S)
     assert len(blocks) == 1
-    text = re.sub(r"//[^\n]*", "", blocks[0])
+    return blocks[0]
+
+
+def test_readme_config_block_is_the_default_coincidence_run():
+    text = re.sub(r"//[^\n]*", "", readme_block("jsonc"))
     assert from_dict(json.loads(text)) == RunConfig(scenario="coincidence")
+
+
+def test_readme_library_example_runs():
+    namespace = {}
+    exec(readme_block("python"), namespace)
+    result = namespace["grid"].result
+    assert result.shape == (128, 128)
+    assert np.all(np.isfinite(result)) and result.max() == 1.0

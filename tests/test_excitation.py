@@ -15,6 +15,7 @@ from excitonscope import (
     scan_source,
     scan_targets,
 )
+from excitonscope import excitation
 from excitonscope.bath import BathSpec
 from excitonscope.excitation import PoleTable, pathway_weights
 from excitonscope.sources import _grid, on_axes
@@ -36,19 +37,13 @@ def dimer_source(system, **kw):
 
 
 class BroadcastingSource:
-    """Hands the engine every leg and every pair factor of the wrapped
-    source at the full shape of its pathway grid: the factors on the grid
+    """Hands the engine every pair factor of the wrapped source at the
+    full shape of its pathway grid: the factors on the grid
     less the shift's axes where none of them has those, the excess
     factors on all of it."""
 
     def __init__(self, source):
         self.source = source
-
-    def preparation_ket(self, x, y):
-        return self.source.preparation_ket(*np.broadcast_arrays(x, y))
-
-    def preparation_bra(self, x, y):
-        return self.source.preparation_bra(*np.broadcast_arrays(x, y))
 
     def pair_factors(self, *arguments, shift=None):
         factors, excess = self.source.pair_factors(*arguments, shift=shift)
@@ -72,12 +67,6 @@ class RecordingSource:
         self.source = source
         self.factors = []
         self.excess = []
-
-    def preparation_ket(self, x, y):
-        return self.source.preparation_ket(x, y)
-
-    def preparation_bra(self, x, y):
-        return self.source.preparation_bra(x, y)
 
     def pair_factors(self, *arguments, shift=None):
         factors, excess = self.source.pair_factors(*arguments, shift=shift)
@@ -154,17 +143,20 @@ def test_pair_sums_have_the_rank_of_their_poles(trimer_system):
     # matching factors depend on the second arguments alone and the
     # classical legs on one argument each, and the mode poles enter only
     # the excess factors, so no factor of p2-p5 spans all of (f, e, u, p)
-    # and p2 and p4 take the exact sum of the transport weights over p
+    # and p2 and p4 take the exact sum of the transport weights over p;
+    # p1, recorded first, has no factor beyond its axes (f, a, b)
     sources = engine_sources(trimer_system)
     for source in (sources[0], sources[2], sources[3]):
         recorder = RecordingSource(source)
         prepare_closed_form(trimer_system, recorder)
-        assert len(recorder.factors) == 4
+        assert len(recorder.factors) == 5
         for k, (factors, excess) in enumerate(zip(recorder.factors, recorder.excess)):
             for axes, shape in factors + excess:
                 assert len(axes) == len(shape) and all(n > 1 for n in shape)
                 assert not set("feup") <= set(axes), (source, axes)
-            if k < 2:  # p2, p4
+            if k == 0:  # p1
+                assert not excess and all(set(axes) <= set("fab") for axes, _ in factors)
+            elif k < 3:  # p2, p4
                 assert excess and not any("p" in axes for axes, _ in factors), source
             else:
                 assert not excess
@@ -172,12 +164,13 @@ def test_pair_sums_have_the_rank_of_their_poles(trimer_system):
 
 def test_pair_sums_at_nonzero_t1_split_off_no_shift(trimer_system):
     # at t1 != 0 the matching factor depends on the whole sum frequency, so
-    # no pathway splits off its mode poles: p2-p5 have no excess, and the
-    # coherence pathways p3 and p5 still have no factor beyond (f, a, b)
+    # no pathway splits off its mode poles: p1-p5 have no excess, and p1
+    # and the coherence pathways p3 and p5 still have no factor beyond
+    # (f, a, b)
     recorder = RecordingSource(engine_sources(trimer_system)[1])
     prepare_closed_form(trimer_system, recorder)
-    assert len(recorder.factors) == 4 and not any(recorder.excess)
-    for factors in recorder.factors[2:]:  # p3, p5
+    assert len(recorder.factors) == 5 and not any(recorder.excess)
+    for factors in [recorder.factors[0], *recorder.factors[3:]]:  # p1, p3, p5
         for axes, shape in factors:
             assert len(axes) == len(shape) and all(n > 1 for n in shape)
             assert set(axes) <= set("fab"), axes
@@ -189,22 +182,36 @@ def test_guard_falls_back_to_the_unfactored_pair(trimer_system):
     # gamma, so the pump overflows first.  Mode poles 1e4 times the trimer's
     # (up to 31 cm^-1) and a 2 ps pump pass the bound in p2, so p2 comes
     # back unsplit, with its pump one factor on the full grid and no
-    # excess, while p4, whose pump takes no shift, and p3 and p5 stay
-    # factored.
+    # excess, while p4, whose pump takes no shift, and p1, p3 and p5 stay
+    # factored.  p1 is recorded first.
     one = trimer_system.transport_one
     system = replace(trimer_system, transport_one=replace(one, lambdas=one.lambdas * 1e4))
     source = replace(engine_sources(system)[0], tau_pump=2.0e3)
     recorder = RecordingSource(source)
     direct = prepare_closed_form(system, recorder).pathway_partials
     grid = dict(zip("feup", (system.n_two, system.n_one, system.n_one, system.poles.modes.size)))
-    spanning = [dict(zip(axes, shape)) for axes, shape in recorder.factors[0] if len(axes) == 4]
-    assert spanning == [grid] and not recorder.excess[0]
-    assert recorder.excess[1]
-    assert all(len(axes) < 4 for factors in recorder.factors[1:] for axes, _ in factors)
+    spanning = [dict(zip(axes, shape)) for axes, shape in recorder.factors[1] if len(axes) == 4]
+    assert spanning == [grid] and not recorder.excess[1]
+    assert recorder.excess[2]
+    others = [recorder.factors[0], *recorder.factors[2:]]
+    assert all(len(axes) < 4 for factors in others for axes, _ in factors)
     broadcast = prepare_closed_form(system, BroadcastingSource(source)).pathway_partials
     scale = np.abs(broadcast).sum(axis=0)
     assert scale.max() > 0.0 and np.all(np.isfinite(direct))
     assert np.all(np.abs(direct - broadcast) <= 1e-13 * scale[None, :])
+
+
+@pytest.mark.parametrize("index", [0, 1, 3])
+def test_engine_reads_a_source_through_pair_factors_alone(trimer_system, index):
+    # EppSource at t1 = 0 and t1 = 3, and CoherentSource
+    source = engine_sources(trimer_system)[index]
+
+    class PairOnly:
+        def __init__(self, source):
+            self.pair_factors = source.pair_factors
+
+    wrapped = prepare_closed_form(trimer_system, PairOnly(source)).pathway_partials
+    assert np.array_equal(wrapped, prepare_closed_form(trimer_system, source).pathway_partials)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
@@ -258,6 +265,22 @@ def test_tables_are_built_once_per_system(monkeypatch):
     assert system.weights is system.weights
 
 
+def test_scan_pool_starts_with_the_tables_built(monkeypatch):
+    # cached_property has no lock from Python 3.12 on, so a table first
+    # touched by two workers may be built twice
+    system = ExcitonSystem.build(make_dimer(), dimer_bath())
+    seen = []
+    original = excitation.prepare_closed_form
+
+    def recording(system, *args, **kwargs):
+        seen.append({"poles", "weights"} <= system.__dict__.keys())
+        return original(system, *args, **kwargs)
+
+    monkeypatch.setattr(excitation, "prepare_closed_form", recording)
+    scan_targets(system, dimer_source(system), threads=2)
+    assert seen and seen[0]
+
+
 def test_scan_rows_match_single_preparations(trimer_system):
     template = dimer_source(trimer_system, t1=3.0, t2=13.0)
     scan = scan_targets(trimer_system, template, mode="mediated")
@@ -280,7 +303,6 @@ def test_pathway_partials_sum_to_raw(dimer_system):
     rebuilt = 2.0 * result.pathway_partials.sum(axis=0).real
     assert rebuilt == pytest.approx(result.raw, rel=0, abs=1e-300)
     assert result.populations == pytest.approx(np.clip(result.raw, 0.0, None))
-    assert result.method == "closed-form"
 
 
 def test_populations_decay_at_depopulation_rate(dimer_system):

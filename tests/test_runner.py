@@ -218,7 +218,7 @@ def _prepared(raw):
     raw = np.asarray(raw, dtype=float)
     return PreparationResult(
         populations=np.clip(raw, 0.0, None), raw=raw, pathway_partials=np.zeros((5, raw.size)),
-        time_fs=0.0, method="closed-form", regularized=False, source_summary={},
+        regularized=False,
     )
 
 
