@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .bath import BathSpec
+from .excitation import DEFAULT_POLARIZATION
 from .presets import reference_bath
 
 SCENARIOS = (
@@ -251,7 +252,7 @@ class GridConfig(_Plain):
 class RunConfig(_Plain):
     scenario: str = field(metadata={"rule": _Rule(lambda v: v in SCENARIOS, _scenario_message)})
     aggregate: str = _field("bundled", _aggregate("."))
-    polarization: tuple = _field((1.0, 1.0, 1.0), _VECTOR)
+    polarization: tuple = _field(DEFAULT_POLARIZATION, _VECTOR)
     bath: BathSpec = _section(reference_bath, _BATH)
     source: SourceConfig = _section(SourceConfig)
     filters: FilterConfig = _section(FilterConfig)

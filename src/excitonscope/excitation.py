@@ -40,6 +40,9 @@ DEFAULT_POLARIZATION = (1.0, 1.0, 1.0)
 # resolvent denominator keeps a strictly positive width.
 WIDTH_FLOOR_TRIGGER = 1e-8
 WIDTH_FLOOR_VALUE = 1e-3
+# Floored widths of every model: the stationary transport mode, lambda = 0,
+# whose floor is a fixed part of the closed form, not a regularization.
+STATIONARY_FLOORS = {"modes": 1}
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,9 @@ class PoleTable:
     -i lambda_p.  A coherence width is gamma_ab = (Gamma_a + Gamma_b)/2 plus
     the bath's pure dephasing, with Gamma = 0 for the ground state, and
     ``ef`` shares the widths of ``fe``.  Every width below
-    ``WIDTH_FLOOR_TRIGGER`` is raised to ``WIDTH_FLOOR_VALUE``, which
-    ``regularized`` records.
+    ``WIDTH_FLOOR_TRIGGER`` is raised to ``WIDTH_FLOOR_VALUE``;
+    ``floored_widths`` counts them per family, and ``regularized`` says
+    whether any width beyond ``STATIONARY_FLOORS`` was floored.
     """
 
     eg: np.ndarray
@@ -125,7 +129,7 @@ class PoleTable:
     ef: np.ndarray
     ff: np.ndarray
     modes: np.ndarray
-    regularized: bool
+    floored_widths: dict
 
     @classmethod
     def from_system(cls, system: ExcitonSystem) -> "PoleTable":
@@ -153,8 +157,18 @@ class PoleTable:
             ef=-w_fe - 1j * g["fe"],
             ff=-1j * g["ff"],
             modes=-1j * g["modes"],
-            regularized=any(bool(mask.any()) for mask in low.values()),
+            floored_widths={name: int(mask.sum()) for name, mask in low.items()},
         )
+
+    @property
+    def floored_families(self) -> list:
+        """The families with more floored widths than ``STATIONARY_FLOORS``."""
+        return [name for name, count in self.floored_widths.items()
+                if count > STATIONARY_FLOORS.get(name, 0)]
+
+    @property
+    def regularized(self) -> bool:
+        return bool(self.floored_families)
 
     @property
     def gamma_ff(self) -> np.ndarray:
@@ -386,7 +400,6 @@ class ScanResult:
     target_energies: np.ndarray
     selectivity: np.ndarray
     mode: str
-    regularized: bool
 
 
 def scan_source(template: EppSource, target_energy: float, mode: str) -> EppSource:
@@ -461,5 +474,4 @@ def scan_targets(
         target_energies=energies,
         selectivity=selectivity,
         mode=mode,
-        regularized=system.poles.regularized,
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .aggregate import AggregateSpec
 from .bath import BathSpec
-from .excitation import ExcitonSystem
+from .excitation import DEFAULT_POLARIZATION, ExcitonSystem
 
 
 def bundled_aggregate() -> AggregateSpec:
@@ -35,7 +35,7 @@ def reference_bath() -> BathSpec:
     return BathSpec(lambda0=1.5, gamma0=60.0, temperature=77.0)
 
 
-def bundled_system(polarization=(1.0, 1.0, 1.0)) -> ExcitonSystem:
+def bundled_system(polarization=DEFAULT_POLARIZATION) -> ExcitonSystem:
     return ExcitonSystem.build(bundled_aggregate(), reference_bath(), polarization)
 
 

@@ -33,7 +33,7 @@ from . import __version__, units
 from .aggregate import AggregateSpec
 from .coincidence import FilterSpec, SignalGrid, coincidence_snapshot, parameter_study
 from .config import ConfigError, RunConfig, snapshot_label
-from .excitation import ExcitonSystem, prepare_closed_form, scan_targets
+from .excitation import WIDTH_FLOOR_VALUE, ExcitonSystem, prepare_closed_form, scan_targets
 from .presets import bright_pair, bundled_aggregate
 from .propagators import population_evolve
 from .sources import CoherentSource, EppSource, jsi_map
@@ -240,21 +240,26 @@ def resolve_detection_axes(cfg: RunConfig, system: ExcitonSystem):
 NEGATIVE_MASS_WARN_RATIO = 1e-9
 
 
-_REGULARIZED_NOTE = "pole table regularized: coherence widths floored to 1e-3 cm^-1"
+def _record_floors(poles, warnings, resolved) -> None:
+    """The pole table's floored widths per family into the manifest, and a
+    note naming the families floored beyond the stationary transport mode."""
+    resolved["floored_widths"] = dict(poles.floored_widths)
+    if poles.regularized:
+        warnings.append(f"pole table regularized: {', '.join(poles.floored_families)} "
+                        f"widths floored to {WIDTH_FLOOR_VALUE:g} cm^-1")
 
 
 def _preparation_warnings(prep) -> list:
-    notes = [_REGULARIZED_NOTE] if prep.regularized else []
     raw = prep.raw
     negative = -float(raw[raw < 0.0].sum())
     positive = float(raw[raw > 0.0].sum())
-    if negative > NEGATIVE_MASS_WARN_RATIO * positive:
-        ratio = negative / positive if positive > 0.0 else float("inf")
-        notes.append(
-            f"clipped {int(np.count_nonzero(raw < 0.0))} negative preparation values "
-            f"holding {ratio:.3e} of the positive mass (most negative {raw.min():.3e})"
-        )
-    return notes
+    if negative <= NEGATIVE_MASS_WARN_RATIO * positive:
+        return []
+    ratio = negative / positive if positive > 0.0 else float("inf")
+    return [
+        f"clipped {int(np.count_nonzero(raw < 0.0))} negative preparation values "
+        f"holding {ratio:.3e} of the positive mass (most negative {raw.min():.3e})"
+    ]
 
 
 def _filters(cfg: RunConfig) -> tuple[FilterSpec, FilterSpec]:
@@ -387,6 +392,7 @@ def _prepare(cfg, system, clock, warnings, resolved):
     prep = prepare_closed_form(system, source, t_fs=cfg.time_fs)
     resolved["source"] = describe_source(source)
     resolved["preparation"] = prep.diagnostics
+    _record_floors(system.poles, warnings, resolved)
     warnings.extend(_preparation_warnings(prep))
     clock.lap("prepare")
     return prep
@@ -429,8 +435,7 @@ def _run_excite_scan(cfg, system, sink, clock, warnings, resolved):
     scan = scan_targets(system, template, targets, cfg.scan_mode, cfg.time_fs,
                         resolved["threads"])
     clock.lap("scan")
-    if scan.regularized:
-        warnings.append(_REGULARIZED_NOTE)
+    _record_floors(system.poles, warnings, resolved)
     resolved["scan"] = {"mode": scan.mode, "targets": int(scan.targets.size)}
     sink.matrix("scan", "target", scan.targets.astype(float),
                 "state", np.arange(system.n_two, dtype=float), scan.matrix)

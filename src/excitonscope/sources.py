@@ -7,29 +7,24 @@ The entangled pair from a type-II down-conversion crystal carries the
 joint spectral amplitude
 
     F(wa, wb) = alpha A_p(wa + wb) [sinc(phi1) e^{i phi1} + sinc(phi2) e^{i phi2}],
-    phi_r = ((wa - w_r) T1 + (wb - w_r) T2) / 2  in radians,
+    2 phi_r = T1 (wa - w_r) + T2 (wb - w_r)  in radians,
 
 with w_1, w_2 the signal/idler reference frequencies and T1, T2 the
-crystal group delays (entanglement time T2 - T1).  The pump envelope is
-the exact Fourier transform of E0 exp(-t^2 / (2 tau0^2)),
+crystal group delays (entanglement time T2 - T1).  The pump envelope and
+each classical pulse are one Gaussian amplitude, the exact Fourier
+transform of E0 exp(-t^2 / (2 tau^2)),
 
-    A_p(w) = E0 sqrt(pi / G) exp(-(w - w_p)^2_ang / (4 G)),  G = 1 / (2 tau0^2),
+    A(w) = E0 sqrt(pi / G) exp(-(w - center)^2_ang / (4 G)),  G = 1 / (2 tau^2),
 
-with the detuning converted to rad/fs.  Each phase-matching branch is
-evaluated through the identity
+with the detuning converted to rad/fs (``gaussian_amplitude``).  Each
+phase-matching branch is evaluated through the identity
 
     sinc(phi) e^{i phi} = expm1(2 i phi) / (2 i phi),
 
 one transcendental per point, with a series branch for |2 phi| below
 ``_SINC_SERIES_RADIUS``; when w_1 == w_2 the two branches coincide and
-one is evaluated and doubled.  A leg is evaluated from its sum frequency
-s = wa + wb and its second argument wb, the variables the pump and the
-engine's poles come in:
-
-    2 phi_r = T1 (s - 2 w_r) + (T2 - T1)(wb - w_r),
-
-built per axis on each argument's own shape, so a zero T1 or a zero
-entanglement time adds no term at all.
+one is evaluated and doubled.  2 phi_r is built per photon frequency on
+that frequency's own shape, so a zero group delay adds no term at all.
 
 Everything is entire in the frequency arguments, so the correlators
 extend to complex frequency by direct evaluation.  A conjugated field leg
@@ -69,14 +64,15 @@ on the axes of its unshifted sum d, centred on whole wavenumbers
 (``_detuning``) so that the sum rounds only its small remainders; the
 exponents on equal axis sets are added and exponentiated once, and the
 source's constant enters once.  A shift s of d multiplies the Gaussian by
-exp(kappa s (s + 2 d)), a product of one excess factor per term of d
-(``_gaussian``).  With T1 = 0 the phase matching depends on the second
-argument alone, so no factor spans more axes than a leg's unshifted sum
-or a term and a shift.  With T1 != 0 it depends on the whole sum
-frequency, and the pair is taken with no shift split off: each leg's
-matching factor lies on the union of its sum's and its second argument's
-axes.  So is a pair where an excess exponent would leave
-``_EXCESS_EXPONENT_RANGE``.
+exp(kappa s (s + 2 d)), kappa = -(2 pi c)^2 / (4 G), a product of one
+excess factor per term of d (``_gaussian``).  A leg's phase matching is
+taken on the union of the axes of its two photon frequencies, each an
+unshifted sum, the first only when T1 != 0; a shift of the second
+changes it by ``_expm1_ratio_change``.  With T1 = 0 the matching depends
+on the second frequency alone, so no factor spans more axes than a leg's
+unshifted sum or a term and a shift.  With T1 != 0 the pair is taken
+with no shift split off, and so is a pair where an excess exponent would
+leave ``_EXCESS_EXPONENT_RANGE``.
 """
 
 from __future__ import annotations
@@ -147,6 +143,18 @@ def gaussian_gamma_from_tau(tau_fs: float) -> float:
     if tau_fs <= 0.0:
         raise ValueError("temporal width must be positive")
     return 1.0 / (2.0 * tau_fs * tau_fs)
+
+
+def gaussian_amplitude(omega, center: float, gamma: float, scale: float):
+    """scale sqrt(pi / G) exp(kappa (omega - center)^2) with one complex exp
+    per point, entire in omega (cm^-1, possibly complex)."""
+    # i^2 in the squared scaled detuning gives the Gaussian's exponent
+    d = np.asarray(np.subtract(omega, center, dtype=complex))
+    d *= 0.5j * units.TWO_PI_C / np.sqrt(gamma)
+    d *= d
+    np.exp(d, out=d)
+    d *= scale * np.sqrt(np.pi / gamma)
+    return d[()]  # a scalar for a scalar argument
 
 
 def on_axes(axes: str, labelled):
@@ -249,8 +257,7 @@ def _gaussian(terms, shift, center, kappa, exponents, growth):
     kappa d^2 joins ``exponents`` by axis set.  The change
     kappa ((d + s)^2 - d^2) = 2 kappa s (d + s / 2) joins ``growth`` as one
     product per term of d, the last taking s / 2, so that no product has
-    more axes than a term and the shift.  Returns the terms of d, from
-    ``_detuning``.
+    more axes than a term and the shift.
     """
     base, shifts = _split(terms, shift)
     detuning = _detuning(base, center)
@@ -266,7 +273,6 @@ def _gaussian(terms, shift, center, kappa, exponents, growth):
             union = _union(own, s_axes)
             _accumulate(growth, union, on_axes(union, (own, (2.0 * kappa) * term))
                         * on_axes(union, (s_axes, s)))
-    return detuning
 
 
 def _exponentiated(exponents, constant):
@@ -288,27 +294,14 @@ class EppSource:
     arguments, ``pump_center`` is the sum-frequency center, ``tau_pump``
     the pump duration, and ``t1``/``t2`` the crystal group delays.
 
-    A leg is evaluated from its sum frequency and second argument: the
-    pump costs one ``exp`` on the shape of the sum, each phase-matching
-    branch one ``expm1`` on the shape of the arguments it depends on (the
-    second argument alone when ``t1 == 0``); the conjugate leg flips the
-    sign of 2 i phi instead of conjugating.  The legs broadcast their
-    frequency arguments against each other.
-
-    ``pair_factors`` returns a ket-bra pair as labelled factors: the pump
-    exponents of both legs' sums, grouped by axis set and exponentiated
-    once, and one phase-matching factor per leg.  With ``t1 == 0`` and a
-    shift, the pump is taken on the axes of each unshifted sum and the
-    matching on each unshifted second argument's axes.  A shift s of a sum
-    d (the sum less the pump center) multiplies the pump by
-    exp(kappa s (s + 2 d)), kappa = -(2 pi c)^2 / (4 G), which splits into
-    one excess factor expm1(...) per term of d; a shift of a second
-    argument changes the phase matching by ``_expm1_ratio_change``.  No
-    factor has more axes than a leg's unshifted sum, or a term and a
-    shift.  With ``t1 != 0``, or where an excess exponent's real part
-    would leave ``_EXCESS_EXPONENT_RANGE``, the same factors are taken
-    with no shift split off, each matching factor on the axes of its
-    leg's sum and second argument, and there is no excess.
+    The legs evaluate F as the module docstring writes it and broadcast
+    their frequency arguments: the pump costs one ``exp`` on the shape of
+    the sum, each phase-matching branch one ``expm1`` on the shape of the
+    frequencies it depends on, and the conjugate leg flips the sign of
+    2 i phi instead of conjugating.  ``pair_factors`` factors a pair as
+    the module docstring describes: the pump exponents of both legs' sums
+    grouped by axis set and exponentiated once, one phase-matching factor
+    per leg, and the excess factors of the shifts.
     """
 
     omega1: float
@@ -337,43 +330,35 @@ class EppSource:
         return gaussian_gamma_from_tau(self.tau_pump)
 
     def pump_amplitude(self, omega):
-        """A_p(omega) with one complex exp per point."""
-        # i^2 in the squared scaled detuning gives the Gaussian's exponent
-        d = np.asarray(np.subtract(omega, self.pump_center, dtype=complex))
-        d *= 0.5j * units.TWO_PI_C / np.sqrt(self.pump_gamma)
-        d *= d
-        np.exp(d, out=d)
-        d *= self.e0 * np.sqrt(np.pi / self.pump_gamma)
-        return d[()]  # a scalar for a scalar argument
+        """A_p(omega), the pump's Gaussian amplitude."""
+        return gaussian_amplitude(omega, self.pump_center, self.pump_gamma, self.e0)
 
-    def _matching(self, s, wb, sign, center=0.0):
+    def _matching(self, wa, wb, sign):
         """Sum over branches of expm1(2 i sign phi_r) / (2 i sign phi_r).
 
-        ``s`` is the sum frequency wa + wb less ``center``, unused when
-        ``t1 == 0``.  sign = +1 gives F's phase-matching factor, -1 its
-        conjugate leg.  2 i phi_r is built per axis, and a zero T1 or
-        entanglement time adds no term.
+        sign = +1 gives F's phase-matching factor, -1 its conjugate leg.
+        2 i phi_r is built per photon frequency, and a zero group delay
+        adds no term.
         """
         k = sign * 1j * units.TWO_PI_C
-        t_ent = self.entanglement_time
 
         def branch(reference):
             w = 0.0
             if self.t1:
-                w = (k * self.t1) * (s + (center - 2.0 * reference))
-            if t_ent:
-                w = w + (k * t_ent) * (wb - reference)
+                w = (k * self.t1) * (wa - reference)
+            if self.t2:
+                w = w + (k * self.t2) * (wb - reference)
             return _expm1_ratio(w)
 
-        if self.omega1 == self.omega2:
-            return 2.0 * branch(self.omega1)
-        return branch(self.omega1) + branch(self.omega2)
+        m = branch(self.omega1)
+        m += m if self.omega1 == self.omega2 else branch(self.omega2)
+        return m
 
     def _amplitude(self, omega_a, omega_b, sign):
+        wa = np.asarray(omega_a, dtype=complex)
         wb = np.asarray(omega_b, dtype=complex)
-        s = np.asarray(omega_a, dtype=complex) + wb
-        amplitude = self.pump_amplitude(s)
-        amplitude *= self.alpha * self._matching(s, wb, sign)
+        amplitude = self.pump_amplitude(wa + wb)
+        amplitude *= self.alpha * self._matching(wa, wb, sign)
         return amplitude
 
     def jsa(self, omega_a, omega_b):
@@ -413,24 +398,17 @@ class EppSource:
         kappa = -((0.5 * units.TWO_PI_C) ** 2) / self.pump_gamma  # per squared detuning
         pump, growth, matching, excess = {}, {}, {}, {}
         for x, y, sign in ((ket_x, ket_y, -1.0), (bra_x, bra_y, 1.0)):
-            detuning = _gaussian(x + y, shift, self.pump_center, kappa, pump, growth)
+            _gaussian(x + y, shift, self.pump_center, kappa, pump, growth)
             base, shifts = _split(y, shift)
-            wb_axes, wb = labelled_sum(base)
-            if self.t1:
-                # the matching depends on the whole sum frequency as well
-                sum_axes, d = labelled_sum(detuning)
-                axes, shape = _grid([(sum_axes, d), (wb_axes, wb)])
-                m = self._matching(on_axes(axes, (sum_axes, d)), on_axes(axes, (wb_axes, wb)),
-                                   sign, self.pump_center)
-                del d  # on all of the leg's axes: freed before the next leg
-            else:
-                axes, shape = wb_axes, wb.shape
-                m = self._matching(None, wb, sign)
+            wa = labelled_sum(_split(x, shift)[0] if self.t1 else [])
+            wb = labelled_sum(base)
+            axes, shape = _grid([wa, wb])
+            m = self._matching(on_axes(axes, wa), on_axes(axes, wb), sign)
             _accumulate(matching, axes, np.broadcast_to(m, shape), np.multiply)
-            for s_axes, s in shifts if self.entanglement_time else ():
+            for s_axes, s in shifts if self.t2 else ():
                 union = _union(axes, s_axes)
                 _accumulate(excess, union, self._matching_excess(
-                    on_axes(union, (axes, wb)), on_axes(union, (s_axes, s)), sign))
+                    on_axes(union, wb), on_axes(union, (s_axes, s)), sign))
         grown = _grown(growth)
         if grown is None:
             return None
@@ -442,7 +420,7 @@ class EppSource:
     def _matching_excess(self, wb, shift, sign):
         """_matching(wb + shift) / _matching(wb) - 1 at t1 = 0 (equal
         references give one branch; the doubling cancels)."""
-        k = sign * 1j * units.TWO_PI_C * self.entanglement_time
+        k = sign * 1j * units.TWO_PI_C * self.t2
         references = dict.fromkeys((self.omega1, self.omega2))
         change = sum(_expm1_ratio_change(k * (wb - r), k * shift) for r in references)
         return change / sum(_expm1_ratio(k * (wb - r)) for r in references)
@@ -475,10 +453,8 @@ class CoherentSource:
         return gaussian_gamma_from_tau(self.tau)
 
     def amplitude(self, omega):
-        """A(omega), entire in omega (cm^-1, possibly complex)."""
-        detuning = (np.asarray(omega, dtype=complex) - self.center) * units.TWO_PI_C
-        g = self.gamma
-        return self.scale * np.sqrt(np.pi / g) * np.exp(-detuning * detuning / (4.0 * g))
+        """A(omega), the pulse's Gaussian amplitude."""
+        return gaussian_amplitude(omega, self.center, self.gamma, self.scale)
 
     def four_point(self, omega4, omega3, omega2, omega1):
         """<E*(w4) E*(w3) E(w2) E(w1)> for four identical pulses."""
@@ -494,14 +470,14 @@ class CoherentSource:
         """A(x) A(y) A(x') A(y') as labelled ``(factors, excess)``: the
         Gaussian exponents of the unshifted arguments grouped by axis set
         and exponentiated, and per shift s of an argument w the excess
-        A(w + s) / A(w) - 1 = expm1(c s (s + 2 (w - center))),
-        c = -(2 pi c)^2 / (4 G).  Where the real part of such an exponent
+        A(w + s) / A(w) - 1 = expm1(kappa s (s + 2 (w - center))),
+        kappa = -(2 pi c)^2 / (4 G).  Where the real part of such an exponent
         would leave ``_EXCESS_EXPONENT_RANGE``, the pair is taken with no
         shift split off."""
-        c = -(units.TWO_PI_C ** 2) / (4.0 * self.gamma)
+        kappa = -((0.5 * units.TWO_PI_C) ** 2) / self.gamma  # per squared detuning
         exponents, growth = {}, {}
         for terms in (ket_x, ket_y, bra_x, bra_y):
-            _gaussian(terms, shift, self.center, c, exponents, growth)
+            _gaussian(terms, shift, self.center, kappa, exponents, growth)
         grown = _grown(growth)
         if grown is None:
             return self.pair_factors(ket_x, ket_y, bra_x, bra_y)

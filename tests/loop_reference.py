@@ -90,7 +90,7 @@ def loop_rate_matrix(eig, spec, bath, manifold):
 
 def loop_pole_table(system):
     """Floored width of every pole family, one element at a time, and
-    whether any was floored.
+    the number of floored widths in each family.
 
     gamma_ab = (Gamma_a + Gamma_b)/2 + pure dephasing with Gamma = 0 for the
     ground state; ``ff`` holds Gamma_f and ``modes`` lambda_p.  A width
@@ -99,26 +99,27 @@ def loop_pole_table(system):
     g1 = system.transport_one.depopulation
     g2 = system.transport_two.depopulation
     pure = system.bath.pure_dephasing
-    floored = []
+    floored = {}
 
-    def floor(width):
+    def floor(family, width):
+        floored.setdefault(family, 0)
         if width < WIDTH_FLOOR_TRIGGER:
-            floored.append(width)
+            floored[family] += 1
             return WIDTH_FLOOR_VALUE
         return width
 
-    def coherence(gamma_a, gamma_b):
-        return floor(0.5 * (gamma_a + gamma_b) + pure)
+    def coherence(family, gamma_a, gamma_b):
+        return floor(family, 0.5 * (gamma_a + gamma_b) + pure)
 
     widths = {
-        "eg": [coherence(g1[e], 0.0) for e in range(g1.size)],
-        "fg": [coherence(g2[f], 0.0) for f in range(g2.size)],
-        "fe": [[coherence(g2[f], g1[e]) for e in range(g1.size)] for f in range(g2.size)],
-        "ee": [[coherence(g1[a], g1[b]) for b in range(g1.size)] for a in range(g1.size)],
-        "ff": [floor(g2[f]) for f in range(g2.size)],
-        "modes": [floor(lam) for lam in system.transport_one.lambdas],
+        "eg": [coherence("eg", g1[e], 0.0) for e in range(g1.size)],
+        "fg": [coherence("fg", g2[f], 0.0) for f in range(g2.size)],
+        "fe": [[coherence("fe", g2[f], g1[e]) for e in range(g1.size)] for f in range(g2.size)],
+        "ee": [[coherence("ee", g1[a], g1[b]) for b in range(g1.size)] for a in range(g1.size)],
+        "ff": [floor("ff", g2[f]) for f in range(g2.size)],
+        "modes": [floor("modes", lam) for lam in system.transport_one.lambdas],
     }
-    return {name: np.array(w, dtype=float) for name, w in widths.items()}, bool(floored)
+    return {name: np.array(w, dtype=float) for name, w in widths.items()}, floored
 
 
 def loop_signed_map(system, rho_ff, filter_fe, filter_eg, grid):

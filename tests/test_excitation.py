@@ -219,16 +219,19 @@ def test_engine_reads_a_source_through_pair_factors_alone(trimer_system, index):
 @pytest.mark.parametrize("system_name", ["dimer_system", "trimer_system"])
 def test_transport_pathways_match_extended_precision(system_name, request):
     # Sum_p transport[e, u, p] vanishes for u != e, so the terms of p2 and
-    # p4 cancel, by up to 8e4 on the trimer; each must still hold 1e-15 of
-    # its summed term magnitudes and p2 1e-12 of its own size
+    # p4 cancel, by up to 8e4 on the trimer; at t1 = 0 each must still hold
+    # 1e-15 of its summed term magnitudes and p2 1e-12 of its own size.  At
+    # t1 != 0 (sources[1]) the pair keeps the mode-pole shift and p2 the
+    # cancellation: 1.6e-14 and 4.1e-11 on the dimer, bounded at about 3x
     system = request.getfixturevalue(system_name)
     sources = engine_sources(system)
-    for source in (sources[0], sources[2]):
+    bounds = [(sources[0], 1e-15, 1e-12), (sources[2], 1e-15, 1e-12), (sources[1], 5e-14, 1e-10)]
+    for source, of_terms, of_p2 in bounds:
         partials = prepare_closed_form(system, source).pathway_partials[[1, 3]]
         exact, mags = extended_transport_pathways(system, source)
         error = np.abs(partials - exact).astype(float)
-        assert np.all(error <= 1e-15 * mags.astype(float)), source
-        assert np.all(error[0] <= 1e-12 * np.abs(exact[0]).astype(float)), source
+        assert np.all(error <= of_terms * mags.astype(float)), source
+        assert np.all(error[0] <= of_p2 * np.abs(exact[0]).astype(float)), source
 
 
 def test_diagnostics_report_pathway_cancellation(trimer_system):

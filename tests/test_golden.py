@@ -4,7 +4,8 @@
 default run writes: each table column in full, and for each matrix its
 axis ends and sizes, every 16th cell in both directions, and its row and
 column sums.  The test runs each scenario with its default configuration
-and compares the reduction of what it writes against the golden file.
+and compares the reduction of what it writes against the golden file;
+each run, made once per module, also has its warnings checked.
 
 Every part of an artifact is compared at the tolerance ``TOLERANCE``
 states for that artifact, relative to the golden part's largest
@@ -23,6 +24,7 @@ and states the shift and its cause in CHANGES.md.
 
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -83,12 +85,14 @@ def reduce_csv(path: str) -> dict:
     }
 
 
-def reduce_run(scenario: str, out_dir: str) -> dict:
-    run_scenario(reference_config(scenario), out_dir=out_dir, fmt="csv")
+def reduce_run(scenario: str, out_dir: str):
+    """Runs ``scenario`` with its default configuration; returns the
+    reduction of every CSV artifact it writes, and its manifest."""
+    manifest = run_scenario(reference_config(scenario), out_dir=out_dir, fmt="csv")
     return {
         f"{scenario}/{name[:-4]}": reduce_csv(os.path.join(out_dir, name))
         for name in sorted(os.listdir(out_dir)) if name.endswith(".csv")
-    }
+    }, manifest
 
 
 def _dump(golden: dict) -> str:
@@ -106,13 +110,25 @@ def golden():
         return json.load(fh)
 
 
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    """``reduce_run`` of a scenario, each scenario run once per module."""
+    runs = {}
+
+    def run(scenario):
+        if scenario not in runs:
+            runs[scenario] = reduce_run(scenario, str(tmp_path_factory.mktemp(scenario)))
+        return runs[scenario]
+    return run
+
+
 def test_golden_file_covers_every_artifact(golden):
     assert set(golden) == set(TOLERANCE)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_default_scenario_matches_golden(scenario, golden, tmp_path):
-    actual = reduce_run(scenario, str(tmp_path))
+def test_default_scenario_matches_golden(scenario, golden, default_run):
+    actual, _ = default_run(scenario)
     expected = {name: parts for name, parts in golden.items() if name.startswith(scenario + "/")}
     assert list(actual) == list(expected)
     for name, parts in expected.items():
@@ -129,11 +145,22 @@ def test_default_scenario_matches_golden(scenario, golden, tmp_path):
             assert err <= bound, f"{name}: {part} off by {err:.3e} (bound {bound:.3e})"
 
 
+# The default maps clip negative interference residue; nothing else in a
+# default run calls for a warning.
+_CLIPPED_CELLS = re.compile(r"(panel \S+: )?clipped \d+ negative (interference )?cells( in the map)?")
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_default_scenario_warns_only_about_clipped_cells(scenario, default_run):
+    _, manifest = default_run(scenario)
+    assert [w for w in manifest.warnings if not _CLIPPED_CELLS.fullmatch(w)] == []
+
+
 if __name__ == "__main__":
     reduced = {}
     with tempfile.TemporaryDirectory() as root:
         for scenario in SCENARIOS:
-            reduced.update(reduce_run(scenario, os.path.join(root, scenario)))
+            reduced.update(reduce_run(scenario, os.path.join(root, scenario))[0])
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         fh.write(_dump(reduced))

@@ -105,10 +105,15 @@ def test_pole_widths_match_loop(case):
     factory, bath_spec = POLE_CASES[case]
     system = ExcitonSystem.build(factory(), bath_spec)
     poles = system.poles
-    widths, regularized = loop_pole_table(system)
+    widths, floored = loop_pole_table(system)
     for name in ("eg", "fg", "fe", "ee", "ff", "modes"):
         assert np.array_equal(-getattr(poles, name).imag, widths[name]), name
     assert np.array_equal(-poles.ef.imag, widths["fe"])
-    assert poles.regularized == regularized
+    assert poles.floored_widths == floored
+    # every model floors its stationary transport mode, and only the
+    # uncoupled dimer floors more
+    assert floored["modes"] >= 1
+    assert poles.regularized == (case == "isolated")
     if case == "isolated":
         assert all(np.all(w == WIDTH_FLOOR_VALUE) for w in widths.values())
+        assert poles.floored_families == ["eg", "fg", "fe", "ee", "ff", "modes"]

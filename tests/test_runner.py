@@ -125,6 +125,11 @@ def test_manifest_contents(tmp_path, dimer_file):
     preparation = data["resolved"]["preparation"]
     assert list(preparation["pathway_abs_sums"]) == ["p1", "p2", "p3", "p4", "p5"]
     assert 0.0 < preparation["cancellation_ratio"] <= 1.0
+    # the stationary transport mode is the one floored width
+    assert data["resolved"]["floored_widths"] == {
+        "eg": 0, "fg": 0, "fe": 0, "ee": 0, "ff": 0, "modes": 1,
+    }
+    assert data["warnings"] == []
     assert {t["stage"] for t in data["timings"]} >= {"build-model", "write-artifacts"}
     for key in ("excitonscope", "python", "numpy", "scipy"):
         assert key in data["versions"]
@@ -178,8 +183,9 @@ def test_scan_targets_out_of_range_on_dimer(tmp_path, dimer_file):
     assert err.value.fields == ("targets",)
 
 
-def test_jsa_requires_entangled_source(tmp_path, dimer_file):
-    cfg = dimer_config(dimer_file, "jsa", source={"mode": "coherent"})
+@pytest.mark.parametrize("scenario", ["jsa", "excite-scan"])
+def test_jsa_requires_entangled_source(tmp_path, dimer_file, scenario):
+    cfg = dimer_config(dimer_file, scenario, source={"mode": "coherent"})
     with pytest.raises(ConfigError) as err:
         run_scenario(cfg, out_dir=str(tmp_path / "x"))
     assert err.value.fields == ("source.mode",)
@@ -213,6 +219,25 @@ def test_auto_detection_axes_cover_emission_lines(tmp_path, dimer_file):
     assert n_fe == 17
     # dimer f->e gaps span 11428 .. 13070 cm^-1; the auto axis pads both ends
     assert lo_fe < 11428.0 and hi_fe > 13070.0
+
+
+def test_explicit_detection_axes_are_taken_as_given(tmp_path, dimer_file):
+    axes = {"omega_fe": [11000.0, 13500.0, 9], "omega_eg": [12000.0, 13000.0, 5]}
+    _, out = run_into(tmp_path, dimer_file, "coincidence", grids={"points": 17, **axes})
+    assert json.loads(Path(out, "metadata.json").read_text())["axes"] == axes
+    header, *rows = Path(out, "signal.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in rows] == list(np.linspace(11000.0, 13500.0, 9))
+    assert [float(x) for x in header.split(",")[1:]] == list(np.linspace(12000.0, 13000.0, 5))
+
+
+def test_failed_atomic_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
+    target = tmp_path / "artifact.csv"
+    target.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        runner._atomic_write(str(target), "new \ud800\n")  # a lone surrogate has no UTF-8
+    assert [path.name for path in tmp_path.iterdir()] == ["artifact.csv"]
+    assert target.read_text() == "old\n"
+
 
 def _prepared(raw):
     raw = np.asarray(raw, dtype=float)

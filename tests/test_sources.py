@@ -143,11 +143,10 @@ def _near(references, shape, rng):
     return rng.choice(references, shape) + offset
 
 
-def _branch_arguments(source, s, y, sign):
-    """2 i sign phi_r of both branches at sum frequency s, second argument y."""
+def _branch_arguments(source, x, y, sign):
+    """2 i sign phi_r of both branches at photon frequencies x and y."""
     k = sign * 1j * TWO_PI_C
-    return [k * (source.t1 * (s - 2.0 * r) + source.entanglement_time * (y - r))
-            for r in (source.omega1, source.omega2)]
+    return [k * (source.t1 * (x - r) + source.t2 * (y - r)) for r in (source.omega1, source.omega2)]
 
 
 def _pair_arguments(references, rng, exact_sums=True, shift_size=1.0):
@@ -195,8 +194,8 @@ def test_pair_is_the_product_of_its_legs(t1, references):
     rng = np.random.default_rng(5)
     arguments = _pair_arguments(references, rng)
     full = [on_axes("fuep", labelled_sum(terms)) for terms in arguments]
-    for s, y, sign in ((full[0] + full[1], full[1], -1.0), (full[2] + full[3], full[3], 1.0)):
-        radii = np.abs(_branch_arguments(source, s, y, sign))
+    for x, y, sign in ((full[0], full[1], -1.0), (full[2], full[3], 1.0)):
+        radii = np.abs(_branch_arguments(source, x, y, sign))
         assert (radii < _SINC_SERIES_RADIUS).any() and (radii > _SINC_SERIES_RADIUS).any()
     expected = _legs(source, arguments)
     for shift in (None, "p"):
@@ -318,6 +317,13 @@ def test_pulse_amplitude_peak_and_width():
     detune = np.sqrt(2.0 * source.gamma) / TWO_PI_C
     ratio = np.abs(source.amplitude(12500.0 + detune)) ** 2 / np.abs(peak) ** 2
     assert ratio == pytest.approx(np.exp(-1.0), rel=1e-10)
+
+
+def test_pump_and_pulse_share_one_gaussian():
+    pulse = CoherentSource(center=24600.0, tau=150.0, scale=0.7)
+    pump = make_source(tau_pump=150.0, e0=0.7)
+    wa, wb = _complex_points((9, 1), (1, 7), seed=7)
+    assert np.array_equal(pulse.amplitude(wa + wb), pump.pump_amplitude(wa + wb))
 
 
 def test_coherent_ket_leg_is_the_conjugate_continuation_of_the_bra_leg():
