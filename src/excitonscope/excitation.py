@@ -284,9 +284,9 @@ def _pathway(weights, summed, factors, excess):
     """
     kept = set("".join(axes for axes, _ in summed))
     if any(not kept.issuperset(axes) for axes, _ in factors):
-        # the unsplit pair, multiplied out first so that the order of the
-        # contraction, which the cancellation over the shift's axes makes
-        # visible, does not depend on how the source factored it
+        # a factor on the shift's axes: all multiplied out first so that
+        # the order of the contraction, which the cancellation over the
+        # shift's axes makes visible, does not depend on the factoring
         axes, shape = _grid(factors)
         pair = np.ones(shape, dtype=complex)
         for factor in factors:

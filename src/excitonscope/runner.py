@@ -106,6 +106,17 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _write_all(out: str, items) -> None:
+    """Writes each ``(name, text)`` into ``out``, made if missing; a
+    directory that cannot be made or written is an error at ``out_dir``."""
+    try:
+        os.makedirs(out, exist_ok=True)
+        for name, text in items:
+            _atomic_write(os.path.join(out, name), text)
+    except OSError as exc:
+        raise ConfigError([("out_dir", f"cannot write to {out}: {exc.strerror or exc}")]) from exc
+
+
 def _csv(rows) -> str:
     return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
 
@@ -583,9 +594,7 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None,
     sink = _Sink(fmt, cfg.emit_plots)
     SCENARIO_RUNS[cfg.scenario](cfg, system, sink, clock, warnings, resolved)
 
-    os.makedirs(out, exist_ok=True)
-    for name, text in sink.items:
-        _atomic_write(os.path.join(out, name), text)
+    _write_all(out, sink.items)
     clock.lap("write-artifacts")
 
     manifest = RunManifest(
@@ -603,5 +612,5 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None,
         warnings=warnings,
         artifacts=[name for name, _ in sink.items],
     )
-    _atomic_write(os.path.join(out, "manifest.json"), manifest.to_json())
+    _write_all(out, [("manifest.json", manifest.to_json())])
     return manifest

@@ -49,30 +49,29 @@ source through one method:
   axes ``shift`` alone are shifts: the transport pathways' mode poles,
   which move the pair little.  The call returns ``(factors, excess)``,
   and the pair is the product of the factors and of 1 + m over the excess
-  factors m.  The factors are the pair with every shift left out, so
-  none has the shift's axes, and the excess factors carry the change the
-  shifts make, each computed without cancellation; a source that cannot
-  split a pair so returns it in its factors and no excess.  The engine
-  multiplies the factors and its weights and sums over the pathway's axes
-  in ``einsum`` calls, so no factor is broadcast to the full pathway grid
-  unless the source returns it so.  The factors of an unsplit pair, which
-  carry the shift's axes, it multiplies into one array first.
+  factors m: the change the shifts make to the factors they are split
+  off, each computed without cancellation.  A factor the source takes
+  whole carries the shift's axes.  The engine multiplies the factors and
+  its weights and sums over the pathway's axes in ``einsum`` calls, so no
+  factor is broadcast to the full pathway grid unless the source returns
+  it so; where a factor carries the shift's axes, it multiplies all of
+  them into one array first.
 
-Both sources factor a pair the same way.  Each Gaussian (the pump of a
-leg's sum frequency, or a classical amplitude of one argument) is taken
-on the axes of its unshifted sum d, centred on whole wavenumbers
-(``_detuning``) so that the sum rounds only its small remainders; the
-exponents on equal axis sets are added and exponentiated once, and the
-source's constant enters once.  A shift s of d multiplies the Gaussian by
-exp(kappa s (s + 2 d)), kappa = -(2 pi c)^2 / (4 G), a product of one
-excess factor per term of d (``_gaussian``).  A leg's phase matching is
-taken on the union of the axes of its two photon frequencies, each an
-unshifted sum, the first only when T1 != 0; a shift of the second
-changes it by ``_expm1_ratio_change``.  With T1 = 0 the matching depends
-on the second frequency alone, so no factor spans more axes than a leg's
-unshifted sum or a term and a shift.  With T1 != 0 the pair is taken
-with no shift split off, and so is a pair where an excess exponent would
-leave ``_EXCESS_EXPONENT_RANGE``.
+Both sources factor their Gaussians (the pump of each leg's sum
+frequency, or a classical amplitude of one argument) through one routine,
+``_gaussian_factors``.  Each is taken on the axes of its unshifted sum d,
+centred on whole wavenumbers (``_detuning``) so that the sum rounds only
+its small remainders; the exponents on equal axis sets are added and
+exponentiated once, and the source's constant enters once.  A shift s of
+d multiplies the Gaussian by exp(kappa s (s + 2 d)), kappa =
+-(2 pi c)^2 / (4 G), one excess factor per term of d (``_gaussian``), and
+a Gaussian whose excess exponent would leave ``_EXCESS_EXPONENT_RANGE``
+is taken whole, on its shifted sum.  A leg's phase matching is taken on
+the union of the axes of its photon frequencies, the first only when
+T1 != 0.  With T1 = 0 it depends on the unshifted second frequency, whose
+shift changes it by ``_expm1_ratio_change``, so no factor spans more axes
+than a leg's unshifted sum or a term and a shift.  With T1 != 0 it is
+taken whole, on both shifted frequencies.
 """
 
 from __future__ import annotations
@@ -88,11 +87,11 @@ _SINC_SERIES_RADIUS = 1e-4
 # with this many terms the series is exact to 1e-18 at 1.5 times the radius.
 _CHANGE_SERIES_RADIUS = 0.5
 _CHANGE_SERIES_TERMS = 18
-# Range of the real part of an excess exponent E (see ``_grown``).  Above
-# it a factor exp(E) could overflow against the others, which it
+# Range of the real part of an excess exponent E (``_gaussian_factors``).
+# Above it a factor exp(E) could overflow against the others, which it
 # compensates within e^50 at a cost of about 50 eps of their product's
 # rounding; below it 1 + expm1(E) keeps less than e^-1 of its relative
-# precision.  Outside the range a source returns the pair unsplit.
+# precision.  A Gaussian that would take E outside is taken whole.
 _EXCESS_EXPONENT_RANGE = (-1.0, 50.0)
 
 
@@ -240,22 +239,13 @@ def _detuning(terms, center):
     return centred
 
 
-def _grown(groups):
-    """The excess expm1(E) of each exponent E of ``groups``, or None where
-    the real part of one leaves ``_EXCESS_EXPONENT_RANGE``."""
-    low, high = _EXCESS_EXPONENT_RANGE
-    if any(e.real.max() > high or e.real.min() < low for _, e in groups.values()):
-        return None
-    return [(axes, np.expm1(e)) for axes, e in groups.values()]
-
-
-def _gaussian(terms, shift, center, kappa, exponents, growth):
+def _gaussian(terms, shift, center, kappa):
     """The exponent kappa d^2 of a Gaussian of the sum of ``terms``, with
     d the sum less its shift and less ``center``, and the change a shift s
     makes to it.
 
-    kappa d^2 joins ``exponents`` by axis set.  The change
-    kappa ((d + s)^2 - d^2) = 2 kappa s (d + s / 2) joins ``growth`` as one
+    Returns the exponent, labelled, and the change
+    kappa ((d + s)^2 - d^2) = 2 kappa s (d + s / 2) as one labelled
     product per term of d, the last taking s / 2, so that no product has
     more axes than a term and the shift.
     """
@@ -264,25 +254,45 @@ def _gaussian(terms, shift, center, kappa, exponents, growth):
     axes, exponent = labelled_sum(detuning)
     exponent *= exponent
     exponent *= kappa
-    _accumulate(exponents, axes, exponent)
+    changes = []
     for s_axes, s in shifts:
         *rest, (own, last) = detuning
         union = _union(own, s_axes)
         rest.append((union, on_axes(union, (own, last)) + on_axes(union, (s_axes, 0.5 * s))))
         for own, term in rest:
             union = _union(own, s_axes)
-            _accumulate(growth, union, on_axes(union, (own, (2.0 * kappa) * term))
-                        * on_axes(union, (s_axes, s)))
+            changes.append((union, on_axes(union, (own, (2.0 * kappa) * term))
+                            * on_axes(union, (s_axes, s))))
+    return (axes, exponent), changes
 
 
-def _exponentiated(exponents, constant):
-    """exp of each grouped exponent, in place, as labelled factors whose
-    product is ``constant`` times exp of the sum of the exponents: the
-    first factor carries the constant."""
-    factors = [(axes, np.exp(exponent, out=exponent)) for axes, exponent in exponents.values()]
-    first = factors[0][1]
-    first *= constant
-    return factors
+def _gaussian_factors(arguments, shift, center, gamma, constant):
+    """``constant`` times the product over ``arguments`` of
+    exp(kappa (w - center)^2), kappa = -(2 pi c)^2 / (4 G), at each
+    argument's sum w, as labelled ``(factors, excess)``.
+
+    A Gaussian's exponent joins the factors and the changes its shifts
+    make join the excess exponents, by axis set (``_gaussian``), unless a
+    change would take the real part of an excess exponent out of
+    ``_EXCESS_EXPONENT_RANGE``: then that Gaussian alone is taken whole.
+    The first factor carries ``constant``.
+    """
+    kappa = -((0.5 * units.TWO_PI_C) ** 2) / gamma  # per squared detuning
+    low, high = _EXCESS_EXPONENT_RANGE
+    exponents, growth = {}, {}
+    for terms in arguments:
+        exponent, changes = _gaussian(terms, shift, center, kappa)
+        grown = dict(growth)
+        for axes, change in changes:
+            _accumulate(grown, axes, change)
+        if any(e.real.max() > high or e.real.min() < low for _, e in grown.values()):
+            exponent, _ = _gaussian(terms, None, center, kappa)
+        else:
+            growth = grown
+        _accumulate(exponents, *exponent)
+    factors = [(axes, np.exp(e, out=e)) for axes, e in exponents.values()]
+    factors[0][1][...] *= constant
+    return factors, [(axes, np.expm1(e)) for axes, e in growth.values()]
 
 
 @dataclass(frozen=True)
@@ -299,9 +309,8 @@ class EppSource:
     the sum, each phase-matching branch one ``expm1`` on the shape of the
     frequencies it depends on, and the conjugate leg flips the sign of
     2 i phi instead of conjugating.  ``pair_factors`` factors a pair as
-    the module docstring describes: the pump exponents of both legs' sums
-    grouped by axis set and exponentiated once, one phase-matching factor
-    per leg, and the excess factors of the shifts.
+    the module docstring describes: the pump of both legs' sums, one
+    phase-matching factor per leg, and the excess factors of the shifts.
     """
 
     omega1: float
@@ -388,19 +397,14 @@ class EppSource:
     def pair_factors(self, ket_x, ket_y, bra_x, bra_y, shift=None):
         """preparation_ket(x, y) * preparation_bra(x', y') as labelled
         ``(factors, excess)``, as the class docstring describes."""
-        factored = None if self.t1 else self._factored(ket_x, ket_y, bra_x, bra_y, shift)
-        return factored or self._factored(ket_x, ket_y, bra_x, bra_y, None)
-
-    def _factored(self, ket_x, ket_y, bra_x, bra_y, shift):
-        """The pair as factors and excess factors with the terms on the axes
-        ``shift`` split off (none if ``shift`` is None), or None where an
-        excess exponent leaves its range."""
-        kappa = -((0.5 * units.TWO_PI_C) ** 2) / self.pump_gamma  # per squared detuning
-        pump, growth, matching, excess = {}, {}, {}, {}
-        for x, y, sign in ((ket_x, ket_y, -1.0), (bra_x, bra_y, 1.0)):
-            _gaussian(x + y, shift, self.pump_center, kappa, pump, growth)
-            base, shifts = _split(y, shift)
-            wa = labelled_sum(_split(x, shift)[0] if self.t1 else [])
+        legs = ((ket_x, ket_y, -1.0), (bra_x, bra_y, 1.0))
+        pump, pump_excess = _gaussian_factors(
+            [x + y for x, y, _ in legs], shift, self.pump_center, self.pump_gamma,
+            (self.alpha * self.e0) ** 2 * (np.pi / self.pump_gamma))
+        matching, excess = {}, {}
+        for x, y, sign in legs:
+            base, shifts = _split(y, None if self.t1 else shift)
+            wa = labelled_sum(_merged(x) if self.t1 else [])
             wb = labelled_sum(base)
             axes, shape = _grid([wa, wb])
             m = self._matching(on_axes(axes, wa), on_axes(axes, wb), sign)
@@ -409,13 +413,9 @@ class EppSource:
                 union = _union(axes, s_axes)
                 _accumulate(excess, union, self._matching_excess(
                     on_axes(union, wb), on_axes(union, (s_axes, s)), sign))
-        grown = _grown(growth)
-        if grown is None:
-            return None
-        for axes, m in grown:
+        for axes, m in pump_excess:
             _accumulate(excess, axes, m, _excess_product)
-        scale = (self.alpha * self.e0) ** 2 * (np.pi / self.pump_gamma)
-        return _exponentiated(pump, scale) + list(matching.values()), list(excess.values())
+        return pump + list(matching.values()), list(excess.values())
 
     def _matching_excess(self, wb, shift, sign):
         """_matching(wb + shift) / _matching(wb) - 1 at t1 = 0 (equal
@@ -467,21 +467,10 @@ class CoherentSource:
     preparation_bra = preparation_ket
 
     def pair_factors(self, ket_x, ket_y, bra_x, bra_y, shift=None):
-        """A(x) A(y) A(x') A(y') as labelled ``(factors, excess)``: the
-        Gaussian exponents of the unshifted arguments grouped by axis set
-        and exponentiated, and per shift s of an argument w the excess
-        A(w + s) / A(w) - 1 = expm1(kappa s (s + 2 (w - center))),
-        kappa = -(2 pi c)^2 / (4 G).  Where the real part of such an exponent
-        would leave ``_EXCESS_EXPONENT_RANGE``, the pair is taken with no
-        shift split off."""
-        kappa = -((0.5 * units.TWO_PI_C) ** 2) / self.gamma  # per squared detuning
-        exponents, growth = {}, {}
-        for terms in (ket_x, ket_y, bra_x, bra_y):
-            _gaussian(terms, shift, self.center, kappa, exponents, growth)
-        grown = _grown(growth)
-        if grown is None:
-            return self.pair_factors(ket_x, ket_y, bra_x, bra_y)
-        return _exponentiated(exponents, (self.scale * np.sqrt(np.pi / self.gamma)) ** 4), grown
+        """A(x) A(y) A(x') A(y') as labelled ``(factors, excess)`` from
+        ``_gaussian_factors``."""
+        return _gaussian_factors([ket_x, ket_y, bra_x, bra_y], shift, self.center, self.gamma,
+                                (self.scale * np.sqrt(np.pi / self.gamma)) ** 4)
 
 
 def jsi_map(source: EppSource, omega_a_grid, omega_b_grid) -> np.ndarray:

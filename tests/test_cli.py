@@ -73,6 +73,22 @@ def test_config_error_exit_code(dimer_setup, tmp_path, capsys):
     assert "bath.gamma0" in err
 
 
+def _python(*args, check=False):
+    """Runs ``python args`` with this checkout's src first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120, check=check)
+
+
+def test_unwritable_output_directory_is_a_config_error(tmp_path):
+    # a regular file where the output directory's parent should be
+    (tmp_path / "file").write_text("")
+    done = _python("-m", "excitonscope.cli", "model-info", "--out", str(tmp_path / "file" / "sub"))
+    assert done.returncode == 2
+    assert "out_dir: cannot write to" in done.stderr and "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("source, aggregate, field", [
     ({"t1": 20.0, "t2": 10.0}, None, "source.t2"),
     ({}, '{"site_energies": [12000.0]}', "aggregate"),
@@ -152,10 +168,6 @@ def test_every_scenario_has_a_run_and_its_help(monkeypatch):
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     """scipy.integrate serves one diagnostic and is most of the import time."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = "import sys, excitonscope.cli; print('scipy.integrate' in sys.modules)"
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    done = _python("-c", code, check=True)
     assert done.stdout.strip() == "False"

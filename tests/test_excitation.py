@@ -18,7 +18,7 @@ from excitonscope import (
 from excitonscope import excitation
 from excitonscope.bath import BathSpec
 from excitonscope.excitation import PoleTable, pathway_weights
-from excitonscope.sources import _grid, on_axes
+from excitonscope.sources import _grid, labelled_sum, on_axes
 from excitonscope.units import TWO_PI_C
 
 from conftest import dimer_bath, make_dimer
@@ -61,15 +61,17 @@ class BroadcastingSource:
 
 class RecordingSource:
     """Records the axes and shapes of the factors and of the excess factors
-    of each pair call."""
+    of each pair call, and its arguments and factors."""
 
     def __init__(self, source):
         self.source = source
         self.factors = []
         self.excess = []
+        self.calls = []
 
     def pair_factors(self, *arguments, shift=None):
         factors, excess = self.source.pair_factors(*arguments, shift=shift)
+        self.calls.append((arguments, factors))
         self.factors.append([(axes, np.shape(array)) for axes, array in factors])
         self.excess.append([(axes, np.shape(array)) for axes, array in excess])
         return factors, excess
@@ -163,13 +165,28 @@ def test_pair_sums_have_the_rank_of_their_poles(trimer_system):
 
 
 def test_pair_sums_at_nonzero_t1_split_off_no_shift(trimer_system):
-    # at t1 != 0 the matching factor depends on the whole sum frequency, so
-    # no pathway splits off its mode poles: p1-p5 have no excess, and p1
-    # and the coherence pathways p3 and p5 still have no factor beyond
-    # (f, a, b)
-    recorder = RecordingSource(engine_sources(trimer_system)[1])
+    # at t1 != 0 the matching factor depends on both photon frequencies, so
+    # it keeps the mode poles whole while the pump splits them off: p2's
+    # excess lies on (f, u, p) and (e, p), p4's pump takes no shift, and
+    # every factor that carries p is a matching factor, their product that
+    # of the matching of each leg whose arguments hold p.  p1 and the
+    # coherence pathways p3 and p5 have no excess and no factor beyond
+    # (f, a, b).  The pairs are recorded as p1, p2, p4, p3, p5.
+    source = engine_sources(trimer_system)[1]
+    recorder = RecordingSource(source)
     prepare_closed_form(trimer_system, recorder)
-    assert len(recorder.factors) == 5 and not any(recorder.excess)
+    excess = [sorted(axes for axes, _ in pair) for pair in recorder.excess]
+    assert excess == [[], ["ep", "fup"], [], [], []]
+    for arguments, factors in recorder.calls[1:3]:  # p2, p4
+        carrying = [factor for factor in factors if "p" in factor[0]]
+        legs = [(x, y, sign) for x, y, sign in ((*arguments[:2], -1.0), (*arguments[2:], 1.0))
+                if any("p" in axes for axes, _ in x + y)]
+        assert carrying and legs
+        product = np.prod([on_axes("fuep", factor) for factor in carrying], axis=0)
+        matching = np.prod([source._matching(on_axes("fuep", labelled_sum(x)),
+                                             on_axes("fuep", labelled_sum(y)), sign)
+                            for x, y, sign in legs], axis=0)
+        assert np.all(np.abs(product - matching) <= 1e-14 * np.abs(matching))
     for factors in [recorder.factors[0], *recorder.factors[3:]]:  # p1, p3, p5
         for axes, shape in factors:
             assert len(axes) == len(shape) and all(n > 1 for n in shape)
@@ -180,10 +197,10 @@ def test_guard_falls_back_to_the_unfactored_pair(trimer_system):
     # An excess exponent grows as |kappa| lambda (lambda + 2 gamma) with the
     # mode rates lambda; on the test systems they stay far below the widths
     # gamma, so the pump overflows first.  Mode poles 1e4 times the trimer's
-    # (up to 31 cm^-1) and a 2 ps pump pass the bound in p2, so p2 comes
-    # back unsplit, with its pump one factor on the full grid and no
-    # excess, while p4, whose pump takes no shift, and p1, p3 and p5 stay
-    # factored.  p1 is recorded first.
+    # (up to 31 cm^-1) and a 2 ps pump pass the bound in p2, so p2's pump
+    # comes back whole, one factor on the full grid, while its matching
+    # keeps its (e, p) excess, and p4, whose pump takes no shift, and p1,
+    # p3 and p5 stay factored.  p1 is recorded first.
     one = trimer_system.transport_one
     system = replace(trimer_system, transport_one=replace(one, lambdas=one.lambdas * 1e4))
     source = replace(engine_sources(system)[0], tau_pump=2.0e3)
@@ -191,7 +208,7 @@ def test_guard_falls_back_to_the_unfactored_pair(trimer_system):
     direct = prepare_closed_form(system, recorder).pathway_partials
     grid = dict(zip("feup", (system.n_two, system.n_one, system.n_one, system.poles.modes.size)))
     spanning = [dict(zip(axes, shape)) for axes, shape in recorder.factors[1] if len(axes) == 4]
-    assert spanning == [grid] and not recorder.excess[1]
+    assert spanning == [grid] and [axes for axes, _ in recorder.excess[1]] == ["ep"]
     assert recorder.excess[2]
     others = [recorder.factors[0], *recorder.factors[2:]]
     assert all(len(axes) < 4 for factors in others for axes, _ in factors)
@@ -221,11 +238,12 @@ def test_transport_pathways_match_extended_precision(system_name, request):
     # Sum_p transport[e, u, p] vanishes for u != e, so the terms of p2 and
     # p4 cancel, by up to 8e4 on the trimer; at t1 = 0 each must still hold
     # 1e-15 of its summed term magnitudes and p2 1e-12 of its own size.  At
-    # t1 != 0 (sources[1]) the pair keeps the mode-pole shift and p2 the
-    # cancellation: 1.6e-14 and 4.1e-11 on the dimer, bounded at about 3x
+    # t1 != 0 (sources[1]) the pump splits off the mode poles but the
+    # matching keeps them, and p2 is contracted unsplit: 5.8e-16 of the
+    # term magnitudes and 5.3e-12 of |p2| at most over both systems
     system = request.getfixturevalue(system_name)
     sources = engine_sources(system)
-    bounds = [(sources[0], 1e-15, 1e-12), (sources[2], 1e-15, 1e-12), (sources[1], 5e-14, 1e-10)]
+    bounds = [(sources[0], 1e-15, 1e-12), (sources[2], 1e-15, 1e-12), (sources[1], 1e-15, 2e-11)]
     for source, of_terms, of_p2 in bounds:
         partials = prepare_closed_form(system, source).pathway_partials[[1, 3]]
         exact, mags = extended_transport_pathways(system, source)

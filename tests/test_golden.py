@@ -5,7 +5,10 @@ default run writes: each table column in full, and for each matrix its
 axis ends and sizes, every 16th cell in both directions, and its row and
 column sums.  The test runs each scenario with its default configuration
 and compares the reduction of what it writes against the golden file;
-each run, made once per module, also has its warnings checked.
+each run, made once per module, also has its warnings checked.  Two more
+runs (``DELAYED_RUNS``) pin a nonzero first group delay, which no default
+sets: ``excite`` with unequal photon references and an 8-target
+degenerate ``excite-scan``, whose references are equal.
 
 Every part of an artifact is compared at the tolerance ``TOLERANCE``
 states for that artifact, relative to the golden part's largest
@@ -30,7 +33,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from excitonscope.config import SCENARIOS, reference_config
+from excitonscope.config import SCENARIOS, RunConfig, SourceConfig, reference_config
 from excitonscope.runner import run_scenario
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "scenarios.json")
@@ -54,7 +57,18 @@ TOLERANCE = {
     "panel-study/panel_sigma_omega_20_t_wait_one_1000": _PREPARED,
     "panel-study/panel_sigma_t_0.5409": _PREPARED,
     "panel-study/panel_t_wait_two_50": _PREPARED,
+    "excite-t1/populations": _PREPARED,
+    "excite-scan-t1/scan": _PREPARED,
+    "excite-scan-t1/selectivity": _PREPARED,
 }
+
+_DELAYED_SOURCE = SourceConfig(t1=3.0, t2=13.0)
+DELAYED_RUNS = {
+    "excite-t1": RunConfig(scenario="excite", source=_DELAYED_SOURCE),
+    "excite-scan-t1": RunConfig(scenario="excite-scan", source=_DELAYED_SOURCE,
+                                targets=(0, 15, 30, 45, 60, 75, 90, 104)),
+}
+RUNS = {**{scenario: reference_config(scenario) for scenario in SCENARIOS}, **DELAYED_RUNS}
 
 
 def _cell(text: str):
@@ -85,12 +99,12 @@ def reduce_csv(path: str) -> dict:
     }
 
 
-def reduce_run(scenario: str, out_dir: str):
-    """Runs ``scenario`` with its default configuration; returns the
-    reduction of every CSV artifact it writes, and its manifest."""
-    manifest = run_scenario(reference_config(scenario), out_dir=out_dir, fmt="csv")
+def reduce_run(run: str, out_dir: str):
+    """Runs the configuration ``RUNS[run]``; returns the reduction of every
+    CSV artifact it writes, and its manifest."""
+    manifest = run_scenario(RUNS[run], out_dir=out_dir, fmt="csv")
     return {
-        f"{scenario}/{name[:-4]}": reduce_csv(os.path.join(out_dir, name))
+        f"{run}/{name[:-4]}": reduce_csv(os.path.join(out_dir, name))
         for name in sorted(os.listdir(out_dir)) if name.endswith(".csv")
     }, manifest
 
@@ -112,13 +126,13 @@ def golden():
 
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory):
-    """``reduce_run`` of a scenario, each scenario run once per module."""
+    """``reduce_run`` of a run, each made once per module."""
     runs = {}
 
-    def run(scenario):
-        if scenario not in runs:
-            runs[scenario] = reduce_run(scenario, str(tmp_path_factory.mktemp(scenario)))
-        return runs[scenario]
+    def run(name):
+        if name not in runs:
+            runs[name] = reduce_run(name, str(tmp_path_factory.mktemp(name)))
+        return runs[name]
     return run
 
 
@@ -126,10 +140,9 @@ def test_golden_file_covers_every_artifact(golden):
     assert set(golden) == set(TOLERANCE)
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_default_scenario_matches_golden(scenario, golden, default_run):
-    actual, _ = default_run(scenario)
-    expected = {name: parts for name, parts in golden.items() if name.startswith(scenario + "/")}
+def _assert_matches_golden(run, golden, default_run):
+    actual, _ = default_run(run)
+    expected = {name: parts for name, parts in golden.items() if name.startswith(run + "/")}
     assert list(actual) == list(expected)
     for name, parts in expected.items():
         assert list(actual[name]) == list(parts), name
@@ -143,6 +156,16 @@ def test_default_scenario_matches_golden(scenario, golden, default_run):
             bound = TOLERANCE[name] * np.abs(want).max()
             err = np.abs(got - want).max()
             assert err <= bound, f"{name}: {part} off by {err:.3e} (bound {bound:.3e})"
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_default_scenario_matches_golden(scenario, golden, default_run):
+    _assert_matches_golden(scenario, golden, default_run)
+
+
+@pytest.mark.parametrize("run", DELAYED_RUNS)
+def test_nonzero_first_delay_matches_golden(run, golden, default_run):
+    _assert_matches_golden(run, golden, default_run)
 
 
 # The default maps clip negative interference residue; nothing else in a
@@ -159,8 +182,8 @@ def test_default_scenario_warns_only_about_clipped_cells(scenario, default_run):
 if __name__ == "__main__":
     reduced = {}
     with tempfile.TemporaryDirectory() as root:
-        for scenario in SCENARIOS:
-            reduced.update(reduce_run(scenario, os.path.join(root, scenario))[0])
+        for run in RUNS:
+            reduced.update(reduce_run(run, os.path.join(root, run))[0])
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         fh.write(_dump(reduced))

@@ -181,6 +181,11 @@ def _pair(factors, excess, axes="fuep"):
     return product
 
 
+def _carrying_p(factors):
+    """The sorted axes of each factor on axis p, sorted."""
+    return sorted("".join(sorted(axes)) for axes, _ in factors if "p" in axes)
+
+
 def _legs(source, arguments):
     full = [on_axes("fuep", labelled_sum(terms)) for terms in arguments]
     return source.preparation_ket(full[0], full[1]) * source.preparation_bra(full[2], full[3])
@@ -201,10 +206,12 @@ def test_pair_is_the_product_of_its_legs(t1, references):
     for shift in (None, "p"):
         factors, excess = source.pair_factors(*arguments, shift=shift)
         assert all(len(axes) == np.ndim(array) for axes, array in factors + excess)
-        if shift and not t1:
-            # the shifts enter the excess factors only
+        if shift:
+            # the pump's shifts enter the excess factors, and at t1 = 0 the
+            # matching's too; at t1 != 0 the matching stays whole, the one
+            # factor that carries p
             assert sorted(axes for axes, _ in excess) == ["ep", "fup"]
-            assert not any("p" in axes for axes, _ in factors)
+            assert _carrying_p(factors) == (["efpu"] if t1 else [])
         else:
             assert not excess
         pair = _pair(factors, excess)
@@ -232,7 +239,9 @@ def test_pair_and_legs_against_extended_precision(t1):
     exact = extended(*np.broadcast_arrays(ket_x, ket_y, bra_x, bra_y)).astype(np.clongdouble)
     scale = np.abs(exact).astype(float)
     factors, excess = source.pair_factors(*arguments, shift="p")
-    assert bool(excess) == (not t1)
+    # the pump splits off its shifts at every t1, the matching at t1 = 0 only
+    assert sorted(axes for axes, _ in excess) == ["ep", "fup"]
+    assert _carrying_p(factors) == (["efpu"] if t1 else [])
     pair_error = np.abs(_pair(factors, excess) - exact).astype(float)
     legs_error = np.abs(_legs(source, arguments) - exact).astype(float)
     assert np.all(pair_error <= 5e-13 * scale)
@@ -275,21 +284,30 @@ def test_pair_on_unequal_axis_sets_is_the_product_of_its_legs(source):
     assert np.all(np.abs(_pair(factors, excess, "feg") - expected) <= 1e-13 * np.abs(expected))
 
 
-@pytest.mark.parametrize("source", [
-    make_source(tau_pump=1.0e3, t1=0.0, t_ent=10.0),
-    CoherentSource(12300.0, 1.0e3),
-])
-def test_pair_falls_back_where_an_excess_exponent_leaves_its_range(source):
+@pytest.mark.parametrize("source, layouts", [
+    # the pump of each leg is taken whole, one factor on the full grid, and
+    # the matching keeps its (e, p) excess
+    (make_source(tau_pump=1.0e3, t1=0.0, t_ent=10.0),
+     {0.1: ([], ["ep", "fup"]), 100.0: (["efpu"], ["ep"])}),
+    # only the pulse whose shift leaves the range, the bra's second, is
+    # taken whole; the ket's first, shifted by up to 59 cm^-1, stays split
+    (CoherentSource(12300.0, 1.0e3),
+     {0.1: ([], ["ep", "fup"]), 100.0: (["ep"], ["fup"])}),
+    # at t1 != 0 the matching carries p, and a whole pump too
+    (make_source(tau_pump=1.0e3, t1=3.0, t_ent=13.0),
+     {0.1: (["efpu"], ["ep", "fup"]), 100.0: (["efpu", "efpu"], [])}),
+], ids=["source0", "source1", "source2"])
+def test_pair_falls_back_where_an_excess_exponent_leaves_its_range(source, layouts):
     # a shift s of an argument d moves the Gaussian's exponent by
     # kappa s (s + 2 d), |kappa| = 0.018 at 1 ps: with shifts of any phase
     # up to 0.1 cm^-1 and d up to 60 cm^-1 that stays within [-1, 50], with
-    # shifts up to 100 cm^-1 it does not
-    for shift_size, factored in ((0.1, True), (100.0, False)):
+    # shifts up to 100 cm^-1 it does not, and a Gaussian whose shift takes
+    # it out is taken whole, on axis p
+    for shift_size, (carrying_p, excess_axes) in layouts.items():
         arguments = _pair_arguments([12300.0], np.random.default_rng(8), shift_size=shift_size)
         factors, excess = source.pair_factors(*arguments, shift="p")
-        assert bool(excess) == factored
-        if not factored:
-            assert any("p" in axes for axes, _ in factors)
+        assert _carrying_p(factors) == carrying_p
+        assert sorted(axes for axes, _ in excess) == excess_axes
         expected = _legs(source, arguments)
         assert np.all(np.isfinite(expected)) and np.abs(expected).max() > 0.0
         assert np.all(np.abs(_pair(factors, excess) - expected) <= 1e-13 * np.abs(expected))
