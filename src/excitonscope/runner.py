@@ -7,6 +7,14 @@ significant digits in scientific notation and a fixed row/column order;
 together with index-based reduction of any parallel work this makes the
 data artifacts byte-identical for any thread count.
 
+Every cell of a CSV matrix is exactly C's ``%.16e`` of its double.  A
+vectorized formatter writes them all at once: the 17-digit integer comes
+from an error-free product of the value with a double-double power of
+ten, and the few cells whose rounding it cannot prove (ties and near
+ties, values a few ulps above a power of ten, non-finite values,
+magnitudes beyond 1e±280) go through ``%`` one by one.  Table cells, a
+few hundred per table, go through ``_fmt``.
+
 Matrix CSVs use the gnuplot ``nonuniform matrix`` layout: the first row
 holds the column count followed by the column coordinates, every other
 row starts with its row coordinate.  Table CSVs carry a header row with
@@ -18,11 +26,10 @@ axis respectively.
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import errno
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -94,8 +101,10 @@ class _Stopwatch:
 
 
 def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    # os.open with mode 0o666, not mkstemp's 0o600, so the umask sets the
+    # artifact's permissions as it does for any file the user creates
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -108,9 +117,12 @@ def _atomic_write(path: str, text: str):
 
 def _write_all(out: str, items) -> None:
     """Writes each ``(name, text)`` into ``out``, made if missing; a
-    directory that cannot be made or written is an error at ``out_dir``."""
+    directory that cannot be made or written is an error at ``out_dir``.
+    With no items it only makes and checks ``out``."""
     try:
         os.makedirs(out, exist_ok=True)
+        if not os.access(out, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
         for name, text in items:
             _atomic_write(os.path.join(out, name), text)
     except OSError as exc:
@@ -121,13 +133,157 @@ def _csv(rows) -> str:
     return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
+# Bytes of one matrix cell: "-d.dddddddddddddddde-ddd" and its separator.
+_CELL = 25
+# Cells formatted per block of rows, so that the formatter's temporaries,
+# about thirty 8-byte arrays of a block, stay near 1 MB for any matrix size;
+# of 1024 to 20000 cells, 4096 formatted a 128 x 128 map fastest.
+_BLOCK_CELLS = 4096
+# The vectorized path takes magnitudes in this range, where neither the
+# power of ten nor Dekker's split of it or of the value can overflow or
+# underflow.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# Half-way margin: the 17-digit remainder is known to ~1e-14, so a
+# fraction this close to 0.5 may be a tie and is left to ``%``.
+_TIE_MARGIN = 1e-6
+
+
+def _pow10_pair(n: int) -> tuple[float, float]:
+    """10**n as a double-double ``hi + lo``, from exact integer arithmetic."""
+    if n >= 0:
+        exact = 10**n
+        hi = float(exact)
+        return hi, float(exact - int(hi))
+    scale = 10**-n
+    hi = 1 / scale
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * scale) / (den * scale)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of each double into two halves of 26 bits."""
+    c = 134217729.0 * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _digit_table() -> np.ndarray:
+    """'0000' … '9999' in ASCII, one uint32 per group, so that the byte
+    view of any gather is the digits in order on either byte order."""
+    digits = np.arange(48, 58, dtype=np.uint8)
+    table = np.empty((10, 10, 10, 10, 4), np.uint8)
+    table[..., 0] = digits[:, None, None, None]
+    table[..., 1] = digits[:, None, None]
+    table[..., 2] = digits[:, None]
+    table[..., 3] = digits
+    return table.view(np.uint32).ravel()
+
+
+def _e16_digits(a: np.ndarray, powers: dict) -> tuple:
+    """The 17 significant digits ``d`` (an int in [1e16, 1e17) where
+    proven) and the exponent ``e`` of ``"%.16e" % a`` for magnitudes ``a``
+    in the fast range, and where that rounding is not proven.  ``powers``
+    caches ``_pow10_pair`` by exponent.
+
+    With E = floor(log10 a) and 10**(16 - E) = hi + lo, the product
+    a·hi = p + err is exact and p is an integer (p >= 1e16 > 2**53), so
+    the digits are p + round(err + a·lo).  E comes from log10 lowered by a
+    few ulps, so it is never one too high: a power of ten, or a double just
+    below one, rounds to 10**17 and carries to the next exponent.  The rare
+    value it leaves one too low (a few ulps above a power of ten) and ties
+    or near ties are not proven.
+    """
+    log = np.log10(a)
+    e = np.floor(log - np.abs(log) * 2.0**-48).astype(np.int64)
+    # the powers of ten of the exponents present, each once
+    lowest = int(e.min())
+    present = np.bincount(e - lowest)
+    hi, lo = np.zeros(present.size), np.zeros(present.size)
+    for k in np.flatnonzero(present).tolist():
+        n = 16 - lowest - k
+        if n not in powers:
+            powers[n] = _pow10_pair(n)
+        hi[k], lo[k] = powers[n]
+    hi, lo = hi[e - lowest], lo[e - lowest]
+
+    p = a * hi
+    ah, al = _split(a)
+    bh, bl = _split(hi)
+    r = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + a * lo
+    whole = np.floor(r)
+    frac = r - whole
+    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    # p + r below 10**16 would mean an E too high, which only a log10 off
+    # by more than the lowering can give: that costs time, not digits
+    unproven = (np.abs(frac - 0.5) <= _TIE_MARGIN) | (d >= 10**17) | ((p - 1e16) + r < 0.0)
+    return d, e, unproven
+
+
+def _e16_cells(x: np.ndarray, powers: dict, digits: np.ndarray) -> np.ndarray:
+    """Each double of ``x`` as ``"%.16e" % x``: one ``_CELL``-byte row per
+    value, its text with 0 bytes as padding and the last byte left 0.
+    ``digits`` is ``_digit_table()``.  Zeros are written directly; inf,
+    nan, magnitudes outside the fast range and the values ``_e16_digits``
+    leaves unproven go through ``%``.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    mag = np.abs(x)
+    zero = mag == 0.0
+    fast = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)  # False on inf and nan
+    d, e, unproven = _e16_digits(np.where(fast, mag, 1.0), powers)
+    slow = ~zero & (~fast | unproven)
+    d[zero] = 0
+    e[zero] = 0
+
+    lead, rest = np.divmod(d, 10**16)
+    q, g3 = np.divmod(rest, 10000)
+    q, g2 = np.divmod(q, 10000)
+    g0, g1 = np.divmod(q, 10000)
+    exp = np.abs(e)
+    cells = np.zeros((x.size, _CELL), np.uint8)
+    cells[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    cells[:, 1] = lead + 48
+    cells[:, 2] = ord(".")
+    cells[:, 3:19] = digits[np.stack([g0, g1, g2, g3], axis=1)].view(np.uint8)
+    cells[:, 19] = ord("e")
+    cells[:, 20] = np.where(e < 0, ord("-"), ord("+"))
+    cells[:, 21] = np.where(exp >= 100, 48 + exp // 100, 0)
+    cells[:, 22] = 48 + exp // 10 % 10
+    cells[:, 23] = 48 + exp % 10
+    for i, value in zip(np.flatnonzero(slow).tolist(), x[slow].tolist()):
+        text = ("%.16e" % value).encode("ascii")
+        cells[i, :-1] = 0
+        cells[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return cells
+
+
 def _matrix_csv(row_axis, col_axis, values) -> str:
     """Column count and axis, then each row's axis value and cells: every
-    float formatted as ``_fmt`` does, one ``%`` per row."""
-    row = ",".join(["%.16e"] * (len(col_axis) + 1)) + "\n"
-    head = _csv([[len(col_axis), *col_axis.tolist()]])
-    body = (row % (r, *v.tolist()) for r, v in zip(row_axis.tolist(), values))
-    return "".join(itertools.chain([head], body))
+    float byte for byte as ``"%.16e" % x``, a block of rows at a time."""
+    grid = np.zeros((len(row_axis) + 1, len(col_axis) + 1))
+    grid[0, 1:] = col_axis
+    grid[1:, 0] = row_axis
+    grid[1:, 1:] = values
+    powers, digits = {}, _digit_table()
+    text = np.empty(grid.size * _CELL, np.uint8)
+    end = 0
+    step = max(1, _BLOCK_CELLS // grid.shape[1])
+    for start in range(0, grid.shape[0], step):
+        block = grid[start:start + step]
+        cells = _e16_cells(block, powers, digits).reshape(*block.shape, _CELL)
+        cells[:, :-1, -1] = ord(",")
+        cells[:, -1, -1] = ord("\n")
+        if start == 0:
+            count = str(len(col_axis)).encode("ascii")
+            cells[0, 0, :-1] = 0
+            cells[0, 0, :len(count)] = np.frombuffer(count, np.uint8)
+        kept = cells[cells != 0]
+        text[end:end + kept.size] = kept
+        end += kept.size
+    return str(text[:end], "ascii")
 
 
 class _Sink:
@@ -588,6 +744,7 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None,
     warnings: list = [thread_note] if thread_note else []
     resolved: dict = {"threads": n_threads, "format": fmt, "out_dir": out}
 
+    _write_all(out, [])  # an unusable directory fails before any work
     system = build_system(cfg)
     clock.lap("build-model")
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from excitonscope import runner
 from excitonscope.cli import build_parser, main
 from excitonscope.config import SCENARIOS
 from excitonscope.runner import SCENARIO_RUNS
@@ -87,6 +88,21 @@ def test_unwritable_output_directory_is_a_config_error(tmp_path):
     done = _python("-m", "excitonscope.cli", "model-info", "--out", str(tmp_path / "file" / "sub"))
     assert done.returncode == 2
     assert "out_dir: cannot write to" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_unwritable_output_directory_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the output directory was checked")
+
+    monkeypatch.setattr(runner, "build_system", no_work)
+    monkeypatch.setattr(runner, "scan_targets", no_work)
+    (tmp_path / "file").write_text("")
+    assert main(["excite-scan", "--out", str(tmp_path / "file" / "sub")]) == 2
+    assert "out_dir: cannot write to" in capsys.readouterr().err
+    # a directory that exists but cannot be written to fails the same way
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    assert main(["excite-scan", "--out", str(tmp_path)]) == 2
+    assert "out_dir: cannot write to" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source, aggregate, field", [
@@ -171,3 +187,12 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     code = "import sys, excitonscope.cli; print('scipy.integrate' in sys.modules)"
     done = _python("-c", code, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_exact_arithmetic_modules_unloaded():
+    """The CSV formatter's powers of ten use int arithmetic: fractions alone
+    adds about 2.5 ms to every start."""
+    code = ("import sys, excitonscope.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    done = _python("-c", code, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,9 +1,13 @@
 import json
+import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excitonscope import PreparationResult, coincidence, excitation, propagators, runner, sources
 from excitonscope.config import SCENARIOS, ConfigError, from_dict
@@ -80,6 +84,61 @@ def test_matrix_csv_layout_round_trips():
 def test_fmt_preserves_doubles():
     for x in (np.pi, 1.0 / 3.0, 1e-300, -2.5e17, 0.1 + 0.2):
         assert float(_fmt(x)) == x
+
+
+def per_row_matrix_csv(row_axis, col_axis, values) -> str:
+    """The matrix writer before the vectorized one, as the reference: the
+    column count as text and every double through one ``%`` per row."""
+    row = ",".join(["%.16e"] * (len(col_axis) + 1)) + "\n"
+    head = ",".join([str(len(col_axis)), *("%.16e" % c for c in col_axis.tolist())]) + "\n"
+    return head + "".join(row % (r, *v.tolist()) for r, v in zip(row_axis.tolist(), values))
+
+
+def e16_texts(values) -> list:
+    cells = runner._e16_cells(np.asarray(values, dtype=float), {}, runner._digit_table())
+    cells[:, -1] = ord("\n")
+    return cells[cells != 0].tobytes().decode("ascii").splitlines()
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+@settings(max_examples=400, deadline=None)
+def test_matrix_cells_are_printf_e16(values):
+    assert e16_texts(values) == ["%.16e" % v for v in values]
+
+
+def _is_tie(x: float) -> bool:
+    """Whether the 17-digit rounding of ``x`` is exactly half-way."""
+    exact = Fraction(abs(x))
+    e = len(str(int(exact * 10**400))) - 401  # floor(log10 |x|), exactly
+    scaled = exact * Fraction(10) ** (16 - e)
+    return scaled - int(scaled) == Fraction(1, 2)
+
+
+# 1.00612640380859375e-04 rounds up, 1.01566314697265625e-04 and
+# 2.98023223876953125e-08 (2**-25) down to the even digit
+TIES = [float.fromhex("0x1.a6p-14"), float.fromhex("0x1.aap-14"), 2.0**-25]
+# the doubles nearest these powers of ten lie below them and print as them
+CARRIES = [1e-79, 1e-14, 1e98]
+# these lie below their powers of ten too, by more than half a 17th digit
+# (9.9999999999999995e-07, ...), yet their log10 rounds to the power
+BELOW_POWERS = [1e-6, 1e-12, 1e24]
+POWERS = [1.0, 10.0, 1e16, 1e17, 1e22, 1e23, 0.1, 1e-4, 1e-5, 1e300, 1e-300]
+RANGE_EDGES = [runner._FAST_MIN, runner._FAST_MAX, 5e-324, 1e-310, 2.2250738585072014e-308,
+               1.7976931348623157e308]
+
+
+def test_matrix_cell_edge_cases_are_printf_e16():
+    assert all(_is_tie(x) for x in TIES)
+    for x in CARRIES:
+        assert Fraction(x) < Fraction(10) ** int(round(np.log10(x)))
+        assert ("%.16e" % x).startswith("1.0000000000000000e")
+    near = [math.nextafter(x, toward) for x in POWERS + RANGE_EDGES for toward in (0.0, math.inf)]
+    values = TIES + CARRIES + BELOW_POWERS + POWERS + RANGE_EDGES + near
+    values += [0.0, np.inf, np.nan, 2.5, 0.125]
+    values += [-v for v in values]
+    assert e16_texts(values) == ["%.16e" % v for v in values]
+    assert e16_texts([-0.0]) == ["-0.0000000000000000e+00"]
 
 
 @pytest.mark.parametrize(
@@ -228,6 +287,41 @@ def test_explicit_detection_axes_are_taken_as_given(tmp_path, dimer_file):
     header, *rows = Path(out, "signal.csv").read_text().splitlines()
     assert [float(row.split(",")[0]) for row in rows] == list(np.linspace(11000.0, 13500.0, 9))
     assert [float(x) for x in header.split(",")[1:]] == list(np.linspace(12000.0, 13000.0, 5))
+
+
+@pytest.mark.parametrize("block_cells", [1, 10, runner._BLOCK_CELLS])
+def test_matrix_csv_matches_the_per_row_writer_for_any_block(monkeypatch, block_cells):
+    rng = np.random.default_rng(7)
+    special = TIES + CARRIES + BELOW_POWERS + [0.0, -0.0, np.inf, -np.nan, 1e-300]
+    values = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-20, 20, (7, 5))
+    values.flat[:len(special)] = special
+    rows, cols = rng.uniform(0, 100, 7), np.linspace(-1.0, 1.0, 5)
+    monkeypatch.setattr(runner, "_BLOCK_CELLS", block_cells)
+    assert _matrix_csv(rows, cols, values) == per_row_matrix_csv(rows, cols, values)
+
+
+@pytest.mark.parametrize("scenario", ["jsa", "excite-scan", "coincidence", "panel-study"])
+def test_matrix_csvs_match_the_per_row_writer_byte_for_byte(tmp_path, dimer_file, monkeypatch,
+                                                           scenario):
+    # full-size default grids, not the 17-point ones of dimer_config
+    _, out = run_into(tmp_path, dimer_file, scenario, subdir="vectorized", grids={})
+    monkeypatch.setattr(runner, "_matrix_csv", per_row_matrix_csv)
+    _, reference = run_into(tmp_path, dimer_file, scenario, subdir="per-row", grids={})
+    names = sorted(n for n in os.listdir(reference) if n.endswith(".csv"))
+    assert names == sorted(n for n in os.listdir(out) if n.endswith(".csv"))
+    for name in names:
+        assert Path(out, name).read_bytes() == Path(reference, name).read_bytes(), name
+
+
+def test_artifacts_follow_the_umask(tmp_path, dimer_file):
+    previous = os.umask(0o022)
+    try:
+        _, out = run_into(tmp_path, dimer_file, "excite")
+    finally:
+        os.umask(previous)
+    modes = {name: os.stat(os.path.join(out, name)).st_mode & 0o777 for name in os.listdir(out)}
+    assert "manifest.json" in modes
+    assert set(modes.values()) == {0o644}, modes
 
 
 def test_failed_atomic_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
