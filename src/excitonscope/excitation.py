@@ -33,7 +33,7 @@ from . import units
 from .aggregate import AggregateSpec
 from .bath import BathSpec, TransportModel, build_transport_matrix
 from .excitons import ExcitonEigensystem, TransitionDipoles, compute_transition_dipoles
-from .sources import EppSource, _grid, on_axes
+from .sources import TARGETS, EppSource, _cells, _grid, _union, on_axes
 
 DEFAULT_POLARIZATION = (1.0, 1.0, 1.0)
 # Widths below the trigger are raised to the floor value (cm^-1), so every
@@ -43,6 +43,10 @@ WIDTH_FLOOR_VALUE = 1e-3
 # Floored widths of every model: the stationary transport mode, lambda = 0,
 # whose floor is a fixed part of the closed form, not a regularization.
 STATIONARY_FLOORS = {"modes": 1}
+# Bytes the largest target-carrying array of one block of scan targets may
+# take (``scan_targets``).  At 8 MiB a block of the bundled model holds 25
+# targets at t1 = 0 and one in degenerate mode at t1 != 0.
+BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -255,22 +259,111 @@ def pathway_weights(system: ExcitonSystem):
     return w.coherent, w_transport, w.coherence
 
 
-def _contract(*operands):
-    """sum over every axis but f of the product of labelled arrays, as (N_f,)."""
-    subscripts = ",".join(axes for axes, _ in operands) + "->f"
-    arrays = [array for _, array in operands]
-    path = _contraction_path(subscripts, tuple(a.shape for a in arrays))
-    return np.einsum(subscripts, *arrays, optimize=path)
+def _carries(labelled, shift) -> bool:
+    return bool(shift) and not set(shift).isdisjoint(labelled[0])
+
+
+def _contract(operands, shift=None):
+    """sum over every axis but f and the target axis of the product of
+    labelled arrays, as (N_t, N_f), N_t = 1 where no operand has targets.
+
+    With ``shift`` the operands that carry the shift's axes are summed over
+    them first, so the order of that sum, which the cancellation over the
+    transport modes makes visible, does not depend on the other operands.
+    """
+    inner = [op for op in operands if _carries(op, shift)]
+    if inner:
+        operands = [op for op in operands if not _carries(op, shift)]
+        kept = set("".join(axes for axes, _ in operands) + "f") - {TARGETS}
+        axes = "".join(dict.fromkeys(c for own, _ in inner for c in own if c in kept))
+        operands.append(_summed(inner, axes))
+    axes, total = _summed(operands, "f")
+    return total.reshape(-1, total.shape[-1])
+
+
+def _summed(operands, out):
+    """The product of labelled arrays summed over every axis not in ``out``
+    and not the target axis, labelled by ``out``, the target axis first
+    where an operand has it.
+
+    The operands are contracted pairwise in the greedy order for their
+    shapes per target, so the order does not depend on the number of
+    targets, and every step is a ufunc or a stack of matrix products with
+    the target axis stacked (``_pair_product``): each target's slice of the
+    result is bitwise what that target alone gives.
+    """
+    per_target = [(axes.replace(TARGETS, ""),
+                   tuple(n for c, n in zip(axes, np.shape(a)) if c != TARGETS))
+                  for axes, a in operands]
+    path = _contraction_path(",".join(axes for axes, _ in per_target) + "->" + out,
+                             tuple(shape for _, shape in per_target))
+    operands = list(operands)
+    for picked in path:
+        taken = [operands[i] for i in picked]
+        operands = [op for i, op in enumerate(operands) if i not in picked]
+        needed = set("".join(axes for axes, _ in operands) + out)
+        result = _reduced(taken[0], needed | set("".join(axes for axes, _ in taken[1:])))
+        for other in taken[1:]:
+            result = _pair_product(result, other, needed)
+        operands.append(result)
+    (axes, total), = operands
+    return axes, total
+
+
+def _reduced(labelled, needed):
+    """A labelled array summed over its axes not in ``needed`` and not the
+    target axis, one axis at a time, slice by slice."""
+    axes, array = labelled
+    for c in [c for c in axes if c not in needed and c != TARGETS]:
+        kept = axes.replace(c, "")
+        slices = on_axes(c + kept, (axes, array))
+        array = slices[0] + slices[1] if len(slices) > 1 else slices[0]
+        for s in slices[2:]:
+            array += s
+        axes = kept
+    return axes, array
+
+
+def _pair_product(a, b, needed):
+    """The product of two labelled arrays summed over the axes of both that
+    ``needed`` lacks; an axis of one alone is summed out of it first.
+
+    Without such an axis the product is a ufunc, a * b at every element.
+    With them it is one ``matmul`` whose stacked dimensions are the target
+    axis and the kept axes of both, and whose matrix dimensions are the
+    axes of each alone and the summed ones: each matrix product of the
+    stack is the same BLAS call for every target, and the one a target
+    alone makes.
+    """
+    a = _reduced(a, needed | set(b[0]))
+    b = _reduced(b, needed | set(a[0]))
+    targets = TARGETS if TARGETS in a[0] + b[0] else ""
+    both = [c for c in a[0] if c in b[0] and c != TARGETS]
+    summed = "".join(c for c in both if c not in needed)
+    if not summed:
+        big, small = (a, b) if _cells(a) >= _cells(b) else (b, a)
+        axes = _union(big[0], small[0])
+        return axes, on_axes(axes, a) * on_axes(axes, b)
+    stacked = "".join(c for c in both if c in needed)
+    rows, cols = ("".join(c for c in x[0] if c not in y[0] and c != TARGETS)
+                  for x, y in ((a, b), (b, a)))
+    sizes = dict(zip(a[0] + b[0], np.shape(a[1]) + np.shape(b[1])))
+    lead, n = len(targets + stacked), math.prod(sizes[c] for c in summed)
+    x = on_axes(targets + stacked + rows + summed, a)
+    y = on_axes(targets + stacked + summed + cols, b)
+    product = np.matmul(x.reshape(x.shape[:lead] + (-1, n)), y.reshape(y.shape[:lead] + (n, -1)))
+    axes = targets + stacked + rows + cols
+    return axes, product.reshape([sizes[c] for c in axes])
 
 
 @lru_cache(maxsize=256)
 def _contraction_path(subscripts: str, shapes: tuple) -> list:
     """The greedy einsum contraction order for operands of these shapes."""
     operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+    return np.einsum_path(subscripts, *operands, optimize="greedy")[0][1:]
 
 
-def _pathway(weights, summed, factors, excess):
+def _pathway(weights, summed, factors, excess, shift=None):
     """sum over every axis but f of the labelled ``weights`` times the
     pair: the product of the factors and of 1 + m over the excess factors m.
 
@@ -280,37 +373,42 @@ def _pathway(weights, summed, factors, excess):
     the terms, small where the pair varies little with the shift, the
     weights.  So the transport pathways' pair does not inherit the
     cancellation of sum_p transport[e, u, p] = d_eg[e]^2 delta_eu, whose
-    terms reach 1e5 times that on an ill-conditioned mode basis.
+    terms reach 1e5 times that on an ill-conditioned mode basis.  Factors
+    on the shift's axes are multiplied into one array first, so that the
+    order of the sum over those axes does not depend on their factoring.
+    Returns (N_t, N_f).
     """
-    kept = set("".join(axes for axes, _ in summed))
-    if any(not kept.issuperset(axes) for axes, _ in factors):
-        # a factor on the shift's axes: all multiplied out first so that
-        # the order of the contraction, which the cancellation over the
-        # shift's axes makes visible, does not depend on the factoring
-        axes, shape = _grid(factors)
+    spanning = [f for f in factors if _carries(f, shift)]
+    if spanning:
+        axes, shape = _grid(spanning)
         pair = np.ones(shape, dtype=complex)
-        for factor in factors:
+        for factor in spanning:
             pair *= on_axes(axes, factor)
-        factors = [(axes, pair)]
-        total = _contract(*weights, *factors)
+        factors = [f for f in factors if not _carries(f, shift)] + [(axes, pair)]
+        total = _contract(weights + factors, shift)
     else:
-        total = _contract(*summed, *factors)
+        total = _contract(summed + factors, shift)
     for j, (axes, m) in enumerate(excess):
         earlier = [(own, 1.0 + n) for own, n in excess[:j]]
-        total += _contract(*weights, *factors, *earlier, (axes, m))
+        total = total + _contract(weights + factors + earlier + [(axes, m)], shift)
     return total
 
 
 def _closed_pathways(z: PoleTable, w: PathwayWeights, source):
-    """Five pathway partial sums (without the decay prefactor), each (N_f,).
+    """Five pathway partial sums (without the decay prefactor), as
+    (N_t, 5, N_f) for the N_t targets of the source (1 for one source).
 
     Each pathway is one ``source.pair_factors(ket_x, ket_y, bra_x, bra_y,
     shift)`` call, every argument a list of terms ``(axes, array)``
     labelled by the pathway's axes, contracted with its weights by
     ``_pathway``.  A pole that cancels in a leg's sum x + y appears in both
     of its arguments with opposite signs.  The transport pathways pass
-    their mode poles on axis p as the shift.
+    their mode poles on axis p as the shift.  The weights are cast to
+    complex once here rather than in every product.
     """
+    w = replace(w, **{name: np.ascontiguousarray(getattr(w, name), dtype=complex)
+                      for name in ("coherent", "fe_squared", "transport", "transport_sum",
+                                   "coherence")})
     # p1 on axes (f, a, b), the ket through one-exciton state a, the bra b:
     # ket (fg - eg, eg), bra (fe - ff, fg - fe)
     coherent = [("fa", w.coherent), ("fb", w.coherent)]
@@ -326,10 +424,12 @@ def _closed_pathways(z: PoleTable, w: PathwayWeights, source):
     eg, zp, minus_zp = ("e", z.eg), ("p", z.modes), ("p", -z.modes)
     # p2: ket (fe - zp, eg), bra (fe - ff, eg - zp)
     p2 = _pathway(transport, summed, *source.pair_factors(
-        [("fu", z.fe), minus_zp], [eg], [("fu", z.fe - z.ff[:, None])], [eg, minus_zp], shift="p"))
+        [("fu", z.fe), minus_zp], [eg], [("fu", z.fe - z.ff[:, None])], [eg, minus_zp], shift="p"),
+        shift="p")
     # p4: ket (ff - ef, eg), bra (zp - ef, eg - zp)
     p4 = _pathway(transport, summed, *source.pair_factors(
-        [("fu", z.ff[:, None] - z.ef)], [eg], [zp, ("fu", -z.ef)], [eg, minus_zp], shift="p"))
+        [("fu", z.ff[:, None] - z.ef)], [eg], [zp, ("fu", -z.ef)], [eg, minus_zp], shift="p"),
+        shift="p")
 
     # coherence pathways on axes (f, a, b): the middle interval is an
     # off-diagonal one-exciton coherence a-b, again with ket- and bra-sided
@@ -343,7 +443,7 @@ def _closed_pathways(z: PoleTable, w: PathwayWeights, source):
     p5 = _pathway(coherence, coherence, *source.pair_factors(
         [("fa", z.ff[:, None] - z.ef)], [eg], [ee, ("fa", -z.ef)], [eg, minus_ee]))
 
-    return np.stack([p1, p2, p3, p4, p5])
+    return np.stack(np.broadcast_arrays(p1, p2, p3, p4, p5), axis=1)
 
 
 def _diagnostics(partials: np.ndarray) -> dict:
@@ -358,6 +458,20 @@ def _diagnostics(partials: np.ndarray) -> dict:
     }
 
 
+def _prepared_partials(system: ExcitonSystem, source, t_fs: float) -> np.ndarray:
+    """The decayed pathway partials of every target of ``source``, (N_t, 5, N_f)."""
+    if t_fs < 0.0:
+        raise ValueError(f"evaluation time must be non-negative, got {t_fs}")
+    z = system.poles
+    partials = _closed_pathways(z, system.weights, source)
+    return partials * np.exp(-z.gamma_ff * units.TWO_PI_C * t_fs)
+
+
+def _raw(partials: np.ndarray) -> np.ndarray:
+    """2 Re of the sum of one target's five partials."""
+    return 2.0 * partials.sum(axis=0).real
+
+
 def prepare_closed_form(
     system: ExcitonSystem,
     source,
@@ -367,20 +481,18 @@ def prepare_closed_form(
 
     Each pathway is the source correlation at complex pole-difference
     arguments weighted by its dipole chain; the whole sum carries the
-    two-exciton depopulation prefactor exp(-Gamma_f 2 pi c t).
+    two-exciton depopulation prefactor exp(-Gamma_f 2 pi c t).  This is
+    the one-target case of the routine that evaluates a block of scan
+    targets (``scan_targets``), so each row of a scan is bitwise the
+    preparation of its target alone.
     """
-    if t_fs < 0.0:
-        raise ValueError(f"evaluation time must be non-negative, got {t_fs}")
-    z = system.poles
-    partials = _closed_pathways(z, system.weights, source)
-    decay = np.exp(-z.gamma_ff * units.TWO_PI_C * t_fs)
-    partials = partials * decay[None, :]
-    raw = 2.0 * partials.sum(axis=0).real
+    partials = _prepared_partials(system, source, t_fs)[0]
+    raw = _raw(partials)
     return PreparationResult(
         populations=np.clip(raw, 0.0, None),
         raw=raw,
         pathway_partials=partials,
-        regularized=z.regularized,
+        regularized=system.poles.regularized,
         diagnostics=_diagnostics(partials),
     )
 
@@ -391,7 +503,8 @@ class ScanResult:
 
     ``populations`` holds each target's clipped prepared distribution
     (``PreparationResult.populations``) and ``matrix`` the same rows
-    max-normalized.
+    max-normalized.  ``blocks`` is the number of target blocks the scan
+    evaluated and ``workers`` the number of threads that evaluated them.
     """
 
     matrix: np.ndarray
@@ -400,10 +513,14 @@ class ScanResult:
     target_energies: np.ndarray
     selectivity: np.ndarray
     mode: str
+    blocks: int = 1
+    workers: int = 1
 
 
-def scan_source(template: EppSource, target_energy: float, mode: str) -> EppSource:
-    """Source tuned at one scan target.
+def scan_source(template: EppSource, target_energy, mode: str) -> EppSource:
+    """Source tuned at one scan target, or at each target of a block when
+    ``target_energy`` is an array (``sources`` labels such fields on the
+    target axis).
 
     Degenerate targeting parks both photons at half the target energy;
     mediated targeting keeps the photon carriers on their chosen
@@ -417,6 +534,22 @@ def scan_source(template: EppSource, target_energy: float, mode: str) -> EppSour
     raise ValueError(f"unknown scan mode {mode!r} (expected 'degenerate' or 'mediated')")
 
 
+def _target_bytes(system: ExcitonSystem, template: EppSource, mode: str) -> int:
+    """Bytes per target of the largest array a block of scan targets carries
+    on the target axis.
+
+    That is the pump of a leg's unshifted sum, on (f, e, u) or (f, a, b).
+    In degenerate mode at t1 != 0 the phase-matching references move with
+    the target and the matching, taken whole, spans the transport
+    pathways' (f, e, u, p).  (A Gaussian that ``sources`` takes whole
+    spans them too; its guard is for widths far from any model's.)
+    """
+    cells = system.n_two * system.n_one ** 2
+    if mode == "degenerate" and template.t1:
+        cells *= system.poles.modes.size
+    return 16 * cells
+
+
 def scan_targets(
     system: ExcitonSystem,
     source_template: EppSource,
@@ -425,15 +558,27 @@ def scan_targets(
     t_fs: float = 0.0,
     threads: int = 1,
 ) -> ScanResult:
-    """Prepare every requested target in turn and stack the distributions.
+    """Prepare every requested target and stack the distributions.
+
+    The targets are evaluated in blocks: each block is one pass of the
+    preparation routine over a source tuned at all of its targets, whose
+    target-dependent fields lie on the target axis while everything else
+    is built once per block.  A block holds as many targets as keep its
+    largest array on that axis under ``BLOCK_BYTES`` (``_target_bytes``),
+    and at least one; the split depends on the shapes alone.  Every row is
+    bitwise the ``prepare_closed_form`` of its target, at any split, except
+    where the excess-exponent guard of ``sources`` takes a Gaussian whole
+    for some target of a block: it decides per block, and such rows differ
+    in the last bits.
 
     Rows are max-normalized for rendering; ``populations`` keeps the
     unnormalized clipped distributions and ``selectivity`` the ratio of
     target population to total row mass, which is normalization-invariant.
     The pole table and dipole weights do not depend on the source and are
-    built once per system.  Targets are independent, so with
-    ``threads > 1`` they are evaluated in a thread pool; rows are assembled
-    by index and the result is bitwise independent of the thread count.
+    built once per system.  With ``threads > 1`` and more than one block,
+    the blocks are evaluated in a pool of up to ``threads`` threads; rows
+    are assembled by index and the result is bitwise independent of the
+    thread count.
     """
     if targets is None:
         targets = np.arange(system.n_two)
@@ -444,20 +589,24 @@ def scan_targets(
         raise ValueError("scan targets must index the two-exciton manifold")
 
     energies = system.eig.energies_f[targets]
+    size = max(1, BLOCK_BYTES // _target_bytes(system, source_template, mode))
+    blocks = [energies[start:start + size] for start in range(0, energies.size, size)]
 
-    def prepare_one(energy: float) -> PreparationResult:
-        return prepare_closed_form(system, scan_source(source_template, float(energy), mode), t_fs)
+    def prepare_block(block: np.ndarray) -> np.ndarray:
+        partials = _prepared_partials(system, scan_source(source_template, block, mode), t_fs)
+        return np.stack([np.clip(_raw(p), 0.0, None) for p in partials])
 
-    if threads > 1:
+    workers = min(threads, len(blocks))
+    if workers > 1:
         # cached_property has no lock from Python 3.12 on, so the tables are
         # built here, before two workers can each build them
         system.poles, system.weights
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(prepare_one, energies))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(prepare_block, blocks))
     else:
-        results = [prepare_one(energy) for energy in energies]
+        rows = [prepare_block(block) for block in blocks]
 
-    populations = np.stack([result.populations for result in results])
+    populations = np.concatenate(rows)
     peaks = populations.max(axis=1)
     safe = np.where(peaks > 0.0, peaks, 1.0)
     matrix = populations / safe[:, None]
@@ -474,4 +623,6 @@ def scan_targets(
         target_energies=energies,
         selectivity=selectivity,
         mode=mode,
+        blocks=len(blocks),
+        workers=max(workers, 1),
     )

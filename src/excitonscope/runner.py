@@ -51,6 +51,18 @@ def _fmt(x) -> str:
     return f"{x:.16e}" if isinstance(x, float) else str(x)
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size so far, in MB (None where the
+    platform has no ``resource`` module)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux, bytes on macOS
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
+
+
 def resolve_threads(explicit: int | None, configured: int | None) -> tuple[int, str | None]:
     """CLI flag > config field > EXCITONSCOPE_THREADS > 1."""
     if explicit is not None:
@@ -603,7 +615,8 @@ def _run_excite_scan(cfg, system, sink, clock, warnings, resolved):
                         resolved["threads"])
     clock.lap("scan")
     _record_floors(system.poles, warnings, resolved)
-    resolved["scan"] = {"mode": scan.mode, "targets": int(scan.targets.size)}
+    resolved["scan"] = {"mode": scan.mode, "targets": int(scan.targets.size),
+                        "blocks": scan.blocks, "workers": scan.workers}
     sink.matrix("scan", "target", scan.targets.astype(float),
                 "state", np.arange(system.n_two, dtype=float), scan.matrix)
     sink.table("selectivity", {
@@ -753,6 +766,7 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None,
 
     _write_all(out, sink.items)
     clock.lap("write-artifacts")
+    resolved["peak_rss_mb"] = _peak_rss_mb()
 
     manifest = RunManifest(
         scenario=cfg.scenario,

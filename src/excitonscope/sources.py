@@ -72,10 +72,23 @@ T1 != 0.  With T1 = 0 it depends on the unshifted second frequency, whose
 shift changes it by ``_expm1_ratio_change``, so no factor spans more axes
 than a leg's unshifted sum or a term and a shift.  With T1 != 0 it is
 taken whole, on both shifted frequencies.
+
+A source may describe a block of scan targets (``excitation.scan_source``
+with an array of target energies): each field that holds one value per
+target, the pump center and in degenerate targeting the phase-matching
+references, enters ``pair_factors`` as a labelled term on the target axis
+``TARGETS``.  The centre of each Gaussian joins the smallest term of its
+sum, so the target axis reaches its exponent, the excess factor of that
+term's shifts, and in degenerate targeting the phase matching; every
+other factor is built once for the block.  No choice the module makes
+looks at that axis: terms on equal axis sets less it are combined, and
+terms are summed smallest first by their size per target, so each
+target's slice of every factor is bitwise what its own source gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +106,8 @@ _CHANGE_SERIES_TERMS = 18
 # rounding; below it 1 + expm1(E) keeps less than e^-1 of its relative
 # precision.  A Gaussian that would take E outside is taken whole.
 _EXCESS_EXPONENT_RANGE = (-1.0, 50.0)
+# The axis of the targets of a scan block (module docstring).
+TARGETS = "t"
 
 
 def _expm1_ratio(w):
@@ -164,33 +179,52 @@ def on_axes(axes: str, labelled):
     """
     own, array = labelled
     array = np.asarray(array)
+    if own == axes:
+        return array
     kept = [c for c in axes if c in own]
     array = array.transpose([own.index(c) for c in kept])
     sizes = iter(array.shape)
     return array.reshape([next(sizes) if c in own else 1 for c in axes])
 
 
+def _targets_first(axes: str) -> str:
+    return TARGETS + axes.replace(TARGETS, "") if TARGETS in axes else axes
+
+
 def _grid(terms):
-    """The union of the terms' axes and the size of each."""
+    """The union of the terms' axes, the target axis first, and the size of each."""
     sizes = {}
     for axes, array in terms:
         sizes.update(zip(axes, np.shape(array)))
-    return "".join(sizes), tuple(sizes.values())
+    axes = _targets_first("".join(sizes))
+    return axes, tuple(sizes[c] for c in axes)
+
+
+def _cells(term) -> int:
+    """The size of a labelled array per target."""
+    axes, array = term
+    return math.prod(n for c, n in zip(axes, np.shape(array)) if c != TARGETS)
 
 
 def labelled_sum(terms):
     """The sum of labelled terms as a new array labelled by the union of
-    their axes.  The smaller terms are added first, so only the last
-    addition runs on the full shape."""
+    their axes.  The smaller terms, by their size per target, are added
+    first, so only the last addition runs on the full shape."""
     axes, _ = _grid(terms)
     total = np.zeros((), dtype=complex)
-    for view in sorted((on_axes(axes, term) for term in terms), key=np.size):
-        total = total + view
+    for term in sorted(terms, key=_cells):
+        total = total + on_axes(axes, term)
     return axes, total
 
 
 def _union(axes, other):
-    return axes + "".join(c for c in other if c not in axes)
+    return _targets_first(axes + "".join(c for c in other if c not in axes))
+
+
+def _on_targets(value):
+    """A source parameter as a labelled term: on the target axis when it
+    holds one value per target of a block, on no axis when it is one value."""
+    return (TARGETS, np.asarray(value, dtype=float)) if np.ndim(value) else ("", value)
 
 
 def _merged(terms):
@@ -209,11 +243,13 @@ def _split(terms, shift):
 
 
 def _accumulate(groups, axes, array, combine=np.add):
-    """Combines a labelled array into the entry of ``groups`` with its axis set."""
-    key = frozenset(axes)
+    """Combines a labelled array into the entry of ``groups`` with its axis
+    set less the target axis, which the combination carries if either does."""
+    key = frozenset(axes) - {TARGETS}
     if key in groups:
         own, total = groups[key]
-        groups[key] = (own, combine(total, on_axes(own, (axes, array))))
+        union = _union(own, axes)
+        groups[key] = (union, combine(on_axes(union, (own, total)), on_axes(union, (axes, array))))
     else:
         groups[key] = (axes, array)
 
@@ -224,19 +260,25 @@ def _excess_product(a, b):
 
 
 def _detuning(terms, center):
-    """Merged terms of a sum less ``center`` as terms of the same sum: each
-    term less its real mean rounded to a whole cm^-1, the last also less
-    the rest of ``center``.
+    """Merged terms of a sum less ``center``, a labelled term, as terms of
+    the same sum: each term less its real mean rounded to a whole cm^-1,
+    the smallest also less the rest of ``center``.  Returns them and the
+    index of the smallest.
 
     A term near 1e4 cm^-1 loses no bits to the subtraction of a nearby
     whole number and the rest is a whole number less ``center``, so summing
-    the terms rounds only their small remainders.
+    the terms rounds only their small remainders.  Where ``center`` lies on
+    the target axis, the smallest term is the one that takes that axis.
     """
     means = [np.round(np.mean(t.real)) for _, t in terms]
     centred = [(own, t - mean) for (own, t), mean in zip(terms, means)] or [("", 0j)]
-    own, last = centred[-1]
-    centred[-1] = (own, last + (sum(means) - center))
-    return centred
+    smallest = min(range(len(centred)), key=lambda i: _cells(centred[i]))
+    c_axes, c = center
+    rest = (c_axes, sum(means) - c)
+    own, term = centred[smallest]
+    union = _union(own, c_axes)
+    centred[smallest] = (union, on_axes(union, (own, term)) + on_axes(union, rest))
+    return centred, smallest
 
 
 def _gaussian(terms, shift, center, kappa):
@@ -246,20 +288,21 @@ def _gaussian(terms, shift, center, kappa):
 
     Returns the exponent, labelled, and the change
     kappa ((d + s)^2 - d^2) = 2 kappa s (d + s / 2) as one labelled
-    product per term of d, the last taking s / 2, so that no product has
-    more axes than a term and the shift.
+    product per term of d, the one that took ``center`` also taking s / 2,
+    so that no product has more axes than a term and the shift.
     """
     base, shifts = _split(terms, shift)
-    detuning = _detuning(base, center)
+    detuning, smallest = _detuning(base, center)
     axes, exponent = labelled_sum(detuning)
     exponent *= exponent
     exponent *= kappa
     changes = []
     for s_axes, s in shifts:
-        *rest, (own, last) = detuning
+        halved = list(detuning)
+        own, term = halved[smallest]
         union = _union(own, s_axes)
-        rest.append((union, on_axes(union, (own, last)) + on_axes(union, (s_axes, 0.5 * s))))
-        for own, term in rest:
+        halved[smallest] = (union, on_axes(union, (own, term)) + on_axes(union, (s_axes, 0.5 * s)))
+        for own, term in halved:
             union = _union(own, s_axes)
             changes.append((union, on_axes(union, (own, (2.0 * kappa) * term))
                             * on_axes(union, (s_axes, s))))
@@ -269,7 +312,8 @@ def _gaussian(terms, shift, center, kappa):
 def _gaussian_factors(arguments, shift, center, gamma, constant):
     """``constant`` times the product over ``arguments`` of
     exp(kappa (w - center)^2), kappa = -(2 pi c)^2 / (4 G), at each
-    argument's sum w, as labelled ``(factors, excess)``.
+    argument's sum w, as labelled ``(factors, excess)``.  ``center`` is a
+    labelled term (``_on_targets``), one centre per target on that axis.
 
     A Gaussian's exponent joins the factors and the changes its shifts
     make join the excess exponents, by axis set (``_gaussian``), unless a
@@ -342,12 +386,13 @@ class EppSource:
         """A_p(omega), the pump's Gaussian amplitude."""
         return gaussian_amplitude(omega, self.pump_center, self.pump_gamma, self.e0)
 
-    def _matching(self, wa, wb, sign):
+    def _matching(self, wa, wb, sign, references=None):
         """Sum over branches of expm1(2 i sign phi_r) / (2 i sign phi_r).
 
         sign = +1 gives F's phase-matching factor, -1 its conjugate leg.
         2 i phi_r is built per photon frequency, and a zero group delay
-        adds no term.
+        adds no term.  ``references`` are those of ``_references``,
+        broadcast against the frequencies.
         """
         k = sign * 1j * units.TWO_PI_C
 
@@ -359,9 +404,17 @@ class EppSource:
                 w = w + (k * self.t2) * (wb - reference)
             return _expm1_ratio(w)
 
-        m = branch(self.omega1)
-        m += m if self.omega1 == self.omega2 else branch(self.omega2)
+        omega1, *other = self._references() if references is None else references
+        m = branch(omega1)
+        m += branch(other[0]) if other else m
         return m
+
+    def _references(self):
+        """The phase-matching reference frequencies, one of them when they
+        are equal: its branch is then evaluated once and doubled."""
+        if np.array_equal(self.omega1, self.omega2):
+            return [self.omega1]
+        return [self.omega1, self.omega2]
 
     def _amplitude(self, omega_a, omega_b, sign):
         wa = np.asarray(omega_a, dtype=complex)
@@ -399,29 +452,31 @@ class EppSource:
         ``(factors, excess)``, as the class docstring describes."""
         legs = ((ket_x, ket_y, -1.0), (bra_x, bra_y, 1.0))
         pump, pump_excess = _gaussian_factors(
-            [x + y for x, y, _ in legs], shift, self.pump_center, self.pump_gamma,
+            [x + y for x, y, _ in legs], shift, _on_targets(self.pump_center), self.pump_gamma,
             (self.alpha * self.e0) ** 2 * (np.pi / self.pump_gamma))
+        references = [_on_targets(r) for r in self._references()]
         matching, excess = {}, {}
         for x, y, sign in legs:
             base, shifts = _split(y, None if self.t1 else shift)
             wa = labelled_sum(_merged(x) if self.t1 else [])
             wb = labelled_sum(base)
-            axes, shape = _grid([wa, wb])
-            m = self._matching(on_axes(axes, wa), on_axes(axes, wb), sign)
+            axes, shape = _grid([wa, wb, *references])
+            m = self._matching(on_axes(axes, wa), on_axes(axes, wb), sign,
+                               [on_axes(axes, r) for r in references])
             _accumulate(matching, axes, np.broadcast_to(m, shape), np.multiply)
             for s_axes, s in shifts if self.t2 else ():
                 union = _union(axes, s_axes)
                 _accumulate(excess, union, self._matching_excess(
-                    on_axes(union, wb), on_axes(union, (s_axes, s)), sign))
+                    on_axes(union, wb), on_axes(union, (s_axes, s)), sign,
+                    [on_axes(union, r) for r in references]))
         for axes, m in pump_excess:
             _accumulate(excess, axes, m, _excess_product)
         return pump + list(matching.values()), list(excess.values())
 
-    def _matching_excess(self, wb, shift, sign):
+    def _matching_excess(self, wb, shift, sign, references):
         """_matching(wb + shift) / _matching(wb) - 1 at t1 = 0 (equal
         references give one branch; the doubling cancels)."""
         k = sign * 1j * units.TWO_PI_C * self.t2
-        references = dict.fromkeys((self.omega1, self.omega2))
         change = sum(_expm1_ratio_change(k * (wb - r), k * shift) for r in references)
         return change / sum(_expm1_ratio(k * (wb - r)) for r in references)
 
@@ -469,8 +524,8 @@ class CoherentSource:
     def pair_factors(self, ket_x, ket_y, bra_x, bra_y, shift=None):
         """A(x) A(y) A(x') A(y') as labelled ``(factors, excess)`` from
         ``_gaussian_factors``."""
-        return _gaussian_factors([ket_x, ket_y, bra_x, bra_y], shift, self.center, self.gamma,
-                                (self.scale * np.sqrt(np.pi / self.gamma)) ** 4)
+        return _gaussian_factors([ket_x, ket_y, bra_x, bra_y], shift, _on_targets(self.center),
+                                 self.gamma, (self.scale * np.sqrt(np.pi / self.gamma)) ** 4)
 
 
 def jsi_map(source: EppSource, omega_a_grid, omega_b_grid) -> np.ndarray:

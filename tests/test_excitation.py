@@ -38,9 +38,9 @@ def dimer_source(system, **kw):
 
 class BroadcastingSource:
     """Hands the engine every pair factor of the wrapped source at the
-    full shape of its pathway grid: the factors on the grid
-    less the shift's axes where none of them has those, the excess
-    factors on all of it."""
+    full shape of its pathway grid: a factor on the grid less the shift's
+    axes unless it carries them, then on all of it, and the excess factors
+    on all of it."""
 
     def __init__(self, source):
         self.source = source
@@ -48,15 +48,18 @@ class BroadcastingSource:
     def pair_factors(self, *arguments, shift=None):
         factors, excess = self.source.pair_factors(*arguments, shift=shift)
         grid = dict(zip(*_grid([term for terms in arguments for term in terms])))
-        unshifted = {c: n for c, n in grid.items()
-                     if not shift or c not in shift or any(shift in axes for axes, _ in factors)}
+        unshifted = {c: n for c, n in grid.items() if not shift or c not in shift}
 
         def full(sizes, factor):
             # the factor's own axes first, in their order, then the others
             axes = factor[0] + "".join(c for c in sizes if c not in factor[0])
             return axes, np.broadcast_to(on_axes(axes, factor), tuple(sizes[c] for c in axes))
 
-        return [full(unshifted, f) for f in factors], [full(grid, m) for m in excess]
+        def spans(factor):
+            return shift and not set(shift).isdisjoint(factor[0])
+
+        return ([full(grid if spans(f) else unshifted, f) for f in factors],
+                [full(grid, m) for m in excess])
 
 
 class RecordingSource:
@@ -288,26 +291,53 @@ def test_tables_are_built_once_per_system(monkeypatch):
 
 def test_scan_pool_starts_with_the_tables_built(monkeypatch):
     # cached_property has no lock from Python 3.12 on, so a table first
-    # touched by two workers may be built twice
+    # touched by two workers may be built twice; the workers evaluate
+    # blocks of targets, one target each under a one-byte budget
     system = ExcitonSystem.build(make_dimer(), dimer_bath())
     seen = []
-    original = excitation.prepare_closed_form
+    original = excitation._prepared_partials
 
     def recording(system, *args, **kwargs):
         seen.append({"poles", "weights"} <= system.__dict__.keys())
         return original(system, *args, **kwargs)
 
-    monkeypatch.setattr(excitation, "prepare_closed_form", recording)
-    scan_targets(system, dimer_source(system), threads=2)
-    assert seen and seen[0]
+    monkeypatch.setattr(excitation, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(excitation, "_prepared_partials", recording)
+    scan = scan_targets(system, dimer_source(system), threads=2)
+    assert (scan.blocks, scan.workers) == (system.n_two, 2)
+    assert len(seen) == system.n_two and all(seen)
 
 
-def test_scan_rows_match_single_preparations(trimer_system):
-    template = dimer_source(trimer_system, t1=3.0, t2=13.0)
-    scan = scan_targets(trimer_system, template, mode="mediated")
-    for row, energy in enumerate(trimer_system.eig.energies_f):
-        single = prepare_closed_form(trimer_system, scan_source(template, energy, "mediated"))
-        assert np.array_equal(scan.populations[row], single.populations)
+def _block_budget(monkeypatch, system, template, mode, per_block):
+    """Sets the scan's byte budget so that a block holds ``per_block`` targets."""
+    per_target = excitation._target_bytes(system, template, mode)
+    monkeypatch.setattr(excitation, "BLOCK_BYTES", per_block * per_target)
+
+
+@pytest.mark.parametrize("per_block", [1, 2, None], ids=["blocks-of-1", "blocks-of-2", "one-block"])
+@pytest.mark.parametrize("system_name, mode, t1", [
+    ("bundled", "degenerate", 0.0),
+    ("trimer_system", "degenerate", 0.0),
+    ("trimer_system", "degenerate", 3.0),
+    ("trimer_system", "mediated", 0.0),
+    ("trimer_system", "mediated", 3.0),
+])
+def test_scan_rows_match_single_preparations(system_name, mode, t1, per_block, request,
+                                             monkeypatch):
+    # every row is bitwise the preparation of its target alone, however the
+    # targets are split into blocks; the bundled model at t1 = 0 in
+    # degenerate mode is the benchmark's scan, on every 15th target here
+    system = request.getfixturevalue(system_name)
+    template = dimer_source(system, t1=t1, t2=t1 + 10.0)
+    targets = np.arange(0, system.n_two, 15 if system_name == "bundled" else 1)
+    per_block = per_block or targets.size
+    _block_budget(monkeypatch, system, template, mode, per_block)
+    scan = scan_targets(system, template, targets, mode)
+    assert scan.blocks == -(-targets.size // per_block)
+    for row, target in enumerate(targets):
+        energy = system.eig.energies_f[target]
+        single = prepare_closed_form(system, scan_source(template, energy, mode))
+        assert np.array_equal(scan.populations[row], single.populations), (row, target)
 
 
 def test_field_strength_enters_quadratically(dimer_system):
@@ -383,13 +413,17 @@ def test_scan_selectivity_is_scale_invariant(dimer_system):
     assert two.matrix == pytest.approx(one.matrix, rel=1e-12)
 
 
-def test_scan_threading_is_bitwise_stable(dimer_system):
+def test_scan_threading_is_bitwise_stable(dimer_system, monkeypatch):
+    # at every split of the three targets into blocks
     template = dimer_source(dimer_system)
-    serial = scan_targets(dimer_system, template, threads=1)
-    pooled = scan_targets(dimer_system, template, threads=3)
-    assert np.array_equal(serial.populations, pooled.populations)
-    assert np.array_equal(serial.matrix, pooled.matrix)
-    assert np.array_equal(serial.selectivity, pooled.selectivity)
+    for per_block in (1, 2, 3):
+        _block_budget(monkeypatch, dimer_system, template, "degenerate", per_block)
+        serial = scan_targets(dimer_system, template, threads=1)
+        pooled = scan_targets(dimer_system, template, threads=3)
+        assert serial.blocks == pooled.blocks == -(-dimer_system.n_two // per_block)
+        assert np.array_equal(serial.populations, pooled.populations)
+        assert np.array_equal(serial.matrix, pooled.matrix)
+        assert np.array_equal(serial.selectivity, pooled.selectivity)
 
 
 def test_scan_target_bounds(dimer_system):

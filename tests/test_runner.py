@@ -181,6 +181,7 @@ def test_manifest_contents(tmp_path, dimer_file):
     assert data["scenario"] == "excite"
     assert data["config"]["aggregate"] == dimer_file
     assert data["resolved"]["threads"] == 1
+    assert data["resolved"]["peak_rss_mb"] > 1.0
     preparation = data["resolved"]["preparation"]
     assert list(preparation["pathway_abs_sums"]) == ["p1", "p2", "p3", "p4", "p5"]
     assert 0.0 < preparation["cancellation_ratio"] <= 1.0
@@ -193,6 +194,26 @@ def test_manifest_contents(tmp_path, dimer_file):
     for key in ("excitonscope", "python", "numpy", "scipy"):
         assert key in data["versions"]
     assert data["artifacts"] == manifest.artifacts
+
+
+def test_scan_manifest_records_blocks_workers_and_peak_rss(tmp_path, dimer_file, monkeypatch):
+    # the dimer's three targets fit one block, which runs inline whatever
+    # the thread count; a one-byte budget makes one block per target, and
+    # two threads then evaluate them
+    def scan_record(subdir):
+        cfg = dimer_config(dimer_file, "excite-scan")
+        run_scenario(cfg, out_dir=str(tmp_path / subdir), threads=2)
+        return json.loads(Path(tmp_path, subdir, "manifest.json").read_text())["resolved"]
+
+    one = scan_record("one")
+    assert one["scan"] == {"mode": "degenerate", "targets": 3, "blocks": 1, "workers": 1}
+    monkeypatch.setattr(excitation, "BLOCK_BYTES", 1)
+    split = scan_record("split")
+    assert split["scan"] == {"mode": "degenerate", "targets": 3, "blocks": 3, "workers": 2}
+    rows = [Path(tmp_path, subdir, "scan.csv").read_bytes() for subdir in ("one", "split")]
+    assert rows[0] == rows[1]
+    for resolved in (one, split):
+        assert isinstance(resolved["peak_rss_mb"], float) and resolved["peak_rss_mb"] > 1.0
 
 
 def test_plot_scripts_reference_artifacts(tmp_path, dimer_file):
