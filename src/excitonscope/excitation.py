@@ -33,7 +33,7 @@ from . import units
 from .aggregate import AggregateSpec
 from .bath import BathSpec, TransportModel, build_transport_matrix
 from .excitons import ExcitonEigensystem, TransitionDipoles, compute_transition_dipoles
-from .sources import TARGETS, EppSource, _cells, _grid, _union, on_axes
+from .sources import _TAYLOR_MAX_ORDERS, TARGETS, EppSource, _cells, _grid, _union, on_axes
 
 DEFAULT_POLARIZATION = (1.0, 1.0, 1.0)
 # Widths below the trigger are raised to the floor value (cm^-1), so every
@@ -45,7 +45,7 @@ WIDTH_FLOOR_VALUE = 1e-3
 STATIONARY_FLOORS = {"modes": 1}
 # Bytes the largest target-carrying array of one block of scan targets may
 # take (``scan_targets``).  At 8 MiB a block of the bundled model holds 25
-# targets at t1 = 0 and one in degenerate mode at t1 != 0.
+# targets, one in degenerate mode at t1 != 0 (its matching excess spans p).
 BLOCK_BYTES = 8 * 2**20
 
 
@@ -191,7 +191,8 @@ class PreparationResult:
     give each pathway's sum over f of |partial| (``pathway_abs_sums``) and
     the ``cancellation_ratio`` sum_f |sum of partials| / sum |partials|:
     near 1 the pathways add, near 0 they cancel and the rounding error of
-    ``raw`` grows by its inverse.
+    ``raw`` grows by its inverse.  ``unsplit_pathways`` names the pathways
+    whose pair a guard of ``sources`` took whole with the mode poles in it.
     """
 
     populations: np.ndarray
@@ -376,27 +377,25 @@ def _pathway(weights, summed, factors, excess, shift=None):
     terms reach 1e5 times that on an ill-conditioned mode basis.  Factors
     on the shift's axes are multiplied into one array first, so that the
     order of the sum over those axes does not depend on their factoring.
-    Returns (N_t, N_f).
+    Returns (N_t, N_f) and whether a factor carried them, so that the pair
+    was contracted unsplit.
     """
     spanning = [f for f in factors if _carries(f, shift)]
     if spanning:
-        axes, shape = _grid(spanning)
-        pair = np.ones(shape, dtype=complex)
-        for factor in spanning:
-            pair *= on_axes(axes, factor)
+        axes, _ = _grid(spanning)
+        pair = math.prod(on_axes(axes, factor) for factor in spanning)
         factors = [f for f in factors if not _carries(f, shift)] + [(axes, pair)]
-        total = _contract(weights + factors, shift)
-    else:
-        total = _contract(summed + factors, shift)
+    total = _contract((weights if spanning else summed) + factors, shift)
     for j, (axes, m) in enumerate(excess):
         earlier = [(own, 1.0 + n) for own, n in excess[:j]]
         total = total + _contract(weights + factors + earlier + [(axes, m)], shift)
-    return total
+    return total, bool(spanning)
 
 
-def _closed_pathways(z: PoleTable, w: PathwayWeights, source):
-    """Five pathway partial sums (without the decay prefactor), as
-    (N_t, 5, N_f) for the N_t targets of the source (1 for one source).
+def _prepared_partials(system: ExcitonSystem, source, t_fs: float):
+    """The five decayed pathway partial sums of every target of ``source``,
+    (N_t, 5, N_f) (N_t = 1 for one source), and the names of the pathways
+    whose pair carried its shift whole.
 
     Each pathway is one ``source.pair_factors(ket_x, ket_y, bra_x, bra_y,
     shift)`` call, every argument a list of terms ``(axes, array)``
@@ -406,6 +405,9 @@ def _closed_pathways(z: PoleTable, w: PathwayWeights, source):
     their mode poles on axis p as the shift.  The weights are cast to
     complex once here rather than in every product.
     """
+    if t_fs < 0.0:
+        raise ValueError(f"evaluation time must be non-negative, got {t_fs}")
+    z, w = system.poles, system.weights
     w = replace(w, **{name: np.ascontiguousarray(getattr(w, name), dtype=complex)
                       for name in ("coherent", "fe_squared", "transport", "transport_sum",
                                    "coherence")})
@@ -443,7 +445,10 @@ def _closed_pathways(z: PoleTable, w: PathwayWeights, source):
     p5 = _pathway(coherence, coherence, *source.pair_factors(
         [("fa", z.ff[:, None] - z.ef)], [eg], [ee, ("fa", -z.ef)], [eg, minus_ee]))
 
-    return np.stack(np.broadcast_arrays(p1, p2, p3, p4, p5), axis=1)
+    pathways = {"p1": p1, "p2": p2, "p3": p3, "p4": p4, "p5": p5}
+    partials = np.stack(np.broadcast_arrays(*(total for total, _ in pathways.values())), axis=1)
+    decay = np.exp(-z.gamma_ff * units.TWO_PI_C * t_fs)
+    return partials * decay, [name for name, (_, whole) in pathways.items() if whole]
 
 
 def _diagnostics(partials: np.ndarray) -> dict:
@@ -456,15 +461,6 @@ def _diagnostics(partials: np.ndarray) -> dict:
         # the triangle inequality bounds the ratio by 1; rounding may not
         "cancellation_ratio": min(net / total, 1.0) if total > 0.0 else 1.0,
     }
-
-
-def _prepared_partials(system: ExcitonSystem, source, t_fs: float) -> np.ndarray:
-    """The decayed pathway partials of every target of ``source``, (N_t, 5, N_f)."""
-    if t_fs < 0.0:
-        raise ValueError(f"evaluation time must be non-negative, got {t_fs}")
-    z = system.poles
-    partials = _closed_pathways(z, system.weights, source)
-    return partials * np.exp(-z.gamma_ff * units.TWO_PI_C * t_fs)
 
 
 def _raw(partials: np.ndarray) -> np.ndarray:
@@ -486,14 +482,14 @@ def prepare_closed_form(
     targets (``scan_targets``), so each row of a scan is bitwise the
     preparation of its target alone.
     """
-    partials = _prepared_partials(system, source, t_fs)[0]
+    (partials,), unsplit = _prepared_partials(system, source, t_fs)
     raw = _raw(partials)
     return PreparationResult(
         populations=np.clip(raw, 0.0, None),
         raw=raw,
         pathway_partials=partials,
         regularized=system.poles.regularized,
-        diagnostics=_diagnostics(partials),
+        diagnostics={**_diagnostics(partials), "unsplit_pathways": unsplit},
     )
 
 
@@ -538,15 +534,16 @@ def _target_bytes(system: ExcitonSystem, template: EppSource, mode: str) -> int:
     """Bytes per target of the largest array a block of scan targets carries
     on the target axis.
 
-    That is the pump of a leg's unshifted sum, on (f, e, u) or (f, a, b).
-    In degenerate mode at t1 != 0 the phase-matching references move with
-    the target and the matching, taken whole, spans the transport
-    pathways' (f, e, u, p).  (A Gaussian that ``sources`` takes whole
-    spans them too; its guard is for widths far from any model's.)
+    That is the pump of a leg's unshifted sum, on (f, e, u) or (f, a, b),
+    unless the phase-matching references move with the target (degenerate
+    mode) at t1 != 0: then a matching excess spans (f, e, u) and the modes,
+    and its Taylor coefficients (f, e, u) and the orders.  (A part that
+    ``sources`` takes whole spans (f, e, u, p) too; its guards are for
+    shifts far from any model's.)
     """
     cells = system.n_two * system.n_one ** 2
     if mode == "degenerate" and template.t1:
-        cells *= system.poles.modes.size
+        cells *= max(system.poles.modes.size, _TAYLOR_MAX_ORDERS)
     return 16 * cells
 
 
@@ -593,7 +590,7 @@ def scan_targets(
     blocks = [energies[start:start + size] for start in range(0, energies.size, size)]
 
     def prepare_block(block: np.ndarray) -> np.ndarray:
-        partials = _prepared_partials(system, scan_source(source_template, block, mode), t_fs)
+        partials, _ = _prepared_partials(system, scan_source(source_template, block, mode), t_fs)
         return np.stack([np.clip(_raw(p), 0.0, None) for p in partials])
 
     workers = min(threads, len(blocks))

@@ -52,26 +52,22 @@ source through one method:
   factors m: the change the shifts make to the factors they are split
   off, each computed without cancellation.  A factor the source takes
   whole carries the shift's axes.  The engine multiplies the factors and
-  its weights and sums over the pathway's axes in ``einsum`` calls, so no
+  its weights and sums over the pathway's axes in ``matmul`` calls, so no
   factor is broadcast to the full pathway grid unless the source returns
   it so; where a factor carries the shift's axes, it multiplies all of
   them into one array first.
 
 Both sources factor their Gaussians (the pump of each leg's sum
-frequency, or a classical amplitude of one argument) through one routine,
-``_gaussian_factors``.  Each is taken on the axes of its unshifted sum d,
-centred on whole wavenumbers (``_detuning``) so that the sum rounds only
-its small remainders; the exponents on equal axis sets are added and
-exponentiated once, and the source's constant enters once.  A shift s of
-d multiplies the Gaussian by exp(kappa s (s + 2 d)), kappa =
--(2 pi c)^2 / (4 G), one excess factor per term of d (``_gaussian``), and
-a Gaussian whose excess exponent would leave ``_EXCESS_EXPONENT_RANGE``
-is taken whole, on its shifted sum.  A leg's phase matching is taken on
-the union of the axes of its photon frequencies, the first only when
-T1 != 0.  With T1 = 0 it depends on the unshifted second frequency, whose
-shift changes it by ``_expm1_ratio_change``, so no factor spans more axes
-than a leg's unshifted sum or a term and a shift.  With T1 != 0 it is
-taken whole, on both shifted frequencies.
+frequency, or a classical amplitude of one argument) through
+``_gaussian_factors``, each on the axes of its unshifted sum with the
+change its shifts make split off as excess factors.  A leg's phase
+matching lies on the axes of those unshifted photon frequencies whose
+group delays are nonzero, and the change its shifts make is its Taylor
+series in the change delta of 2 i phi_r (``_expm1_ratio_taylor``,
+``_taylor_orders``), summed into one excess factor by one matrix product
+per target.  A Gaussian whose excess exponent would leave
+``_EXCESS_EXPONENT_RANGE``, or a matching whose |delta| the series cannot
+take, is taken whole, on its shifted arguments.
 
 A source may describe a block of scan targets (``excitation.scan_source``
 with an array of target energies): each field that holds one value per
@@ -79,7 +75,8 @@ target, the pump center and in degenerate targeting the phase-matching
 references, enters ``pair_factors`` as a labelled term on the target axis
 ``TARGETS``.  The centre of each Gaussian joins the smallest term of its
 sum, so the target axis reaches its exponent, the excess factor of that
-term's shifts, and in degenerate targeting the phase matching; every
+term's shifts, and in degenerate targeting the phase matching and its
+excess, whose matrix products are stacked on the target axis; every
 other factor is built once for the block.  No choice the module makes
 looks at that axis: terms on equal axis sets less it are combined, and
 terms are summed smallest first by their size per target, so each
@@ -96,10 +93,10 @@ import numpy as np
 from . import units
 
 _SINC_SERIES_RADIUS = 1e-4
-# ``_expm1_ratio_change`` sums its series within this radius of the origin;
-# with this many terms the series is exact to 1e-18 at 1.5 times the radius.
-_CHANGE_SERIES_RADIUS = 0.5
-_CHANGE_SERIES_TERMS = 18
+# ``_expm1_ratio_taylor`` seeds its downward recurrence this many orders up,
+# and ``_taylor_orders`` takes at most this many orders.
+_TAYLOR_SEED_ORDERS = 20
+_TAYLOR_MAX_ORDERS = 14
 # Range of the real part of an excess exponent E (``_gaussian_factors``).
 # Above it a factor exp(E) could overflow against the others, which it
 # compensates within e^50 at a cost of about 50 eps of their product's
@@ -124,32 +121,38 @@ def _expm1_ratio(w):
     return np.where(small, series, np.expm1(safe) / safe)
 
 
-def _expm1_ratio_change(w, d):
-    """g(w + d) - g(w) for g = ``_expm1_ratio``, with no cancellation for small d.
+def _expm1_ratio_taylor(w, orders):
+    """The Taylor coefficients a_n = g^(n)(w) / n!, n = 0 .. ``orders``, of
+    g = ``_expm1_ratio`` at w.
 
-    From expm1(w + d) = expm1(w) + e^w expm1(d) the change is
-    d (e^w g(d) - g(w)) / (w + d), which cancels only near the origin;
-    there it is the series sum_n ((w + d)^n - w^n) / (n + 1)!.  Where d
-    is not small the plain difference loses nothing.
+    From g^(n)(w) = int_0^1 tau^n e^{w tau} dtau, w a_n = e^w / n! - a_{n-1}.
+    Where |w| >= 1 the recurrence runs upward from a_0 = g(w); inside, it
+    runs downward from a zero ``_TAYLOR_SEED_ORDERS`` orders up, each step
+    shrinking the seed's error by |w|.
     """
-    w, d = np.broadcast_arrays(np.asarray(w, dtype=complex), np.asarray(d, dtype=complex))
-    radius = _CHANGE_SERIES_RADIUS
-    small_d = np.abs(d) < 0.5 * radius
-    near = small_d & (np.abs(w) < radius)
-    far = small_d & ~near
-    # the series, with change = (w + d)^n - w^n and power = w^n
-    ws, ds = np.where(near, w, 0.0), np.where(near, d, 0.0)
-    change, power, series, factorial = np.zeros_like(ws), np.ones_like(ws), np.zeros_like(ws), 1.0
-    for n in range(1, _CHANGE_SERIES_TERMS + 1):
-        change = (ws + ds) * change + ds * power
-        power = power * ws
-        factorial *= n + 1
-        series += change / factorial
-    # the closed form, where |w| >= radius keeps w + d away from zero
-    wc, dc = np.where(far, w, radius), np.where(far, d, 0.0)
-    closed = dc * (np.exp(wc) * _expm1_ratio(dc) - _expm1_ratio(wc)) / (wc + dc)
-    plain = _expm1_ratio(w + d) - _expm1_ratio(w)
-    return np.where(near, series, np.where(far, closed, plain))
+    w = np.asarray(w, dtype=complex)
+    coefficients = [np.asarray(_expm1_ratio(w))] + [np.empty_like(w) for _ in range(orders)]
+    inside = np.abs(w) < 1.0
+    exp_w = np.exp(w)
+    up, exp_up, a = w[~inside], exp_w[~inside], coefficients[0][~inside]
+    for n in range(1, orders + 1):
+        a = (exp_up / math.factorial(n) - a) / up
+        coefficients[n][~inside] = a
+    down, exp_down, a = w[inside], exp_w[inside], np.zeros_like(w[inside])
+    for n in range(orders + _TAYLOR_SEED_ORDERS, 0, -1):
+        if n <= orders:
+            coefficients[n][inside] = a
+        a = exp_down / math.factorial(n) - down * a
+    return coefficients
+
+
+def _taylor_orders(radius):
+    """The fewest Taylor orders N of g = ``_expm1_ratio`` whose remainder,
+    at most e^|d| |d|^N / (N + 1)! of |d| int_0^1 tau |e^{w tau}| dtau, is
+    within 1e-16 of it for every |d| <= ``radius``.  None past 0.51, the reach
+    of ``_TAYLOR_MAX_ORDERS``, which keeps the upward recurrence damped by |d/w|."""
+    return next((n for n in range(_TAYLOR_MAX_ORDERS + 1) if math.exp(radius)
+                 * radius ** (n + 1) / math.factorial(n + 1) <= 1e-16 * radius), None)
 
 
 def gaussian_gamma_from_tau(tau_fs: float) -> float:
@@ -255,8 +258,10 @@ def _accumulate(groups, axes, array, combine=np.add):
 
 
 def _excess_product(a, b):
-    """The excess of (1 + a)(1 + b) over 1."""
-    return a + b + a * b
+    """The excess of (1 + a)(1 + b) over 1, with one temporary array."""
+    product = a * b
+    product += a
+    return np.add(product, b, out=product)
 
 
 def _detuning(terms, center):
@@ -353,8 +358,7 @@ class EppSource:
     the sum, each phase-matching branch one ``expm1`` on the shape of the
     frequencies it depends on, and the conjugate leg flips the sign of
     2 i phi instead of conjugating.  ``pair_factors`` factors a pair as
-    the module docstring describes: the pump of both legs' sums, one
-    phase-matching factor per leg, and the excess factors of the shifts.
+    the module docstring describes.
     """
 
     omega1: float
@@ -386,28 +390,23 @@ class EppSource:
         """A_p(omega), the pump's Gaussian amplitude."""
         return gaussian_amplitude(omega, self.pump_center, self.pump_gamma, self.e0)
 
-    def _matching(self, wa, wb, sign, references=None):
-        """Sum over branches of expm1(2 i sign phi_r) / (2 i sign phi_r).
-
-        sign = +1 gives F's phase-matching factor, -1 its conjugate leg.
-        2 i phi_r is built per photon frequency, and a zero group delay
-        adds no term.  ``references`` are those of ``_references``,
-        broadcast against the frequencies.
-        """
+    def _matching(self, wa, wb, sign, references, orders=0):
+        """[sum_r g(w_r), its Taylor coefficients to ``orders``] for
+        g = ``_expm1_ratio`` and w_r = 2 i sign phi_r at the photon
+        frequencies wa and wb, one per reference (a lone one counts twice).
+        sign = +1 gives F's phase matching, -1 its conjugate leg.  w_r is
+        built per photon frequency, and a zero group delay adds no term."""
         k = sign * 1j * units.TWO_PI_C
-
-        def branch(reference):
+        branches = []
+        for reference in references:
             w = 0.0
             if self.t1:
                 w = (k * self.t1) * (wa - reference)
             if self.t2:
                 w = w + (k * self.t2) * (wb - reference)
-            return _expm1_ratio(w)
-
-        omega1, *other = self._references() if references is None else references
-        m = branch(omega1)
-        m += branch(other[0]) if other else m
-        return m
+            branches.append(_expm1_ratio_taylor(w, orders) if orders else [_expm1_ratio(w)])
+        doubled = 2.0 / len(references)
+        return [sum(terms) * doubled for terms in zip(*branches)]
 
     def _references(self):
         """The phase-matching reference frequencies, one of them when they
@@ -420,7 +419,8 @@ class EppSource:
         wa = np.asarray(omega_a, dtype=complex)
         wb = np.asarray(omega_b, dtype=complex)
         amplitude = self.pump_amplitude(wa + wb)
-        amplitude *= self.alpha * self._matching(wa, wb, sign)
+        matching, = self._matching(wa, wb, sign, self._references())
+        amplitude *= self.alpha * matching
         return amplitude
 
     def jsa(self, omega_a, omega_b):
@@ -455,30 +455,33 @@ class EppSource:
             [x + y for x, y, _ in legs], shift, _on_targets(self.pump_center), self.pump_gamma,
             (self.alpha * self.e0) ** 2 * (np.pi / self.pump_gamma))
         references = [_on_targets(r) for r in self._references()]
+        # the pump's excess first, so the engine meets a 4-D matching excess once
         matching, excess = {}, {}
-        for x, y, sign in legs:
-            base, shifts = _split(y, None if self.t1 else shift)
-            wa = labelled_sum(_merged(x) if self.t1 else [])
-            wb = labelled_sum(base)
-            axes, shape = _grid([wa, wb, *references])
-            m = self._matching(on_axes(axes, wa), on_axes(axes, wb), sign,
-                               [on_axes(axes, r) for r in references])
-            _accumulate(matching, axes, np.broadcast_to(m, shape), np.multiply)
-            for s_axes, s in shifts if self.t2 else ():
-                union = _union(axes, s_axes)
-                _accumulate(excess, union, self._matching_excess(
-                    on_axes(union, wb), on_axes(union, (s_axes, s)), sign,
-                    [on_axes(union, r) for r in references]))
         for axes, m in pump_excess:
             _accumulate(excess, axes, m, _excess_product)
+        for x, y, sign in legs:
+            (wa, sa), (wb, sb) = _split(x, shift), _split(y, shift)
+            # the shifts change every branch's 2 i sign phi by one delta
+            d_axes, d = labelled_sum([(axes, (sign * 1j * units.TWO_PI_C * delay) * s)
+                                      for delay, shifts in ((self.t1, sa), (self.t2, sb)) if delay
+                                      for axes, s in shifts])
+            orders = _taylor_orders(float(np.abs(d).max()))
+            if orders is None:  # taken whole, on the shifted frequencies
+                (wa, _), (wb, _), orders = _split(x, None), _split(y, None), 0
+            wa, wb = (labelled_sum(terms if delay else [])
+                      for delay, terms in ((self.t1, wa), (self.t2, wb)))
+            axes, shape = _grid([wa, wb, *references])
+            m, *taylor = self._matching(on_axes(axes, wa), on_axes(axes, wb), sign,
+                                        [on_axes(axes, r) for r in references], orders)
+            _accumulate(matching, axes, np.broadcast_to(m, shape), np.multiply)
+            if orders:
+                # the excess sum_n (c_n / m) delta^n, one matrix product per target
+                powers = np.cumprod(np.broadcast_to(d, (orders,) + d.shape), axis=0)
+                ratios = np.stack([c / m for c in taylor], axis=-1)
+                lead = ratios.shape[:1] if axes.startswith(TARGETS) else ()
+                change = np.matmul(ratios.reshape(lead + (-1, orders)), powers.reshape(orders, -1))
+                _accumulate(excess, axes + d_axes, change.reshape(shape + d.shape), _excess_product)
         return pump + list(matching.values()), list(excess.values())
-
-    def _matching_excess(self, wb, shift, sign, references):
-        """_matching(wb + shift) / _matching(wb) - 1 at t1 = 0 (equal
-        references give one branch; the doubling cancels)."""
-        k = sign * 1j * units.TWO_PI_C * self.t2
-        change = sum(_expm1_ratio_change(k * (wb - r), k * shift) for r in references)
-        return change / sum(_expm1_ratio(k * (wb - r)) for r in references)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from excitonscope import (
 from excitonscope import excitation
 from excitonscope.bath import BathSpec
 from excitonscope.excitation import PoleTable, pathway_weights
-from excitonscope.sources import _grid, labelled_sum, on_axes
+from excitonscope.sources import TARGETS, _grid, on_axes
 from excitonscope.units import TWO_PI_C
 
 from conftest import dimer_bath, make_dimer
@@ -64,17 +64,15 @@ class BroadcastingSource:
 
 class RecordingSource:
     """Records the axes and shapes of the factors and of the excess factors
-    of each pair call, and its arguments and factors."""
+    of each pair call."""
 
     def __init__(self, source):
         self.source = source
         self.factors = []
         self.excess = []
-        self.calls = []
 
     def pair_factors(self, *arguments, shift=None):
         factors, excess = self.source.pair_factors(*arguments, shift=shift)
-        self.calls.append((arguments, factors))
         self.factors.append([(axes, np.shape(array)) for axes, array in factors])
         self.excess.append([(axes, np.shape(array)) for axes, array in excess])
         return factors, excess
@@ -144,56 +142,35 @@ def test_lower_rank_arguments_match_broadcast_evaluation(system_name, request):
 
 
 def test_pair_sums_have_the_rank_of_their_poles(trimer_system):
-    # at t1 = 0 the pump is one factor on each leg's unshifted sum, the
-    # matching factors depend on the second arguments alone and the
-    # classical legs on one argument each, and the mode poles enter only
-    # the excess factors, so no factor of p2-p5 spans all of (f, e, u, p)
-    # and p2 and p4 take the exact sum of the transport weights over p;
-    # p1, recorded first, has no factor beyond its axes (f, a, b)
+    # the pump is one factor on each leg's unshifted sum, the matching
+    # factors lie on the unshifted photon frequencies a leg's group delays
+    # reach (the second alone at t1 = 0) and the classical legs on one
+    # argument each, and the mode poles enter only the excess factors, so no
+    # factor of p2-p5 carries p and p2 and p4 take the exact sum of the
+    # transport weights over p.  At t1 = 0 no array spans all of
+    # (f, e, u, p); at t1 != 0 (sources[1]) the matching's excess of p2 and
+    # p4 does, its Taylor series summed in one matrix product per target,
+    # beside p2's pump excess on (f, u, p) and (e, p); p4's pump takes no
+    # shift.  p1 and the coherence pathways p3 and p5 have no excess and no
+    # factor beyond (f, a, b).  The pairs are recorded as p1, p2, p4, p3, p5.
     sources = engine_sources(trimer_system)
-    for source in (sources[0], sources[2], sources[3]):
+    for source in (sources[0], sources[1], sources[2], sources[3]):
         recorder = RecordingSource(source)
-        prepare_closed_form(trimer_system, recorder)
-        assert len(recorder.factors) == 5
+        result = prepare_closed_form(trimer_system, recorder)
+        assert len(recorder.factors) == 5 and result.diagnostics["unsplit_pathways"] == []
         for k, (factors, excess) in enumerate(zip(recorder.factors, recorder.excess)):
             for axes, shape in factors + excess:
                 assert len(axes) == len(shape) and all(n > 1 for n in shape)
-                assert not set("feup") <= set(axes), (source, axes)
-            if k == 0:  # p1
+            assert not any("p" in axes for axes, _ in factors), (source, k)
+            spanning = sorted(axes for axes, _ in excess if set("feup") <= set(axes))
+            if k == 0 or k > 2:  # p1, p3, p5
                 assert not excess and all(set(axes) <= set("fab") for axes, _ in factors)
-            elif k < 3:  # p2, p4
-                assert excess and not any("p" in axes for axes, _ in factors), source
+            elif source is sources[1]:  # p2, p4 at t1 != 0
+                assert spanning == ["fuep"], (source, k)
+                assert sorted(axes for axes, _ in excess) == (["ep", "fuep", "fup"] if k == 1
+                                                              else ["fuep"])
             else:
-                assert not excess
-
-
-def test_pair_sums_at_nonzero_t1_split_off_no_shift(trimer_system):
-    # at t1 != 0 the matching factor depends on both photon frequencies, so
-    # it keeps the mode poles whole while the pump splits them off: p2's
-    # excess lies on (f, u, p) and (e, p), p4's pump takes no shift, and
-    # every factor that carries p is a matching factor, their product that
-    # of the matching of each leg whose arguments hold p.  p1 and the
-    # coherence pathways p3 and p5 have no excess and no factor beyond
-    # (f, a, b).  The pairs are recorded as p1, p2, p4, p3, p5.
-    source = engine_sources(trimer_system)[1]
-    recorder = RecordingSource(source)
-    prepare_closed_form(trimer_system, recorder)
-    excess = [sorted(axes for axes, _ in pair) for pair in recorder.excess]
-    assert excess == [[], ["ep", "fup"], [], [], []]
-    for arguments, factors in recorder.calls[1:3]:  # p2, p4
-        carrying = [factor for factor in factors if "p" in factor[0]]
-        legs = [(x, y, sign) for x, y, sign in ((*arguments[:2], -1.0), (*arguments[2:], 1.0))
-                if any("p" in axes for axes, _ in x + y)]
-        assert carrying and legs
-        product = np.prod([on_axes("fuep", factor) for factor in carrying], axis=0)
-        matching = np.prod([source._matching(on_axes("fuep", labelled_sum(x)),
-                                             on_axes("fuep", labelled_sum(y)), sign)
-                            for x, y, sign in legs], axis=0)
-        assert np.all(np.abs(product - matching) <= 1e-14 * np.abs(matching))
-    for factors in [recorder.factors[0], *recorder.factors[3:]]:  # p1, p3, p5
-        for axes, shape in factors:
-            assert len(axes) == len(shape) and all(n > 1 for n in shape)
-            assert set(axes) <= set("fab"), axes
+                assert excess and not spanning, source
 
 
 def test_guard_falls_back_to_the_unfactored_pair(trimer_system):
@@ -203,22 +180,35 @@ def test_guard_falls_back_to_the_unfactored_pair(trimer_system):
     # (up to 31 cm^-1) and a 2 ps pump pass the bound in p2, so p2's pump
     # comes back whole, one factor on the full grid, while its matching
     # keeps its (e, p) excess, and p4, whose pump takes no shift, and p1,
-    # p3 and p5 stay factored.  p1 is recorded first.
+    # p3 and p5 stay factored.  Mode poles 1e5 times the trimer's change
+    # the matching of the bras of p2 and p4 by 2 pi c T2 lambda = 1.2, past
+    # what its Taylor series takes, so with a 10 fs pump, which keeps its
+    # excess, their matching comes back whole, on (e, p).  p1 is recorded
+    # first, then p2, p4, p3 and p5; the run record names the pathways
+    # contracted unsplit.
     one = trimer_system.transport_one
-    system = replace(trimer_system, transport_one=replace(one, lambdas=one.lambdas * 1e4))
-    source = replace(engine_sources(system)[0], tau_pump=2.0e3)
-    recorder = RecordingSource(source)
-    direct = prepare_closed_form(system, recorder).pathway_partials
-    grid = dict(zip("feup", (system.n_two, system.n_one, system.n_one, system.poles.modes.size)))
-    spanning = [dict(zip(axes, shape)) for axes, shape in recorder.factors[1] if len(axes) == 4]
-    assert spanning == [grid] and [axes for axes, _ in recorder.excess[1]] == ["ep"]
-    assert recorder.excess[2]
-    others = [recorder.factors[0], *recorder.factors[2:]]
-    assert all(len(axes) < 4 for factors in others for axes, _ in factors)
-    broadcast = prepare_closed_form(system, BroadcastingSource(source)).pathway_partials
-    scale = np.abs(broadcast).sum(axis=0)
-    assert scale.max() > 0.0 and np.all(np.isfinite(direct))
-    assert np.all(np.abs(direct - broadcast) <= 1e-13 * scale[None, :])
+    grid = {"f": trimer_system.n_two, "e": trimer_system.n_one, "u": trimer_system.n_one,
+            "p": trimer_system.poles.modes.size}
+    ep = {"e": grid["e"], "p": grid["p"]}
+    cases = [(1e4, 2.0e3, [[], [grid], [], [], []], [["ep"], ["ep"]], ["p2"]),
+             (1e5, 10.0, [[], [ep], [ep], [], []], [["fup", "ep"], []], ["p2", "p4"])]
+    for rates, tau_pump, whole, excess, unsplit in cases:
+        system = replace(trimer_system, transport_one=replace(one, lambdas=one.lambdas * rates))
+        source = replace(engine_sources(system)[0], tau_pump=tau_pump)
+        recorder = RecordingSource(source)
+        result = prepare_closed_form(system, recorder)
+        direct = result.pathway_partials
+        assert result.diagnostics["unsplit_pathways"] == unsplit
+        carrying = [[dict(zip(axes, shape)) for axes, shape in factors if "p" in axes]
+                    for factors in recorder.factors]
+        assert carrying == whole, rates
+        assert [[axes for axes, _ in pair] for pair in recorder.excess[1:3]] == excess
+        others = [recorder.factors[0], *recorder.factors[3:]]
+        assert all(len(axes) < 4 for factors in others for axes, _ in factors)
+        broadcast = prepare_closed_form(system, BroadcastingSource(source)).pathway_partials
+        scale = np.abs(broadcast).sum(axis=0)
+        assert scale.max() > 0.0 and np.all(np.isfinite(direct))
+        assert np.all(np.abs(direct - broadcast) <= 1e-13 * scale[None, :])
 
 
 @pytest.mark.parametrize("index", [0, 1, 3])
@@ -240,19 +230,17 @@ def test_engine_reads_a_source_through_pair_factors_alone(trimer_system, index):
 def test_transport_pathways_match_extended_precision(system_name, request):
     # Sum_p transport[e, u, p] vanishes for u != e, so the terms of p2 and
     # p4 cancel, by up to 8e4 on the trimer; at t1 = 0 each must still hold
-    # 1e-15 of its summed term magnitudes and p2 1e-12 of its own size.  At
-    # t1 != 0 (sources[1]) the pump splits off the mode poles but the
-    # matching keeps them, and p2 is contracted unsplit: 5.8e-16 of the
-    # term magnitudes and 5.3e-12 of |p2| at most over both systems
+    # 1e-15 of its summed term magnitudes and p2 1e-12 of its own size, at
+    # t1 = 0 and at t1 != 0 (sources[1]) alike: the pump and the matching
+    # split off the mode poles at every group delay
     system = request.getfixturevalue(system_name)
     sources = engine_sources(system)
-    bounds = [(sources[0], 1e-15, 1e-12), (sources[2], 1e-15, 1e-12), (sources[1], 1e-15, 2e-11)]
-    for source, of_terms, of_p2 in bounds:
+    for source in (sources[0], sources[2], sources[1]):
         partials = prepare_closed_form(system, source).pathway_partials[[1, 3]]
         exact, mags = extended_transport_pathways(system, source)
         error = np.abs(partials - exact).astype(float)
-        assert np.all(error <= of_terms * mags.astype(float)), source
-        assert np.all(error[0] <= of_p2 * np.abs(exact[0]).astype(float)), source
+        assert np.all(error <= 1e-15 * mags.astype(float)), source
+        assert np.all(error[0] <= 1e-12 * np.abs(exact[0]).astype(float)), source
 
 
 def test_diagnostics_report_pathway_cancellation(trimer_system):
@@ -306,6 +294,20 @@ def test_scan_pool_starts_with_the_tables_built(monkeypatch):
     scan = scan_targets(system, dimer_source(system), threads=2)
     assert (scan.blocks, scan.workers) == (system.n_two, 2)
     assert len(seen) == system.n_two and all(seen)
+
+
+@pytest.mark.parametrize("mode", ["degenerate", "mediated"])
+@pytest.mark.parametrize("t1", [0.0, 3.0])
+def test_block_budget_bounds_every_target_array(trimer_system, mode, t1):
+    # the bytes per target of every factor and excess factor a block of
+    # targets carries on the target axis stay within ``_target_bytes``
+    template = dimer_source(trimer_system, t1=t1, t2=t1 + 10.0)
+    recorder = RecordingSource(scan_source(template, trimer_system.eig.energies_f, mode))
+    excitation._prepared_partials(trimer_system, recorder, 0.0)
+    per_target = [16 * np.prod(shape) // shape[axes.index(TARGETS)]
+                  for pair in recorder.factors + recorder.excess
+                  for axes, shape in pair if TARGETS in axes]
+    assert per_target and max(per_target) <= excitation._target_bytes(trimer_system, template, mode)
 
 
 def _block_budget(monkeypatch, system, template, mode, per_block):

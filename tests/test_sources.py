@@ -7,7 +7,8 @@ from excitonscope import CoherentSource, EppSource, jsi_map
 from excitonscope.sources import (
     _SINC_SERIES_RADIUS,
     _expm1_ratio,
-    _expm1_ratio_change,
+    _expm1_ratio_taylor,
+    _taylor_orders,
     gaussian_gamma_from_tau,
     labelled_sum,
     on_axes,
@@ -78,25 +79,28 @@ def test_expm1_ratio_is_sinc_times_phase():
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
                     reason="long double is no wider than double on this platform")
-def test_expm1_ratio_change_has_no_cancellation():
-    # the change g(w + d) - g(w) of g = expm1(w)/w on the series branch
-    # (|w| < 0.5, |d| < 0.25), the closed form (|w| >= 0.5) and the plain
-    # difference (|d| >= 0.25), against the plain difference in extended
-    # precision, which keeps 1e-19 / |d| of the change and so 1e-15 here
+def test_taylor_series_change_has_no_cancellation():
+    # the change g(w + d) - g(w) of g = expm1(w)/w as its Taylor series at w
+    # to the orders the order rule gives for |d|, with coefficients from the
+    # downward (|w| < 1) and the upward (|w| >= 1) recurrence, against the
+    # plain difference in extended precision, which keeps 1e-19 / |d| of
+    # the change and so 1e-15 here; the rule accepts |d| up to 0.509
     rng = np.random.default_rng(9)
 
     def ratio(x):
         return np.expm1(x) / x
 
+    assert _taylor_orders(0.5) is not None and _taylor_orders(0.51) is None
     for w_size in (1e-3, 0.3, 2.0, 20.0):
         w = w_size * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 40))
-        for d_size in (1e-4, 0.1, 1.0):
+        for d_size in (1e-4, 0.1, 0.5):
             d = d_size * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 40))
             wl, dl = w.astype(np.clongdouble), d.astype(np.clongdouble)
             expected = ratio(wl + dl) - ratio(wl)
-            got = _expm1_ratio_change(w, d)
+            coefficients = _expm1_ratio_taylor(w, _taylor_orders(d_size))
+            got = sum(c * d**n for n, c in enumerate(coefficients[1:], 1))
             assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected)), (w_size, d_size)
-    assert np.all(_expm1_ratio_change(np.array([0.0, 0.3j]), 0.0) == 0.0)
+    assert _taylor_orders(0.0) == 0
 
 
 def two_branch_jsa(source, wa, wb):
@@ -149,10 +153,11 @@ def _branch_arguments(source, x, y, sign):
     return [k * (source.t1 * (x - r) + source.t2 * (y - r)) for r in (source.omega1, source.omega2)]
 
 
-def _pair_arguments(references, rng, exact_sums=True, shift_size=1.0):
+def _pair_arguments(references, rng, exact_sums=True, shift_size=1.0, ket_shift="x"):
     """Labelled arguments of a pair shaped like p2's on axes (f, u, e, p):
     ket (fu + p, e) and bra (fu, e + p), with p terms up to ``shift_size``
-    cm^-1 from zero.
+    cm^-1 from zero; with ``ket_shift="y"`` the ket's p term moves to its
+    second argument, ket (fu, e + p).
 
     With ``exact_sums`` every value is a multiple of 2^-20 cm^-1, so every
     sum of them is exact and the legs, which form the sum frequency near
@@ -168,6 +173,8 @@ def _pair_arguments(references, rng, exact_sums=True, shift_size=1.0):
     ket_fu = near(references, (5, 4))
     # _near draws offsets up to 30 cm^-1
     p, bra_p = (near([0.0], (3,), shift_size / 30.0) for _ in range(2))
+    if ket_shift == "y":
+        return [("fu", ket_fu)], [("e", e), ("p", p)], [("fu", fu)], [("e", e), ("p", bra_p)]
     return [("fu", ket_fu), ("p", p)], [("e", e)], [("fu", fu)], [("e", e), ("p", bra_p)]
 
 
@@ -196,27 +203,32 @@ def _legs(source, arguments):
 def test_pair_is_the_product_of_its_legs(t1, references):
     source = make_source(omega1=references[0], omega2=references[1], tau_pump=120.0,
                          t1=t1, t_ent=t1 + 10.0, alpha=1.3, e0=0.7)
-    rng = np.random.default_rng(5)
-    arguments = _pair_arguments(references, rng)
-    full = [on_axes("fuep", labelled_sum(terms)) for terms in arguments]
-    for x, y, sign in ((full[0], full[1], -1.0), (full[2], full[3], 1.0)):
-        radii = np.abs(_branch_arguments(source, x, y, sign))
-        assert (radii < _SINC_SERIES_RADIUS).any() and (radii > _SINC_SERIES_RADIUS).any()
-    expected = _legs(source, arguments)
-    for shift in (None, "p"):
-        factors, excess = source.pair_factors(*arguments, shift=shift)
-        assert all(len(axes) == np.ndim(array) for axes, array in factors + excess)
-        if shift:
-            # the pump's shifts enter the excess factors, and at t1 = 0 the
-            # matching's too; at t1 != 0 the matching stays whole, the one
-            # factor that carries p
-            assert sorted(axes for axes, _ in excess) == ["ep", "fup"]
-            assert _carrying_p(factors) == (["efpu"] if t1 else [])
-        else:
-            assert not excess
-        pair = _pair(factors, excess)
-        assert pair.shape == (5, 4, 6, 3)
-        assert np.all(np.abs(pair - expected) <= 1e-13 * np.abs(expected)), shift
+    # the p term in the ket's first argument, or in both legs' second,
+    # where at t1 = 0 both legs' matching excess factors lie on (e, p)
+    for ket_shift in ("x", "y"):
+        rng = np.random.default_rng(5)
+        arguments = _pair_arguments(references, rng, ket_shift=ket_shift)
+        full = [on_axes("fuep", labelled_sum(terms)) for terms in arguments]
+        for x, y, sign in ((full[0], full[1], -1.0), (full[2], full[3], 1.0)):
+            radii = np.abs(_branch_arguments(source, x, y, sign))
+            assert (radii < _SINC_SERIES_RADIUS).any() and (radii > _SINC_SERIES_RADIUS).any()
+        expected = _legs(source, arguments)
+        for shift in (None, "p"):
+            factors, excess = source.pair_factors(*arguments, shift=shift)
+            assert all(len(axes) == np.ndim(array) for axes, array in factors + excess)
+            if shift:
+                # the pump's shifts and the matching's enter the excess
+                # factors, the matching's on its leg's unshifted axes, (e)
+                # at t1 = 0 and (f, u, e) at t1 != 0, and p; no factor
+                # carries p
+                assert sorted(axes for axes, _ in excess) == (
+                    ["ep", "fuep", "fup"] if t1 else ["ep", "fup"])
+                assert _carrying_p(factors) == []
+            else:
+                assert not excess
+            pair = _pair(factors, excess)
+            assert pair.shape == (5, 4, 6, 3)
+            assert np.all(np.abs(pair - expected) <= 1e-13 * np.abs(expected)), (ket_shift, shift)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
@@ -239,9 +251,9 @@ def test_pair_and_legs_against_extended_precision(t1):
     exact = extended(*np.broadcast_arrays(ket_x, ket_y, bra_x, bra_y)).astype(np.clongdouble)
     scale = np.abs(exact).astype(float)
     factors, excess = source.pair_factors(*arguments, shift="p")
-    # the pump splits off its shifts at every t1, the matching at t1 = 0 only
-    assert sorted(axes for axes, _ in excess) == ["ep", "fup"]
-    assert _carrying_p(factors) == (["efpu"] if t1 else [])
+    # the pump and the matching split off their shifts at every t1
+    assert sorted(axes for axes, _ in excess) == (["ep", "fuep", "fup"] if t1 else ["ep", "fup"])
+    assert _carrying_p(factors) == []
     pair_error = np.abs(_pair(factors, excess) - exact).astype(float)
     legs_error = np.abs(_legs(source, arguments) - exact).astype(float)
     assert np.all(pair_error <= 5e-13 * scale)
@@ -293,16 +305,24 @@ def test_pair_on_unequal_axis_sets_is_the_product_of_its_legs(source):
     # taken whole; the ket's first, shifted by up to 59 cm^-1, stays split
     (CoherentSource(12300.0, 1.0e3),
      {0.1: ([], ["ep", "fup"]), 100.0: (["ep"], ["fup"])}),
-    # at t1 != 0 the matching carries p, and a whole pump too
+    # at t1 != 0 the matching keeps its excess on (f, u, e, p) beside a
+    # whole pump
     (make_source(tau_pump=1.0e3, t1=3.0, t_ent=13.0),
-     {0.1: (["efpu"], ["ep", "fup"]), 100.0: (["efpu", "efpu"], [])}),
-], ids=["source0", "source1", "source2"])
+     {0.1: ([], ["ep", "fuep", "fup"]), 100.0: (["efpu"], ["fuep"])}),
+    # a 10 fs pump keeps its excess at shifts up to 3000 cm^-1, where the
+    # matching's change 2 pi c (T1 s_x + T2 s_y) reaches 0.99 in the ket and
+    # 1.3 in the bra, past the 0.51 that its Taylor series takes: both
+    # legs' matching is taken whole
+    (make_source(tau_pump=10.0, t1=3.0, t_ent=13.0),
+     {0.1: ([], ["ep", "fuep", "fup"]), 3000.0: (["efpu"], ["ep", "fup"])}),
+], ids=["source0", "source1", "source2", "source3"])
 def test_pair_falls_back_where_an_excess_exponent_leaves_its_range(source, layouts):
     # a shift s of an argument d moves the Gaussian's exponent by
     # kappa s (s + 2 d), |kappa| = 0.018 at 1 ps: with shifts of any phase
     # up to 0.1 cm^-1 and d up to 60 cm^-1 that stays within [-1, 50], with
     # shifts up to 100 cm^-1 it does not, and a Gaussian whose shift takes
-    # it out is taken whole, on axis p
+    # it out is taken whole, on axis p; so is a phase matching whose change
+    # its Taylor series cannot take
     for shift_size, (carrying_p, excess_axes) in layouts.items():
         arguments = _pair_arguments([12300.0], np.random.default_rng(8), shift_size=shift_size)
         factors, excess = source.pair_factors(*arguments, shift="p")
