@@ -1,3 +1,4 @@
+import functools
 import itertools
 from dataclasses import replace
 
@@ -64,15 +65,17 @@ class BroadcastingSource:
 
 class RecordingSource:
     """Records the axes and shapes of the factors and of the excess factors
-    of each pair call."""
+    of each pair call, and its arguments, shift, factors and excess."""
 
     def __init__(self, source):
         self.source = source
         self.factors = []
         self.excess = []
+        self.calls = []
 
     def pair_factors(self, *arguments, shift=None):
         factors, excess = self.source.pair_factors(*arguments, shift=shift)
+        self.calls.append((arguments, shift, factors, excess))
         self.factors.append([(axes, np.shape(array)) for axes, array in factors])
         self.excess.append([(axes, np.shape(array)) for axes, array in excess])
         return factors, excess
@@ -171,6 +174,42 @@ def test_pair_sums_have_the_rank_of_their_poles(trimer_system):
                                                               else ["fuep"])
             else:
                 assert excess and not spanning, source
+
+
+def test_pair_sums_at_nonzero_t1_split_off_no_shift(trimer_system):
+    # at t1 != 0 the pump and the matching split off the mode poles of p2
+    # and p4 alike: no factor carries p, p2's excess lies on (e, p), (f, u,
+    # p) and (f, u, e, p), p4's pump takes no shift, so its one excess is
+    # the matching's, and the product of the factors and of 1 + m over the
+    # excess factors m is the pair taken whole, where it is a normal
+    # number, to 1e-15 (1 + E) of it for E = ln(max|pair| / |pair|): a
+    # Gaussian rounds its exponent, about -E and down to -600 here, to eps
+    # of its size either way.  p1 and the
+    # coherence pathways p3 and p5 have no excess and no factor beyond
+    # (f, a, b).  The pairs are recorded as p1, p2, p4, p3, p5.
+    source = engine_sources(trimer_system)[1]
+    recorder = RecordingSource(source)
+    prepare_closed_form(trimer_system, recorder)
+    excess = [sorted(axes for axes, _ in pair) for pair in recorder.excess]
+    assert excess == [[], ["ep", "fuep", "fup"], ["fuep"], [], []]
+    for arguments, shift, factors, excess in recorder.calls[1:3]:  # p2, p4
+        assert shift == "p" and not any("p" in axes for axes, _ in factors)
+        product = functools.reduce(np.multiply, [on_axes("fuep", f) for f in factors])
+        for axes, m in excess:
+            product = product * (1.0 + on_axes("fuep", (axes, m)))
+        whole, none = source.pair_factors(*arguments)
+        assert not none
+        pair = functools.reduce(np.multiply, [on_axes("fuep", f) for f in whole])
+        size = np.abs(pair)
+        normal = size >= np.finfo(float).tiny
+        assert product.shape == pair.shape and normal.any()
+        size = size[normal]
+        error = np.abs(product - pair)[normal]
+        assert np.all(error <= 1e-15 * (1.0 - np.log(size / size.max())) * size)
+    for factors in [recorder.factors[0], *recorder.factors[3:]]:  # p1, p3, p5
+        for axes, shape in factors:
+            assert len(axes) == len(shape) and all(n > 1 for n in shape)
+            assert set(axes) <= set("fab"), axes
 
 
 def test_guard_falls_back_to_the_unfactored_pair(trimer_system):
