@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", default=None,
                        help="output directory (default: out_dir from the config)")
         p.add_argument("--threads", metavar="N", type=int, default=None,
-                       help="worker threads (default: config, then EXCITONSCOPE_THREADS)")
+                       help="worker threads (default: threads from the config, else 1)")
         p.add_argument("--format", choices=FORMATS, default=None,
                        help="artifact format (default: config)")
     return parser

@@ -26,7 +26,7 @@ time_fs         preparation snapshot time; snapshot_times: propagate columns (fs
 targets         "all" or two-exciton indices (excite-scan), scan_mode
                 "degenerate" | "mediated"; target: state auto sources tune to
 out_dir, format ("csv" | "json"), emit_plots (gnuplot scripts next to data)
-threads         null (EXCITONSCOPE_THREADS, then 1) or a count
+threads         null (one thread) or a count; --threads overrides it
 
 ``load_config`` validates the whole object before constructing anything
 and reports every offending field at once.

@@ -501,6 +501,8 @@ class ScanResult:
     (``PreparationResult.populations``) and ``matrix`` the same rows
     max-normalized.  ``blocks`` is the number of target blocks the scan
     evaluated and ``workers`` the number of threads that evaluated them.
+    ``unsplit_pathways`` names, sorted, the pathways some block contracted
+    unsplit (``PreparationResult.diagnostics``).
     """
 
     matrix: np.ndarray
@@ -511,6 +513,7 @@ class ScanResult:
     mode: str
     blocks: int = 1
     workers: int = 1
+    unsplit_pathways: list = field(default_factory=list)
 
 
 def scan_source(template: EppSource, target_energy, mode: str) -> EppSource:
@@ -589,9 +592,10 @@ def scan_targets(
     size = max(1, BLOCK_BYTES // _target_bytes(system, source_template, mode))
     blocks = [energies[start:start + size] for start in range(0, energies.size, size)]
 
-    def prepare_block(block: np.ndarray) -> np.ndarray:
-        partials, _ = _prepared_partials(system, scan_source(source_template, block, mode), t_fs)
-        return np.stack([np.clip(_raw(p), 0.0, None) for p in partials])
+    def prepare_block(block: np.ndarray) -> tuple[np.ndarray, list]:
+        source = scan_source(source_template, block, mode)
+        partials, unsplit = _prepared_partials(system, source, t_fs)
+        return np.stack([np.clip(_raw(p), 0.0, None) for p in partials]), unsplit
 
     workers = min(threads, len(blocks))
     if workers > 1:
@@ -599,9 +603,10 @@ def scan_targets(
         # built here, before two workers can each build them
         system.poles, system.weights
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(prepare_block, blocks))
+            done = list(pool.map(prepare_block, blocks))
     else:
-        rows = [prepare_block(block) for block in blocks]
+        done = [prepare_block(block) for block in blocks]
+    rows, unsplit = zip(*done)
 
     populations = np.concatenate(rows)
     peaks = populations.max(axis=1)
@@ -622,4 +627,5 @@ def scan_targets(
         mode=mode,
         blocks=len(blocks),
         workers=max(workers, 1),
+        unsplit_pathways=sorted(set().union(*unsplit)),
     )

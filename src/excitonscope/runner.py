@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import functools
 import json
 import os
 import sys
@@ -63,27 +64,11 @@ def _peak_rss_mb() -> float | None:
     return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
-def resolve_threads(explicit: int | None, configured: int | None) -> tuple[int, str | None]:
-    """CLI flag > config field > EXCITONSCOPE_THREADS > 1."""
-    if explicit is not None:
-        return explicit, None
-    if configured is not None:
-        return configured, None
-    env = os.environ.get("EXCITONSCOPE_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-            if value >= 1:
-                return value, None
-        except ValueError:
-            pass
-        return 1, f"ignoring invalid EXCITONSCOPE_THREADS={env!r}"
-    return 1, None
-
-
 @dataclass
 class RunManifest:
-    """Record of one completed run; written after all data artifacts."""
+    """Record of one run, filled as it runs: the settings and values it
+    resolved, its stage times (``lap``), warnings and artifacts.  Written
+    last, after all data artifacts."""
 
     scenario: str
     created: str
@@ -94,22 +79,20 @@ class RunManifest:
     warnings: list = field(default_factory=list)
     artifacts: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self._mark = time.perf_counter()
+
+    def lap(self, stage: str):
+        """Time since the previous lap, or since the record was made, as ``stage``."""
+        now = time.perf_counter()
+        self.timings.append({"stage": stage, "seconds": round(now - self._mark, 6)})
+        self._mark = now
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-
-class _Stopwatch:
-    def __init__(self):
-        self.stages: list = []
-        self._mark = time.perf_counter()
-
-    def lap(self, stage: str):
-        now = time.perf_counter()
-        self.stages.append({"stage": stage, "seconds": round(now - self._mark, 6)})
-        self._mark = now
 
 
 def _atomic_write(path: str, text: str):
@@ -160,6 +143,7 @@ _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _TIE_MARGIN = 1e-6
 
 
+@functools.cache
 def _pow10_pair(n: int) -> tuple[float, float]:
     """10**n as a double-double ``hi + lo``, from exact integer arithmetic."""
     if n >= 0:
@@ -179,23 +163,26 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, a - high
 
 
+@functools.cache
 def _digit_table() -> np.ndarray:
     """'0000' … '9999' in ASCII, one uint32 per group, so that the byte
-    view of any gather is the digits in order on either byte order."""
+    view of any gather is the digits in order on either byte order;
+    built once and read-only."""
     digits = np.arange(48, 58, dtype=np.uint8)
     table = np.empty((10, 10, 10, 10, 4), np.uint8)
     table[..., 0] = digits[:, None, None, None]
     table[..., 1] = digits[:, None, None]
     table[..., 2] = digits[:, None]
     table[..., 3] = digits
-    return table.view(np.uint32).ravel()
+    table = table.view(np.uint32).ravel()
+    table.setflags(write=False)
+    return table
 
 
-def _e16_digits(a: np.ndarray, powers: dict) -> tuple:
+def _e16_digits(a: np.ndarray) -> tuple:
     """The 17 significant digits ``d`` (an int in [1e16, 1e17) where
     proven) and the exponent ``e`` of ``"%.16e" % a`` for magnitudes ``a``
-    in the fast range, and where that rounding is not proven.  ``powers``
-    caches ``_pow10_pair`` by exponent.
+    in the fast range, and where that rounding is not proven.
 
     With E = floor(log10 a) and 10**(16 - E) = hi + lo, the product
     a·hi = p + err is exact and p is an integer (p >= 1e16 > 2**53), so
@@ -212,10 +199,7 @@ def _e16_digits(a: np.ndarray, powers: dict) -> tuple:
     present = np.bincount(e - lowest)
     hi, lo = np.zeros(present.size), np.zeros(present.size)
     for k in np.flatnonzero(present).tolist():
-        n = 16 - lowest - k
-        if n not in powers:
-            powers[n] = _pow10_pair(n)
-        hi[k], lo[k] = powers[n]
+        hi[k], lo[k] = _pow10_pair(16 - lowest - k)
     hi, lo = hi[e - lowest], lo[e - lowest]
 
     p = a * hi
@@ -234,18 +218,17 @@ def _e16_digits(a: np.ndarray, powers: dict) -> tuple:
     return d, e, unproven
 
 
-def _e16_cells(x: np.ndarray, powers: dict, digits: np.ndarray) -> np.ndarray:
+def _e16_cells(x: np.ndarray) -> np.ndarray:
     """Each double of ``x`` as ``"%.16e" % x``: one ``_CELL``-byte row per
     value, its text with 0 bytes as padding and the last byte left 0.
-    ``digits`` is ``_digit_table()``.  Zeros are written directly; inf,
-    nan, magnitudes outside the fast range and the values ``_e16_digits``
-    leaves unproven go through ``%``.
+    Zeros are written directly; inf, nan, magnitudes outside the fast
+    range and the values ``_e16_digits`` leaves unproven go through ``%``.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     mag = np.abs(x)
     zero = mag == 0.0
     fast = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)  # False on inf and nan
-    d, e, unproven = _e16_digits(np.where(fast, mag, 1.0), powers)
+    d, e, unproven = _e16_digits(np.where(fast, mag, 1.0))
     slow = ~zero & (~fast | unproven)
     d[zero] = 0
     e[zero] = 0
@@ -259,7 +242,7 @@ def _e16_cells(x: np.ndarray, powers: dict, digits: np.ndarray) -> np.ndarray:
     cells[:, 0] = np.where(np.signbit(x), ord("-"), 0)
     cells[:, 1] = lead + 48
     cells[:, 2] = ord(".")
-    cells[:, 3:19] = digits[np.stack([g0, g1, g2, g3], axis=1)].view(np.uint8)
+    cells[:, 3:19] = _digit_table()[np.stack([g0, g1, g2, g3], axis=1)].view(np.uint8)
     cells[:, 19] = ord("e")
     cells[:, 20] = np.where(e < 0, ord("-"), ord("+"))
     cells[:, 21] = np.where(exp >= 100, 48 + exp // 100, 0)
@@ -279,13 +262,12 @@ def _matrix_csv(row_axis, col_axis, values) -> str:
     grid[0, 1:] = col_axis
     grid[1:, 0] = row_axis
     grid[1:, 1:] = values
-    powers, digits = {}, _digit_table()
     text = np.empty(grid.size * _CELL, np.uint8)
     end = 0
     step = max(1, _BLOCK_CELLS // grid.shape[1])
     for start in range(0, grid.shape[0], step):
         block = grid[start:start + step]
-        cells = _e16_cells(block, powers, digits).reshape(*block.shape, _CELL)
+        cells = _e16_cells(block).reshape(*block.shape, _CELL)
         cells[:, :-1, -1] = ord(",")
         cells[:, -1, -1] = ord("\n")
         if start == 0:
@@ -419,13 +401,13 @@ def resolve_detection_axes(cfg: RunConfig, system: ExcitonSystem):
 NEGATIVE_MASS_WARN_RATIO = 1e-9
 
 
-def _record_floors(poles, warnings, resolved) -> None:
+def _record_floors(poles, run) -> None:
     """The pole table's floored widths per family into the manifest, and a
     note naming the families floored beyond the stationary transport mode."""
-    resolved["floored_widths"] = dict(poles.floored_widths)
+    run.resolved["floored_widths"] = dict(poles.floored_widths)
     if poles.regularized:
-        warnings.append(f"pole table regularized: {', '.join(poles.floored_families)} "
-                        f"widths floored to {WIDTH_FLOOR_VALUE:g} cm^-1")
+        run.warnings.append(f"pole table regularized: {', '.join(poles.floored_families)} "
+                            f"widths floored to {WIDTH_FLOOR_VALUE:g} cm^-1")
 
 
 def _preparation_warnings(prep) -> list:
@@ -506,7 +488,7 @@ def emit_multiplot_script(csv_names, png_name: str, titles, xlabel: str, ylabel:
 # scenarios
 
 
-def _run_model_info(cfg, system, sink, clock, warnings, resolved):
+def _run_model_info(cfg, system, sink, run):
     """eigenstate energies, widths and dipole strengths"""
     dm_eg, dm_fe = system.dipoles.magnitudes()
     strength_f = np.sqrt((dm_fe**2).sum(axis=1))
@@ -528,7 +510,7 @@ def _run_model_info(cfg, system, sink, clock, warnings, resolved):
             "median_gap": float(np.median(np.diff(energies))),
             "median_depopulation": float(np.median(widths)),
         }
-    clock.lap("analyze")
+    run.lap("analyze")
     sizes = [energies.size for energies, _, _ in manifolds.values()]
     energies, widths, strengths = map(np.concatenate, zip(*manifolds.values()))
     sink.table("levels", {
@@ -541,12 +523,12 @@ def _run_model_info(cfg, system, sink, clock, warnings, resolved):
     sink.json("model.json", info)
 
 
-def _run_jsa(cfg, system, sink, clock, warnings, resolved):
+def _run_jsa(cfg, system, sink, run):
     """joint spectral intensity of the photon-pair source"""
     source = resolve_source(cfg, system)
     if not isinstance(source, EppSource):
         raise ConfigError([("source.mode", "jsa scenario needs an entangled source")])
-    resolved["source"] = describe_source(source)
+    run.resolved["source"] = describe_source(source)
     pad, points = cfg.grids.pad, cfg.grids.points
     half_pump = 4.0 * np.sqrt(2.0) / (units.TWO_PI_C * source.tau_pump)
     t_ent = source.entanglement_time
@@ -555,10 +537,10 @@ def _run_jsa(cfg, system, sink, clock, warnings, resolved):
     axis_a = _axis_values(cfg.grids.omega_fe, source.omega1 - half, source.omega1 + half, points)
     axis_b = _axis_values(cfg.grids.omega_eg, source.omega2 - half, source.omega2 + half, points)
     intensity = jsi_map(source, axis_a, axis_b)
-    clock.lap("evaluate-jsi")
-    resolved["axes"] = {"omega_a": _axis_record(axis_a), "omega_b": _axis_record(axis_b)}
+    run.lap("evaluate-jsi")
+    run.resolved["axes"] = {"omega_a": _axis_record(axis_a), "omega_b": _axis_record(axis_b)}
     sink.matrix("jsi", "omega_a_cm", axis_a, "omega_b_cm", axis_b, intensity)
-    sink.json("metadata.json", {"source": resolved["source"], "axes": resolved["axes"]})
+    sink.json("metadata.json", {"source": run.resolved["source"], "axes": run.resolved["axes"]})
     sink.script("plot_jsi.gp", emit_heatmap_script(
         "jsi.csv", "jsi.png",
         "second photon (cm^-1)", "first photon (cm^-1)",
@@ -566,14 +548,14 @@ def _run_jsa(cfg, system, sink, clock, warnings, resolved):
     ))
 
 
-def _prepare(cfg, system, clock, warnings, resolved):
+def _prepare(cfg, system, run):
     source = resolve_source(cfg, system)
     prep = prepare_closed_form(system, source, t_fs=cfg.time_fs)
-    resolved["source"] = describe_source(source)
-    resolved["preparation"] = prep.diagnostics
-    _record_floors(system.poles, warnings, resolved)
-    warnings.extend(_preparation_warnings(prep))
-    clock.lap("prepare")
+    run.resolved["source"] = describe_source(source)
+    run.resolved["preparation"] = prep.diagnostics
+    _record_floors(system.poles, run)
+    run.warnings.extend(_preparation_warnings(prep))
+    run.lap("prepare")
     return prep
 
 
@@ -582,14 +564,14 @@ def _population_table(system, values: dict) -> dict:
     return {"state": np.arange(system.n_two), "energy_cm": system.eig.energies_f, **values}
 
 
-def _run_excite(cfg, system, sink, clock, warnings, resolved):
+def _run_excite(cfg, system, sink, run):
     """prepared two-exciton distribution for one source"""
-    prep = _prepare(cfg, system, clock, warnings, resolved)
+    prep = _prepare(cfg, system, run)
     sink.table("populations", _population_table(
         system, {"population": prep.populations, "raw": prep.raw}
     ))
     sink.json("metadata.json", {
-        "source": resolved["source"],
+        "source": run.resolved["source"],
         "time_fs": cfg.time_fs,
         "regularized": bool(prep.regularized),
         "total_population": float(prep.populations.sum()),
@@ -600,23 +582,23 @@ def _run_excite(cfg, system, sink, clock, warnings, resolved):
     ))
 
 
-def _run_excite_scan(cfg, system, sink, clock, warnings, resolved):
+def _run_excite_scan(cfg, system, sink, run):
     """preparation map over all scan targets"""
     template = resolve_source(cfg, system)
     if not isinstance(template, EppSource):
         raise ConfigError([("source.mode", "excite-scan needs an entangled source")])
-    resolved["source"] = describe_source(template)
+    run.resolved["source"] = describe_source(template)
     targets = None if cfg.targets == "all" else np.asarray(cfg.targets, dtype=int)
     if targets is not None and targets.max(initial=0) >= system.n_two:
         raise ConfigError(
             [("targets", f"only {system.n_two} two-exciton states in this aggregate")]
         )
-    scan = scan_targets(system, template, targets, cfg.scan_mode, cfg.time_fs,
-                        resolved["threads"])
-    clock.lap("scan")
-    _record_floors(system.poles, warnings, resolved)
-    resolved["scan"] = {"mode": scan.mode, "targets": int(scan.targets.size),
-                        "blocks": scan.blocks, "workers": scan.workers}
+    scan = scan_targets(system, template, targets, cfg.scan_mode, cfg.time_fs, cfg.threads)
+    run.lap("scan")
+    _record_floors(system.poles, run)
+    run.resolved["scan"] = {"mode": scan.mode, "targets": int(scan.targets.size),
+                            "blocks": scan.blocks, "workers": scan.workers,
+                            "unsplit_pathways": scan.unsplit_pathways}
     sink.matrix("scan", "target", scan.targets.astype(float),
                 "state", np.arange(system.n_two, dtype=float), scan.matrix)
     sink.table("selectivity", {
@@ -625,7 +607,7 @@ def _run_excite_scan(cfg, system, sink, clock, warnings, resolved):
         "selectivity": scan.selectivity,
     })
     sink.json("metadata.json", {
-        "source_template": resolved["source"],
+        "source_template": run.resolved["source"],
         "mode": scan.mode,
         "time_fs": cfg.time_fs,
         "median_selectivity": float(np.median(scan.selectivity)),
@@ -637,20 +619,20 @@ def _run_excite_scan(cfg, system, sink, clock, warnings, resolved):
     ))
 
 
-def _run_propagate(cfg, system, sink, clock, warnings, resolved):
+def _run_propagate(cfg, system, sink, run):
     """prepared populations relaxing through the bath"""
-    prep = _prepare(cfg, system, clock, warnings, resolved)
+    prep = _prepare(cfg, system, run)
     times = np.asarray(cfg.snapshot_times, dtype=float)
     rows = population_evolve(system.transport_two, prep.populations, times)
-    clock.lap("propagate")
+    run.lap("propagate")
     drift = float(np.max(np.abs(rows.sum(axis=1) - prep.populations.sum())))
     if drift > 1e-8 * max(prep.populations.sum(), 1.0):
-        warnings.append(f"population trace drifted by {drift:.3e} during propagation")
+        run.warnings.append(f"population trace drifted by {drift:.3e} during propagation")
     sink.table("snapshots", _population_table(
         system, {snapshot_label(t): row for t, row in zip(times, rows)}
     ))
     sink.json("metadata.json", {
-        "source": resolved["source"],
+        "source": run.resolved["source"],
         "snapshot_times_fs": times.tolist(),
         "initial_total": float(prep.populations.sum()),
         "trace_drift": drift,
@@ -661,34 +643,34 @@ def _run_propagate(cfg, system, sink, clock, warnings, resolved):
     ))
 
 
-def _detection(cfg, system, clock, warnings, resolved):
+def _detection(cfg, system, run):
     """Prepared populations, the reference gates and an empty map on the
     detection axes: the set-up every detection scenario shares."""
-    prep = _prepare(cfg, system, clock, warnings, resolved)
+    prep = _prepare(cfg, system, run)
     axis_fe, axis_eg = resolve_detection_axes(cfg, system)
     grid = SignalGrid(axis_fe, axis_eg, cfg.waiting.t_wait_two, cfg.waiting.t_wait_one)
     return (prep.populations, *_filters(cfg), grid)
 
 
-def _run_coincidence(cfg, system, sink, clock, warnings, resolved):
+def _run_coincidence(cfg, system, sink, run):
     """filtered two-photon coincidence map"""
-    populations, filter_fe, filter_eg, grid = _detection(cfg, system, clock, warnings, resolved)
+    populations, filter_fe, filter_eg, grid = _detection(cfg, system, run)
     coincidence_snapshot(system, populations, filter_fe, filter_eg, grid)
-    clock.lap("snapshot")
+    run.lap("snapshot")
     if grid.clipped_cells:
-        warnings.append(
+        run.warnings.append(
             f"clipped {grid.clipped_cells} negative interference cells in the map"
         )
-    resolved["clipped_fraction"] = grid.clipped_fraction
-    resolved["axes"] = {"omega_fe": _axis_record(grid.omega_fe),
-                        "omega_eg": _axis_record(grid.omega_eg)}
+    run.resolved["clipped_fraction"] = grid.clipped_fraction
+    run.resolved["axes"] = {"omega_fe": _axis_record(grid.omega_fe),
+                            "omega_eg": _axis_record(grid.omega_eg)}
     sink.matrix("signal", "omega_fe_cm", grid.omega_fe, "omega_eg_cm", grid.omega_eg,
                 grid.result)
     sink.json("metadata.json", {
-        "source": resolved["source"],
+        "source": run.resolved["source"],
         "filters": cfg.filters.to_dict(),
         "waiting": cfg.waiting.to_dict(),
-        "axes": resolved["axes"],
+        "axes": run.resolved["axes"],
         "normalization": "max",
     })
     sink.script("plot_signal.gp", emit_heatmap_script(
@@ -698,10 +680,10 @@ def _run_coincidence(cfg, system, sink, clock, warnings, resolved):
     ))
 
 
-def _run_panel_study(cfg, system, sink, clock, warnings, resolved):
+def _run_panel_study(cfg, system, sink, run):
     """coincidence maps over filter/waiting variations"""
-    panels = parameter_study(system, *_detection(cfg, system, clock, warnings, resolved))
-    clock.lap("panels")
+    panels = parameter_study(system, *_detection(cfg, system, run))
+    run.lap("panels")
     names, meta = [], {}
     for label, filled in panels.items():
         names.append(sink.matrix(f"panel_{label}", "omega_fe_cm", filled.omega_fe,
@@ -713,12 +695,12 @@ def _run_panel_study(cfg, system, sink, clock, warnings, resolved):
             "clipped_fraction": filled.clipped_fraction,
         }
         if filled.clipped_cells:
-            warnings.append(
+            run.warnings.append(
                 f"panel {label}: clipped {filled.clipped_cells} negative cells"
             )
-    resolved["panels"] = list(panels)
+    run.resolved["panels"] = list(panels)
     sink.json("panels.json", {
-        "source": resolved["source"],
+        "source": run.resolved["source"],
         "base_filters": cfg.filters.to_dict(),
         "panels": meta,
     })
@@ -746,42 +728,42 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None,
     """Execute one scenario and write its artifacts plus a manifest.
 
     ``out_dir``/``threads``/``fmt`` override the corresponding config
-    fields (command-line flags take precedence).  Returns the manifest;
-    the manifest file itself is written last.
+    fields (command-line flags take precedence); with neither a flag nor
+    a config value the run uses one thread.  The manifest echoes ``cfg``
+    as given and records the settings the run used under ``resolved``.
+    Returns the manifest; the manifest file itself is written last.
     """
-    out = out_dir if out_dir is not None else cfg.out_dir
-    fmt = fmt if fmt is not None else cfg.format
-    n_threads, thread_note = resolve_threads(threads, cfg.threads)
-
-    clock = _Stopwatch()
-    warnings: list = [thread_note] if thread_note else []
-    resolved: dict = {"threads": n_threads, "format": fmt, "out_dir": out}
-
-    _write_all(out, [])  # an unusable directory fails before any work
-    system = build_system(cfg)
-    clock.lap("build-model")
-
-    sink = _Sink(fmt, cfg.emit_plots)
-    SCENARIO_RUNS[cfg.scenario](cfg, system, sink, clock, warnings, resolved)
-
-    _write_all(out, sink.items)
-    clock.lap("write-artifacts")
-    resolved["peak_rss_mb"] = _peak_rss_mb()
-
-    manifest = RunManifest(
+    given = cfg
+    cfg = dataclasses.replace(
+        cfg,
+        out_dir=out_dir if out_dir is not None else cfg.out_dir,
+        threads=threads if threads is not None else (cfg.threads or 1),
+        format=fmt if fmt is not None else cfg.format,
+    )
+    run = RunManifest(
         scenario=cfg.scenario,
-        created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        created="",
         versions={
             "excitonscope": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        config=cfg.to_dict(),
-        resolved=resolved,
-        timings=clock.stages,
-        warnings=warnings,
-        artifacts=[name for name, _ in sink.items],
+        config=given.to_dict(),
+        resolved={"threads": cfg.threads, "format": cfg.format, "out_dir": cfg.out_dir},
     )
-    _write_all(out, [("manifest.json", manifest.to_json())])
-    return manifest
+
+    _write_all(cfg.out_dir, [])  # an unusable directory fails before any work
+    system = build_system(cfg)
+    run.lap("build-model")
+
+    sink = _Sink(cfg.format, cfg.emit_plots)
+    SCENARIO_RUNS[cfg.scenario](cfg, system, sink, run)
+
+    _write_all(cfg.out_dir, sink.items)
+    run.lap("write-artifacts")
+    run.resolved["peak_rss_mb"] = _peak_rss_mb()
+    run.created = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    run.artifacts = [name for name, _ in sink.items]
+    _write_all(cfg.out_dir, [("manifest.json", run.to_json())])
+    return run

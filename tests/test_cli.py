@@ -8,7 +8,7 @@ import pytest
 
 from excitonscope import runner
 from excitonscope.cli import build_parser, main
-from excitonscope.config import SCENARIOS
+from excitonscope.config import SCENARIOS, load_config
 from excitonscope.runner import SCENARIO_RUNS
 
 from conftest import make_dimer
@@ -164,6 +164,18 @@ def test_format_json_flag(dimer_setup, tmp_path, capsys):
     assert code == 0
     assert os.path.isfile(os.path.join(out, "populations.json"))
     assert not os.path.isfile(os.path.join(out, "populations.csv"))
+
+
+def test_flags_are_recorded_over_the_config_as_given(dimer_setup, tmp_path, capsys):
+    cfg_path, _ = dimer_setup
+    out = str(tmp_path / "run")
+    assert main(["excite", "--config", cfg_path, "--out", out, "--threads", "2",
+                 "--format", "json"]) == 0
+    manifest = json.loads(Path(out, "manifest.json").read_text())
+    assert manifest["config"] == load_config(cfg_path).to_dict()
+    assert list(manifest["resolved"].items())[:3] == [
+        ("threads", 2), ("format", "json"), ("out_dir", out),
+    ]
 
 
 def test_parser_lists_all_scenarios():

@@ -18,7 +18,9 @@ from excitonscope import (
 )
 from excitonscope import excitation
 from excitonscope.bath import BathSpec
+from excitonscope.config import from_dict
 from excitonscope.excitation import PoleTable, pathway_weights
+from excitonscope.runner import resolve_source
 from excitonscope.sources import TARGETS, _grid, on_axes
 from excitonscope.units import TWO_PI_C
 
@@ -379,6 +381,24 @@ def test_scan_rows_match_single_preparations(system_name, mode, t1, per_block, r
         energy = system.eig.energies_f[target]
         single = prepare_closed_form(system, scan_source(template, energy, mode))
         assert np.array_equal(scan.populations[row], single.populations), (row, target)
+
+
+def test_scan_records_the_pathways_contracted_unsplit(trimer_system, bundled, monkeypatch):
+    # the default bundled scan takes every pathway split; mode rates 1e5
+    # times the trimer's take the bras' phase matching of p2 and p4 past
+    # its Taylor series at any target (the second case of
+    # test_guard_falls_back_to_the_unfactored_pair), so every split of the
+    # targets into blocks records both
+    default = resolve_source(from_dict({"scenario": "excite-scan"}), bundled)
+    assert scan_targets(bundled, default).unsplit_pathways == []
+    one = trimer_system.transport_one
+    system = replace(trimer_system, transport_one=replace(one, lambdas=one.lambdas * 1e5))
+    template = replace(engine_sources(system)[0], tau_pump=10.0)
+    for per_block in (1, system.n_two):
+        _block_budget(monkeypatch, system, template, "degenerate", per_block)
+        scan = scan_targets(system, template)
+        assert scan.blocks == -(-system.n_two // per_block)
+        assert scan.unsplit_pathways == ["p2", "p4"]
 
 
 def test_field_strength_enters_quadratically(dimer_system):

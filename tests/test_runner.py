@@ -16,7 +16,6 @@ from excitonscope.runner import (
     _fmt,
     _matrix_csv,
     _preparation_warnings,
-    resolve_threads,
     run_scenario,
 )
 
@@ -49,20 +48,18 @@ def run_into(tmp_path, dimer_file, scenario, subdir="out", **overrides):
     return manifest, out
 
 
-def test_resolve_threads_priority(monkeypatch):
-    monkeypatch.delenv("EXCITONSCOPE_THREADS", raising=False)
-    assert resolve_threads(None, None) == (1, None)
-    assert resolve_threads(4, 2) == (4, None)
-    assert resolve_threads(None, 2) == (2, None)
-    monkeypatch.setenv("EXCITONSCOPE_THREADS", "3")
-    assert resolve_threads(None, None) == (3, None)
-    assert resolve_threads(None, 2) == (2, None)
-    monkeypatch.setenv("EXCITONSCOPE_THREADS", "zippy")
-    n, note = resolve_threads(None, None)
-    assert n == 1 and "EXCITONSCOPE_THREADS" in note
-    monkeypatch.setenv("EXCITONSCOPE_THREADS", "0")
-    n, note = resolve_threads(None, None)
-    assert n == 1 and note
+def test_threads_are_the_flag_else_the_config_else_one(tmp_path, dimer_file, monkeypatch):
+    # a one-byte budget makes one block per target, so workers shows the count
+    monkeypatch.setattr(excitation, "BLOCK_BYTES", 1)
+    monkeypatch.setenv("EXCITONSCOPE_THREADS", "4")  # the environment sets no thread count
+    for subdir, configured, flag, expected in [("none", None, None, 1), ("config", 2, None, 2),
+                                               ("flag", 2, 3, 3)]:
+        cfg = dimer_config(dimer_file, "excite-scan", threads=configured)
+        manifest = run_scenario(cfg, out_dir=str(tmp_path / subdir), threads=flag)
+        assert manifest.config["threads"] == configured
+        assert manifest.resolved["threads"] == expected
+        assert manifest.resolved["scan"]["workers"] == expected
+        assert manifest.warnings == []
 
 
 def test_matrix_csv_layout_round_trips():
@@ -95,7 +92,7 @@ def per_row_matrix_csv(row_axis, col_axis, values) -> str:
 
 
 def e16_texts(values) -> list:
-    cells = runner._e16_cells(np.asarray(values, dtype=float), {}, runner._digit_table())
+    cells = runner._e16_cells(np.asarray(values, dtype=float))
     cells[:, -1] = ord("\n")
     return cells[cells != 0].tobytes().decode("ascii").splitlines()
 
@@ -206,10 +203,12 @@ def test_scan_manifest_records_blocks_workers_and_peak_rss(tmp_path, dimer_file,
         return json.loads(Path(tmp_path, subdir, "manifest.json").read_text())["resolved"]
 
     one = scan_record("one")
-    assert one["scan"] == {"mode": "degenerate", "targets": 3, "blocks": 1, "workers": 1}
+    assert one["scan"] == {"mode": "degenerate", "targets": 3, "blocks": 1, "workers": 1,
+                           "unsplit_pathways": []}
     monkeypatch.setattr(excitation, "BLOCK_BYTES", 1)
     split = scan_record("split")
-    assert split["scan"] == {"mode": "degenerate", "targets": 3, "blocks": 3, "workers": 2}
+    assert split["scan"] == {"mode": "degenerate", "targets": 3, "blocks": 3, "workers": 2,
+                             "unsplit_pathways": []}
     rows = [Path(tmp_path, subdir, "scan.csv").read_bytes() for subdir in ("one", "split")]
     assert rows[0] == rows[1]
     for resolved in (one, split):
