@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-One subcommand per scenario.  Without ``--config`` the documented
-defaults run on the bundled aggregate; with it, the file is validated
-first and every offending field is reported.  The subcommand overrides
-the ``scenario`` field of the config, so one config file can drive
-several scenarios.
+The scenario is a positional argument; the options may come before or
+after it.  Without ``--config`` the documented defaults run on the
+bundled aggregate; with it, the file is validated first and every
+offending field is reported.  The scenario given on the command line
+overrides the ``scenario`` field of the config, so one config file can
+drive several scenarios.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -23,23 +24,27 @@ from .runner import SCENARIO_RUNS, run_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
+    width = max(map(len, SCENARIO_RUNS))
     parser = argparse.ArgumentParser(
         prog="excitonscope",
-        description="entangled-pair excitation and coincidence detection "
+        description="entangled-pair excitation and coincidence detection\n"
         "in a dissipative exciton aggregate",
+        epilog="scenarios:\n" + "".join(
+            f"  {name:<{width}}  {run.__doc__}\n" for name, run in SCENARIO_RUNS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="scenario", required=True, metavar="scenario")
-    for name, run in SCENARIO_RUNS.items():
-        p = sub.add_parser(name, help=run.__doc__)
-        p.add_argument("--config", metavar="PATH", default=None,
-                       help="JSON run configuration (default: bundled reference)")
-        p.add_argument("--out", metavar="DIR", default=None,
-                       help="output directory (default: out_dir from the config)")
-        p.add_argument("--threads", metavar="N", type=int, default=None,
-                       help="worker threads (default: threads from the config, else 1)")
-        p.add_argument("--format", choices=FORMATS, default=None,
-                       help="artifact format (default: config)")
+    parser.add_argument("scenario", choices=SCENARIO_RUNS, metavar="scenario",
+                        help="one of the scenarios listed below")
+    parser.add_argument("--config", metavar="PATH", default=None,
+                        help="JSON run configuration (default: bundled reference)")
+    parser.add_argument("--out", metavar="DIR", default=None,
+                        help="output directory (default: out_dir from the config)")
+    parser.add_argument("--threads", metavar="N", type=int, default=None,
+                        help="worker threads (default: threads from the config, else 1)")
+    parser.add_argument("--format", choices=FORMATS, default=None,
+                        help="artifact format (default: config)")
     return parser
 
 

@@ -195,33 +195,54 @@ def coincidence_snapshot(
     through the e -> g gate with the positive-delay branch; the map is
     2 Re of the factorized sum over the shared one-exciton index.
     """
+    rho = _checked_populations(system, rho_ff)
+    tables = _detection_tables(system)
+    side_fe = _emission_side(system, tables, rho, filter_fe, grid.omega_fe, grid.t_wait_two)
+    return _fill(system, tables, side_fe, filter_eg, grid)
+
+
+def _checked_populations(system: ExcitonSystem, rho_ff) -> np.ndarray:
     rho = np.asarray(rho_ff, dtype=float)
     if rho.shape != (system.n_two,):
         raise ValueError(f"rho_ff must have shape ({system.n_two},), got {rho.shape}")
-    w_fe, g_fe, w_eg, g_eg, dd_fe, dd_eg = _detection_tables(system)
+    return rho
+
+
+def _emission_side(system, tables, rho, filter_fe, omega_fe, t_wait_two):
+    """The two-exciton side of the map: the populations ``rho`` evolved
+    for ``t_wait_two`` and emitted through the f -> e gate, as the real
+    and imaginary (e, omega_fe) parts."""
+    w_fe, g_fe, _, _, dd_fe, _ = tables
     _check_negative_branch(filter_fe, float(g_fe.min()))
+    populations_f = population_propagator(system.transport_two, t_wait_two) @ rho
 
-    populations_f = population_propagator(system.transport_two, grid.t_wait_two) @ rho
-    green_e = population_propagator(system.transport_one, grid.t_wait_one)
-
-    # two-exciton side: all f' emitters feeding each shared e, both
-    # branches summed in closed form.  One e at a time keeps each
-    # temporary a real (f', omega) array, 105 KB on the bundled model: it
-    # stays in L2 cache and under glibc's 128 KB mmap threshold, so it is
-    # not faulted in afresh on every map.  The same arithmetic on
-    # (f', e, omega) at once is memory-bound: 6.8 against 2.3 ms for this
-    # side of a bundled map (2-vCPU x86-64 host, BLAS at 1 thread).
+    # all f' emitters feeding each shared e, both branches summed in
+    # closed form.  One e at a time keeps each temporary a real
+    # (f', omega) array, 105 KB on the bundled model: it stays in L2 cache
+    # and under glibc's 128 KB mmap threshold, so it is not faulted in
+    # afresh on every map.  The same arithmetic on (f', e, omega) at once
+    # is memory-bound: 6.8 against 2.3 ms for this side of a bundled map
+    # (2-vCPU x86-64 host, BLAS at 1 thread).
     weight = populations_f[:, None] * dd_fe
-    side_re = np.empty((system.n_one, grid.omega_fe.size))
+    side_re = np.empty((system.n_one, omega_fe.size))
     side_im = np.empty_like(side_re)
     for e in range(system.n_one):
         re, im = _branch_sum(
-            grid.omega_fe - w_fe[:, e, None], g_fe[:, e, None],
+            omega_fe - w_fe[:, e, None], g_fe[:, e, None],
             filter_fe.sigma_omega, filter_fe.sigma_t, weight[:, e, None],
         )
         side_re[e] = re.sum(axis=0)
         side_im[e] = im.sum(axis=0)
+    return side_re, side_im
 
+
+def _fill(system, tables, side_fe, filter_eg, grid: SignalGrid) -> SignalGrid:
+    """Fills ``grid`` from the two-exciton side ``side_fe``: the
+    one-exciton side over ``grid.t_wait_one`` and the e -> g gate, their
+    product, and the max normalization with clipping."""
+    _, _, w_eg, g_eg, _, dd_eg = tables
+    side_re, side_im = side_fe
+    green_e = population_propagator(system.transport_one, grid.t_wait_one)
     # one-exciton side: transport from the shared e to the emitter e'
     pos, _ = _lineshape_branches(
         grid.omega_eg, w_eg[:, None], g_eg[:, None],
@@ -265,8 +286,12 @@ def parameter_study(
     """Snapshot maps for the six-panel filtering study, one per ``PANELS``
     label: the reference configuration, the spectral gate width, the
     one-exciton waiting time, both together, the temporal gate width, and
-    the two-exciton waiting time varied against it."""
-    results = {}
+    the two-exciton waiting time varied against it.  Each map equals its
+    own :func:`coincidence_snapshot`; panels that share the f -> e gate and
+    ``t_wait_two`` share one two-exciton side."""
+    rho = _checked_populations(system, rho_ff)
+    tables = _detection_tables(system)
+    sides, results = {}, {}
     for label, changes in PANELS.items():
         gates = {k: v for k, v in changes.items() if k in ("sigma_omega", "sigma_t")}
         panel = SignalGrid(
@@ -275,7 +300,10 @@ def parameter_study(
             t_wait_two=changes.get("t_wait_two", grid.t_wait_two),
             t_wait_one=changes.get("t_wait_one", grid.t_wait_one),
         )
-        results[label] = coincidence_snapshot(
-            system, rho_ff, replace(filter_fe, **gates), replace(filter_eg, **gates), panel
-        )
+        gate_fe = replace(filter_fe, **gates)
+        key = (gate_fe, panel.t_wait_two)
+        if key not in sides:
+            sides[key] = _emission_side(system, tables, rho, gate_fe, panel.omega_fe,
+                                        panel.t_wait_two)
+        results[label] = _fill(system, tables, sides[key], replace(filter_eg, **gates), panel)
     return results

@@ -23,7 +23,6 @@ conjugated description of the same real signal as the plain correlator.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -602,6 +601,10 @@ def scan_targets(
         # cached_property has no lock from Python 3.12 on, so the tables are
         # built here, before two workers can each build them
         system.poles, system.weights
+        # imported here: concurrent.futures and the logging it loads cost
+        # every start about 4 ms, and only a threaded scan needs them
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(prepare_block, blocks))
     else:

@@ -11,9 +11,9 @@ Every cell of a CSV matrix is exactly C's ``%.16e`` of its double.  A
 vectorized formatter writes them all at once: the 17-digit integer comes
 from an error-free product of the value with a double-double power of
 ten, and the few cells whose rounding it cannot prove (ties and near
-ties, values a few ulps above a power of ten, non-finite values,
-magnitudes beyond 1e±280) go through ``%`` one by one.  Table cells, a
-few hundred per table, go through ``_fmt``.
+ties, values a few ulps above a power of ten, non-finite values) go
+through ``%`` one by one.  Table cells, a few hundred per table, go
+through ``_fmt``.
 
 Matrix CSVs use the gnuplot ``nonuniform matrix`` layout: the first row
 holds the column count followed by the column coordinates, every other
@@ -35,7 +35,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__, units
 from .aggregate import AggregateSpec
@@ -89,20 +88,25 @@ class RunManifest:
         self._mark = now
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # every field already holds plain JSON data, so no deep copy
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def _atomic_write(path: str, text: str):
+    data = memoryview(text.encode("utf-8"))
     # os.open with mode 0o666, not mkstemp's 0o600, so the umask sets the
     # artifact's permissions as it does for any file the user creates
     tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            while data:  # os.write may write less than it is given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -130,30 +134,38 @@ def _csv(rows) -> str:
 
 # Bytes of one matrix cell: "-d.dddddddddddddddde-ddd" and its separator.
 _CELL = 25
+# The bytes of a cell that a non-negative value with a two-digit exponent
+# fills, separator included: all but the sign (0) and the hundreds (21).
+_NARROW = _CELL - 2
+# Text of a 0.0 cell, without its separator.
+_ZERO = len("%.16e" % 0.0)
 # Cells formatted per block of rows, so that the formatter's temporaries,
 # about thirty 8-byte arrays of a block, stay near 1 MB for any matrix size;
 # of 1024 to 20000 cells, 4096 formatted a 128 x 128 map fastest.
 _BLOCK_CELLS = 4096
-# The vectorized path takes magnitudes in this range, where neither the
-# power of ten nor Dekker's split of it or of the value can overflow or
-# underflow.
-_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# Values of decimal exponent beyond ±_SCALE_EXP are scaled by 2**∓_SHIFT
+# before the product with their power of ten, itself scaled by 2**±_SHIFT,
+# so that neither factor, nor Dekker's split of either, can overflow or
+# underflow; scaling by a power of two is exact.
+_SCALE_EXP = 280
+_SHIFT = 1000
 # Half-way margin: the 17-digit remainder is known to ~1e-14, so a
 # fraction this close to 0.5 may be a tie and is left to ``%``.
 _TIE_MARGIN = 1e-6
 
 
 @functools.cache
-def _pow10_pair(n: int) -> tuple[float, float]:
-    """10**n as a double-double ``hi + lo``, from exact integer arithmetic."""
-    if n >= 0:
-        exact = 10**n
-        hi = float(exact)
-        return hi, float(exact - int(hi))
-    scale = 10**-n
-    hi = 1 / scale
-    num, den = hi.as_integer_ratio()
-    return hi, (den - num * scale) / (den * scale)
+def _pow10_pair(e: int) -> tuple[float, float, int]:
+    """For a value of decimal exponent ``e``: 10**(16 - e) / 2**s as a
+    double-double ``hi + lo``, from exact integer arithmetic, and the
+    power of two ``s`` the value is scaled by (0 within 1e±280)."""
+    shift = _SHIFT if e < -_SCALE_EXP else -_SHIFT if e > _SCALE_EXP else 0
+    n = 16 - e
+    num = 10**max(n, 0) * 2**max(-shift, 0)
+    den = 10**max(-n, 0) * 2**max(shift, 0)
+    hi = num / den  # int / int is correctly rounded
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (num * hi_den - hi_num * den) / (hi_den * den), shift
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,16 +193,17 @@ def _digit_table() -> np.ndarray:
 
 def _e16_digits(a: np.ndarray) -> tuple:
     """The 17 significant digits ``d`` (an int in [1e16, 1e17) where
-    proven) and the exponent ``e`` of ``"%.16e" % a`` for magnitudes ``a``
-    in the fast range, and where that rounding is not proven.
+    proven) and the exponent ``e`` of ``"%.16e" % a`` for finite positive
+    magnitudes ``a``, and where that rounding is not proven.
 
     With E = floor(log10 a) and 10**(16 - E) = hi + lo, the product
     a·hi = p + err is exact and p is an integer (p >= 1e16 > 2**53), so
-    the digits are p + round(err + a·lo).  E comes from log10 lowered by a
-    few ulps, so it is never one too high: a power of ten, or a double just
-    below one, rounds to 10**17 and carries to the next exponent.  The rare
-    value it leaves one too low (a few ulps above a power of ten) and ties
-    or near ties are not proven.
+    the digits are p + round(err + a·lo); beyond 1e±280, a and hi + lo
+    are first scaled by opposite powers of two.  E comes from log10
+    lowered by a few ulps, so it is never one too high: a power of ten, or
+    a double just below one, rounds to 10**17 and carries to the next
+    exponent.  The rare value it leaves one too low (a few ulps above a
+    power of ten) and ties or near ties are not proven.
     """
     log = np.log10(a)
     e = np.floor(log - np.abs(log) * 2.0**-48).astype(np.int64)
@@ -198,9 +211,12 @@ def _e16_digits(a: np.ndarray) -> tuple:
     lowest = int(e.min())
     present = np.bincount(e - lowest)
     hi, lo = np.zeros(present.size), np.zeros(present.size)
+    shift = np.zeros(present.size, np.intc)
     for k in np.flatnonzero(present).tolist():
-        hi[k], lo[k] = _pow10_pair(16 - lowest - k)
+        hi[k], lo[k], shift[k] = _pow10_pair(lowest + k)
     hi, lo = hi[e - lowest], lo[e - lowest]
+    if shift.any():
+        a = np.ldexp(a, shift[e - lowest])
 
     p = a * hi
     ah, al = _split(a)
@@ -221,15 +237,15 @@ def _e16_digits(a: np.ndarray) -> tuple:
 def _e16_cells(x: np.ndarray) -> np.ndarray:
     """Each double of ``x`` as ``"%.16e" % x``: one ``_CELL``-byte row per
     value, its text with 0 bytes as padding and the last byte left 0.
-    Zeros are written directly; inf, nan, magnitudes outside the fast
-    range and the values ``_e16_digits`` leaves unproven go through ``%``.
+    Zeros are written directly; inf, nan and the values ``_e16_digits``
+    leaves unproven go through ``%``, left-aligned.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     mag = np.abs(x)
     zero = mag == 0.0
-    fast = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)  # False on inf and nan
-    d, e, unproven = _e16_digits(np.where(fast, mag, 1.0))
-    slow = ~zero & (~fast | unproven)
+    finite = mag < np.inf  # False on inf and nan
+    d, e, unproven = _e16_digits(np.where(finite & ~zero, mag, 1.0))
+    slow = ~zero & (~finite | unproven)
     d[zero] = 0
     e[zero] = 0
 
@@ -270,14 +286,23 @@ def _matrix_csv(row_axis, col_axis, values) -> str:
         cells = _e16_cells(block).reshape(*block.shape, _CELL)
         cells[:, :-1, -1] = ord(",")
         cells[:, -1, -1] = ord("\n")
-        if start == 0:
-            count = str(len(col_axis)).encode("ascii")
-            cells[0, 0, :-1] = 0
-            cells[0, 0, :len(count)] = np.frombuffer(count, np.uint8)
-        kept = cells[cells != 0]
-        text[end:end + kept.size] = kept
-        end += kept.size
-    return str(text[:end], "ascii")
+        cells = cells.reshape(-1, _CELL)
+        if cells[:, 0].any() or cells[:, 21].any():
+            kept = cells[cells != 0]  # mixed widths: drop the padding
+            text[end:end + kept.size] = kept
+            end += kept.size
+        else:
+            # every cell one width, as in every map of non-negative values
+            # with two-digit exponents: slice the padding off
+            kept = text[end:end + len(cells) * _NARROW].reshape(-1, _NARROW)
+            kept[:, :20] = cells[:, 1:21]
+            kept[:, 20:] = cells[:, 22:]
+            end += kept.size
+    # the corner's 0.0 gives way to the column count
+    count = str(len(col_axis)).encode("ascii")
+    head = _ZERO - len(count)
+    text[head:_ZERO] = np.frombuffer(count, np.uint8)
+    return str(text[head:end], "ascii")
 
 
 class _Sink:
@@ -747,7 +772,6 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None,
             "excitonscope": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         config=given.to_dict(),
         resolved={"threads": cfg.threads, "format": cfg.format, "out_dir": cfg.out_dir},

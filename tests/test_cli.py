@@ -186,6 +186,16 @@ def test_parser_lists_all_scenarios():
         assert name in helptext
 
 
+def test_options_parse_the_same_before_and_after_the_scenario():
+    options = ["--config", "run.json", "--out", "dir", "--threads", "2", "--format", "json"]
+    parsed = [vars(build_parser().parse_args(argv)) for argv in (
+        ["coincidence", *options], [*options, "coincidence"],
+        [*options[:4], "coincidence", *options[4:]],
+    )]
+    assert parsed == 3 * [{"scenario": "coincidence", "config": "run.json", "out": "dir",
+                           "threads": 2, "format": "json"}]
+
+
 def test_every_scenario_has_a_run_and_its_help(monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")  # one help line per scenario
     assert list(SCENARIO_RUNS) == list(SCENARIOS)
@@ -194,11 +204,13 @@ def test_every_scenario_has_a_run_and_its_help(monkeypatch):
         assert run.__doc__ and run.__doc__ in helptext
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    """scipy.integrate serves one diagnostic and is most of the import time."""
-    code = "import sys, excitonscope.cli; print('scipy.integrate' in sys.modules)"
+def test_cli_import_leaves_scipy_and_thread_pools_unloaded():
+    """The package runs on numpy alone, and only a threaded scan needs
+    concurrent.futures, which with the logging it loads costs about 4 ms."""
+    code = ("import sys, excitonscope.cli; "
+            "print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))")
     done = _python("-c", code, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_exact_arithmetic_modules_unloaded():

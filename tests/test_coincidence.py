@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from excitonscope import (
     FilterSpec,
     SignalGrid,
+    coincidence,
     coincidence_snapshot,
     filtered_lineshape,
     parameter_study,
@@ -235,6 +238,46 @@ def test_parameter_study_default_panels(dimer_system):
     assert panels["t_wait_two_50"].t_wait_two == 50.0
     # the source grid is untouched
     assert grid.result is None
+
+
+def _counting(monkeypatch, name):
+    """Counts the calls to ``coincidence.<name>``."""
+    calls = []
+    original = getattr(coincidence, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coincidence, name, counted)
+    return calls
+
+
+def test_each_panel_equals_its_own_snapshot(bundled, monkeypatch):
+    rho = np.random.default_rng(5).random(bundled.n_two)
+    gate_eg = FilterSpec(omega_center=0.0, sigma_omega=12.0, t_center=100.0, sigma_t=3.0)
+    grid = make_grid(bundled, n=24, t_wait_two=10.0, t_wait_one=200.0)
+    sides = _counting(monkeypatch, "_emission_side")
+    tables = _counting(monkeypatch, "_detection_tables")
+    panels = parameter_study(bundled, rho, REFERENCE_FILTER, gate_eg, grid)
+    # one two-exciton side per distinct (sigma_omega, sigma_t, t_wait_two)
+    assert len(sides) == len({(c.get("sigma_omega"), c.get("sigma_t"), c.get("t_wait_two"))
+                              for c in coincidence.PANELS.values()}) == 4
+    assert len(tables) == 1
+    for label, changes in coincidence.PANELS.items():
+        gates = {k: v for k, v in changes.items() if k in ("sigma_omega", "sigma_t")}
+        del sides[:], tables[:]
+        alone = coincidence_snapshot(
+            bundled, rho, replace(REFERENCE_FILTER, **gates), replace(gate_eg, **gates),
+            make_grid(bundled, n=24, t_wait_two=changes.get("t_wait_two", 10.0),
+                      t_wait_one=changes.get("t_wait_one", 200.0)),
+        )
+        assert (len(sides), len(tables)) == (1, 1)
+        panel = panels[label]
+        assert np.array_equal(panel.result, alone.result), label
+        assert (panel.clipped_cells, panel.clipped_fraction) == (
+            alone.clipped_cells, alone.clipped_fraction), label
+        assert (panel.t_wait_two, panel.t_wait_one) == (alone.t_wait_two, alone.t_wait_one)
 
 
 def test_time_oracle_restricted_to_small_systems(bundled):

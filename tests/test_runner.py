@@ -1,8 +1,10 @@
+import errno
 import json
 import math
 import os
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -121,8 +123,11 @@ CARRIES = [1e-79, 1e-14, 1e98]
 # (9.9999999999999995e-07, ...), yet their log10 rounds to the power
 BELOW_POWERS = [1e-6, 1e-12, 1e24]
 POWERS = [1.0, 10.0, 1e16, 1e17, 1e22, 1e23, 0.1, 1e-4, 1e-5, 1e300, 1e-300]
-RANGE_EDGES = [runner._FAST_MIN, runner._FAST_MAX, 5e-324, 1e-310, 2.2250738585072014e-308,
-               1.7976931348623157e308]
+# the powers of ten either side of the exponents beyond which values are
+# scaled by a power of two, subnormals and the largest double
+SCALE_EDGES = [float(f"1e{k}") for k in (-runner._SCALE_EXP - 1, -runner._SCALE_EXP,
+                                          runner._SCALE_EXP, runner._SCALE_EXP + 1)]
+RANGE_EDGES = SCALE_EDGES + [5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
 
 
 def test_matrix_cell_edge_cases_are_printf_e16():
@@ -136,6 +141,50 @@ def test_matrix_cell_edge_cases_are_printf_e16():
     values += [-v for v in values]
     assert e16_texts(values) == ["%.16e" % v for v in values]
     assert e16_texts([-0.0]) == ["-0.0000000000000000e+00"]
+
+
+def test_digit_path_proves_magnitudes_beyond_the_scaling_edges():
+    """Subnormals and the largest doubles take the digit path, not ``%``."""
+    values = np.array([5e-324, 1e-323, 1e-310, 2.2250738585072014e-308, 3e-300, 7e-282,
+                       1.5e281, 3.7e300, 1.7976931348623157e308])
+    d, e, unproven = runner._e16_digits(values)
+    assert not unproven.any()
+    texts = [f"{k // 10**16}.{k % 10**16:016d}e{x:+03d}" for k, x in zip(d.tolist(), e.tolist())]
+    assert texts == ["%.16e" % v for v in values]
+
+
+# exponents of -100, -99, 99 and 100, either side of their powers of ten
+EXPONENT_EDGES = [math.nextafter(x, toward) for x in (1e-100, 1e-99, 1e99, 1e100)
+                  for toward in (0.0, math.inf)] + [1e-100, 1e-99, 1e99, 1e100]
+# cells that print at one width: non-negative, with two-digit exponents,
+# mixed with ties and values a few ulps above a power of ten, which print
+# at that width too but through ``%``
+NARROW_CELLS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-99, max_value=9.9e99),
+    st.sampled_from(TIES + CARRIES + BELOW_POWERS + [math.nextafter(10.0**k, math.inf)
+                                                     for k in (-99, -5, 0, 7, 98)]),
+)
+ANY_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(EXPONENT_EDGES + [-x for x in EXPONENT_EDGES] + [-0.0, 5e-324, 1e-310]),
+)
+
+
+@given(st.data(), st.integers(1, 5), st.integers(1, 5), st.sampled_from([1, 7, 4096]))
+@settings(max_examples=300, deadline=None)
+def test_matrix_csv_cells_are_printf_e16(data, n_rows, n_cols, block_cells):
+    """Grid rows of one width and of mixed widths, alone or in one block."""
+    grid = np.array([data.draw(st.lists(NARROW_CELLS if narrow else ANY_CELLS,
+                                        min_size=n_cols + 1, max_size=n_cols + 1))
+                     for narrow in data.draw(st.lists(st.booleans(), min_size=n_rows + 1,
+                                                      max_size=n_rows + 1))])
+    with mock.patch.object(runner, "_BLOCK_CELLS", block_cells):
+        text = _matrix_csv(grid[1:, 0], grid[0, 1:], grid[1:, 1:])
+    expected = [[str(n_cols), *("%.16e" % x for x in grid[0, 1:])]]
+    expected += [["%.16e" % x for x in row] for row in grid[1:]]
+    assert text.endswith("\n")
+    assert [line.split(",") for line in text.splitlines()] == expected
 
 
 @pytest.mark.parametrize(
@@ -188,8 +237,7 @@ def test_manifest_contents(tmp_path, dimer_file):
     }
     assert data["warnings"] == []
     assert {t["stage"] for t in data["timings"]} >= {"build-model", "write-artifacts"}
-    for key in ("excitonscope", "python", "numpy", "scipy"):
-        assert key in data["versions"]
+    assert set(data["versions"]) == {"excitonscope", "python", "numpy"}
     assert data["artifacts"] == manifest.artifacts
 
 
@@ -351,6 +399,58 @@ def test_failed_atomic_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path
         runner._atomic_write(str(target), "new \ud800\n")  # a lone surrogate has no UTF-8
     assert [path.name for path in tmp_path.iterdir()] == ["artifact.csv"]
     assert target.read_text() == "old\n"
+
+
+class _OsWith:
+    """``os`` as the runner sees it, with ``write`` replaced."""
+
+    def __init__(self, write):
+        self.write = write
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
+def _large_text() -> str:
+    return "".join("%.16e\n" % (k / 7.0) for k in range(50_000))  # 1.2 MB
+
+
+def test_large_artifact_is_written_whole_through_short_writes(tmp_path, monkeypatch):
+    calls = []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return os.write(fd, data[:65536])  # never more than 64 KiB at once
+
+    monkeypatch.setattr(runner, "os", _OsWith(short_write))
+    target = tmp_path / "artifact.csv"
+    text = _large_text()
+    runner._atomic_write(str(target), text)
+    assert len(text) > 2**20 and len(calls) == -(-len(text) // 65536)
+    assert target.read_bytes() == text.encode("ascii")
+    assert [path.name for path in tmp_path.iterdir()] == ["artifact.csv"]
+
+
+@pytest.mark.parametrize("old", [None, "old\n"])
+def test_failed_write_leaves_no_temporary_and_no_partial_artifact(tmp_path, monkeypatch, old):
+    calls = []
+
+    def failing_write(fd, data):
+        calls.append(len(data))
+        if len(calls) > 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return os.write(fd, data[:65536])
+
+    monkeypatch.setattr(runner, "os", _OsWith(failing_write))
+    target = tmp_path / "artifact.csv"
+    if old is not None:
+        target.write_text(old)
+    with pytest.raises(OSError) as exc:
+        runner._atomic_write(str(target), _large_text())
+    assert exc.value.errno == errno.ENOSPC and len(calls) == 4
+    assert [path.name for path in tmp_path.iterdir()] == ([] if old is None else ["artifact.csv"])
+    if old is not None:
+        assert target.read_text() == old
 
 
 def _prepared(raw):
