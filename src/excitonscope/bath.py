@@ -17,6 +17,7 @@ fixed by the exact Boltzmann factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -127,26 +128,37 @@ class TransportModel:
     """Secular population transport within one manifold.
 
     ``rate_matrix`` K acts as d rho / dt = -K rho (column sums vanish);
-    ``lambdas``, ``chi_right``, ``chi_left`` and ``dpp`` hold its
-    eigendecomposition K chi_R = chi_R diag(lambdas), chi_L K =
-    diag(lambdas) chi_L with dpp = diag(chi_L chi_R); ``depopulation``
-    holds Gamma_a (total outflow) and ``energies`` the state energies.
-    The coherence widths built from these live in
+    ``stationary`` is its detailed-balance stationary distribution,
+    ``depopulation`` holds Gamma_a (total outflow) and ``energies`` the
+    state energies.  ``lambdas``, ``chi_right``, ``chi_left`` and ``dpp``
+    hold the eigendecomposition K chi_R = chi_R diag(lambdas), chi_L K =
+    diag(lambdas) chi_L with dpp = diag(chi_L chi_R), computed on first
+    read: only runs that propagate a manifold's populations or weigh its
+    modes read it.  The coherence widths built from these live in
     :class:`excitonscope.excitation.PoleTable`.
     """
 
     energies: np.ndarray
     rate_matrix: np.ndarray
-    lambdas: np.ndarray
-    chi_right: np.ndarray
-    chi_left: np.ndarray
-    dpp: np.ndarray
+    stationary: np.ndarray
     depopulation: np.ndarray
     pure_dephasing: float = 0.0
 
     @property
     def size(self) -> int:
         return self.energies.size
+
+    @cached_property
+    def _modes(self):
+        lambdas, chi_right, chi_left, dpp = eigendecompose_transport(self.rate_matrix,
+                                                                     self.stationary)
+        lambdas = np.where(np.abs(lambdas) < 1e-13 * max(1.0, np.abs(lambdas).max()), 0.0, lambdas)
+        return lambdas, chi_right, chi_left, dpp
+
+    lambdas = cached_property(lambda self: self._modes[0])
+    chi_right = cached_property(lambda self: self._modes[1])
+    chi_left = cached_property(lambda self: self._modes[2])
+    dpp = cached_property(lambda self: self._modes[3])
 
 
 def eigendecompose_transport(rate_matrix: np.ndarray, stationary: np.ndarray):
@@ -204,16 +216,10 @@ def build_transport_matrix(
 
     shifted = energies - energies.min()
     stationary = np.exp(-beta * shifted)
-    stationary = stationary / stationary.sum()
-    lambdas, chi_right, chi_left, dpp = eigendecompose_transport(k, stationary)
-    lambdas = np.where(np.abs(lambdas) < 1e-13 * max(1.0, np.abs(lambdas).max()), 0.0, lambdas)
     return TransportModel(
         energies=energies,
         rate_matrix=k,
-        lambdas=lambdas,
-        chi_right=chi_right,
-        chi_left=chi_left,
-        dpp=dpp,
+        stationary=stationary / stationary.sum(),
         depopulation=depopulation,
         pure_dephasing=bath.pure_dephasing,
     )

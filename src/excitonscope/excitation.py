@@ -22,6 +22,7 @@ conjugated description of the same real signal as the plain correlator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -287,16 +288,15 @@ def _summed(operands, out):
     where an operand has it.
 
     The operands are contracted pairwise in the greedy order for their
-    shapes per target, so the order does not depend on the number of
-    targets, and every step is a ufunc or a stack of matrix products with
-    the target axis stacked (``_pair_product``): each target's slice of the
-    result is bitwise what that target alone gives.
+    shapes per target (``_contraction_path``), so the order does not
+    depend on the number of targets, and every step is a ufunc or a stack
+    of matrix products with the target axis stacked (``_pair_product``):
+    each target's slice of the result is bitwise what that target alone
+    gives.
     """
-    per_target = [(axes.replace(TARGETS, ""),
-                   tuple(n for c, n in zip(axes, np.shape(a)) if c != TARGETS))
-                  for axes, a in operands]
-    path = _contraction_path(",".join(axes for axes, _ in per_target) + "->" + out,
-                             tuple(shape for _, shape in per_target))
+    path = _contraction_path(
+        tuple(axes.replace(TARGETS, "") for axes, _ in operands), out,
+        tuple(tuple(n for c, n in zip(axes, np.shape(a)) if c != TARGETS) for axes, a in operands))
     operands = list(operands)
     for picked in path:
         taken = [operands[i] for i in picked]
@@ -357,10 +357,62 @@ def _pair_product(a, b, needed):
 
 
 @lru_cache(maxsize=256)
-def _contraction_path(subscripts: str, shapes: tuple) -> list:
-    """The greedy einsum contraction order for operands of these shapes."""
-    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return np.einsum_path(subscripts, *operands, optimize="greedy")[0][1:]
+def _contraction_path(inputs: tuple, out: str, shapes: tuple) -> list:
+    """The order in which ``_summed`` contracts operands on the axes
+    ``inputs`` of these shapes to the axes ``out``: the greedy order of
+    ``np.einsum_path(..., optimize="greedy")``, whose search it repeats
+    without the report that function builds.
+
+    Each step takes the pair that removes the most elements, then the
+    cheaper one, the first found on a tie, among pairs that share an axis
+    (every pair where none does) and whose result is no larger than the
+    largest operand or the output; a pair is found once and kept until one
+    of its operands is taken.  A pair whose cost would take the total past
+    that of the one-step sum is never found, and where no pair is left,
+    one step takes every operand.
+    """
+    sizes = {}
+    for axes, shape in zip(inputs, shapes):
+        for c, n in zip(axes, shape):
+            if sizes.get(c, 1) == 1:
+                sizes[c] = n
+
+    def size(axes):
+        return math.prod(sizes[c] for c in axes)
+
+    sets = [frozenset(axes) for axes in inputs]
+    every, kept_out = frozenset(sizes), frozenset(out)
+    if len(sets) < 3 or every == kept_out:
+        return [tuple(range(len(sets)))]
+    limit = max(size(axes) for axes in inputs + (out,))
+    naive = size(every) * (len(sets) - 1 + bool(every - kept_out))
+
+    def found(pairs, spent):
+        for x, y in pairs:
+            both = sets[x] | sets[y]
+            kept = both & kept_out.union(*(s for i, s in enumerate(sets) if i not in (x, y)))
+            cost = size(both) * (1 + bool(both - kept))
+            if size(kept) <= limit and spent + cost <= naive:
+                yield (size(kept) - size(sets[x]) - size(sets[y]), cost), (x, y), kept
+
+    path, spent = [], 0
+    known = list(found(((x, y) for x, y in itertools.combinations(range(len(sets)), 2)
+                        if not sets[x].isdisjoint(sets[y])), spent))
+    while len(sets) > 1:
+        if not known:
+            known = list(found(itertools.combinations(range(len(sets)), 2), spent))
+            if not known:
+                return path + [tuple(range(len(sets)))]
+        best = min(known, key=lambda k: k[0])
+        bx, by = best[1]
+        known = [(order, (x - (x > bx) - (x > by), y - (y > bx) - (y > by)), kept)
+                 for order, (x, y), kept in known if not {x, y} & {bx, by}]
+        sets = [s for i, s in enumerate(sets) if i not in (bx, by)] + [best[2]]
+        path.append((bx, by))
+        spent += best[0][1]
+        new = len(sets) - 1
+        known += found(((i, new) for i in range(new) if not sets[i].isdisjoint(sets[new])), spent)
+    return path
 
 
 def _pathway(weights, summed, factors, excess, shift=None):
@@ -377,7 +429,7 @@ def _pathway(weights, summed, factors, excess, shift=None):
     on the shift's axes are multiplied into one array first, so that the
     order of the sum over those axes does not depend on their factoring.
     Returns (N_t, N_f) and whether a factor carried them, so that the pair
-    was contracted unsplit.
+    was contracted unsplit.  Each 1 + m is formed once.
     """
     spanning = [f for f in factors if _carries(f, shift)]
     if spanning:
@@ -385,8 +437,10 @@ def _pathway(weights, summed, factors, excess, shift=None):
         pair = math.prod(on_axes(axes, factor) for factor in spanning)
         factors = [f for f in factors if not _carries(f, shift)] + [(axes, pair)]
     total = _contract((weights if spanning else summed) + factors, shift)
+    earlier = []
     for j, (axes, m) in enumerate(excess):
-        earlier = [(own, 1.0 + n) for own, n in excess[:j]]
+        if j:
+            earlier.append((excess[j - 1][0], 1.0 + excess[j - 1][1]))
         total = total + _contract(weights + factors + earlier + [(axes, m)], shift)
     return total, bool(spanning)
 
@@ -402,47 +456,58 @@ def _prepared_partials(system: ExcitonSystem, source, t_fs: float):
     ``_pathway``.  A pole that cancels in a leg's sum x + y appears in both
     of its arguments with opposite signs.  The transport pathways pass
     their mode poles on axis p as the shift.  The weights are cast to
-    complex once here rather than in every product.
+    complex once here, each before its first pathway, rather than in every
+    product.
     """
     if t_fs < 0.0:
         raise ValueError(f"evaluation time must be non-negative, got {t_fs}")
     z, w = system.poles, system.weights
-    w = replace(w, **{name: np.ascontiguousarray(getattr(w, name), dtype=complex)
-                      for name in ("coherent", "fe_squared", "transport", "transport_sum",
-                                   "coherence")})
+
+    def weight(name):
+        return np.ascontiguousarray(getattr(w, name), dtype=complex)
+
+    # Each ``pair`` is let go of only once the next pathway's is built, so
+    # that the memory of its factors, freed, is reused rather than returned
+    # to the system by glibc's heap trimming and faulted in afresh: 600
+    # against 1200 minor faults per bundled two-target block, about 1 ms.
+
     # p1 on axes (f, a, b), the ket through one-exciton state a, the bra b:
     # ket (fg - eg, eg), bra (fe - ff, fg - fe)
-    coherent = [("fa", w.coherent), ("fb", w.coherent)]
-    p1 = _pathway(coherent, coherent, *source.pair_factors(
-        [("f", z.fg), ("a", -z.eg)], [("a", z.eg)],
-        [("fb", z.fe), ("f", -z.ff)], [("f", z.fg), ("fb", -z.fe)]))
+    coherent = weight("coherent")
+    coherent = [("fa", coherent), ("fb", coherent)]
+    pair = source.pair_factors([("f", z.fg), ("a", -z.eg)], [("a", z.eg)],
+                               [("fb", z.fe), ("f", -z.ff)], [("f", z.fg), ("fb", -z.fe)])
+    p1 = _pathway(coherent, coherent, *pair)
 
     # transport pathways on axes (f, e, u, p): the middle interval is a
     # one-exciton population summed over eigenmodes p, with the fourth
     # interaction on the ket (p2) or the bra (p4) side
-    transport = [("fu", w.fe_squared), ("eup", w.transport)]
-    summed = [("fu", w.fe_squared), ("eu", w.transport_sum)]
+    fe_squared = weight("fe_squared")
+    transport = [("fu", fe_squared), ("eup", weight("transport"))]
+    summed = [("fu", fe_squared), ("eu", weight("transport_sum"))]
     eg, zp, minus_zp = ("e", z.eg), ("p", z.modes), ("p", -z.modes)
     # p2: ket (fe - zp, eg), bra (fe - ff, eg - zp)
-    p2 = _pathway(transport, summed, *source.pair_factors(
-        [("fu", z.fe), minus_zp], [eg], [("fu", z.fe - z.ff[:, None])], [eg, minus_zp], shift="p"),
-        shift="p")
+    pair = source.pair_factors([("fu", z.fe), minus_zp], [eg], [("fu", z.fe - z.ff[:, None])],
+                               [eg, minus_zp], shift="p")
+    p2 = _pathway(transport, summed, *pair, shift="p")
     # p4: ket (ff - ef, eg), bra (zp - ef, eg - zp)
-    p4 = _pathway(transport, summed, *source.pair_factors(
-        [("fu", z.ff[:, None] - z.ef)], [eg], [zp, ("fu", -z.ef)], [eg, minus_zp], shift="p"),
-        shift="p")
+    pair = source.pair_factors([("fu", z.ff[:, None] - z.ef)], [eg], [zp, ("fu", -z.ef)],
+                               [eg, minus_zp], shift="p")
+    p4 = _pathway(transport, summed, *pair, shift="p")
 
     # coherence pathways on axes (f, a, b): the middle interval is an
     # off-diagonal one-exciton coherence a-b, again with ket- and bra-sided
     # completion
-    coherence = [("fab", w.coherence)]
+    coherence = [("fab", weight("coherence"))]
     eg, ee, minus_ee = ("a", z.eg), ("ab", z.ee), ("ab", -z.ee)
     # p3: ket (fe - ee, eg), bra (fe - ff, eg - ee)
-    p3 = _pathway(coherence, coherence, *source.pair_factors(
-        [("fb", z.fe), minus_ee], [eg], [("fb", z.fe - z.ff[:, None])], [eg, minus_ee]))
+    pair = source.pair_factors([("fb", z.fe), minus_ee], [eg], [("fb", z.fe - z.ff[:, None])],
+                               [eg, minus_ee])
+    p3 = _pathway(coherence, coherence, *pair)
     # p5: ket (ff - ef, eg), bra (ee - ef, eg - ee)
-    p5 = _pathway(coherence, coherence, *source.pair_factors(
-        [("fa", z.ff[:, None] - z.ef)], [eg], [ee, ("fa", -z.ef)], [eg, minus_ee]))
+    pair = source.pair_factors([("fa", z.ff[:, None] - z.ef)], [eg], [ee, ("fa", -z.ef)],
+                               [eg, minus_ee])
+    p5 = _pathway(coherence, coherence, *pair)
 
     pathways = {"p1": p1, "p2": p2, "p3": p3, "p4": p4, "p5": p5}
     partials = np.stack(np.broadcast_arrays(*(total for total, _ in pathways.values())), axis=1)
@@ -598,8 +663,9 @@ def scan_targets(
 
     workers = min(threads, len(blocks))
     if workers > 1:
-        # cached_property has no lock from Python 3.12 on, so the tables are
-        # built here, before two workers can each build them
+        # cached_property has no lock from Python 3.12 on, so the tables, and
+        # the one-exciton transport modes they read, are built here, before
+        # two workers can each build them
         system.poles, system.weights
         # imported here: concurrent.futures and the logging it loads cost
         # every start about 4 ms, and only a threaded scan needs them

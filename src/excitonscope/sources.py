@@ -86,6 +86,7 @@ target's slice of every factor is bitwise what its own source gives.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,7 @@ def _expm1_ratio(w):
 
 def _expm1_ratio_taylor(w, orders):
     """The Taylor coefficients a_n = g^(n)(w) / n!, n = 0 .. ``orders``, of
-    g = ``_expm1_ratio`` at w.
+    g = ``_expm1_ratio`` at w, stacked on a leading axis.
 
     From g^(n)(w) = int_0^1 tau^n e^{w tau} dtau, w a_n = e^w / n! - a_{n-1}.
     Where |w| >= 1 the recurrence runs upward from a_0 = g(w); inside, it
@@ -131,13 +132,17 @@ def _expm1_ratio_taylor(w, orders):
     shrinking the seed's error by |w|.
     """
     w = np.asarray(w, dtype=complex)
-    coefficients = [np.asarray(_expm1_ratio(w))] + [np.empty_like(w) for _ in range(orders)]
+    coefficients = np.empty((orders + 1,) + w.shape, dtype=complex)
+    coefficients[0] = _expm1_ratio(w)
+    if not orders:
+        return coefficients
     inside = np.abs(w) < 1.0
+    outside = ~inside
     exp_w = np.exp(w)
-    up, exp_up, a = w[~inside], exp_w[~inside], coefficients[0][~inside]
+    up, exp_up, a = w[outside], exp_w[outside], coefficients[0][outside]
     for n in range(1, orders + 1):
         a = (exp_up / math.factorial(n) - a) / up
-        coefficients[n][~inside] = a
+        coefficients[n][outside] = a
     down, exp_down, a = w[inside], exp_w[inside], np.zeros_like(w[inside])
     for n in range(orders + _TAYLOR_SEED_ORDERS, 0, -1):
         if n <= orders:
@@ -231,11 +236,11 @@ def _on_targets(value):
 
 
 def _merged(terms):
-    """The terms with equal axis sets summed, and those that cancel to zero dropped."""
+    """The terms with equal axis sets summed, and the sums that cancel to zero dropped."""
     by_axes = {}
-    for own, array in terms:
-        _accumulate(by_axes, own, np.asarray(array))
-    return [(axes, total) for axes, total in by_axes.values() if total.any()]
+    counts = Counter(_accumulate(by_axes, own, np.asarray(array)) for own, array in terms)
+    return [(axes, total) for key, (axes, total) in by_axes.items()
+            if counts[key] == 1 or total.any()]
 
 
 def _split(terms, shift):
@@ -245,16 +250,22 @@ def _split(terms, shift):
             _merged([term for term in terms if term[0] == shift]))
 
 
-def _accumulate(groups, axes, array, combine=np.add):
+def _accumulate(groups, axes, array, combine=np.add, fresh=False):
     """Combines a labelled array into the entry of ``groups`` with its axis
-    set less the target axis, which the combination carries if either does."""
+    set less the target axis, which the combination carries if either does.
+    Returns the key.  A ``fresh`` array, one nothing else holds, takes the
+    sum in place where it spans the combination's axes."""
     key = frozenset(axes) - {TARGETS}
-    if key in groups:
-        own, total = groups[key]
-        union = _union(own, axes)
-        groups[key] = (union, combine(on_axes(union, (own, total)), on_axes(union, (axes, array))))
-    else:
+    if key not in groups:
         groups[key] = (axes, array)
+        return key
+    own, total = groups[key]
+    union = _union(own, axes)
+    if fresh and union == axes:  # addition commutes bitwise
+        groups[key] = (axes, np.add(on_axes(axes, (own, total)), array, out=array))
+    else:
+        groups[key] = (union, combine(on_axes(union, (own, total)), on_axes(union, (axes, array))))
+    return key
 
 
 def _excess_product(a, b):
@@ -275,7 +286,7 @@ def _detuning(terms, center):
     the terms rounds only their small remainders.  Where ``center`` lies on
     the target axis, the smallest term is the one that takes that axis.
     """
-    means = [np.round(np.mean(t.real)) for _, t in terms]
+    means = [np.round(t.real.sum() / t.size) for _, t in terms]
     centred = [(own, t - mean) for (own, t), mean in zip(terms, means)] or [("", 0j)]
     smallest = min(range(len(centred)), key=lambda i: _cells(centred[i]))
     c_axes, c = center
@@ -332,16 +343,16 @@ def _gaussian_factors(arguments, shift, center, gamma, constant):
     for terms in arguments:
         exponent, changes = _gaussian(terms, shift, center, kappa)
         grown = dict(growth)
-        for axes, change in changes:
-            _accumulate(grown, axes, change)
-        if any(e.real.max() > high or e.real.min() < low for _, e in grown.values()):
+        changed = {_accumulate(grown, axes, change, fresh=True) for axes, change in changes}
+        if any(grown[key][1].real.max() > high or grown[key][1].real.min() < low
+               for key in changed):
             exponent, _ = _gaussian(terms, None, center, kappa)
         else:
             growth = grown
-        _accumulate(exponents, *exponent)
+        _accumulate(exponents, *exponent, fresh=True)
     factors = [(axes, np.exp(e, out=e)) for axes, e in exponents.values()]
     factors[0][1][...] *= constant
-    return factors, [(axes, np.expm1(e)) for axes, e in growth.values()]
+    return factors, [(axes, np.expm1(e, out=e)) for axes, e in growth.values()]
 
 
 @dataclass(frozen=True)
@@ -391,11 +402,12 @@ class EppSource:
         return gaussian_amplitude(omega, self.pump_center, self.pump_gamma, self.e0)
 
     def _matching(self, wa, wb, sign, references, orders=0):
-        """[sum_r g(w_r), its Taylor coefficients to ``orders``] for
-        g = ``_expm1_ratio`` and w_r = 2 i sign phi_r at the photon
-        frequencies wa and wb, one per reference (a lone one counts twice).
-        sign = +1 gives F's phase matching, -1 its conjugate leg.  w_r is
-        built per photon frequency, and a zero group delay adds no term."""
+        """sum_r g(w_r) and its Taylor coefficients to ``orders``, stacked on
+        a leading axis, for g = ``_expm1_ratio`` and w_r = 2 i sign phi_r at
+        the photon frequencies wa and wb, one per reference (a lone one
+        counts twice).  sign = +1 gives F's phase matching, -1 its conjugate
+        leg.  w_r is built per photon frequency, and a zero group delay adds
+        no term; the branches are evaluated as one array."""
         k = sign * 1j * units.TWO_PI_C
         branches = []
         for reference in references:
@@ -404,9 +416,13 @@ class EppSource:
                 w = (k * self.t1) * (wa - reference)
             if self.t2:
                 w = w + (k * self.t2) * (wb - reference)
-            branches.append(_expm1_ratio_taylor(w, orders) if orders else [_expm1_ratio(w)])
-        doubled = 2.0 / len(references)
-        return [sum(terms) * doubled for terms in zip(*branches)]
+            branches.append(w)
+        coefficients = _expm1_ratio_taylor(np.stack(np.broadcast_arrays(*branches)), orders)
+        total = 0 + coefficients[:, 0]
+        for r in range(1, len(references)):
+            total = total + coefficients[:, r]
+        total *= 2.0 / len(references)
+        return total
 
     def _references(self):
         """The phase-matching reference frequencies, one of them when they
@@ -460,24 +476,30 @@ class EppSource:
         for axes, m in pump_excess:
             _accumulate(excess, axes, m, _excess_product)
         for x, y, sign in legs:
-            (wa, sa), (wb, sb) = _split(x, shift), _split(y, shift)
+            # a photon frequency enters only through a nonzero group delay
+            photons = ((self.t1, x), (self.t2, y))
+            split = [_split(terms, shift) if delay else ([], []) for delay, terms in photons]
             # the shifts change every branch's 2 i sign phi by one delta
             d_axes, d = labelled_sum([(axes, (sign * 1j * units.TWO_PI_C * delay) * s)
-                                      for delay, shifts in ((self.t1, sa), (self.t2, sb)) if delay
+                                      for (delay, _), (_, shifts) in zip(photons, split)
                                       for axes, s in shifts])
             orders = _taylor_orders(float(np.abs(d).max()))
             if orders is None:  # taken whole, on the shifted frequencies
-                (wa, _), (wb, _), orders = _split(x, None), _split(y, None), 0
-            wa, wb = (labelled_sum(terms if delay else [])
-                      for delay, terms in ((self.t1, wa), (self.t2, wb)))
+                split = [_split(terms, None) if delay else ([], []) for delay, terms in photons]
+                orders = 0
+            wa, wb = (labelled_sum(base) for base, _ in split)
             axes, shape = _grid([wa, wb, *references])
-            m, *taylor = self._matching(on_axes(axes, wa), on_axes(axes, wb), sign,
-                                        [on_axes(axes, r) for r in references], orders)
-            _accumulate(matching, axes, np.broadcast_to(m, shape), np.multiply)
+            coefficients = self._matching(on_axes(axes, wa), on_axes(axes, wb), sign,
+                                          [on_axes(axes, r) for r in references], orders)
+            # a copy where the Taylor coefficients follow, so that the factor
+            # does not hold them
+            m = coefficients[0].copy() if orders else coefficients[0]
+            _accumulate(matching, axes, m if m.shape == shape else np.broadcast_to(m, shape),
+                        np.multiply)
             if orders:
                 # the excess sum_n (c_n / m) delta^n, one matrix product per target
                 powers = np.cumprod(np.broadcast_to(d, (orders,) + d.shape), axis=0)
-                ratios = np.stack([c / m for c in taylor], axis=-1)
+                ratios = np.moveaxis(coefficients[1:] / m, 0, -1)
                 lead = ratios.shape[:1] if axes.startswith(TARGETS) else ()
                 change = np.matmul(ratios.reshape(lead + (-1, orders)), powers.reshape(orders, -1))
                 _accumulate(excess, axes + d_axes, change.reshape(shape + d.shape), _excess_product)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,15 @@ class RecordingSource:
         self.factors.append([(axes, np.shape(array)) for axes, array in factors])
         self.excess.append([(axes, np.shape(array)) for axes, array in excess])
         return factors, excess
+
+
+def with_mode_rates(system, rates):
+    """``system`` with its one-exciton transport mode rates lambda_p scaled
+    by ``rates``: a copy of its transport model whose ``lambdas`` are set
+    before their first read, in place of the decomposition's."""
+    one = replace(system.transport_one)
+    object.__setattr__(one, "lambdas", system.transport_one.lambdas * rates)
+    return replace(system, transport_one=one)
 
 
 def engine_sources(system):
@@ -227,14 +237,13 @@ def test_guard_falls_back_to_the_unfactored_pair(trimer_system):
     # excess, their matching comes back whole, on (e, p).  p1 is recorded
     # first, then p2, p4, p3 and p5; the run record names the pathways
     # contracted unsplit.
-    one = trimer_system.transport_one
     grid = {"f": trimer_system.n_two, "e": trimer_system.n_one, "u": trimer_system.n_one,
             "p": trimer_system.poles.modes.size}
     ep = {"e": grid["e"], "p": grid["p"]}
     cases = [(1e4, 2.0e3, [[], [grid], [], [], []], [["ep"], ["ep"]], ["p2"]),
              (1e5, 10.0, [[], [ep], [ep], [], []], [["fup", "ep"], []], ["p2", "p4"])]
     for rates, tau_pump, whole, excess, unsplit in cases:
-        system = replace(trimer_system, transport_one=replace(one, lambdas=one.lambdas * rates))
+        system = with_mode_rates(trimer_system, rates)
         source = replace(engine_sources(system)[0], tau_pump=tau_pump)
         recorder = RecordingSource(source)
         result = prepare_closed_form(system, recorder)
@@ -284,6 +293,62 @@ def test_transport_pathways_match_extended_precision(system_name, request):
         assert np.all(error[0] <= 1e-12 * np.abs(exact[0]).astype(float)), source
 
 
+@pytest.mark.parametrize("system_name", ["dimer_system", "trimer_system", "bundled"])
+@pytest.mark.parametrize("t1", [0.0, 3.0])
+def test_contraction_order_is_the_greedy_einsum_path(system_name, t1, request, monkeypatch):
+    # every order a preparation asks for, for one target and for a block of
+    # three, is np.einsum_path's greedy one, which the engine no longer calls
+    system = request.getfixturevalue(system_name)
+    original = excitation._contraction_path
+    asked = set()
+    monkeypatch.setattr(excitation, "_contraction_path",
+                        lambda *key: asked.add(key) or original(*key))
+    template = dimer_source(system, t1=t1, t2=t1 + 10.0)
+    prepare_closed_form(system, template)
+    block = scan_source(template, system.eig.energies_f[:3], "degenerate")
+    excitation._prepared_partials(system, block, 0.0)
+    assert asked
+    for inputs, out, shapes in asked:
+        operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+        greedy = np.einsum_path(",".join(inputs) + "->" + out, *operands, optimize="greedy")
+        assert original.__wrapped__(inputs, out, shapes) == greedy[0][1:], (inputs, out, shapes)
+
+
+def test_contraction_order_matches_einsum_path_off_the_engine_shapes():
+    # operand sets the engine never forms: outer products, the memory
+    # limit, single operands and pairs, sizes of 1 on some axes
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        inputs = tuple("".join(rng.choice(list("abcdef"), rng.integers(0, 4), replace=False))
+                       for _ in range(rng.integers(1, 6)))
+        out = "".join(c for c in sorted(set("".join(inputs))) if rng.random() < 0.3)
+        sizes = {c: int(rng.choice([1, 2, 3, 5, 14])) for c in "abcdef"}
+        shapes = tuple(tuple(sizes[c] for c in axes) for axes in inputs)
+        operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+        greedy = np.einsum_path(",".join(inputs) + "->" + out, *operands, optimize="greedy")
+        assert excitation._contraction_path.__wrapped__(inputs, out, shapes) == greedy[0][1:]
+
+
+# Traced peak of one default bundled preparation: 1.91 MB, 5.8 complex
+# (f, e, u) arrays of 329 KB, where it was 2.21 MB before the pump exponents
+# of a leg's two halves were summed in place, the growth of a Gaussian's
+# excess too, and the coherence weights were cast only for their pathways.
+# The bound leaves 10% for allocation differences between numpy versions.
+PREPARATION_PEAK_BYTES = 2.1e6
+
+
+def test_preparation_peak_memory(bundled):
+    source = resolve_source(from_dict({"scenario": "excite"}), bundled)
+    prepare_closed_form(bundled, source)
+    tracemalloc.start()
+    try:
+        prepare_closed_form(bundled, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PREPARATION_PEAK_BYTES
+
+
 def test_diagnostics_report_pathway_cancellation(trimer_system):
     for source in engine_sources(trimer_system):
         result = prepare_closed_form(trimer_system, source, t_fs=40.0)
@@ -319,15 +384,18 @@ def test_tables_are_built_once_per_system(monkeypatch):
 
 
 def test_scan_pool_starts_with_the_tables_built(monkeypatch):
-    # cached_property has no lock from Python 3.12 on, so a table first
-    # touched by two workers may be built twice; the workers evaluate
-    # blocks of targets, one target each under a one-byte budget
+    # cached_property has no lock from Python 3.12 on, so a table or the
+    # transport modes it reads, first touched by two workers, may be built
+    # twice; the workers evaluate blocks of targets, one target each under
+    # a one-byte budget
     system = ExcitonSystem.build(make_dimer(), dimer_bath())
     seen = []
     original = excitation._prepared_partials
 
     def recording(system, *args, **kwargs):
-        seen.append({"poles", "weights"} <= system.__dict__.keys())
+        seen.append({"poles", "weights"} <= system.__dict__.keys()
+                    and {"lambdas", "chi_right", "chi_left", "dpp"}
+                    <= system.transport_one.__dict__.keys())
         return original(system, *args, **kwargs)
 
     monkeypatch.setattr(excitation, "BLOCK_BYTES", 1)
@@ -391,8 +459,7 @@ def test_scan_records_the_pathways_contracted_unsplit(trimer_system, bundled, mo
     # targets into blocks records both
     default = resolve_source(from_dict({"scenario": "excite-scan"}), bundled)
     assert scan_targets(bundled, default).unsplit_pathways == []
-    one = trimer_system.transport_one
-    system = replace(trimer_system, transport_one=replace(one, lambdas=one.lambdas * 1e5))
+    system = with_mode_rates(trimer_system, 1e5)
     template = replace(engine_sources(system)[0], tau_pump=10.0)
     for per_block in (1, system.n_two):
         _block_budget(monkeypatch, system, template, "degenerate", per_block)

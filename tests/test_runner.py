@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excitonscope import PreparationResult, coincidence, excitation, propagators, runner, sources
+from excitonscope import PreparationResult, bath, coincidence, excitation, propagators, runner, sources
 from excitonscope.config import SCENARIOS, ConfigError, from_dict
 from excitonscope.runner import (
     NEGATIVE_MASS_WARN_RATIO,
@@ -218,6 +218,26 @@ def test_scenario_artifact_inventory(tmp_path, dimer_file, scenario, expected):
     assert set(manifest.artifacts) == expected
     # no leftover temp files from the atomic writes
     assert not [n for n in on_disk if n.startswith(".tmp-")]
+
+
+# transport eigendecompositions a run builds: one per manifold whose
+# populations or modes it reads, none for a run that reads neither
+DECOMPOSED = {"model-info": 0, "jsa": 0, "excite": 1, "excite-scan": 1, "propagate": 2,
+              "coincidence": 2, "panel-study": 2}
+
+
+def test_runs_decompose_only_the_manifolds_they_read(tmp_path, dimer_file, monkeypatch):
+    # a preparation reads the one-exciton transport modes; propagation and
+    # detection read the two-exciton decomposition too
+    assert set(DECOMPOSED) == set(SCENARIOS)
+    calls = []
+    original = bath.eigendecompose_transport
+    monkeypatch.setattr(bath, "eigendecompose_transport",
+                        lambda *args: calls.append(args) or original(*args))
+    for scenario, count in DECOMPOSED.items():
+        calls.clear()
+        run_into(tmp_path, dimer_file, scenario, subdir=scenario)
+        assert len(calls) == count, scenario
 
 
 def test_manifest_contents(tmp_path, dimer_file):
