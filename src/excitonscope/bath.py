@@ -108,12 +108,12 @@ def site_occupations(eig: ExcitonEigensystem, manifold: str) -> np.ndarray:
         return eig.t1**2
     if manifold != "two":
         raise ValueError(f"unknown manifold {manifold!r}")
-    occ = np.zeros((eig.n_two, eig.pairs.n_sites))
-    # both sites of pair p in turn (a_0, b_0, a_1, b_1, ...), so every
-    # occupation accumulates its terms in pair order
+    # both sites of pair p in turn (a_0, b_0, a_1, b_1, ...); every site
+    # lies in n + 1 of them, whose terms each occupation sums one after the
+    # other in pair order
     sites = np.stack([eig.pairs.first_site, eig.pairs.second_site], axis=1).ravel()
-    np.add.at(occ, (slice(None), sites), np.repeat(eig.t2**2, 2, axis=1))
-    return occ
+    in_order = np.argsort(sites, kind="stable").reshape(eig.pairs.n_sites, -1)
+    return np.cumsum(np.repeat(eig.t2**2, 2, axis=1)[:, in_order], axis=2)[:, :, -1]
 
 
 def overlap_matrix(eig: ExcitonEigensystem, spec: AggregateSpec, manifold: str) -> np.ndarray:

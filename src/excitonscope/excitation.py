@@ -243,7 +243,8 @@ class PathwayWeights:
             coherent=wk,
             fe_squared=d2 * d2,
             transport=transport,
-            transport_sum=np.array([[math.fsum(terms) for terms in row] for row in transport]),
+            transport_sum=np.array([[math.fsum(terms) for terms in row]
+                                    for row in transport.tolist()]),
             coherence=wk[:, :, None] * wk[:, None, :] * off[None, :, :],
         )
 

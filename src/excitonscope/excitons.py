@@ -72,7 +72,7 @@ def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix contains non-finite entries")
-    if not np.allclose(h, h.T, rtol=0.0, atol=1e-9 * max(1.0, float(np.abs(h).max()))):
+    if not np.all(np.abs(h - h.T) <= 1e-9 * max(1.0, float(np.abs(h).max()))):
         raise ValueError("matrix must be symmetric")
     values, vectors = np.linalg.eigh(h)
     # the first entry above the tolerance of each column is made positive;

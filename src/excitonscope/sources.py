@@ -86,7 +86,6 @@ target's slice of every factor is bitwise what its own source gives.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +97,8 @@ _SINC_SERIES_RADIUS = 1e-4
 # and ``_taylor_orders`` takes at most this many orders.
 _TAYLOR_SEED_ORDERS = 20
 _TAYLOR_MAX_ORDERS = 14
+_FACTORIALS = np.array([float(math.factorial(n))
+                        for n in range(_TAYLOR_MAX_ORDERS + _TAYLOR_SEED_ORDERS + 1)])
 # Range of the real part of an excess exponent E (``_gaussian_factors``).
 # Above it a factor exp(E) could overflow against the others, which it
 # compensates within e^50 at a cost of about 50 eps of their product's
@@ -138,16 +139,19 @@ def _expm1_ratio_taylor(w, orders):
         return coefficients
     inside = np.abs(w) < 1.0
     outside = ~inside
-    exp_w = np.exp(w)
-    up, exp_up, a = w[outside], exp_w[outside], coefficients[0][outside]
+    seed = orders + _TAYLOR_SEED_ORDERS
+    # e^w / n!, n = 0 .. seed, on a leading axis
+    exp_w = np.exp(w[None]) / _FACTORIALS[:seed + 1].reshape((-1,) + (1,) * w.ndim)
+    up, exp_up, a = w[outside], exp_w[:, outside], coefficients[0][outside]
     for n in range(1, orders + 1):
-        a = (exp_up / math.factorial(n) - a) / up
+        a = (exp_up[n] - a) / up
         coefficients[n][outside] = a
-    down, exp_down, a = w[inside], exp_w[inside], np.zeros_like(w[inside])
-    for n in range(orders + _TAYLOR_SEED_ORDERS, 0, -1):
-        if n <= orders:
-            coefficients[n][inside] = a
-        a = exp_down / math.factorial(n) - down * a
+    down, exp_down, a = w[inside], exp_w[:, inside], np.zeros_like(w[inside])
+    for n in range(seed, orders, -1):
+        a = exp_down[n] - down * a
+    for n in range(orders, 0, -1):
+        coefficients[n][inside] = a
+        a = exp_down[n] - down * a
     return coefficients
 
 
@@ -237,8 +241,10 @@ def _on_targets(value):
 
 def _merged(terms):
     """The terms with equal axis sets summed, and the sums that cancel to zero dropped."""
-    by_axes = {}
-    counts = Counter(_accumulate(by_axes, own, np.asarray(array)) for own, array in terms)
+    by_axes, counts = {}, {}
+    for own, array in terms:
+        key = _accumulate(by_axes, own, np.asarray(array))
+        counts[key] = counts.get(key, 0) + 1
     return [(axes, total) for key, (axes, total) in by_axes.items()
             if counts[key] == 1 or total.any()]
 
