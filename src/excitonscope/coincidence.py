@@ -219,9 +219,7 @@ def _emission_side(system, tables, rho, filter_fe, omega_fe, t_wait_two):
     # all f' emitters feeding each shared e, both branches summed in
     # closed form.  One e at a time keeps each temporary a real
     # (f', omega) array, 105 KB on the bundled model, which stays in L2
-    # cache.  (It is still faulted in afresh: glibc trims the top of the
-    # heap between maps, about 100 minor faults per bundled map here and
-    # 80 in ``_fill``.)  The same arithmetic on (f', e, omega) at once is
+    # cache.  The same arithmetic on (f', e, omega) at once is
     # memory-bound: 6.8 against 2.3 ms for this side of a bundled map
     # (2-vCPU x86-64 host, BLAS at 1 thread).
     weight = populations_f[:, None] * dd_fe

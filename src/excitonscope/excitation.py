@@ -33,7 +33,8 @@ from . import units
 from .aggregate import AggregateSpec
 from .bath import BathSpec, TransportModel, build_transport_matrix
 from .excitons import ExcitonEigensystem, TransitionDipoles, compute_transition_dipoles
-from .sources import _TAYLOR_MAX_ORDERS, TARGETS, EppSource, _cells, _grid, _union, on_axes
+from .sources import (_TAYLOR_MAX_ORDERS, TARGETS, EppSource, _cells, _grid, _per_target,
+                      _union, on_axes)
 
 DEFAULT_POLARIZATION = (1.0, 1.0, 1.0)
 # Widths below the trigger are raised to the floor value (cm^-1), so every
@@ -295,9 +296,8 @@ def _summed(operands, out):
     each target's slice of the result is bitwise what that target alone
     gives.
     """
-    path = _contraction_path(
-        tuple(axes.replace(TARGETS, "") for axes, _ in operands), out,
-        tuple(tuple(n for c, n in zip(axes, np.shape(a)) if c != TARGETS) for axes, a in operands))
+    inputs, shapes = zip(*map(_per_target, operands))
+    path = _contraction_path(inputs, out, shapes)
     operands = list(operands)
     for picked in path:
         taken = [operands[i] for i in picked]
@@ -469,8 +469,8 @@ def _prepared_partials(system: ExcitonSystem, source, t_fs: float):
 
     # Each ``pair`` is let go of only once the next pathway's is built, so
     # that the memory of its factors, freed, is reused rather than returned
-    # to the system by glibc's heap trimming and faulted in afresh: 600
-    # against 1200 minor faults per bundled two-target block, about 1 ms.
+    # to the system by glibc's heap trimming and faulted in afresh: 530
+    # against 1190 minor faults per bundled two-target block, about 1 ms.
 
     # p1 on axes (f, a, b), the ket through one-exciton state a, the bra b:
     # ket (fg - eg, eg), bra (fe - ff, fg - fe)

@@ -329,11 +329,12 @@ def test_contraction_order_matches_einsum_path_off_the_engine_shapes():
         assert excitation._contraction_path.__wrapped__(inputs, out, shapes) == greedy[0][1:]
 
 
-# Traced peak of one default bundled preparation: 1.91 MB, 5.8 complex
-# (f, e, u) arrays of 329 KB, where it was 2.21 MB before the pump exponents
-# of a leg's two halves were summed in place, the growth of a Gaussian's
-# excess too, and the coherence weights were cast only for their pathways.
-# The bound leaves 10% for allocation differences between numpy versions.
+# Traced peak of one default bundled preparation: 1.88 MB, 5.7 complex
+# (f, e, u) arrays of 329 KB, where it was 2.21 MB while the two legs' pump
+# exponents and a Gaussian's excess growth were summed into new arrays, the
+# coherence weights were cast before the first pathway and the last
+# addition of a labelled sum took numpy's broadcasting buffers.  The bound
+# leaves 12% for allocation differences between numpy versions.
 PREPARATION_PEAK_BYTES = 2.1e6
 
 
