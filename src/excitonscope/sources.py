@@ -232,9 +232,11 @@ def labelled_sum(terms):
     adds in place to the sum so far spread over the full shape, which
     numpy runs up to four times faster than one binary operation whose
     operands it must both broadcast."""
-    axes, shape = _grid(terms)
-    *smaller, largest = sorted(terms, key=_cells) or [("", 0.0)]
     total = np.zeros((), dtype=complex)
+    if not terms:
+        return "", total
+    axes, shape = _grid(terms)
+    *smaller, largest = sorted(terms, key=_cells)
     for term in smaller:
         total = total + on_axes(axes, term)
     out = np.empty(shape, dtype=complex)
@@ -361,8 +363,9 @@ def _gaussian_factors(arguments, shift, center, gamma, constant):
     exponents, growth = {}, {}
     for terms in arguments:
         exponent, changes = _gaussian(terms, shift, center, kappa)
-        grown = dict(growth)
-        changed = {_accumulate(grown, axes, change, fresh=True) for axes, change in changes}
+        grown, changed = dict(growth), set()
+        for axes, change in changes:
+            changed.add(_accumulate(grown, axes, change, fresh=True))
         if any(grown[key][1].real.max() > high or grown[key][1].real.min() < low
                for key in changed):
             exponent, _ = _gaussian(terms, None, center, kappa)
