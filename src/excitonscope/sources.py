@@ -517,8 +517,7 @@ class EppSource:
             # a copy where the Taylor coefficients follow, so that the factor
             # does not hold them
             m = coefficients[0].copy() if orders else coefficients[0]
-            _accumulate(matching, axes, m if m.shape == shape else np.broadcast_to(m, shape),
-                        np.multiply)
+            _accumulate(matching, axes, np.broadcast_to(m, shape), np.multiply)
             if orders:
                 # the excess sum_n (c_n / m) delta^n, one matrix product per target
                 powers = np.cumprod(np.broadcast_to(d, (orders,) + d.shape), axis=0)
