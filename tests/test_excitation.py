@@ -334,8 +334,9 @@ def test_contraction_order_matches_einsum_path_off_the_engine_shapes():
 # exponents and a Gaussian's excess growth were summed into new arrays, the
 # coherence weights were cast before the first pathway and the last
 # addition of a labelled sum took numpy's broadcasting buffers.  The bound
-# leaves 12% for allocation differences between numpy versions.
-PREPARATION_PEAK_BYTES = 2.1e6
+# leaves room for less than one more grid, and so for numpy versions whose
+# broadcasting buffers (256 KB) differ.
+PREPARATION_PEAK_BYTES = 2.2e6
 
 
 def test_preparation_peak_memory(bundled):
