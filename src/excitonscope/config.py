@@ -10,7 +10,7 @@ scenario        model-info | jsa | excite | excite-scan | propagate
                 | coincidence | panel-study
 aggregate       "bundled" (packaged 14-site model) or a JSON file path,
                 resolved relative to the config file
-polarization    three numbers
+polarization    three numbers, not all zero
 bath            lambda0, gamma0, pure_dephasing (cm^-1), temperature (K),
                 brownian_modes [[lambda, omega, gamma], ...]
 source          entangled mode: omega1, omega2, pump_center (cm^-1 or "auto":
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -78,7 +79,14 @@ class _Rule(NamedTuple):
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float: ``json.load`` reads NaN and +-Infinity as
+    floats, and integers of any size."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def _is_int(x) -> bool:
@@ -176,8 +184,8 @@ def _times_message(v) -> str:
 # each time names one column of the propagate table, so names must not collide
 _SNAPSHOT_TIMES = _Rule(lambda v: _times(v) and len(set(map(snapshot_label, v))) == len(v),
                         _times_message, _floats)
-_VECTOR = _Rule(lambda v: _is_list(v) and len(v) == 3 and all(map(_is_num, v)),
-                "must be a list of three numbers", _floats)
+_VECTOR = _Rule(lambda v: _is_list(v) and len(v) == 3 and all(map(_is_num, v)) and any(v),
+                "must be a list of three numbers, not all zero", _floats)
 _NAME = _Rule(lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
 # BathSpec lives in bath.py; its rules are listed here, in serialization order
 _BATH = {

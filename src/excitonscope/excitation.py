@@ -289,24 +289,20 @@ def _summed(operands, out):
     and not the target axis, labelled by ``out``, the target axis first
     where an operand has it.
 
-    The operands are contracted pairwise in the greedy order for their
-    shapes per target (``_contraction_path``), so the order does not
+    The operands are contracted two at a time in the greedy order for
+    their shapes per target (``_contraction_path``), each pair summed over
+    the axes that ``out`` and the operands left lack; the order does not
     depend on the number of targets, and every step is a ufunc or a stack
     of matrix products with the target axis stacked (``_pair_product``):
     each target's slice of the result is bitwise what that target alone
     gives.
     """
     inputs, shapes = zip(*map(_per_target, operands))
-    path = _contraction_path(inputs, out, shapes)
     operands = list(operands)
-    for picked in path:
-        taken = [operands[i] for i in picked]
-        operands = [op for i, op in enumerate(operands) if i not in picked]
-        needed = set("".join(axes for axes, _ in operands) + out)
-        result = _reduced(taken[0], needed | set("".join(axes for axes, _ in taken[1:])))
-        for other in taken[1:]:
-            result = _pair_product(result, other, needed)
-        operands.append(result)
+    for x, y in _contraction_path(inputs, out, shapes):
+        a, b = operands[x], operands[y]
+        operands = [op for i, op in enumerate(operands) if i not in (x, y)]
+        operands.append(_pair_product(a, b, set("".join(axes for axes, _ in operands) + out)))
     (axes, total), = operands
     return axes, total
 
@@ -359,60 +355,31 @@ def _pair_product(a, b, needed):
 
 @lru_cache(maxsize=256)
 def _contraction_path(inputs: tuple, out: str, shapes: tuple) -> list:
-    """The order in which ``_summed`` contracts operands on the axes
-    ``inputs`` of these shapes to the axes ``out``: the greedy order of
-    ``np.einsum_path(..., optimize="greedy")``, whose search it repeats
-    without the report that function builds.
+    """The pairs of operand indices ``_summed`` contracts in turn, each
+    result appended to the operands left, for operands on the axes
+    ``inputs`` of these shapes summed to the axes ``out``.
 
-    Each step takes the pair that removes the most elements, then the
-    cheaper one, the first found on a tie, among pairs that share an axis
-    (every pair where none does) and whose result is no larger than the
-    largest operand or the output; a pair is found once and kept until one
-    of its operands is taken.  A pair whose cost would take the total past
-    that of the one-step sum is never found, and where no pair is left,
-    one step takes every operand.
+    Each step takes the pair whose product, kept on the axes ``out`` or
+    another operand has, removes the most elements; then the one whose
+    axes span the fewest; then the first in ``itertools.combinations``
+    order.  This is ``np.einsum_path``'s greedy order on the operand sets
+    the pathways form, and the tests check it on those sets alone.
     """
-    sizes = {}
-    for axes, shape in zip(inputs, shapes):
-        for c, n in zip(axes, shape):
-            if sizes.get(c, 1) == 1:
-                sizes[c] = n
+    sizes = {c: n for axes, shape in zip(inputs, shapes) for c, n in zip(axes, shape)}
 
     def size(axes):
         return math.prod(sizes[c] for c in axes)
 
-    sets = [frozenset(axes) for axes in inputs]
-    every, kept_out = frozenset(sizes), frozenset(out)
-    if len(sets) < 3 or every == kept_out:
-        return [tuple(range(len(sets)))]
-    limit = max(size(axes) for axes in inputs + (out,))
-    naive = size(every) * (len(sets) - 1 + bool(every - kept_out))
-
-    def found(pairs, spent):
-        for x, y in pairs:
+    sets, kept_out, path = [frozenset(axes) for axes in inputs], frozenset(out), []
+    while len(sets) > 1:
+        steps = []
+        for x, y in itertools.combinations(range(len(sets)), 2):
             both = sets[x] | sets[y]
             kept = both & kept_out.union(*(s for i, s in enumerate(sets) if i not in (x, y)))
-            cost = size(both) * (1 + bool(both - kept))
-            if size(kept) <= limit and spent + cost <= naive:
-                yield (size(kept) - size(sets[x]) - size(sets[y]), cost), (x, y), kept
-
-    path, spent = [], 0
-    known = list(found(((x, y) for x, y in itertools.combinations(range(len(sets)), 2)
-                        if not sets[x].isdisjoint(sets[y])), spent))
-    while len(sets) > 1:
-        if not known:
-            known = list(found(itertools.combinations(range(len(sets)), 2), spent))
-            if not known:
-                return path + [tuple(range(len(sets)))]
-        best = min(known, key=lambda k: k[0])
-        bx, by = best[1]
-        known = [(order, (x - (x > bx) - (x > by), y - (y > bx) - (y > by)), kept)
-                 for order, (x, y), kept in known if not {x, y} & {bx, by}]
-        sets = [s for i, s in enumerate(sets) if i not in (bx, by)] + [best[2]]
-        path.append((bx, by))
-        spent += best[0][1]
-        new = len(sets) - 1
-        known += found(((i, new) for i in range(new) if not sets[i].isdisjoint(sets[new])), spent)
+            steps.append((size(kept) - size(sets[x]) - size(sets[y]), size(both), (x, y), kept))
+        *_, (x, y), kept = min(steps, key=lambda step: step[:2])
+        sets = [s for i, s in enumerate(sets) if i not in (x, y)] + [kept]
+        path.append((x, y))
     return path
 
 

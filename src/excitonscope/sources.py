@@ -35,9 +35,11 @@ the conjugate JSA leg is the same expression with -2 i phi in place of
 
 A source's two field legs ``preparation_ket(x, y)`` and
 ``preparation_bra(x, y)``, which broadcast their arguments, define a pair
-plainly: the reference evaluations in the tests take them, and the pair
-source's bra leg is its ``jsa``.  The preparation engine talks to a
-source through one method:
+plainly: ``preparation_ket(w4, w3) * preparation_bra(w2, w1)`` is the
+conjugated four-point correlator, the pair source's bra leg is its ``jsa``
+and its ket leg the conjugate continuation, and the reference evaluations
+in the tests take them.  The preparation engine talks to a source through
+one method:
 
 - ``pair_factors(ket_x, ket_y, bra_x, bra_y, shift=None)``, the product
   ``preparation_ket(x, y) * preparation_bra(x', y')`` for each of the
@@ -466,24 +468,16 @@ class EppSource:
         """Joint spectral amplitude F(omega_a, omega_b)."""
         return self._amplitude(omega_a, omega_b, 1.0)
 
-    def jsa_conjugate(self, omega_a, omega_b):
-        """conj(F(conj(omega_a), conj(omega_b))), the conjugate leg.
-
-        Pump and phase have real coefficients, so this is F with -2 i phi
-        in place of 2 i phi.
-        """
-        return self._amplitude(omega_a, omega_b, -1.0)
-
-    def four_point(self, omega4, omega3, omega2, omega1):
-        """<E*(w4) E*(w3) E(w2) E(w1)> for the twin-photon state."""
-        return self.jsa_conjugate(omega4, omega3) * self.jsa(omega2, omega1)
-
     # The excitation integrals pair each time-ordered resolvent with the
     # field components that can precede it, which is the globally
-    # conjugated form of four_point (same real-valued observables).  The
-    # ket legs therefore carry the conjugate-phase continuation and the
-    # bra legs the direct amplitude.
-    preparation_ket = jsa_conjugate
+    # conjugated form of <E*(w4) E*(w3) E(w2) E(w1)> (same real-valued
+    # observables).  The ket legs therefore carry the conjugate-phase
+    # continuation and the bra legs the direct amplitude.
+    def preparation_ket(self, omega_a, omega_b):
+        """conj(F(conj(omega_a), conj(omega_b))): F with -2 i phi in place
+        of 2 i phi, as pump and phase have real coefficients."""
+        return self._amplitude(omega_a, omega_b, -1.0)
+
     preparation_bra = jsa
 
     def pair_factors(self, ket_x, ket_y, bra_x, bra_y, shift=None):
@@ -557,11 +551,6 @@ class CoherentSource:
     def amplitude(self, omega):
         """A(omega), the pulse's Gaussian amplitude."""
         return gaussian_amplitude(omega, self.center, self.gamma, self.scale)
-
-    def four_point(self, omega4, omega3, omega2, omega1):
-        """<E*(w4) E*(w3) E(w2) E(w1)> for four identical pulses."""
-        return (self.amplitude(omega4) * self.amplitude(omega3)
-                * self.amplitude(omega2) * self.amplitude(omega1))
 
     def preparation_ket(self, omega2, omega1):
         return self.amplitude(omega2) * self.amplitude(omega1)

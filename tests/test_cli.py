@@ -74,6 +74,21 @@ def test_config_error_exit_code(dimer_setup, tmp_path, capsys):
     assert "bath.gamma0" in err
 
 
+def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys):
+    # json.load reads NaN and Infinity; each used to run and write NaN or
+    # all-zero populations, and a zero polarization axis failed as exit 3
+    for field, text in [("source.t1", '"source": {"t1": NaN}'),
+                        ("source.pump_center", '"source": {"pump_center": Infinity}'),
+                        ("time_fs", '"time_fs": Infinity'),
+                        ("polarization", '"polarization": [0, 0, 0]')]:
+        path = tmp_path / "run.json"
+        path.write_text('{"scenario": "excite", ' + text + "}")
+        code = main(["excite", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2, field
+        assert f"invalid configuration:\n  {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def _python(*args, check=False):
     """Runs ``python args`` with this checkout's src first on PYTHONPATH."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
+import reprlib
 
 import numpy as np
 import pytest
@@ -164,11 +166,12 @@ BUNDLED_JSON = os.path.normpath(
     os.path.join(os.path.dirname(excitonscope.__file__), "data", "aggregate14.json"))
 NUMBER_OR_AUTO = 'must be a number or "auto"'
 AXIS = 'must be "auto" or [lo, hi, n] with hi > lo, n >= 2'
+VECTOR = "must be a list of three numbers, not all zero"
 FIELD_CASES = [
     ("scenario", "jsa", "jsa", "teleport",
      "unknown scenario 'teleport'; one of " + ", ".join(SCENARIOS)),
     ("aggregate", BUNDLED_JSON, BUNDLED_JSON, "", "must be a non-empty string"),
-    ("polarization", [0, 1, 2], (0.0, 1.0, 2.0), [1, 2], "must be a list of three numbers"),
+    ("polarization", [0, 1, 2], (0.0, 1.0, 2.0), [1, 2], VECTOR),
     ("bath.lambda0", 2, 2.0, -1.0, "must be a number >= 0"),
     ("bath.gamma0", 30, 30.0, 0, "must be a number > 0"),
     ("bath.temperature", 300, 300.0, 0.0, "must be a number > 0"),
@@ -247,6 +250,35 @@ def test_each_field_accepts_converts_and_rejects(path, given, stored, bad, messa
         from_dict(_raw(path, bad))
     assert err.value.problems == ((path, message),)
     assert err.value.fields == (path,)
+
+
+# Values json.load reads that no field takes: NaN, +-Infinity and integers
+# past the float range, which every number rule rejects with its message,
+# and a zero polarization axis.
+REJECTED_CASES = [
+    ("source.t1", math.nan, "must be a number (fs)"),
+    ("source.pump_center", math.inf, NUMBER_OR_AUTO),
+    ("source.center", -math.inf, NUMBER_OR_AUTO),
+    ("time_fs", math.inf, "must be a number >= 0 (fs)"),
+    ("bath.gamma0", math.inf, "must be a number > 0"),
+    ("filters.sigma_omega", math.nan, "must be a number > 0 (cm^-1)"),
+    ("waiting.t_wait_one", 10**400, "must be a number >= 0 (fs)"),
+    ("bath.brownian_modes", [[12, 740, math.inf]],
+     "must be a list of [lambda, omega, gamma] with omega, gamma > 0"),
+    ("grids.omega_eg", [12000.0, math.inf, 2], AXIS),
+    ("snapshot_times", [10, math.nan], "must be a non-empty list of numbers >= 0 (fs)"),
+    ("polarization", [1, math.nan, 0], VECTOR),
+    ("polarization", [0, 0.0, 0], VECTOR),
+]
+
+
+@pytest.mark.parametrize("path, bad, message", REJECTED_CASES,
+                         ids=[f"{path}={reprlib.repr(bad)}" for path, bad, _ in REJECTED_CASES])
+def test_non_finite_numbers_and_a_zero_axis_are_rejected(path, bad, message):
+    raw = json.loads(json.dumps(_raw(path, bad)))  # NaN and Infinity as JSON writes them
+    with pytest.raises(ConfigError) as err:
+        from_dict(raw)
+    assert err.value.problems == ((path, message),)
 
 
 @pytest.mark.parametrize("section", SECTIONS)

@@ -296,37 +296,35 @@ def test_transport_pathways_match_extended_precision(system_name, request):
 @pytest.mark.parametrize("system_name", ["dimer_system", "trimer_system", "bundled"])
 @pytest.mark.parametrize("t1", [0.0, 3.0])
 def test_contraction_order_is_the_greedy_einsum_path(system_name, t1, request, monkeypatch):
-    # every order a preparation asks for, for one target and for a block of
-    # three, is np.einsum_path's greedy one, which the engine no longer calls
+    # every order the engine asks for is np.einsum_path's greedy one, which
+    # it no longer calls: a preparation and a block of three targets in
+    # either scan mode, with the pair delayed from t1, with only its first
+    # photon delayed (t1 = -3, t2 = 0) and from the coherent source, and on
+    # the trimer with the mode rates of both guard cases, which take pairs
+    # whole
     system = request.getfixturevalue(system_name)
     original = excitation._contraction_path
     asked = set()
     monkeypatch.setattr(excitation, "_contraction_path",
                         lambda *key: asked.add(key) or original(*key))
-    template = dimer_source(system, t1=t1, t2=t1 + 10.0)
-    prepare_closed_form(system, template)
-    block = scan_source(template, system.eig.energies_f[:3], "degenerate")
-    excitation._prepared_partials(system, block, 0.0)
+    cases = [(system, dimer_source(system, t1=t1, t2=t1 + 10.0)),
+             (system, dimer_source(system, t1=-3.0, t2=0.0))]
+    if system_name == "trimer_system":
+        for rates, tau_pump in ((1e4, 2.0e3), (1e5, 10.0)):
+            guarded = with_mode_rates(system, rates)
+            cases.append((guarded, dimer_source(guarded, tau_pump=tau_pump)))
+    for each, template in cases:
+        unsplit = prepare_closed_form(each, template).diagnostics["unsplit_pathways"]
+        assert bool(unsplit) == (each is not system), unsplit
+        for mode in ("degenerate", "mediated"):
+            block = scan_source(template, each.eig.energies_f[:3], mode)
+            excitation._prepared_partials(each, block, 0.0)
+    prepare_closed_form(system, CoherentSource(system.eig.energies_f[1] / 2.0, 60.0))
     assert asked
     for inputs, out, shapes in asked:
         operands = [np.broadcast_to(0.0, shape) for shape in shapes]
         greedy = np.einsum_path(",".join(inputs) + "->" + out, *operands, optimize="greedy")
         assert original.__wrapped__(inputs, out, shapes) == greedy[0][1:], (inputs, out, shapes)
-
-
-def test_contraction_order_matches_einsum_path_off_the_engine_shapes():
-    # operand sets the engine never forms: outer products, the memory
-    # limit, single operands and pairs, sizes of 1 on some axes
-    rng = np.random.default_rng(20)
-    for _ in range(300):
-        inputs = tuple("".join(rng.choice(list("abcdef"), rng.integers(0, 4), replace=False))
-                       for _ in range(rng.integers(1, 6)))
-        out = "".join(c for c in sorted(set("".join(inputs))) if rng.random() < 0.3)
-        sizes = {c: int(rng.choice([1, 2, 3, 5, 14])) for c in "abcdef"}
-        shapes = tuple(tuple(sizes[c] for c in axes) for axes in inputs)
-        operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-        greedy = np.einsum_path(",".join(inputs) + "->" + out, *operands, optimize="greedy")
-        assert excitation._contraction_path.__wrapped__(inputs, out, shapes) == greedy[0][1:]
 
 
 # Traced peak of one default bundled preparation: 1.88 MB, 5.7 complex
