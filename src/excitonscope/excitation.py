@@ -99,7 +99,7 @@ class ExcitonSystem:
     def n_two(self) -> int:
         return self.eig.n_two
 
-    # Nothing mutates the two tables below, so every preparation and every
+    # Nothing mutates the three tables below, so every preparation and every
     # detection map of a system, in any thread, shares one build of each.
     @cached_property
     def poles(self) -> "PoleTable":
@@ -110,6 +110,24 @@ class ExcitonSystem:
     def weights(self) -> "PathwayWeights":
         """The factored dipole weights of the five preparation pathways."""
         return PathwayWeights.from_system(self)
+
+    @cached_property
+    def detection_tables(self) -> tuple:
+        """Emission gaps, floored coherence widths and squared dipole norms
+        of the coincidence maps: (w_fe, gamma_fe, w_eg, gamma_eg, |d_fe|^2,
+        |d_eg|^2).
+
+        Detection is unpolarized, so the vertex weights are the squared
+        Cartesian norms rather than the projected amplitudes used on the
+        excitation side.
+        """
+        poles = self.poles
+        dm_eg, dm_fe = self.dipoles.magnitudes()
+        return (
+            poles.fe.real, -poles.fe.imag,
+            poles.eg.real, -poles.eg.imag,
+            dm_fe**2, dm_eg**2,
+        )
 
 
 @dataclass(frozen=True)

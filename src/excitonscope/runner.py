@@ -677,6 +677,11 @@ def _detection(cfg, system, run):
     return (prep.populations, *_filters(cfg), grid)
 
 
+# A map whose every cell was clipped has no positive mass, and its
+# clipped_fraction is recorded as null.
+_NO_POSITIVE_CELL = "the map has no positive cell, so its clipped fraction is null"
+
+
 def _run_coincidence(cfg, system, sink, run):
     """filtered two-photon coincidence map"""
     populations, filter_fe, filter_eg, grid = _detection(cfg, system, run)
@@ -686,6 +691,8 @@ def _run_coincidence(cfg, system, sink, run):
         run.warnings.append(
             f"clipped {grid.clipped_cells} negative interference cells in the map"
         )
+    if grid.clipped_fraction is None:
+        run.warnings.append(_NO_POSITIVE_CELL)
     run.resolved["clipped_fraction"] = grid.clipped_fraction
     run.resolved["axes"] = {"omega_fe": _axis_record(grid.omega_fe),
                             "omega_eg": _axis_record(grid.omega_eg)}
@@ -723,6 +730,8 @@ def _run_panel_study(cfg, system, sink, run):
             run.warnings.append(
                 f"panel {label}: clipped {filled.clipped_cells} negative cells"
             )
+        if filled.clipped_fraction is None:
+            run.warnings.append(f"panel {label}: {_NO_POSITIVE_CELL}")
     run.resolved["panels"] = list(panels)
     sink.json("panels.json", {
         "source": run.resolved["source"],

@@ -141,19 +141,17 @@ def _expm1_ratio_taylor(w, orders):
         return coefficients
     inside = np.abs(w) < 1.0
     outside = ~inside
-    seed = orders + _TAYLOR_SEED_ORDERS
-    # e^w / n!, n = 0 .. seed, on a leading axis
-    exp_w = np.exp(w[None]) / _FACTORIALS[:seed + 1].reshape((-1,) + (1,) * w.ndim)
-    up, exp_up, a = w[outside], exp_w[:, outside], coefficients[0][outside]
+    exp_w = np.exp(w)
+    up, exp_up, a = w[outside], exp_w[outside], coefficients[0][outside]
     for n in range(1, orders + 1):
-        a = (exp_up[n] - a) / up
+        a = (exp_up / _FACTORIALS[n] - a) / up
         coefficients[n][outside] = a
-    down, exp_down, a = w[inside], exp_w[:, inside], np.zeros_like(w[inside])
-    for n in range(seed, orders, -1):
-        a = exp_down[n] - down * a
+    down, exp_down, a = w[inside], exp_w[inside], np.zeros_like(w[inside])
+    for n in range(orders + _TAYLOR_SEED_ORDERS, orders, -1):
+        a = exp_down / _FACTORIALS[n] - down * a
     for n in range(orders, 0, -1):
         coefficients[n][inside] = a
-        a = exp_down[n] - down * a
+        a = exp_down / _FACTORIALS[n] - down * a
     return coefficients
 
 

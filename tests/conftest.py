@@ -1,8 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from excitonscope import AggregateSpec, BathSpec, ExcitonSystem
-from excitonscope.presets import bundled_system
+# One BLAS thread, as CI and the benchmark run it: the quadrature oracle's
+# BLAS threads contend for the cores of a loaded host.  This must run before
+# numpy is first imported, which no installed pytest plugin does.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from excitonscope import AggregateSpec, BathSpec, ExcitonSystem  # noqa: E402
+from excitonscope.presets import bundled_system  # noqa: E402
 
 
 def make_dimer() -> AggregateSpec:

@@ -6,6 +6,8 @@ map from array expressions.  These are the same quantities written one
 pair at a time, in the order the arithmetic is done, so the array versions
 must reproduce them bit for bit; the map alone sums its two lineshape
 branches in closed form and so matches its two-branch loop to rounding.
+The map's closed form is also written plainly, with a fresh array for
+every intermediate, which its in-place kernel must reproduce bit for bit.
 The transport pathways of the preparation are written the same way in
 extended precision, as the reference for the closed form's rounding.
 """
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from excitonscope.bath import phonon_correlation_real
-from excitonscope.coincidence import _detection_tables, _lineshape_branches
+from excitonscope.coincidence import _check_negative_branch, _lineshape_branches
 from excitonscope.excitation import WIDTH_FLOOR_TRIGGER, WIDTH_FLOOR_VALUE
 from excitonscope.propagators import population_propagator
 from excitonscope.units import TWO_PI_C
@@ -125,7 +127,7 @@ def loop_pole_table(system):
 def loop_signed_map(system, rho_ff, filter_fe, filter_eg, grid):
     """Max-normalized coincidence map before clipping, one (f', e) emitter
     pair and one e' emitter at a time; pairs of zero weight are skipped."""
-    w_fe, g_fe, w_eg, g_eg, dd_fe, dd_eg = _detection_tables(system)
+    w_fe, g_fe, w_eg, g_eg, dd_fe, dd_eg = system.detection_tables
     populations_f = population_propagator(system.transport_two, grid.t_wait_two) @ rho_ff
     green_e = population_propagator(system.transport_one, grid.t_wait_one)
 
@@ -161,6 +163,59 @@ def loop_coincidence_snapshot(system, rho_ff, filter_fe, filter_eg, grid):
     its clipped cell count."""
     signal = loop_signed_map(system, rho_ff, filter_fe, filter_eg, grid)
     return np.clip(signal, 0.0, None), int(np.count_nonzero(signal < 0.0))
+
+
+def branch_sum(detune, gamma_ab, sigma_omega, sigma_t, weight):
+    """``weight`` times the sum of both branches of ``_lineshape_branches``
+    in the closed form of ``coincidence._emission_side``, as its real and
+    imaginary parts."""
+    a_pos = sigma_omega + sigma_t + gamma_ab
+    a_neg = sigma_omega - sigma_t + gamma_ab
+    p = detune * detune + a_pos * a_neg
+    q = (2.0 * sigma_t) * detune
+    r = (weight * (0.5 / sigma_omega / TWO_PI_C) * (a_pos + a_neg)) / (p * p + q * q)
+    return r * p, r * q
+
+
+def plain_snapshot(system, rho_ff, filter_fe, filter_eg, grid):
+    """The closed-form coincidence map with a fresh array for every
+    intermediate: the map, its clipped cell count and its clipped fraction
+    (None where cells were clipped and none is positive)."""
+    poles = system.poles
+    w_fe, g_fe, w_eg, g_eg = poles.fe.real, -poles.fe.imag, poles.eg.real, -poles.eg.imag
+    dm_eg, dm_fe = system.dipoles.magnitudes()
+    dd_fe, dd_eg = dm_fe**2, dm_eg**2
+    _check_negative_branch(filter_fe, float(g_fe.min()))
+    populations_f = population_propagator(system.transport_two, grid.t_wait_two) @ rho_ff
+    weight = populations_f[:, None] * dd_fe
+    side_re = np.empty((system.n_one, grid.omega_fe.size))
+    side_im = np.empty_like(side_re)
+    for e in range(system.n_one):
+        re, im = branch_sum(
+            grid.omega_fe - w_fe[:, e, None], g_fe[:, e, None],
+            filter_fe.sigma_omega, filter_fe.sigma_t, weight[:, e, None],
+        )
+        side_re[e] = re.sum(axis=0)
+        side_im[e] = im.sum(axis=0)
+
+    green_e = population_propagator(system.transport_one, grid.t_wait_one)
+    pos, _ = _lineshape_branches(
+        grid.omega_eg, w_eg[:, None], g_eg[:, None],
+        filter_eg.sigma_omega, filter_eg.sigma_t,
+    )
+    side_eg = (dd_eg[:, None] * green_e).T @ pos
+    signal = 2.0 * (side_re.T @ side_eg.real - side_im.T @ side_eg.imag)
+    peak = np.abs(signal).max(initial=0.0)
+    if peak > 0.0:
+        signal = signal / peak
+    negative = signal < 0.0
+    clipped = int(np.count_nonzero(negative))
+    result = np.clip(signal, 0.0, None)
+    fraction = 0.0
+    if clipped:
+        positive = result.sum()
+        fraction = float(-signal[negative].sum() / positive) if positive > 0.0 else None
+    return result, clipped, fraction
 
 
 def extended_leg(source, x, y, sign):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,32 @@ def _python(*args, check=False):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120, check=check)
+
+
+def test_map_with_no_positive_cell_records_a_null_clipped_fraction(tmp_path, capsys):
+    # a 2 x 2 patch of the default map's negative lobe: every cell is clipped
+    path = tmp_path / "lobe.json"
+    path.write_text(json.dumps({"scenario": "coincidence", "grids": {
+        "omega_fe": [13948.90569279294, 13982.856285727665, 2],
+        "omega_eg": [15551.963988589354, 15563.941910769665, 2]}}))
+
+    def strict(name):
+        return json.loads((tmp_path / name).read_text(),
+                          parse_constant=lambda constant: pytest.fail(f"{name}: {constant}"))
+
+    note = "the map has no positive cell, so its clipped fraction is null"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["coincidence", "--config", str(path), "--out", str(tmp_path / "map")]) == 0
+        assert main(["panel-study", "--config", str(path), "--out", str(tmp_path / "panels")]) == 0
+    manifest = strict("map/manifest.json")
+    assert manifest["resolved"]["clipped_fraction"] is None
+    assert manifest["warnings"] == ["clipped 4 negative interference cells in the map", note]
+    panels = strict("panels/panels.json")["panels"]
+    empty = [label for label, panel in panels.items() if panel["clipped_fraction"] is None]
+    assert empty and all(panels[label]["clipped_cells"] == 4 for label in empty)
+    assert {f"panel {label}: {note}" for label in empty} <= set(
+        strict("panels/manifest.json")["warnings"])
 
 
 def test_unwritable_output_directory_is_a_config_error(tmp_path):

@@ -10,17 +10,19 @@ from excitonscope import (
     coincidence_snapshot,
     filtered_lineshape,
     parameter_study,
+    runner,
     spectrogram,
 )
 from excitonscope.coincidence import (
-    _branch_sum,
     _lineshape_branches,
     spectral_gate,
     temporal_gate,
 )
+from excitonscope.config import RunConfig
+from excitonscope.excitons import TransitionDipoles
 from excitonscope.units import TWO_PI_C
 
-from loop_reference import loop_coincidence_snapshot, loop_signed_map
+from loop_reference import branch_sum, loop_coincidence_snapshot, loop_signed_map, plain_snapshot
 from time_oracle import coincidence_time_oracle
 
 
@@ -126,7 +128,7 @@ def test_branch_sum_closed_form(sigma_omega, sigma_t, gamma):
     pos, neg = _lineshape_branches(detune, 0.0, gamma, sigma_omega, sigma_t)
     expected = pos + neg
     for weight in (1.0, 0.37):
-        re, im = _branch_sum(detune, gamma, sigma_omega, sigma_t, weight)
+        re, im = branch_sum(detune, gamma, sigma_omega, sigma_t, weight)
         bound = 1e-15 * np.abs(weight * expected).max()
         assert np.abs(re + 1j * im - weight * expected).max() <= bound
 
@@ -240,44 +242,78 @@ def test_parameter_study_default_panels(dimer_system):
     assert grid.result is None
 
 
-def _counting(monkeypatch, name):
-    """Counts the calls to ``coincidence.<name>``."""
+def _counting(monkeypatch, name, owner=coincidence):
+    """Counts the calls to ``owner.<name>``."""
     calls = []
-    original = getattr(coincidence, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(coincidence, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 def test_each_panel_equals_its_own_snapshot(bundled, monkeypatch):
-    rho = np.random.default_rng(5).random(bundled.n_two)
+    system = replace(bundled)  # a copy with no table built yet
+    rho = np.random.default_rng(5).random(system.n_two)
     gate_eg = FilterSpec(omega_center=0.0, sigma_omega=12.0, t_center=100.0, sigma_t=3.0)
-    grid = make_grid(bundled, n=24, t_wait_two=10.0, t_wait_one=200.0)
+    grid = make_grid(system, n=24, t_wait_two=10.0, t_wait_one=200.0)
     sides = _counting(monkeypatch, "_emission_side")
-    tables = _counting(monkeypatch, "_detection_tables")
-    panels = parameter_study(bundled, rho, REFERENCE_FILTER, gate_eg, grid)
+    norms = _counting(monkeypatch, "magnitudes", TransitionDipoles)
+    panels = parameter_study(system, rho, REFERENCE_FILTER, gate_eg, grid)
     # one two-exciton side per distinct (sigma_omega, sigma_t, t_wait_two)
     assert len(sides) == len({(c.get("sigma_omega"), c.get("sigma_t"), c.get("t_wait_two"))
                               for c in coincidence.PANELS.values()}) == 4
-    assert len(tables) == 1
     for label, changes in coincidence.PANELS.items():
         gates = {k: v for k, v in changes.items() if k in ("sigma_omega", "sigma_t")}
-        del sides[:], tables[:]
+        del sides[:]
         alone = coincidence_snapshot(
-            bundled, rho, replace(REFERENCE_FILTER, **gates), replace(gate_eg, **gates),
-            make_grid(bundled, n=24, t_wait_two=changes.get("t_wait_two", 10.0),
+            system, rho, replace(REFERENCE_FILTER, **gates), replace(gate_eg, **gates),
+            make_grid(system, n=24, t_wait_two=changes.get("t_wait_two", 10.0),
                       t_wait_one=changes.get("t_wait_one", 200.0)),
         )
-        assert (len(sides), len(tables)) == (1, 1)
+        assert len(sides) == 1
         panel = panels[label]
         assert np.array_equal(panel.result, alone.result), label
         assert (panel.clipped_cells, panel.clipped_fraction) == (
             alone.clipped_cells, alone.clipped_fraction), label
         assert (panel.t_wait_two, panel.t_wait_one) == (alone.t_wait_two, alone.t_wait_one)
+    # the dipole norms of the detection tables, once for the system's 7 maps
+    assert len(norms) == 1
+
+
+def _assert_plain(grid, system, rho, gate_fe, gate_eg, label):
+    """``grid`` is bitwise the plain closed form on its own axes and waits."""
+    result, clipped, fraction = plain_snapshot(
+        system, rho, gate_fe, gate_eg,
+        SignalGrid(grid.omega_fe, grid.omega_eg, grid.t_wait_two, grid.t_wait_one))
+    assert grid.result.tobytes() == result.tobytes(), label
+    assert (grid.clipped_cells, grid.clipped_fraction) == (clipped, fraction), label
+
+
+@pytest.mark.parametrize("name", ["dimer_system", "trimer_system", "bundled"])
+def test_maps_are_bitwise_the_plain_closed_form(request, name):
+    system = request.getfixturevalue(name)
+    rho = np.random.default_rng(11).random(system.n_two)
+    cfg = RunConfig(scenario="coincidence")
+    gate_fe, gate_eg = runner._filters(cfg)
+    grid = SignalGrid(*runner.resolve_detection_axes(cfg, system),
+                      cfg.waiting.t_wait_two, cfg.waiting.t_wait_one)
+    _assert_plain(coincidence_snapshot(system, rho, gate_fe, gate_eg, replace(grid)),
+                  system, rho, gate_fe, gate_eg, "default gates")
+    for label, panel in parameter_study(system, rho, gate_fe, gate_eg, grid).items():
+        changes = coincidence.PANELS[label]
+        gates = {k: v for k, v in changes.items() if k in ("sigma_omega", "sigma_t")}
+        _assert_plain(panel, system, rho, replace(gate_fe, **gates), replace(gate_eg, **gates),
+                      label)
+    # sigma_t one ulp inside the convergence edge of the tau < 0 branch
+    edge = gate_fe.sigma_omega + float((-system.poles.fe.imag).min())
+    gates = {"sigma_t": float(np.nextafter(edge, 0.0))}
+    edge_fe, edge_eg = replace(gate_fe, **gates), replace(gate_eg, **gates)
+    _assert_plain(coincidence_snapshot(system, rho, edge_fe, edge_eg, replace(grid)),
+                  system, rho, edge_fe, edge_eg, "convergence edge")
 
 
 def test_time_oracle_restricted_to_small_systems(bundled):

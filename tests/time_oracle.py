@@ -21,7 +21,6 @@ from excitonscope import units
 from excitonscope.coincidence import (
     FilterSpec,
     _check_negative_branch,
-    _detection_tables,
     _lineshape_branches,
 )
 from excitonscope.excitation import ExcitonSystem
@@ -75,7 +74,7 @@ def _time_oracle_map(
     closed-form t1' integral keeps the max(tbar1, .) kink.
     """
     ang = units.TWO_PI_C
-    w_fe, g_fe, w_eg, g_eg, dd_fe, dd_eg = _detection_tables(system)
+    w_fe, g_fe, w_eg, g_eg, dd_fe, dd_eg = system.detection_tables
     one, two = system.transport_one, system.transport_two
     cfg = _ORACLE_LEVELS[level]
     n_panels, n_nodes, hor = cfg["panels"], cfg["nodes"], cfg["horizon"]
