@@ -49,11 +49,6 @@ class AggregateSpec:
         n = energies.size
         couplings = _as_square("couplings", self.couplings, n)
         pair_u = _as_square("pair_anharmonicity", self.pair_anharmonicity, n)
-        for name, mat in (("couplings", couplings), ("pair_anharmonicity", pair_u)):
-            if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12):
-                raise ValueError(f"{name} must be symmetric")
-            if np.any(np.abs(np.diag(mat)) > 1e-12):
-                raise ValueError(f"{name} must have zero diagonal")
         onsite_u = np.asarray(self.onsite_anharmonicity, dtype=float)
         if onsite_u.shape != (n,):
             raise ValueError(f"onsite_anharmonicity must have shape ({n},)")
@@ -63,8 +58,6 @@ class AggregateSpec:
         weights = np.asarray(self.bath_coupling_weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError(f"bath_coupling_weights must have shape ({n},)")
-        if np.any(weights < 0.0):
-            raise ValueError("bath_coupling_weights must be non-negative")
         for name, arr in (
             ("site_energies", energies),
             ("couplings", couplings),
@@ -77,6 +70,13 @@ class AggregateSpec:
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        for name, mat in (("couplings", couplings), ("pair_anharmonicity", pair_u)):
+            if np.abs(mat - mat.T).max() > 1e-12:
+                raise ValueError(f"{name} must be symmetric")
+            if np.any(np.abs(np.diag(mat)) > 1e-12):
+                raise ValueError(f"{name} must have zero diagonal")
+        if np.any(weights < 0.0):
+            raise ValueError("bath_coupling_weights must be non-negative")
 
     @property
     def n_sites(self) -> int:

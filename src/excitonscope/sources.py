@@ -71,6 +71,14 @@ per target.  A Gaussian whose excess exponent would leave
 ``_EXCESS_EXPONENT_RANGE``, or a matching whose |delta| the series cannot
 take, is taken whole, on its shifted arguments.
 
+A narrow pump leaves most of a pathway's grid deep in its Gaussian's
+tail, so a Gaussian exponent on the f axis is screened per (target, f)
+slice: a cell whose real part lies more than ``_SCREEN_MARGIN`` (130)
+below the largest of its slice is 0.0 without an ``exp``, a change below
+the last bit of every raw population the tests evaluate.  The excess
+factors, the phase matching and Gaussians off the f axis (a classical
+leg on one-exciton axes alone) are not screened.
+
 A source may describe a block of scan targets (``excitation.scan_source``
 with an array of target energies): each field that holds one value per
 target, the pump center and in degenerate targeting the phase-matching
@@ -80,9 +88,10 @@ sum, so the target axis reaches its exponent, the excess factor of that
 term's shifts, and in degenerate targeting the phase matching and its
 excess, whose matrix products are stacked on the target axis; every
 other factor is built once for the block.  No choice the module makes
-looks at that axis: terms on equal axis sets less it are combined, and
-terms are summed smallest first by their size per target, so each
-target's slice of every factor is bitwise what its own source gives.
+looks across that axis: terms on equal axis sets less it are combined,
+terms are summed smallest first by their size per target, and the screen
+takes its maxima per target, so each target's slice of every factor is
+bitwise what its own source gives.
 """
 
 from __future__ import annotations
@@ -107,6 +116,17 @@ _FACTORIALS = np.array([float(math.factorial(n))
 # rounding; below it 1 + expm1(E) keeps less than e^-1 of its relative
 # precision.  A Gaussian that would take E outside is taken whole.
 _EXCESS_EXPONENT_RANGE = (-1.0, 50.0)
+# Margin M of the screen of a Gaussian exponent on the f axis
+# (``_screened_exp``): its exp is skipped where the real part lies more
+# than M below the largest of its (target, f) slice.  A skipped cell must
+# stay below the last bit of its slice's sum over the other axes: 53 ln 2
+# = 37 for a double's rounding, 50 for an excess factor, which may raise a
+# cell by e^50 within ``_EXCESS_EXPONENT_RANGE``, and ln n = 10 for the
+# n <= 26^3 cells of a slice (f, e, u, p) add up to 97.  The rest, e^33,
+# is left to the other factors of the pathway (phase matching, weights),
+# which the screen does not see; on the engine's test cases raw changes
+# at M = 80 and not at 100.
+_SCREEN_MARGIN = 130.0
 # The axis of the targets of a scan block (module docstring).
 TARGETS = "t"
 
@@ -346,6 +366,24 @@ def _gaussian(terms, shift, center, kappa):
     return (axes, exponent), changes
 
 
+def _screened_exp(axes, exponent):
+    """exp of a labelled exponent in place.  On the f axis, a cell whose
+    real part lies more than ``_SCREEN_MARGIN`` below the largest of its
+    (target, f) slice is set to 0.0 without an ``exp``."""
+    if "f" not in axes:
+        return np.exp(exponent, out=exponent)
+    real = exponent.real
+    others = tuple(i for i, c in enumerate(axes) if c not in ("f", TARGETS))
+    floor = real.max(axis=others, keepdims=True)
+    floor -= _SCREEN_MARGIN
+    dead = real < floor  # false at NaN, which stays live
+    if not dead.any():  # numpy's masked loop is slower than the plain one
+        return np.exp(exponent, out=exponent)
+    np.exp(exponent, out=exponent, where=~dead)
+    exponent[dead] = 0.0
+    return exponent
+
+
 def _gaussian_factors(arguments, shift, center, gamma, constant):
     """``constant`` times the product over ``arguments`` of
     exp(kappa (w - center)^2), kappa = -(2 pi c)^2 / (4 G), at each
@@ -356,7 +394,8 @@ def _gaussian_factors(arguments, shift, center, gamma, constant):
     make join the excess exponents, by axis set (``_gaussian``), unless a
     change would take the real part of an excess exponent out of
     ``_EXCESS_EXPONENT_RANGE``: then that Gaussian alone is taken whole.
-    The first factor carries ``constant``.
+    The first factor carries ``constant``.  The factors are screened
+    (``_screened_exp``); the excess factors are not.
     """
     kappa = -((0.5 * units.TWO_PI_C) ** 2) / gamma  # per squared detuning
     low, high = _EXCESS_EXPONENT_RANGE
@@ -372,7 +411,7 @@ def _gaussian_factors(arguments, shift, center, gamma, constant):
         else:
             growth = grown
         _accumulate(exponents, *exponent, fresh=True)
-    factors = [(axes, np.exp(e, out=e)) for axes, e in exponents.values()]
+    factors = [(axes, _screened_exp(axes, e)) for axes, e in exponents.values()]
     factors[0][1][...] *= constant
     return factors, [(axes, np.expm1(e, out=e)) for axes, e in growth.values()]
 

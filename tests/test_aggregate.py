@@ -38,6 +38,24 @@ def test_asymmetric_couplings_rejected():
         )
 
 
+@pytest.mark.parametrize("couplings, message", [
+    (((0.0, np.nan), (np.nan, 0.0)), "couplings contains non-finite entries"),
+    (((np.nan, 1.0), (1.0, 0.0)), "couplings contains non-finite entries"),
+    (((0.0, 1.0), (1.0 + 2e-12, 0.0)), "couplings must be symmetric"),
+])
+def test_non_finite_couplings_are_named_before_symmetry(couplings, message):
+    # a NaN pair or a NaN on the diagonal is not finite, whatever else it is
+    with pytest.raises(ValueError, match=message):
+        AggregateSpec(
+            site_energies=(1.0, 2.0),
+            couplings=couplings,
+            onsite_anharmonicity=(0.0, 0.0),
+            pair_anharmonicity=((0.0, 0.0), (0.0, 0.0)),
+            site_dipoles=((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+            bath_coupling_weights=(1.0, 1.0),
+        )
+
+
 def test_nonzero_coupling_diagonal_rejected():
     with pytest.raises(ValueError, match="zero diagonal"):
         AggregateSpec(

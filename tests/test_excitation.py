@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from excitonscope import (
+    AggregateSpec,
     CoherentSource,
     EppSource,
     ExcitonSystem,
@@ -18,6 +19,7 @@ from excitonscope import (
     scan_targets,
 )
 from excitonscope import excitation
+from excitonscope import sources as sources_module
 from excitonscope.bath import BathSpec
 from excitonscope.config import from_dict
 from excitonscope.excitation import PoleTable, pathway_weights
@@ -466,6 +468,62 @@ def test_scan_records_the_pathways_contracted_unsplit(trimer_system, bundled, mo
         scan = scan_targets(system, template)
         assert scan.blocks == -(-system.n_two // per_block)
         assert scan.unsplit_pathways == ["p2", "p4"]
+
+
+def make_h_dimer() -> AggregateSpec:
+    """Equal sites with a positive coupling and parallel dipoles: the lower
+    one-exciton state, the antisymmetric one, is dark."""
+    return AggregateSpec(
+        site_energies=(12300.0, 12300.0),
+        couplings=((0.0, 80.0), (80.0, 0.0)),
+        onsite_anharmonicity=(-250.0, -230.0),
+        pair_anharmonicity=((0.0, -120.0), (-120.0, 0.0)),
+        site_dipoles=((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        bath_coupling_weights=(1.0, 1.0),
+        label="h-dimer",
+    )
+
+
+@pytest.mark.parametrize("system_name", ["dimer_system", "trimer_system", "h_dimer", "bundled"])
+def test_pump_screen_keeps_every_raw_bit(system_name, request, monkeypatch):
+    # the screen of the pump Gaussians (sources._SCREEN_MARGIN) against no
+    # screen: the engine sources, a 20 fs and a 1000 fs pump, a block of
+    # three targets and, on the trimer, the mode rates of both guard cases,
+    # which take pairs whole.  Raw, and so the populations, its clipped
+    # values, keep every bit, and the partials all but 1e-60 of their
+    # largest magnitude.
+    if system_name == "h_dimer":
+        system = ExcitonSystem.build(make_h_dimer(), dimer_bath(), (1.0, 1.0, 1.0))
+        assert np.abs(system.d_eg).min() < 1e-12 * np.abs(system.d_eg).max()
+    else:
+        system = request.getfixturevalue(system_name)
+    sources = engine_sources(system)
+    cases = [(system, source) for source in sources]
+    cases += [(system, replace(sources[0], tau_pump=tau)) for tau in (20.0, 1000.0)]
+    cases.append((system, scan_source(sources[0], system.eig.energies_f[:3], "degenerate")))
+    if system_name == "trimer_system":
+        for rates, tau_pump in ((1e4, 2.0e3), (1e5, 10.0)):
+            guarded = with_mode_rates(system, rates)
+            cases.append((guarded, replace(engine_sources(guarded)[0], tau_pump=tau_pump)))
+    original, dropped = sources_module._screened_exp, []
+
+    def counting(axes, exponent):
+        # the cells the screen sets to zero that exp does not
+        full = np.exp(exponent)
+        factor = original(axes, exponent)
+        dropped.append(np.count_nonzero((factor == 0.0) & (full != 0.0)))
+        return factor
+
+    monkeypatch.setattr(sources_module, "_screened_exp", counting)
+    screened = [excitation._prepared_partials(each, source, 0.0)[0] for each, source in cases]
+    assert sum(dropped) > 0
+    monkeypatch.setattr(sources_module, "_screened_exp", original)
+    monkeypatch.setattr(sources_module, "_SCREEN_MARGIN", np.inf)
+    for (each, source), partials in zip(cases, screened):
+        plain = excitation._prepared_partials(each, source, 0.0)[0]
+        for row, reference in zip(partials, plain):
+            assert np.array_equal(excitation._raw(row), excitation._raw(reference)), source
+        assert np.all(np.abs(partials - plain) <= 1e-60 * np.abs(plain).max()), source
 
 
 def test_field_strength_enters_quadratically(dimer_system):

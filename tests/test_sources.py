@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from excitonscope import CoherentSource, EppSource, jsi_map
 from excitonscope.sources import (
+    _SCREEN_MARGIN,
     _SINC_SERIES_RADIUS,
     _expm1_ratio,
     _expm1_ratio_taylor,
+    _screened_exp,
     _taylor_orders,
     gaussian_gamma_from_tau,
     labelled_sum,
@@ -331,6 +333,31 @@ def test_pair_falls_back_where_an_excess_exponent_leaves_its_range(source, layou
         expected = _legs(source, arguments)
         assert np.all(np.isfinite(expected)) and np.abs(expected).max() > 0.0
         assert np.all(np.abs(_pair(factors, excess) - expected) <= 1e-13 * np.abs(expected))
+
+
+def test_pump_screen_zeroes_only_cells_far_below_their_slice():
+    # exponents on (t, f, u, e) with real parts spread over 600 and each
+    # (t, f) slice raised by its own offset; the last target's slices span
+    # less than the margin, so its block slice takes the masked exp where
+    # the target alone takes the plain one
+    rng = np.random.default_rng(11)
+    shape = (3, 5, 4, 6)
+    exponent = (-600.0 * rng.random(shape) + rng.uniform(-300.0, 0.0, shape[:2] + (1, 1))
+                + 1j * rng.uniform(-50.0, 50.0, shape))
+    exponent[2] = exponent[2].real * (0.5 * _SCREEN_MARGIN / 600.0) + 1j * exponent[2].imag
+    floor = exponent.real.max(axis=(2, 3), keepdims=True) - _SCREEN_MARGIN
+    dead = exponent.real < floor
+    assert dead[:2].any() and not dead[2].any()
+    screened = _screened_exp("tfue", exponent.copy())
+    assert np.all(screened[dead] == 0.0)
+    assert np.array_equal(screened[~dead], np.exp(exponent[~dead]))
+    # each target's slice is that target alone, whatever the axis order
+    for t in range(shape[0]):
+        assert np.array_equal(screened[t], _screened_exp("fue", exponent[t].copy()))
+        alone = _screened_exp("uef", np.moveaxis(exponent[t], 0, -1).copy())
+        assert np.array_equal(np.moveaxis(alone, -1, 0), screened[t])
+    # an exponent off the f axis is not screened
+    assert np.array_equal(_screened_exp("ue", exponent[0, 0].copy()), np.exp(exponent[0, 0]))
 
 
 def test_jsa_conjugate_leg_off_the_real_axis():
