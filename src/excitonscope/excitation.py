@@ -156,19 +156,8 @@ class PoleTable:
 
     @classmethod
     def from_system(cls, system: ExcitonSystem) -> "PoleTable":
-        g1 = system.transport_one.depopulation
-        g2 = system.transport_two.depopulation
-        pure = system.bath.pure_dephasing
-        widths = {
-            "eg": 0.5 * g1 + pure,
-            "fg": 0.5 * g2 + pure,
-            "fe": 0.5 * (g2[:, None] + g1[None, :]) + pure,
-            "ee": 0.5 * (g1[:, None] + g1[None, :]) + pure,
-            "ff": g2,
-            "modes": system.transport_one.lambdas,
-        }
-        low = {name: w < WIDTH_FLOOR_TRIGGER for name, w in widths.items()}
-        g = {name: np.where(low[name], WIDTH_FLOOR_VALUE, w) for name, w in widths.items()}
+        widths = {**_widths(system), "modes": system.transport_one.lambdas}
+        g = {name: _floored(w) for name, w in widths.items()}
 
         eig = system.eig
         w_fe = eig.omega_fe()
@@ -180,7 +169,8 @@ class PoleTable:
             ef=-w_fe - 1j * g["fe"],
             ff=-1j * g["ff"],
             modes=-1j * g["modes"],
-            floored_widths={name: int(mask.sum()) for name, mask in low.items()},
+            floored_widths={name: int(np.count_nonzero(w < WIDTH_FLOOR_TRIGGER))
+                            for name, w in widths.items()},
         )
 
     @property
@@ -197,6 +187,45 @@ class PoleTable:
     def gamma_ff(self) -> np.ndarray:
         """Floored two-exciton depopulation widths (cm^-1)."""
         return -self.ff.imag
+
+
+def _widths(system: ExcitonSystem) -> dict:
+    """The widths of every pole family but the modes, before the floor."""
+    g1 = system.transport_one.depopulation
+    g2 = system.transport_two.depopulation
+    pure = system.bath.pure_dephasing
+    return {
+        "eg": 0.5 * g1 + pure,
+        "fg": 0.5 * g2 + pure,
+        "fe": 0.5 * (g2[:, None] + g1[None, :]) + pure,
+        "ee": 0.5 * (g1[:, None] + g1[None, :]) + pure,
+        "ff": g2,
+    }
+
+
+def _floored(width):
+    """Widths below ``WIDTH_FLOOR_TRIGGER`` raised to ``WIDTH_FLOOR_VALUE``."""
+    return np.where(width < WIDTH_FLOOR_TRIGGER, WIDTH_FLOOR_VALUE, width)
+
+
+def _state_poles(system: ExcitonSystem):
+    """The poles of ``PoleTable`` but the modes as sums of state poles.
+
+    Returns (s_f, s_e, i pure, residuals): the state poles
+    s_f = E_f - i (Gamma_f / 2 + pure) and s_e likewise, the pure
+    dephasing constant and, per family, its floor residual: -i times its
+    floored widths less its widths, exactly 0.0 wherever no width is
+    floored.  Then eg[a] = s_a + r_eg[a], fg[f] = s_f + r_fg[f],
+    fe[f, b] = s_f - conj(s_b) + i pure + r_fe[f, b],
+    ee[a, b] = s_a - conj(s_b) + i pure + r_ee[a, b],
+    ef[f, a] = s_a - conj(s_f) + i pure + r_fe[f, a] and
+    ff[f] = s_f - conj(s_f) + 2 i pure + r_ff[f], each up to rounding.
+    """
+    widths = _widths(system)
+    residuals = {name: -1j * (_floored(w) - w) for name, w in widths.items()}
+    eig = system.eig
+    return (eig.energies_f - 1j * widths["fg"], eig.energies_e - 1j * widths["eg"],
+            1j * system.bath.pure_dephasing, residuals)
 
 
 @dataclass
@@ -483,16 +512,25 @@ def _prepared_partials(system: ExcitonSystem, source, t_fs: float):
 
     # coherence pathways on axes (f, a, b): the middle interval is an
     # off-diagonal one-exciton coherence a-b, again with ket- and bra-sided
-    # completion
+    # completion.  Their poles enter as sums of state poles, the pure
+    # dephasing constant and the floor residuals (``_state_poles``), so
+    # each leg's sum telescopes: its one-exciton state poles cancel, and
+    # the pump lies on f and the residuals' axes alone.
     coherence = [("fab", weight("coherence"))]
-    eg, ee, minus_ee = ("a", z.eg), ("ab", z.ee), ("ab", -z.ee)
-    # p3: ket (fe - ee, eg), bra (fe - ff, eg - ee)
-    pair = source.pair_factors([("fb", z.fe), minus_ee], [eg], [("fb", z.fe - z.ff[:, None])],
-                               [eg, minus_ee])
+    s_f, s_e, i_pure, r = _state_poles(system)
+    fe = [("f", s_f), ("b", -s_e.conj()), ("", i_pure), ("fb", r["fe"])]
+    ee = [("a", s_e), ("b", -s_e.conj()), ("", i_pure), ("ab", r["ee"])]
+    ef = [("a", s_e), ("f", -s_f.conj()), ("", i_pure), ("fa", r["fe"])]
+    ff = [("f", s_f), ("f", -s_f.conj()), ("", 2.0 * i_pure), ("f", r["ff"])]
+    eg = [("a", s_e), ("a", r["eg"])]
+    minus_ee, minus_ef, minus_ff = ([(axes, -t) for axes, t in terms] for terms in (ee, ef, ff))
+    # p3: ket (fe - ee, eg), bra (fe - ff, eg - ee); less the floor
+    # residuals, the legs sum to fg = s_f and fg - ff = conj(s_f) - 2 i pure
+    pair = source.pair_factors(fe + minus_ee, eg, fe + minus_ff, eg + minus_ee)
     p3 = _pathway(coherence, coherence, *pair)
-    # p5: ket (ff - ef, eg), bra (ee - ef, eg - ee)
-    pair = source.pair_factors([("fa", z.ff[:, None] - z.ef)], [eg], [ee, ("fa", -z.ef)],
-                               [eg, minus_ee])
+    # p5: ket (ff - ef, eg), bra (ee - ef, eg - ee); the legs sum to
+    # s_f + i pure and conj(s_f) - i pure
+    pair = source.pair_factors(ff + minus_ef, eg, ee + minus_ef, eg + minus_ee)
     p5 = _pathway(coherence, coherence, *pair)
 
     pathways = {"p1": p1, "p2": p2, "p3": p3, "p4": p4, "p5": p5}
@@ -587,10 +625,12 @@ def _target_bytes(system: ExcitonSystem, template: EppSource, mode: str) -> int:
     """Bytes per target of the largest array a block of scan targets carries
     on the target axis.
 
-    That is the pump of a leg's unshifted sum, on (f, e, u) or (f, a, b),
+    That is the pump of a transport pathway's unshifted sum, on (f, e, u),
     unless the phase-matching references move with the target (degenerate
     mode) at t1 != 0: then a matching excess spans (f, e, u) and the modes,
-    and its Taylor coefficients (f, e, u) and the orders.  (A part that
+    and its Taylor coefficients (f, e, u) and the orders.  (The coherence
+    pathways' pump spans as many cells, (f, a, b), only where floor
+    residuals keep those axes.  A part that
     ``sources`` takes whole spans (f, e, u, p) too; its guards are for
     shifts far from any model's.)
     """

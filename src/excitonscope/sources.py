@@ -47,13 +47,17 @@ one method:
   terms ``(axes, array)`` whose sum it is, and a factor is one
   ``(axes, array)`` with one array dimension per character of ``axes``,
   each of the axis's full size.  Terms on equal axis sets are added, and
-  a pole that cancels in a sum drops out of it exactly.  Terms on the
-  axes ``shift`` alone are shifts: the transport pathways' mode poles,
-  which move the pair little.  The call returns ``(factors, excess)``,
-  and the pair is the product of the factors and of 1 + m over the excess
-  factors m: the change the shifts make to the factors they are split
-  off, each computed without cancellation.  A factor the source takes
-  whole carries the shift's axes.  The engine multiplies the factors and
+  a sum of all zeros, a pole that cancels or a lone term of zeros, drops
+  out exactly.  So once poles are passed as sums of state-pole terms,
+  each on one axis (``excitation._state_poles``), the one-exciton poles
+  cancel across the poles' axes: fe[f, b] - ee[a, b] + eg[a] leaves the
+  state pole s_f on f alone.  Terms on the axes ``shift`` alone are
+  shifts: the transport pathways' mode poles, which move the pair
+  little.  The call returns ``(factors, excess)``, and the pair is the
+  product of the factors and of 1 + m over the excess factors m: the
+  change the shifts make to the factors they are split off, each
+  computed without cancellation.  A factor the source takes whole
+  carries the shift's axes.  The engine multiplies the factors and
   its weights and sums over the pathway's axes in ``matmul`` calls, so no
   factor is broadcast to the full pathway grid unless the source returns
   it so; where a factor carries the shift's axes, it multiplies all of
@@ -275,13 +279,11 @@ def _on_targets(value):
 
 
 def _merged(terms):
-    """The terms with equal axis sets summed, and the sums that cancel to zero dropped."""
-    by_axes, counts = {}, {}
+    """The terms with equal axis sets summed, and the sums of all zeros dropped."""
+    by_axes = {}
     for own, array in terms:
-        key = _accumulate(by_axes, own, np.asarray(array))
-        counts[key] = counts.get(key, 0) + 1
-    return [(axes, total) for key, (axes, total) in by_axes.items()
-            if counts[key] == 1 or total.any()]
+        _accumulate(by_axes, own, np.asarray(array))
+    return [(axes, total) for axes, total in by_axes.values() if total.any()]
 
 
 def _split(terms, shift):

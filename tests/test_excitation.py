@@ -29,6 +29,7 @@ from excitonscope.units import TWO_PI_C
 
 from conftest import dimer_bath, make_dimer
 from loop_reference import extended_transport_pathways
+from test_model_build import POLE_CASES
 
 
 def dimer_source(system, **kw):
@@ -224,6 +225,114 @@ def test_pair_sums_at_nonzero_t1_split_off_no_shift(trimer_system):
         for axes, shape in factors:
             assert len(axes) == len(shape) and all(n > 1 for n in shape)
             assert set(axes) <= set("fab"), axes
+
+
+def _pole_case(name):
+    factory, bath_spec = POLE_CASES[name]
+    return ExcitonSystem.build(factory(), bath_spec)
+
+
+@pytest.mark.parametrize("system_name", ["dimer_system", "trimer_system", "bundled", "dephased"])
+def test_coherence_pathways_take_their_pump_on_f(system_name, request, monkeypatch):
+    # p3 and p5 pass their poles as sums of state poles, so the one-exciton
+    # ones cancel from each leg's sum frequency: their pump lies on f, or on
+    # (t, f) for a block of targets, also with pure dephasing (3.0 in the
+    # dephased case), whose constants lie on no axis.  A leg's matching lies
+    # on its photon frequencies' axes, (a) on the ket and (b) on the bra at
+    # t1 = 0, (f, a) and (f, b) at t1 != 0, and a classical pulse, one per
+    # argument, on at most as many: no factor of p3 or p5 spans both a and
+    # b.  The pairs are recorded as p1, p2, p4, p3, p5.
+    if system_name == "dephased":
+        system = _pole_case("dephased")
+        assert system.bath.pure_dephasing == 3.0
+    else:
+        system = request.getfixturevalue(system_name)
+    gaussians = []
+    original = sources_module._gaussian_factors
+    monkeypatch.setattr(sources_module, "_gaussian_factors",
+                        lambda *args: gaussians.append(original(*args)) or gaussians[-1])
+    sources = engine_sources(system)
+    block = scan_source(sources[1], system.eig.energies_f[:3], "degenerate")
+    for source in sources + [block]:
+        gaussians.clear()
+        recorder = RecordingSource(source)
+        excitation._prepared_partials(system, recorder, 0.0)
+        assert len(recorder.factors) == len(gaussians) == 5
+        for k in (3, 4):
+            pump, excess = gaussians[k]
+            assert not excess and not recorder.excess[k]
+            axes = [frozenset(axes) - {TARGETS} for axes, _ in recorder.factors[k]]
+            assert not any({"a", "b"} <= own for own in axes), (source, k)
+            if isinstance(source, EppSource):
+                assert [frozenset(axes) - {TARGETS} for axes, _ in pump] == [{"f"}], (source, k)
+                matching = ([{"f", "a"}, {"f", "b"}] if source.t1 else [{"a"}, {"b"}] if source.t2
+                            else [set()])
+                assert sorted(map(sorted, axes[1:])) == sorted(map(sorted, matching)), (source, k)
+
+
+# Gaussian cells exponentiated, or screened, per default bundled
+# preparation: the pump on (f) of p1, p3 and p5 and on (f, u, e) of p2 and
+# p4, 3 * 105 + 2 * 20580.  It was 63315 while p3 and p5 took theirs on
+# (f, b, a) and (f, a).
+GAUSSIAN_CELLS = 41475
+
+
+def test_default_preparation_gaussian_cells(bundled, monkeypatch):
+    source = resolve_source(from_dict({"scenario": "excite"}), bundled)
+    cells = []
+    original = sources_module._screened_exp
+    monkeypatch.setattr(sources_module, "_screened_exp",
+                        lambda axes, exponent: cells.append(exponent.size) or original(axes, exponent))
+    prepare_closed_form(bundled, source)
+    assert sum(cells) == GAUSSIAN_CELLS
+
+
+# the trimer with the mode rates and pump durations of both guard cases of
+# test_guard_falls_back_to_the_unfactored_pair
+GUARD_CASES = {"guard-rates-1e4": (1e4, 2.0e3), "guard-rates-1e5": (1e5, 10.0)}
+
+
+@pytest.mark.parametrize("case", ["isolated", "dephased", *GUARD_CASES])
+def test_coherence_pathways_match_plain_loops_with_residuals(case, trimer_system):
+    # p3 and p5 as test_pathways_match_plain_loops checks them, on the dimer
+    # with every width floored, so that every floor residual is nonzero and
+    # keeps its axes, and with pure dephasing 3.0, with the engine sources;
+    # and on the trimer's guard cases with the first engine source
+    if case in GUARD_CASES:
+        rates, tau_pump = GUARD_CASES[case]
+        system = with_mode_rates(trimer_system, rates)
+        sources = [replace(engine_sources(system)[0], tau_pump=tau_pump)]
+    else:
+        system = _pole_case(case)
+        sources = engine_sources(system)
+    for source in sources:
+        partials = prepare_closed_form(system, source).pathway_partials[[2, 4]]
+        sums, mags = loop_pathways(system, source)
+        sums, mags = sums[[2, 4]], mags[[2, 4]]
+        assert mags.max(axis=1).min() > 0.0
+        assert np.all(np.abs(partials - sums) <= 1e-12 * mags), source
+
+
+@pytest.mark.parametrize("case", sorted(POLE_CASES))
+def test_floor_residuals_vanish_where_no_width_is_floored(case):
+    # each family's residual is nonzero at its floored widths alone, and the
+    # state-pole sums give the pole table's poles up to rounding
+    system = _pole_case(case)
+    poles = system.poles
+    s_f, s_e, pure, residuals = excitation._state_poles(system)
+    for name, residual in residuals.items():
+        assert np.count_nonzero(residual) == poles.floored_widths[name], name
+    sums = {
+        "eg": s_e + residuals["eg"],
+        "fg": s_f + residuals["fg"],
+        "fe": s_f[:, None] - s_e.conj() + pure + residuals["fe"],
+        "ee": s_e[:, None] - s_e.conj() + pure + residuals["ee"],
+        "ef": s_e - s_f[:, None].conj() + pure + residuals["fe"],
+        "ff": s_f - s_f.conj() + 2.0 * pure + residuals["ff"],
+    }
+    scale = 4.0 * np.finfo(float).eps * np.abs(s_f).max()
+    for name, total in sums.items():
+        assert np.all(np.abs(total - getattr(poles, name)) <= scale), name
 
 
 def test_guard_falls_back_to_the_unfactored_pair(trimer_system):

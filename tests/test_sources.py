@@ -9,6 +9,7 @@ from excitonscope.sources import (
     _SINC_SERIES_RADIUS,
     _expm1_ratio,
     _expm1_ratio_taylor,
+    _merged,
     _screened_exp,
     _taylor_orders,
     gaussian_gamma_from_tau,
@@ -333,6 +334,23 @@ def test_pair_falls_back_where_an_excess_exponent_leaves_its_range(source, layou
         expected = _legs(source, arguments)
         assert np.all(np.isfinite(expected)) and np.abs(expected).max() > 0.0
         assert np.all(np.abs(_pair(factors, excess) - expected) <= 1e-13 * np.abs(expected))
+
+
+def test_merged_drops_every_all_zero_sum():
+    # a lone term of zeros, such as a floor residual where no width is
+    # floored, is dropped as a sum that cancels is, so it widens no factor
+    # of the pair; a sum with one nonzero element is kept
+    rng = np.random.default_rng(12)
+    f, a = 12300.0 + rng.random(5), 12100.0 + rng.random(4)
+    zeros, one = np.zeros((5, 4), dtype=complex), np.zeros(4, dtype=complex)
+    one[2] = -1e-3j
+    merged = _merged([("f", f), ("a", a), ("fb", zeros[:, :3]), ("a", -a), ("", 0j), ("b", one)])
+    assert [axes for axes, _ in merged] == ["f", "b"]
+    assert np.array_equal(merged[0][1], f) and np.array_equal(merged[1][1], one)
+    source = make_source(tau_pump=120.0, t1=3.0, t_ent=10.0)
+    factors, excess = source.pair_factors([("f", f), ("fb", zeros)], [("a", a)],
+                                          [("f", f), ("fb", zeros)], [("a", -a), ("a", a)])
+    assert not excess and all("b" not in axes for axes, _ in factors)
 
 
 def test_pump_screen_zeroes_only_cells_far_below_their_slice():
