@@ -3,14 +3,7 @@ probed by time-frequency filtered two-photon coincidence counting."""
 
 from .aggregate import AggregateSpec, PairIndex
 from .bath import BathSpec, TransportModel, build_transport_matrix, spectral_density
-from .coincidence import (
-    FilterSpec,
-    SignalGrid,
-    coincidence_snapshot,
-    filtered_lineshape,
-    parameter_study,
-    spectrogram,
-)
+from .coincidence import FilterSpec, SignalGrid, coincidence_snapshot, parameter_study
 from .excitation import (
     ExcitonSystem,
     PreparationResult,
@@ -53,7 +46,6 @@ __all__ = [
     "bundled_system",
     "coincidence_snapshot",
     "compute_transition_dipoles",
-    "filtered_lineshape",
     "jsi_map",
     "parameter_study",
     "population_evolve",
@@ -63,6 +55,5 @@ __all__ = [
     "scan_source",
     "scan_targets",
     "spectral_density",
-    "spectrogram",
     "__version__",
 ]

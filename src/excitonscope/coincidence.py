@@ -3,13 +3,19 @@
 The detection stage watches the cascaded emission f -> e -> g of the
 two-exciton populations prepared by :mod:`excitonscope.excitation`.  Each
 photon passes a Lorentzian spectral gate and a one-sided exponential
-temporal gate; the gate pair is summarized by the detector spectrogram
-:func:`spectrogram`.  Folding the spectrogram delay axis against an
-emission coherence gives the closed rational lineshapes of
-:func:`filtered_lineshape`, and the coincidence map then factorizes into
-a sum over the shared one-exciton index of (two-exciton side) x
-(one-exciton side) profiles once the transport intervals are frozen at
-the waiting times.
+temporal gate, and the gate pair forms the detector spectrogram.  Folding
+its delay axis against an emission coherence at gap omega_ab with width
+gamma_ab gives one closed rational lineshape per delay branch, each
+N / (sigma_omega +- sigma_t + gamma_ab +- i (omega_center - omega_ab)),
+N = 1 / (2 sigma_omega 2 pi c): the tau > 0 branch
+(:func:`_positive_branch`) always converges, the tau < 0 branch only
+while sigma_omega + gamma_ab > sigma_t (:func:`_check_negative_branch`).
+The coincidence map then factorizes into a sum over the shared
+one-exciton index of (two-exciton side) x (one-exciton side) profiles
+once the transport intervals are frozen at the waiting times.  The
+gates, the spectrogram and the folds themselves are reference code of
+the test suite (``tests/detector_reference.py``), which checks these
+closed forms against them.
 
 :func:`coincidence_snapshot` evaluates the map by this waiting-time
 factorization: the slow gate-time envelopes are absorbed into the overall
@@ -56,54 +62,6 @@ class FilterSpec:
             raise ValueError("sigma_t must be positive")
 
 
-def spectral_gate(filt: FilterSpec, omega):
-    """Lorentzian gate amplitude i / (omega - center + i sigma_omega)."""
-    return 1j / (np.asarray(omega, dtype=float) - filt.omega_center + 1j * filt.sigma_omega)
-
-
-def temporal_gate(filt: FilterSpec, t_fs):
-    """One-sided exponential gate opening at ``t_center``."""
-    t = np.asarray(t_fs, dtype=float)
-    arg = units.TWO_PI_C * filt.sigma_t * (t - filt.t_center)
-    return np.where(t >= filt.t_center, np.exp(-np.clip(arg, 0.0, None)), 0.0)
-
-
-def spectrogram(filt: FilterSpec, t_prime_fs, tau_fs):
-    """Detector spectrogram of the Lorentzian gate pair.
-
-    Vanishes unless both detection times t' and t' + tau lie past the
-    gate opening; decays as exp(-sigma_omega |tau|) in the delay and
-    exp(-2 sigma_t (t' - t_center)) in the detection time, carries the
-    scan phase exp(-i omega_center tau) and an overall 1 / (2 sigma_omega).
-    """
-    tp = np.asarray(t_prime_fs, dtype=float)
-    tau = np.asarray(tau_fs, dtype=float)
-    x = units.TWO_PI_C * tau
-    y = units.TWO_PI_C * (tp - filt.t_center)
-    open_both = (y >= 0.0) & (y + x >= 0.0)
-    log_env = -filt.sigma_omega * np.abs(x) - filt.sigma_t * x - 2.0 * filt.sigma_t * y
-    log_env = np.where(open_both, log_env, -np.inf)
-    return (0.5 / filt.sigma_omega) * np.exp(log_env - 1j * filt.omega_center * x)
-
-
-def filtered_lineshape(filt: FilterSpec, omega_ab: float, gamma_ab: float):
-    """Closed-form delay integrals of the spectrogram against an emission
-    coherence at gap ``omega_ab`` (cm^-1) with width ``gamma_ab`` (cm^-1).
-
-    Returns the (tau > 0, tau < 0) branch values separately since the two
-    coincidence pathway terms weight them differently.  Both peak at
-    omega_center = omega_ab; the tau < 0 branch only converges while
-    sigma_omega + gamma_ab > sigma_t.
-    """
-    if gamma_ab < 0.0:
-        raise ValueError("gamma_ab must be non-negative")
-    _check_negative_branch(filt, gamma_ab)
-    return _lineshape_branches(
-        np.asarray(filt.omega_center, dtype=float),
-        omega_ab, gamma_ab, filt.sigma_omega, filt.sigma_t,
-    )
-
-
 def _check_negative_branch(filt: FilterSpec, gamma_min: float):
     if filt.sigma_omega + gamma_min <= filt.sigma_t:
         raise ValueError(
@@ -112,14 +70,9 @@ def _check_negative_branch(filt: FilterSpec, gamma_min: float):
         )
 
 
-def _lineshape_branches(omega_bar, omega_ab, gamma_ab, sigma_omega, sigma_t):
-    norm = 0.5 / sigma_omega / units.TWO_PI_C
-    neg = norm / ((sigma_omega - sigma_t + gamma_ab) - 1j * (omega_bar - omega_ab))
-    return _positive_branch(omega_bar, omega_ab, gamma_ab, sigma_omega, sigma_t), neg
-
-
 def _positive_branch(omega_bar, omega_ab, gamma_ab, sigma_omega, sigma_t):
-    """The tau > 0 branch of :func:`_lineshape_branches`."""
+    """The tau > 0 lineshape of the gate pair at ``omega_bar`` against an
+    emission coherence at ``omega_ab`` with width ``gamma_ab`` (cm^-1)."""
     norm = 0.5 / sigma_omega / units.TWO_PI_C
     return norm / ((sigma_omega + sigma_t + gamma_ab) + 1j * (omega_bar - omega_ab))
 
@@ -185,7 +138,7 @@ def _emission_side(system, rho, filter_fe, omega_fe, t_wait_two):
     and imaginary (e, omega_fe) parts.
 
     Each shared e sums, over the f' emitters feeding it, the populations
-    times |d_fe|^2 times both branches of :func:`_lineshape_branches` in
+    times |d_fe|^2 times both delay branches (module docstring) in
     closed form: with A+- = sigma_omega +- sigma_t + gamma_fe,
     P = detune^2 + A+ A- and Q = 2 sigma_t detune, the branch sum is
     N (A+ + A-)(P + iQ) / (P^2 + Q^2), N = 1 / (2 sigma_omega 2 pi c), with

@@ -33,8 +33,8 @@ from . import units
 from .aggregate import AggregateSpec
 from .bath import BathSpec, TransportModel, build_transport_matrix
 from .excitons import ExcitonEigensystem, TransitionDipoles, compute_transition_dipoles
-from .sources import (_TAYLOR_MAX_ORDERS, TARGETS, EppSource, _cells, _grid, _per_target,
-                      _union, on_axes)
+from .sources import (_TAYLOR_MAX_ORDERS, MODES, TARGETS, EppSource, _cells, _grid,
+                      _per_target, _union, on_axes)
 
 DEFAULT_POLARIZATION = (1.0, 1.0, 1.0)
 # Widths below the trigger are raised to the floor value (cm^-1), so every
@@ -239,8 +239,9 @@ class PreparationResult:
     give each pathway's sum over f of |partial| (``pathway_abs_sums``) and
     the ``cancellation_ratio`` sum_f |sum of partials| / sum |partials|:
     near 1 the pathways add, near 0 they cancel and the rounding error of
-    ``raw`` grows by its inverse.  ``unsplit_pathways`` names the pathways
-    whose pair a guard of ``sources`` took whole with the mode poles in it.
+    ``raw`` grows by its inverse.  ``diagnostics["unsplit_pathways"]``
+    names the pathways whose pair a guard of ``sources`` took whole with the
+    mode poles in it.
     """
 
     populations: np.ndarray
@@ -309,21 +310,17 @@ def pathway_weights(system: ExcitonSystem):
     return w.coherent, w_transport, w.coherence
 
 
-def _carries(labelled, shift) -> bool:
-    return bool(shift) and not set(shift).isdisjoint(labelled[0])
-
-
-def _contract(operands, shift=None):
+def _contract(operands):
     """sum over every axis but f and the target axis of the product of
     labelled arrays, as (N_t, N_f), N_t = 1 where no operand has targets.
 
-    With ``shift`` the operands that carry the shift's axes are summed over
-    them first, so the order of that sum, which the cancellation over the
-    transport modes makes visible, does not depend on the other operands.
+    The operands on the mode axis are summed over it first, so the order
+    of that sum, which the cancellation over the transport modes makes
+    visible, does not depend on the other operands.
     """
-    inner = [op for op in operands if _carries(op, shift)]
+    inner = [op for op in operands if MODES in op[0]]
     if inner:
-        operands = [op for op in operands if not _carries(op, shift)]
+        operands = [op for op in operands if MODES not in op[0]]
         kept = set("".join(axes for axes, _ in operands) + "f") - {TARGETS}
         axes = "".join(dict.fromkeys(c for own, _ in inner for c in own if c in kept))
         operands.append(_summed(inner, axes))
@@ -430,49 +427,49 @@ def _contraction_path(inputs: tuple, out: str, shapes: tuple) -> list:
     return path
 
 
-def _pathway(weights, summed, factors, excess, shift=None):
+def _pathway(weights, summed, factors, excess):
     """sum over every axis but f of the labelled ``weights`` times the
     pair: the product of the factors and of 1 + m over the excess factors m.
 
-    ``summed`` is ``weights`` summed over the shift's axes, which no
+    ``summed`` is ``weights`` summed over the mode axis, which no
     split-off factor has.  The product of the 1 + m_j is expanded as
     1 + sum_j (1 + m_1) ... (1 + m_{j-1}) m_j: the 1 takes ``summed`` and
-    the terms, small where the pair varies little with the shift, the
+    the terms, small where the pair varies little with the mode poles, the
     weights.  So the transport pathways' pair does not inherit the
     cancellation of sum_p transport[e, u, p] = d_eg[e]^2 delta_eu, whose
     terms reach 1e5 times that on an ill-conditioned mode basis.  Factors
-    on the shift's axes are multiplied into one array first, so that the
-    order of the sum over those axes does not depend on their factoring.
-    Returns (N_t, N_f) and whether a factor carried them, so that the pair
+    on the mode axis are multiplied into one array first, so that the
+    order of the sum over it does not depend on their factoring.
+    Returns (N_t, N_f) and whether a factor carried it, so that the pair
     was contracted unsplit.  Each 1 + m is formed once.
     """
-    spanning = [f for f in factors if _carries(f, shift)]
+    spanning = [f for f in factors if MODES in f[0]]
     if spanning:
         axes, _ = _grid(spanning)
         pair = math.prod(on_axes(axes, factor) for factor in spanning)
-        factors = [f for f in factors if not _carries(f, shift)] + [(axes, pair)]
-    total = _contract((weights if spanning else summed) + factors, shift)
+        factors = [f for f in factors if MODES not in f[0]] + [(axes, pair)]
+    total = _contract((weights if spanning else summed) + factors)
     earlier = []
     for j, (axes, m) in enumerate(excess):
         if j:
             earlier.append((excess[j - 1][0], 1.0 + excess[j - 1][1]))
-        total = total + _contract(weights + factors + earlier + [(axes, m)], shift)
+        total = total + _contract(weights + factors + earlier + [(axes, m)])
     return total, bool(spanning)
 
 
 def _prepared_partials(system: ExcitonSystem, source, t_fs: float):
     """The five decayed pathway partial sums of every target of ``source``,
     (N_t, 5, N_f) (N_t = 1 for one source), and the names of the pathways
-    whose pair carried its shift whole.
+    whose pair carried its mode poles whole.
 
-    Each pathway is one ``source.pair_factors(ket_x, ket_y, bra_x, bra_y,
-    shift)`` call, every argument a list of terms ``(axes, array)``
-    labelled by the pathway's axes, contracted with its weights by
-    ``_pathway``.  A pole that cancels in a leg's sum x + y appears in both
-    of its arguments with opposite signs.  The transport pathways pass
-    their mode poles on axis p as the shift.  The weights are cast to
-    complex once here, each before its first pathway, rather than in every
-    product.
+    Each pathway is one ``source.pair_factors(ket_x, ket_y, bra_x, bra_y)``
+    call, every argument a list of terms ``(axes, array)`` labelled by the
+    pathway's axes, contracted with its weights by ``_pathway``.  A pole
+    that cancels in a leg's sum x + y appears in both of its arguments with
+    opposite signs.  The transport pathways pass their mode poles on the
+    mode axis ``MODES`` (p), which ``sources`` splits off as shifts.  The
+    weights are cast to complex once here, each before its first pathway,
+    rather than in every product.
     """
     if t_fs < 0.0:
         raise ValueError(f"evaluation time must be non-negative, got {t_fs}")
@@ -503,12 +500,12 @@ def _prepared_partials(system: ExcitonSystem, source, t_fs: float):
     eg, zp, minus_zp = ("e", z.eg), ("p", z.modes), ("p", -z.modes)
     # p2: ket (fe - zp, eg), bra (fe - ff, eg - zp)
     pair = source.pair_factors([("fu", z.fe), minus_zp], [eg], [("fu", z.fe - z.ff[:, None])],
-                               [eg, minus_zp], shift="p")
-    p2 = _pathway(transport, summed, *pair, shift="p")
+                               [eg, minus_zp])
+    p2 = _pathway(transport, summed, *pair)
     # p4: ket (ff - ef, eg), bra (zp - ef, eg - zp)
     pair = source.pair_factors([("fu", z.ff[:, None] - z.ef)], [eg], [zp, ("fu", -z.ef)],
-                               [eg, minus_zp], shift="p")
-    p4 = _pathway(transport, summed, *pair, shift="p")
+                               [eg, minus_zp])
+    p4 = _pathway(transport, summed, *pair)
 
     # coherence pathways on axes (f, a, b): the middle interval is an
     # off-diagonal one-exciton coherence a-b, again with ket- and bra-sided
@@ -630,9 +627,8 @@ def _target_bytes(system: ExcitonSystem, template: EppSource, mode: str) -> int:
     mode) at t1 != 0: then a matching excess spans (f, e, u) and the modes,
     and its Taylor coefficients (f, e, u) and the orders.  (The coherence
     pathways' pump spans as many cells, (f, a, b), only where floor
-    residuals keep those axes.  A part that
-    ``sources`` takes whole spans (f, e, u, p) too; its guards are for
-    shifts far from any model's.)
+    residuals keep those axes.  A part that ``sources`` takes whole spans
+    (f, e, u, p) too; its guards are for shifts far from any model's.)
     """
     cells = system.n_two * system.n_one ** 2
     if mode == "degenerate" and template.t1:

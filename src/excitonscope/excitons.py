@@ -30,9 +30,7 @@ def build_one_exciton_hamiltonian(spec: AggregateSpec) -> np.ndarray:
     return np.diag(spec.site_energies) + spec.couplings
 
 
-def build_two_exciton_hamiltonian(spec: AggregateSpec, pairs: PairIndex | None = None) -> np.ndarray:
-    if pairs is None:
-        pairs = PairIndex(spec.n_sites)
+def build_two_exciton_hamiltonian(spec: AggregateSpec, pairs: PairIndex) -> np.ndarray:
     if pairs.n_sites != spec.n_sites:
         raise ValueError("pair index does not match the aggregate size")
     energies = spec.site_energies

@@ -40,7 +40,8 @@ def bundled_system(polarization=DEFAULT_POLARIZATION) -> ExcitonSystem:
 
 
 def bright_pair(system: ExcitonSystem) -> tuple[int, int]:
-    """Indices of the two brightest one-exciton states (ascending)."""
+    """Indices of the two brightest one-exciton states (ascending), the lone
+    state twice on a one-site aggregate."""
     strength = np.linalg.norm(system.dipoles.d_eg, axis=1)
-    a, b = np.argsort(strength)[-2:]
-    return (int(min(a, b)), int(max(a, b)))
+    brightest = np.argsort(strength)[-2:]
+    return (int(brightest.min()), int(brightest.max()))

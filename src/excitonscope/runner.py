@@ -385,9 +385,11 @@ def resolve_source(cfg: RunConfig, system: ExcitonSystem):
         return CoherentSource(float(center), s.tau, s.scale)
     if s.t2 < s.t1:
         raise ConfigError([("source.t2", f"must be >= source.t1 = {s.t1} (fs)")])
-    e1, e2 = bright_pair(system)
-    omega1 = float(system.eig.energies_e[e1]) if s.omega1 == "auto" else s.omega1
-    omega2 = float(system.eig.energies_e[e2]) if s.omega2 == "auto" else s.omega2
+    omega1, omega2 = s.omega1, s.omega2
+    if "auto" in (omega1, omega2):
+        lines = system.eig.energies_e[list(bright_pair(system))]
+        omega1, omega2 = (float(line) if omega == "auto" else omega
+                          for omega, line in zip((omega1, omega2), lines))
     pump = s.pump_center
     if pump == "auto":
         pump = float(system.eig.energies_f[_checked_target(cfg, system)])
@@ -532,7 +534,8 @@ def _run_model_info(cfg, system, sink, run):
             "count": int(energies.size),
             "energy_min": float(energies.min()),
             "energy_max": float(energies.max()),
-            "median_gap": float(np.median(np.diff(energies))),
+            # a lone state has no gap, and json writes NaN, which is not JSON
+            "median_gap": float(np.median(np.diff(energies))) if energies.size > 1 else None,
             "median_depopulation": float(np.median(widths)),
         }
     run.lap("analyze")

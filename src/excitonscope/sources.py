@@ -41,7 +41,7 @@ and its ket leg the conjugate continuation, and the reference evaluations
 in the tests take them.  The preparation engine talks to a source through
 one method:
 
-- ``pair_factors(ket_x, ket_y, bra_x, bra_y, shift=None)``, the product
+- ``pair_factors(ket_x, ket_y, bra_x, bra_y)``, the product
   ``preparation_ket(x, y) * preparation_bra(x', y')`` for each of the
   five pathways, returned as labelled factors.  An argument is a list of
   terms ``(axes, array)`` whose sum it is, and a factor is one
@@ -51,17 +51,17 @@ one method:
   out exactly.  So once poles are passed as sums of state-pole terms,
   each on one axis (``excitation._state_poles``), the one-exciton poles
   cancel across the poles' axes: fe[f, b] - ee[a, b] + eg[a] leaves the
-  state pole s_f on f alone.  Terms on the axes ``shift`` alone are
+  state pole s_f on f alone.  Terms on the mode axis ``MODES`` alone are
   shifts: the transport pathways' mode poles, which move the pair
-  little.  The call returns ``(factors, excess)``, and the pair is the
-  product of the factors and of 1 + m over the excess factors m: the
-  change the shifts make to the factors they are split off, each
-  computed without cancellation.  A factor the source takes whole
-  carries the shift's axes.  The engine multiplies the factors and
-  its weights and sums over the pathway's axes in ``matmul`` calls, so no
-  factor is broadcast to the full pathway grid unless the source returns
-  it so; where a factor carries the shift's axes, it multiplies all of
-  them into one array first.
+  little; only those pathways pass any.  The call returns
+  ``(factors, excess)``, and the pair is the product of the factors and
+  of 1 + m over the excess factors m: the change the shifts make to the
+  factors they are split off, each computed without cancellation.  A
+  factor the source takes whole carries the mode axis.  The engine
+  multiplies the factors and its weights and sums over the pathway's
+  axes in ``matmul`` calls, so no factor is broadcast to the full
+  pathway grid unless the source returns it so; where a factor carries
+  the mode axis, it multiplies all of them into one array first.
 
 Both sources factor their Gaussians (the pump of each leg's sum
 frequency, or a classical amplitude of one argument) through
@@ -131,8 +131,10 @@ _EXCESS_EXPONENT_RANGE = (-1.0, 50.0)
 # which the screen does not see; on the engine's test cases raw changes
 # at M = 80 and not at 100.
 _SCREEN_MARGIN = 130.0
-# The axis of the targets of a scan block (module docstring).
+# The axis of the targets of a scan block and the axis of the transport
+# modes, whose poles are the shifts of a pair (module docstring).
 TARGETS = "t"
+MODES = "p"
 
 
 def _expm1_ratio(w):
@@ -286,11 +288,11 @@ def _merged(terms):
     return [(axes, total) for axes, total in by_axes.values() if total.any()]
 
 
-def _split(terms, shift):
+def _split(terms):
     """The merged terms of a sum apart from its shift, and the merged shift,
-    the terms on the axes ``shift`` alone (none if ``shift`` is None)."""
-    return (_merged([term for term in terms if term[0] != shift]),
-            _merged([term for term in terms if term[0] == shift]))
+    the terms on the mode axis alone."""
+    return (_merged([term for term in terms if term[0] != MODES]),
+            _merged([term for term in terms if term[0] == MODES]))
 
 
 def _accumulate(groups, axes, array, combine=np.add, fresh=False):
@@ -340,17 +342,16 @@ def _detuning(terms, center):
     return centred, smallest
 
 
-def _gaussian(terms, shift, center, kappa):
-    """The exponent kappa d^2 of a Gaussian of the sum of ``terms``, with
-    d the sum less its shift and less ``center``, and the change a shift s
-    makes to it.
+def _gaussian(base, shifts, center, kappa):
+    """The exponent kappa d^2 of a Gaussian of a sum split into ``base`` and
+    ``shifts`` (``_split``), with d the base less ``center``, and the change
+    a shift s makes to it.
 
     Returns the exponent, labelled, and the change
     kappa ((d + s)^2 - d^2) = 2 kappa s (d + s / 2) as one labelled
     product per term of d, the one that took ``center`` also taking s / 2,
     so that no product has more axes than a term and the shift.
     """
-    base, shifts = _split(terms, shift)
     detuning, smallest = _detuning(base, center)
     axes, exponent = labelled_sum(detuning)
     exponent *= exponent
@@ -386,7 +387,7 @@ def _screened_exp(axes, exponent):
     return exponent
 
 
-def _gaussian_factors(arguments, shift, center, gamma, constant):
+def _gaussian_factors(arguments, center, gamma, constant):
     """``constant`` times the product over ``arguments`` of
     exp(kappa (w - center)^2), kappa = -(2 pi c)^2 / (4 G), at each
     argument's sum w, as labelled ``(factors, excess)``.  ``center`` is a
@@ -403,13 +404,13 @@ def _gaussian_factors(arguments, shift, center, gamma, constant):
     low, high = _EXCESS_EXPONENT_RANGE
     exponents, growth = {}, {}
     for terms in arguments:
-        exponent, changes = _gaussian(terms, shift, center, kappa)
+        exponent, changes = _gaussian(*_split(terms), center, kappa)
         grown, changed = dict(growth), set()
         for axes, change in changes:
             changed.add(_accumulate(grown, axes, change, fresh=True))
         if any(grown[key][1].real.max() > high or grown[key][1].real.min() < low
                for key in changed):
-            exponent, _ = _gaussian(terms, None, center, kappa)
+            exponent, _ = _gaussian(_merged(terms), [], center, kappa)
         else:
             growth = grown
         _accumulate(exponents, *exponent, fresh=True)
@@ -519,12 +520,12 @@ class EppSource:
 
     preparation_bra = jsa
 
-    def pair_factors(self, ket_x, ket_y, bra_x, bra_y, shift=None):
+    def pair_factors(self, ket_x, ket_y, bra_x, bra_y):
         """preparation_ket(x, y) * preparation_bra(x', y') as labelled
         ``(factors, excess)``, as the class docstring describes."""
         legs = ((ket_x, ket_y, -1.0), (bra_x, bra_y, 1.0))
         pump, pump_excess = _gaussian_factors(
-            [x + y for x, y, _ in legs], shift, _on_targets(self.pump_center), self.pump_gamma,
+            [x + y for x, y, _ in legs], _on_targets(self.pump_center), self.pump_gamma,
             (self.alpha * self.e0) ** 2 * (np.pi / self.pump_gamma))
         references = [_on_targets(r) for r in self._references()]
         # the pump's excess first, so the engine meets a 4-D matching excess once
@@ -534,14 +535,14 @@ class EppSource:
         for x, y, sign in legs:
             # a photon frequency enters only through a nonzero group delay
             photons = ((self.t1, x), (self.t2, y))
-            split = [_split(terms, shift) if delay else ([], []) for delay, terms in photons]
+            split = [_split(terms) if delay else ([], []) for delay, terms in photons]
             # the shifts change every branch's 2 i sign phi by one delta
             d_axes, d = labelled_sum([(axes, (sign * 1j * units.TWO_PI_C * delay) * s)
                                       for (delay, _), (_, shifts) in zip(photons, split)
                                       for axes, s in shifts])
             orders = _taylor_orders(float(np.abs(d).max()))
             if orders is None:  # taken whole, on the shifted frequencies
-                split = [_split(terms, None) if delay else ([], []) for delay, terms in photons]
+                split = [(_merged(terms), []) if delay else ([], []) for delay, terms in photons]
                 orders = 0
             wa, wb = (labelled_sum(base) for base, _ in split)
             axes, shape = _grid([wa, wb, *references])
@@ -596,10 +597,10 @@ class CoherentSource:
 
     preparation_bra = preparation_ket
 
-    def pair_factors(self, ket_x, ket_y, bra_x, bra_y, shift=None):
+    def pair_factors(self, ket_x, ket_y, bra_x, bra_y):
         """A(x) A(y) A(x') A(y') as labelled ``(factors, excess)`` from
         ``_gaussian_factors``."""
-        return _gaussian_factors([ket_x, ket_y, bra_x, bra_y], shift, _on_targets(self.center),
+        return _gaussian_factors([ket_x, ket_y, bra_x, bra_y], _on_targets(self.center),
                                  self.gamma, (self.scale * np.sqrt(np.pi / self.gamma)) ** 4)
 
 

@@ -11,6 +11,7 @@ import pytest  # noqa: E402
 
 from excitonscope import AggregateSpec, BathSpec, ExcitonSystem  # noqa: E402
 from excitonscope.presets import bundled_system  # noqa: E402
+from excitonscope.sources import MODES  # noqa: E402
 
 
 def make_dimer() -> AggregateSpec:
@@ -38,6 +39,12 @@ def make_trimer() -> AggregateSpec:
         bath_coupling_weights=(1.0, 0.8, 1.2),
         label="trimer",
     )
+
+
+def off_modes(arguments):
+    """Pair arguments with the mode axis of their terms relabelled q, an
+    ordinary axis of the same size, which a source does not split off."""
+    return [[(axes.replace(MODES, "q"), array) for axes, array in terms] for terms in arguments]
 
 
 def dimer_bath() -> BathSpec:

@@ -17,10 +17,12 @@ import math
 import numpy as np
 
 from excitonscope.bath import phonon_correlation_real
-from excitonscope.coincidence import _check_negative_branch, _lineshape_branches
+from excitonscope.coincidence import _check_negative_branch
 from excitonscope.excitation import WIDTH_FLOOR_TRIGGER, WIDTH_FLOOR_VALUE
 from excitonscope.propagators import population_propagator
 from excitonscope.units import TWO_PI_C
+
+from detector_reference import lineshape_branches
 
 
 def loop_two_exciton_hamiltonian(spec, pairs):
@@ -137,7 +139,7 @@ def loop_signed_map(system, rho_ff, filter_fe, filter_eg, grid):
             weight = populations_f[fp] * dd_fe[fp, e]
             if weight == 0.0:
                 continue
-            pos, neg = _lineshape_branches(
+            pos, neg = lineshape_branches(
                 grid.omega_fe, w_fe[fp, e], g_fe[fp, e],
                 filter_fe.sigma_omega, filter_fe.sigma_t,
             )
@@ -145,7 +147,7 @@ def loop_signed_map(system, rho_ff, filter_fe, filter_eg, grid):
 
     side_eg = np.zeros((system.n_one, grid.omega_eg.size), dtype=complex)
     for ep in range(system.n_one):
-        pos, _ = _lineshape_branches(
+        pos, _ = lineshape_branches(
             grid.omega_eg, w_eg[ep], g_eg[ep],
             filter_eg.sigma_omega, filter_eg.sigma_t,
         )
@@ -166,7 +168,7 @@ def loop_coincidence_snapshot(system, rho_ff, filter_fe, filter_eg, grid):
 
 
 def branch_sum(detune, gamma_ab, sigma_omega, sigma_t, weight):
-    """``weight`` times the sum of both branches of ``_lineshape_branches``
+    """``weight`` times the sum of both branches of ``lineshape_branches``
     in the closed form of ``coincidence._emission_side``, as its real and
     imaginary parts."""
     a_pos = sigma_omega + sigma_t + gamma_ab
@@ -199,7 +201,7 @@ def plain_snapshot(system, rho_ff, filter_fe, filter_eg, grid):
         side_im[e] = im.sum(axis=0)
 
     green_e = population_propagator(system.transport_one, grid.t_wait_one)
-    pos, _ = _lineshape_branches(
+    pos, _ = lineshape_branches(
         grid.omega_eg, w_eg[:, None], g_eg[:, None],
         filter_eg.sigma_omega, filter_eg.sigma_t,
     )

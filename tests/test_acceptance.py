@@ -29,21 +29,19 @@ from excitonscope import (
     SignalGrid,
     coincidence_snapshot,
     compute_transition_dipoles,
-    filtered_lineshape,
     population_evolve,
     population_propagator,
     prepare_closed_form,
     scan_targets,
-    spectrogram,
 )
 from excitonscope.bath import BathSpec, phonon_correlation_real
-from excitonscope.coincidence import temporal_gate
 from excitonscope.config import from_dict
 from excitonscope.runner import run_scenario
 from excitonscope.units import TWO_PI_C, beta_cm
 
 from bath_reference import re_correlation_time_domain
 from conftest import dimer_bath, make_dimer, make_trimer
+from detector_reference import filtered_lineshape, spectrogram, temporal_gate
 from product_space import sector_eigensystems, sector_transition_dipoles
 from quadrature_oracle import prepare_quadrature_oracle
 from time_oracle import coincidence_time_map, coincidence_time_oracle

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from excitonscope import runner
+from excitonscope import AggregateSpec, runner
 from excitonscope.cli import build_parser, main
 from excitonscope.config import SCENARIOS, load_config
 from excitonscope.runner import SCENARIO_RUNS
@@ -122,6 +122,35 @@ def test_map_with_no_positive_cell_records_a_null_clipped_fraction(tmp_path, cap
     assert empty and all(panels[label]["clipped_cells"] == 4 for label in empty)
     assert {f"panel {label}: {note}" for label in empty} <= set(
         strict("panels/manifest.json")["warnings"])
+
+
+def test_one_site_aggregate_runs_every_scenario(tmp_path, capsys):
+    # one state per manifold: the auto source gives the lone line to both
+    # photons, and model-info has no gap to take a median of
+    AggregateSpec(site_energies=(12100.0,), couplings=((0.0,),), onsite_anharmonicity=(-250.0,),
+                  pair_anharmonicity=((0.0,),), site_dipoles=((1.2, 0.0, 0.0),),
+                  bath_coupling_weights=(1.0,), label="monomer").to_json(tmp_path / "monomer.json")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"scenario": "excite", "aggregate": str(tmp_path / "monomer.json"),
+                                "target": 0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fmt in ("csv", "json"):
+            for scenario in SCENARIOS:
+                out = str(tmp_path / fmt / scenario)
+                assert main([scenario, "--config", str(path), "--format", fmt, "--out", out]) == 0
+
+    def strict(path):
+        return json.loads(path.read_text(),
+                          parse_constant=lambda constant: pytest.fail(f"{path}: {constant}"))
+
+    files = sorted(tmp_path.glob("*/*/*.json"))
+    assert sum(path.name == "manifest.json" for path in files) == 2 * len(SCENARIOS)
+    parsed = {path.relative_to(tmp_path).as_posix(): strict(path) for path in files}
+    info = parsed["csv/model-info/model.json"]
+    assert info["one_exciton"]["median_gap"] is None and info["two_exciton"]["median_gap"] is None
+    source = parsed["csv/excite/manifest.json"]["resolved"]["source"]
+    assert source["omega1"] == source["omega2"] == 12100.0
 
 
 def test_unwritable_output_directory_is_a_config_error(tmp_path):

@@ -8,20 +8,20 @@ from excitonscope import (
     SignalGrid,
     coincidence,
     coincidence_snapshot,
-    filtered_lineshape,
     parameter_study,
     runner,
-    spectrogram,
-)
-from excitonscope.coincidence import (
-    _lineshape_branches,
-    spectral_gate,
-    temporal_gate,
 )
 from excitonscope.config import RunConfig
 from excitonscope.excitons import TransitionDipoles
 from excitonscope.units import TWO_PI_C
 
+from detector_reference import (
+    filtered_lineshape,
+    lineshape_branches,
+    spectral_gate,
+    spectrogram,
+    temporal_gate,
+)
 from loop_reference import branch_sum, loop_coincidence_snapshot, loop_signed_map, plain_snapshot
 from time_oracle import coincidence_time_oracle
 
@@ -125,7 +125,7 @@ def test_lineshape_negative_branch_guard():
 )
 def test_branch_sum_closed_form(sigma_omega, sigma_t, gamma):
     detune = np.linspace(-3000.0, 3000.0, 6001)
-    pos, neg = _lineshape_branches(detune, 0.0, gamma, sigma_omega, sigma_t)
+    pos, neg = lineshape_branches(detune, 0.0, gamma, sigma_omega, sigma_t)
     expected = pos + neg
     for weight in (1.0, 0.37):
         re, im = branch_sum(detune, gamma, sigma_omega, sigma_t, weight)

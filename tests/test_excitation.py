@@ -24,10 +24,10 @@ from excitonscope.bath import BathSpec
 from excitonscope.config import from_dict
 from excitonscope.excitation import PoleTable, pathway_weights
 from excitonscope.runner import resolve_source
-from excitonscope.sources import TARGETS, _grid, on_axes
+from excitonscope.sources import MODES, TARGETS, _grid, on_axes
 from excitonscope.units import TWO_PI_C
 
-from conftest import dimer_bath, make_dimer
+from conftest import dimer_bath, make_dimer, off_modes
 from loop_reference import extended_transport_pathways
 from test_model_build import POLE_CASES
 
@@ -45,33 +45,30 @@ def dimer_source(system, **kw):
 
 class BroadcastingSource:
     """Hands the engine every pair factor of the wrapped source at the
-    full shape of its pathway grid: a factor on the grid less the shift's
-    axes unless it carries them, then on all of it, and the excess factors
+    full shape of its pathway grid: a factor on the grid less the mode
+    axis unless it carries it, then on all of it, and the excess factors
     on all of it."""
 
     def __init__(self, source):
         self.source = source
 
-    def pair_factors(self, *arguments, shift=None):
-        factors, excess = self.source.pair_factors(*arguments, shift=shift)
+    def pair_factors(self, *arguments):
+        factors, excess = self.source.pair_factors(*arguments)
         grid = dict(zip(*_grid([term for terms in arguments for term in terms])))
-        unshifted = {c: n for c, n in grid.items() if not shift or c not in shift}
+        unshifted = {c: n for c, n in grid.items() if c != MODES}
 
         def full(sizes, factor):
             # the factor's own axes first, in their order, then the others
             axes = factor[0] + "".join(c for c in sizes if c not in factor[0])
             return axes, np.broadcast_to(on_axes(axes, factor), tuple(sizes[c] for c in axes))
 
-        def spans(factor):
-            return shift and not set(shift).isdisjoint(factor[0])
-
-        return ([full(grid if spans(f) else unshifted, f) for f in factors],
+        return ([full(grid if MODES in f[0] else unshifted, f) for f in factors],
                 [full(grid, m) for m in excess])
 
 
 class RecordingSource:
     """Records the axes and shapes of the factors and of the excess factors
-    of each pair call, and its arguments, shift, factors and excess."""
+    of each pair call, and its arguments, factors and excess."""
 
     def __init__(self, source):
         self.source = source
@@ -79,9 +76,9 @@ class RecordingSource:
         self.excess = []
         self.calls = []
 
-    def pair_factors(self, *arguments, shift=None):
-        factors, excess = self.source.pair_factors(*arguments, shift=shift)
-        self.calls.append((arguments, shift, factors, excess))
+    def pair_factors(self, *arguments):
+        factors, excess = self.source.pair_factors(*arguments)
+        self.calls.append((arguments, factors, excess))
         self.factors.append([(axes, np.shape(array)) for axes, array in factors])
         self.excess.append([(axes, np.shape(array)) for axes, array in excess])
         return factors, excess
@@ -170,12 +167,15 @@ def test_pair_sums_have_the_rank_of_their_poles(trimer_system):
     # p4 does, its Taylor series summed in one matrix product per target,
     # beside p2's pump excess on (f, u, p) and (e, p); p4's pump takes no
     # shift.  p1 and the coherence pathways p3 and p5 have no excess and no
-    # factor beyond (f, a, b).  The pairs are recorded as p1, p2, p4, p3, p5.
+    # factor beyond (f, a, b); only p2 and p4 pass terms on the mode axis
+    # alone.  The pairs are recorded as p1, p2, p4, p3, p5.
     sources = engine_sources(trimer_system)
     for source in (sources[0], sources[1], sources[2], sources[3]):
         recorder = RecordingSource(source)
         result = prepare_closed_form(trimer_system, recorder)
         assert len(recorder.factors) == 5 and result.diagnostics["unsplit_pathways"] == []
+        assert [any(axes == MODES for terms in arguments for axes, _ in terms)
+                for arguments, _, _ in recorder.calls] == [False, True, True, False, False]
         for k, (factors, excess) in enumerate(zip(recorder.factors, recorder.excess)):
             for axes, shape in factors + excess:
                 assert len(axes) == len(shape) and all(n > 1 for n in shape)
@@ -207,14 +207,15 @@ def test_pair_sums_at_nonzero_t1_split_off_no_shift(trimer_system):
     prepare_closed_form(trimer_system, recorder)
     excess = [sorted(axes for axes, _ in pair) for pair in recorder.excess]
     assert excess == [[], ["ep", "fuep", "fup"], ["fuep"], [], []]
-    for arguments, shift, factors, excess in recorder.calls[1:3]:  # p2, p4
-        assert shift == "p" and not any("p" in axes for axes, _ in factors)
+    for arguments, factors, excess in recorder.calls[1:3]:  # p2, p4
+        assert not any("p" in axes for axes, _ in factors)
         product = functools.reduce(np.multiply, [on_axes("fuep", f) for f in factors])
         for axes, m in excess:
             product = product * (1.0 + on_axes("fuep", (axes, m)))
-        whole, none = source.pair_factors(*arguments)
+        # the pair taken whole: the mode terms relabelled off p, on q
+        whole, none = source.pair_factors(*off_modes(arguments))
         assert not none
-        pair = functools.reduce(np.multiply, [on_axes("fuep", f) for f in whole])
+        pair = functools.reduce(np.multiply, [on_axes("fueq", f) for f in whole])
         size = np.abs(pair)
         normal = size >= np.finfo(float).tiny
         assert product.shape == pair.shape and normal.any()

@@ -1,4 +1,5 @@
-"""The brute-force oracles live with the tests, not in the package.
+"""The brute-force oracles and reference forms live with the tests, not in
+the package.
 
 Checks the Catmull-Rom operator through which the quadrature oracle pulls
 its field tables, and pins the public names the package exports.
@@ -62,8 +63,12 @@ def test_oracles_are_not_public():
         "TransportModel", "build_one_exciton_hamiltonian",
         "build_transport_matrix", "build_two_exciton_hamiltonian",
         "bundled_aggregate", "bundled_system", "coincidence_snapshot",
-        "compute_transition_dipoles", "filtered_lineshape", "jsi_map",
+        "compute_transition_dipoles", "jsi_map",
         "parameter_study", "population_evolve", "population_propagator",
         "prepare_closed_form", "reference_bath", "scan_source", "scan_targets",
-        "spectral_density", "spectrogram", "__version__",
+        "spectral_density", "__version__",
     ]
+    # the detector's reference forms live in tests/detector_reference.py
+    for name in ("spectral_gate", "temporal_gate", "spectrogram", "filtered_lineshape",
+                 "_lineshape_branches"):
+        assert not hasattr(excitonscope.coincidence, name), name

@@ -18,6 +18,7 @@ from excitonscope.sources import (
 )
 from excitonscope.units import TWO_PI_C
 
+from conftest import off_modes
 from loop_reference import extended_leg
 
 
@@ -216,22 +217,25 @@ def test_pair_is_the_product_of_its_legs(t1, references):
             radii = np.abs(_branch_arguments(source, x, y, sign))
             assert (radii < _SINC_SERIES_RADIUS).any() and (radii > _SINC_SERIES_RADIUS).any()
         expected = _legs(source, arguments)
-        for shift in (None, "p"):
-            factors, excess = source.pair_factors(*arguments, shift=shift)
-            assert all(len(axes) == np.ndim(array) for axes, array in factors + excess)
-            if shift:
+        # the pair as the engine passes it, and unsplit: with the mode terms
+        # relabelled off p, on an axis q of the same size
+        for split, labelled, axes in ((False, off_modes(arguments), "fueq"),
+                                      (True, arguments, "fuep")):
+            factors, excess = source.pair_factors(*labelled)
+            assert all(len(own) == np.ndim(array) for own, array in factors + excess)
+            if split:
                 # the pump's shifts and the matching's enter the excess
                 # factors, the matching's on its leg's unshifted axes, (e)
                 # at t1 = 0 and (f, u, e) at t1 != 0, and p; no factor
                 # carries p
-                assert sorted(axes for axes, _ in excess) == (
+                assert sorted(own for own, _ in excess) == (
                     ["ep", "fuep", "fup"] if t1 else ["ep", "fup"])
                 assert _carrying_p(factors) == []
             else:
                 assert not excess
-            pair = _pair(factors, excess)
+            pair = _pair(factors, excess, axes)
             assert pair.shape == (5, 4, 6, 3)
-            assert np.all(np.abs(pair - expected) <= 1e-13 * np.abs(expected)), (ket_shift, shift)
+            assert np.all(np.abs(pair - expected) <= 1e-13 * np.abs(expected)), (ket_shift, split)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
@@ -253,7 +257,7 @@ def test_pair_and_legs_against_extended_precision(t1):
                              * extended_leg(source, *args[2:], 1), 4, 1)
     exact = extended(*np.broadcast_arrays(ket_x, ket_y, bra_x, bra_y)).astype(np.clongdouble)
     scale = np.abs(exact).astype(float)
-    factors, excess = source.pair_factors(*arguments, shift="p")
+    factors, excess = source.pair_factors(*arguments)
     # the pump and the matching split off their shifts at every t1
     assert sorted(axes for axes, _ in excess) == (["ep", "fuep", "fup"] if t1 else ["ep", "fup"])
     assert _carrying_p(factors) == []
@@ -267,11 +271,12 @@ def test_pair_and_legs_against_extended_precision(t1):
 def test_coherent_pair_is_the_product_of_its_legs():
     source = CoherentSource(12300.0, 60.0)
     arguments = _pair_arguments([12300.0], np.random.default_rng(6))
-    factors, excess = source.pair_factors(*arguments)
-    assert [axes for axes, _ in factors] == ["fup", "e", "fu", "ep"] and not excess
-    assert np.all(np.abs(_pair(factors, excess) - _legs(source, arguments))
+    # unsplit, with the mode terms relabelled off p
+    factors, excess = source.pair_factors(*off_modes(arguments))
+    assert [axes for axes, _ in factors] == ["fuq", "e", "fu", "eq"] and not excess
+    assert np.all(np.abs(_pair(factors, excess, "fueq") - _legs(source, arguments))
                   <= 1e-13 * np.abs(_legs(source, arguments)))
-    factors, excess = source.pair_factors(*arguments, shift="p")
+    factors, excess = source.pair_factors(*arguments)
     # the Gaussian exponents of the arguments on equal axis sets are grouped
     assert [axes for axes, _ in factors] == ["fu", "e"]
     assert [axes for axes, _ in excess] == ["fup", "ep"]
@@ -328,7 +333,7 @@ def test_pair_falls_back_where_an_excess_exponent_leaves_its_range(source, layou
     # its Taylor series cannot take
     for shift_size, (carrying_p, excess_axes) in layouts.items():
         arguments = _pair_arguments([12300.0], np.random.default_rng(8), shift_size=shift_size)
-        factors, excess = source.pair_factors(*arguments, shift="p")
+        factors, excess = source.pair_factors(*arguments)
         assert _carrying_p(factors) == carrying_p
         assert sorted(axes for axes, _ in excess) == excess_axes
         expected = _legs(source, arguments)

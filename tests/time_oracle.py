@@ -18,12 +18,10 @@ import math
 import numpy as np
 
 from excitonscope import units
-from excitonscope.coincidence import (
-    FilterSpec,
-    _check_negative_branch,
-    _lineshape_branches,
-)
+from excitonscope.coincidence import FilterSpec, _check_negative_branch
 from excitonscope.excitation import ExcitonSystem
+
+from detector_reference import lineshape_branches
 
 
 
@@ -141,7 +139,7 @@ def _time_oracle_map(
     phase_neg = np.exp(+1j * ang * np.outer(s_nodes, omega_fe_axis)) * s_w[:, None]
     maps = prof1 @ phase_pos + prof2 @ phase_neg
 
-    l_eg, _ = _lineshape_branches(
+    l_eg, _ = lineshape_branches(
         omega_eg_axis, w_eg[:, None], g_eg[:, None],
         filter_eg.sigma_omega, filter_eg.sigma_t,
     )
