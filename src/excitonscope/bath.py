@@ -133,9 +133,9 @@ class TransportModel:
     state energies.  ``lambdas``, ``chi_right``, ``chi_left`` and ``dpp``
     hold the eigendecomposition K chi_R = chi_R diag(lambdas), chi_L K =
     diag(lambdas) chi_L with dpp = diag(chi_L chi_R), computed on first
-    read: only runs that propagate a manifold's populations or weigh its
-    modes read it.  The coherence widths built from these live in
-    :class:`excitonscope.excitation.PoleTable`.
+    read: only a preparation reads it, for the one-exciton modes; the
+    propagators read ``rate_matrix`` alone.  The coherence widths built
+    from these live in :class:`excitonscope.excitation.PoleTable`.
     """
 
     energies: np.ndarray

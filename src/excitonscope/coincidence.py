@@ -42,7 +42,7 @@ import numpy as np
 
 from . import units
 from .excitation import ExcitonSystem
-from .propagators import population_propagator
+from .propagators import population_evolve, population_propagator
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ class SignalGrid:
     def __post_init__(self):
         self.omega_fe = np.atleast_1d(np.asarray(self.omega_fe, dtype=float))
         self.omega_eg = np.atleast_1d(np.asarray(self.omega_eg, dtype=float))
-        if self.t_wait_two < 0.0 or self.t_wait_one < 0.0:
-            raise ValueError("waiting times must be non-negative")
+        if not (0.0 <= self.t_wait_two < np.inf and 0.0 <= self.t_wait_one < np.inf):
+            raise ValueError("waiting times must be finite and non-negative")
 
 
 def coincidence_snapshot(
@@ -148,7 +148,7 @@ def _emission_side(system, rho, filter_fe, omega_fe, t_wait_two):
     w_fe, g_fe, _, _, dd_fe, _ = system.detection_tables
     sigma_omega, sigma_t = filter_fe.sigma_omega, filter_fe.sigma_t
     _check_negative_branch(filter_fe, float(g_fe.min()))
-    populations_f = population_propagator(system.transport_two, t_wait_two) @ rho
+    populations_f = population_evolve(system.transport_two, rho, t_wait_two)
 
     # the (f', e) factors of the closed form, for all e at once
     a_pos = sigma_omega + sigma_t + g_fe

@@ -654,7 +654,7 @@ def _run_propagate(cfg, system, sink, run):
     rows = population_evolve(system.transport_two, prep.populations, times)
     run.lap("propagate")
     drift = float(np.max(np.abs(rows.sum(axis=1) - prep.populations.sum())))
-    if drift > 1e-8 * max(prep.populations.sum(), 1.0):
+    if drift > 1e-8 * prep.populations.sum():
         run.warnings.append(f"population trace drifted by {drift:.3e} during propagation")
     sink.table("snapshots", _population_table(
         system, {snapshot_label(t): row for t, row in zip(times, rows)}

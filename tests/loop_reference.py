@@ -19,7 +19,7 @@ import numpy as np
 from excitonscope.bath import phonon_correlation_real
 from excitonscope.coincidence import _check_negative_branch
 from excitonscope.excitation import WIDTH_FLOOR_TRIGGER, WIDTH_FLOOR_VALUE
-from excitonscope.propagators import population_propagator
+from excitonscope.propagators import population_evolve, population_propagator
 from excitonscope.units import TWO_PI_C
 
 from detector_reference import lineshape_branches
@@ -188,7 +188,7 @@ def plain_snapshot(system, rho_ff, filter_fe, filter_eg, grid):
     dm_eg, dm_fe = system.dipoles.magnitudes()
     dd_fe, dd_eg = dm_fe**2, dm_eg**2
     _check_negative_branch(filter_fe, float(g_fe.min()))
-    populations_f = population_propagator(system.transport_two, grid.t_wait_two) @ rho_ff
+    populations_f = population_evolve(system.transport_two, rho_ff, grid.t_wait_two)
     weight = populations_f[:, None] * dd_fe
     side_re = np.empty((system.n_one, grid.omega_fe.size))
     side_im = np.empty_like(side_re)

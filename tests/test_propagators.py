@@ -1,13 +1,27 @@
 import time
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scipy.linalg import expm
 
-from excitonscope import population_evolve, population_propagator
+from excitonscope import (
+    BathSpec,
+    ExcitonSystem,
+    SignalGrid,
+    population_evolve,
+    population_propagator,
+)
 from excitonscope.bath import eigendecompose_transport
+from excitonscope.config import from_dict
+from excitonscope.excitation import DEFAULT_POLARIZATION, prepare_closed_form
+from excitonscope.presets import bundled_aggregate, reference_bath
+from excitonscope.runner import resolve_source
 from excitonscope.units import TWO_PI_C, beta_cm
+
+from conftest import make_dimer
 
 
 def _boltzmann(energies: np.ndarray, temperature: float) -> np.ndarray:
@@ -33,29 +47,32 @@ def test_transport_suite_on_bundled_model(bundled, manifold):
     scale = np.abs(flux).max()
     assert np.abs(flux - flux.T).max() < 1e-12 * scale
 
-    # G(0) is the identity; the wide manifold makes the detailed-balance
-    # similarity badly conditioned, so identity holds to the semigroup level
-    np.testing.assert_allclose(population_propagator(model, 0.0), np.eye(n), atol=1e-7)
+    # G(0) is exactly the identity
+    assert np.array_equal(population_propagator(model, 0.0), np.eye(n))
 
-    # semigroup property G(t1 + t2) = G(t1) G(t2)
+    # semigroup property G(t1 + t2) = G(t1) G(t2); each G is non-negative
+    # and its columns sum to 1
     g_a = population_propagator(model, 37.0)
     g_b = population_propagator(model, 151.0)
     g_ab = population_propagator(model, 188.0)
-    assert np.abs(g_ab - g_b @ g_a).max() < 1e-7
+    assert np.abs(g_ab - g_b @ g_a).max() < 1e-14
+    for g in (g_a, g_b, g_ab):
+        assert g.min() >= 0.0
+        assert np.abs(g.sum(axis=0) - 1.0).max() < 1e-14
 
     # trace preservation along a trajectory
     rho0 = np.zeros(n)
     rho0[n - 1] = 1.0
     times = np.array([0.0, 10.0, 100.0, 1000.0, 20000.0])
     rows = population_evolve(model, rho0, times)
-    assert np.all(rows >= -1e-7)
-    assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-8
+    assert np.all(rows >= 0.0)
+    assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-14
 
     # long-time limit is the Boltzmann distribution
     positive = model.lambdas[model.lambdas > 1e-14]
     t_relax = 40.0 / (positive.min() * TWO_PI_C)
     final = population_propagator(model, t_relax) @ rho0
-    assert np.abs(final - pi).max() < 1e-6
+    assert np.abs(final - pi).max() < 1e-12
 
     assert time.perf_counter() - start < 30.0
 
@@ -63,6 +80,74 @@ def test_transport_suite_on_bundled_model(bundled, manifold):
 def test_propagator_rejects_negative_time(bundled):
     with pytest.raises(ValueError):
         population_propagator(bundled.transport_one, -1.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_propagators_reject_non_finite_times(bundled, t):
+    model = bundled.transport_one
+    with pytest.raises(ValueError, match="finite t >= 0"):
+        population_propagator(model, t)
+    with pytest.raises(ValueError, match="finite t >= 0"):
+        population_evolve(model, np.ones(model.size), [0.0, t])
+    axis = np.linspace(12000.0, 13000.0, 5)
+    for waiting in [(t, 100.0), (0.0, t)]:
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            SignalGrid(axis, axis, *waiting)
+
+
+@pytest.mark.parametrize("name", ["dimer_system", "trimer_system", "bundled"])
+@pytest.mark.parametrize("manifold", ["one", "two"])
+def test_propagator_matches_expm(request, name, manifold):
+    model = getattr(request.getfixturevalue(name), f"transport_{manifold}")
+    assert np.array_equal(population_propagator(model, 0.0), np.eye(model.size))
+    for t in (0.0, 50.0, 250.0, 1000.0):
+        g = population_propagator(model, t)
+        assert np.abs(g - expm(-model.rate_matrix * TWO_PI_C * t)).max() < 1e-14, t
+        assert np.abs(g.sum(axis=0) - 1.0).max() < 1e-14, t
+        assert g.min() >= 0.0, t
+
+
+def test_prepared_populations_match_expm_relative_to_themselves(bundled):
+    # the default prepared populations span many decades; each one above
+    # 1e-30 is propagated accurately relative to itself
+    cfg = from_dict({"scenario": "propagate"})
+    rho = prepare_closed_form(bundled, resolve_source(cfg, bundled), t_fs=cfg.time_fs).populations
+    times = (0.0, *cfg.snapshot_times)
+    rows = population_evolve(bundled.transport_two, rho, times)
+    assert np.array_equal(rows[0], rho)
+    for t, row in zip(times, rows):
+        exact = expm(-bundled.transport_two.rate_matrix * TWO_PI_C * t) @ rho
+        kept = exact > 1e-30
+        assert (np.abs(row - exact)[kept] / exact[kept]).max() < 1e-13, t
+
+
+def test_zero_rate_manifold_is_the_identity_at_every_time():
+    # no bath coupling: K = 0, so the uniformization rate q is 0 too
+    system = ExcitonSystem.build(make_dimer(), BathSpec(lambda0=0.0, gamma0=40.0),
+                                 (1.0, 1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in (system.transport_one, system.transport_two):
+            assert not model.rate_matrix.any()
+            rho = np.arange(1.0, model.size + 1.0)
+            for t in (0.0, 1000.0, 1e5):
+                assert np.array_equal(population_propagator(model, t), np.eye(model.size))
+            assert np.array_equal(population_evolve(model, rho, [0.0, 1e5]), [rho, rho])
+
+
+def test_strong_bath_long_time_against_expm():
+    # ten times the reference reorganization energy at 1e5 fs: q 2 pi c t is
+    # about 3100 on the two-exciton manifold, past where e^-qs underflows
+    bath = reference_bath()
+    system = ExcitonSystem.build(bundled_aggregate(), replace(bath, lambda0=10.0 * bath.lambda0),
+                                 DEFAULT_POLARIZATION)
+    for model in (system.transport_one, system.transport_two):
+        g = population_propagator(model, 1e5)
+        assert g.min() >= 0.0
+        assert np.abs(g.sum(axis=0) - 1.0).max() < 1e-12
+        assert np.abs(g - expm(-model.rate_matrix * TWO_PI_C * 1e5)).max() < 1e-12
+        rho = population_evolve(model, np.eye(model.size)[-1], 1e5)
+        assert abs(rho.sum() - 1.0) < 1e-13
 
 
 def test_population_evolve_rows_follow_times(bundled):

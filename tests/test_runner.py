@@ -220,15 +220,15 @@ def test_scenario_artifact_inventory(tmp_path, dimer_file, scenario, expected):
     assert not [n for n in on_disk if n.startswith(".tmp-")]
 
 
-# transport eigendecompositions a run builds: one per manifold whose
-# populations or modes it reads, none for a run that reads neither
-DECOMPOSED = {"model-info": 0, "jsa": 0, "excite": 1, "excite-scan": 1, "propagate": 2,
-              "coincidence": 2, "panel-study": 2}
+# transport eigendecompositions a run builds: the one-exciton one for a run
+# that prepares populations, none for a run that does not
+DECOMPOSED = {"model-info": 0, "jsa": 0, "excite": 1, "excite-scan": 1, "propagate": 1,
+              "coincidence": 1, "panel-study": 1}
 
 
 def test_runs_decompose_only_the_manifolds_they_read(tmp_path, dimer_file, monkeypatch):
     # a preparation reads the one-exciton transport modes; propagation and
-    # detection read the two-exciton decomposition too
+    # detection read only the rate matrices
     assert set(DECOMPOSED) == set(SCENARIOS)
     calls = []
     original = bath.eigendecompose_transport
@@ -357,6 +357,22 @@ def test_propagate_snapshot_columns(tmp_path, dimer_file):
     assert header[:2] == ["state", "energy_cm"]
     assert header[2:] == ["p_50fs", "p_100fs", "p_250fs", "p_1000fs"]
     assert len(lines) == 1 + 3  # dimer has three two-exciton states
+
+
+def test_propagate_drift_warning_is_relative_to_the_initial_total(tmp_path, dimer_file,
+                                                                   monkeypatch):
+    # a weak pump prepares a total far below 1; a 1e-6 relative drift of it
+    # must still warn
+    evolve = runner.population_evolve
+    monkeypatch.setattr(runner, "population_evolve",
+                        lambda *args: evolve(*args) * (1.0 + 1e-6))
+    _, out = run_into(tmp_path, dimer_file, "propagate",
+                      source={"t2": 20.0, "tau_pump": 120.0, "e0": 1e-6})
+    meta = json.loads(Path(out, "metadata.json").read_text())
+    assert meta["initial_total"] < 1e-2
+    assert meta["trace_drift"] == pytest.approx(1e-6 * meta["initial_total"], rel=1e-6)
+    warnings = json.loads(Path(out, "manifest.json").read_text())["warnings"]
+    assert [w for w in warnings if w.startswith("population trace drifted by")]
 
 
 def test_auto_detection_axes_cover_emission_lines(tmp_path, dimer_file):
