@@ -41,19 +41,16 @@ class BathSpec:
     pure_dephasing: float = 0.0
 
     def __post_init__(self):
-        if self.lambda0 < 0.0 or self.gamma0 <= 0.0:
-            raise ValueError("overdamped mode needs lambda0 >= 0 and gamma0 > 0")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-        if self.pure_dephasing < 0.0:
-            raise ValueError("pure_dephasing must be non-negative")
+        units.require(self.lambda0, "overdamped mode needs a finite lambda0 >= 0", 0.0)
+        units.require(self.gamma0, "overdamped mode needs a finite gamma0 > 0", 0.0, strict=True)
+        units.require(self.temperature, "temperature must be finite and positive", 0.0, strict=True)
+        units.require(self.pure_dephasing, "pure_dephasing must be finite and non-negative", 0.0)
         modes = tuple(tuple(float(x) for x in mode) for mode in self.brownian_modes)
         for mode in modes:
             if len(mode) != 3:
                 raise ValueError("each Brownian mode is (lambda, omega, gamma)")
-            lam, omega, gamma = mode
-            if lam < 0.0 or omega <= 0.0 or gamma <= 0.0:
-                raise ValueError(f"invalid Brownian mode {mode}")
+            units.require(mode[0], f"invalid Brownian mode {mode}", 0.0)
+            units.require(mode[1:], f"invalid Brownian mode {mode}", 0.0, strict=True)
         object.__setattr__(self, "brownian_modes", modes)
 
     @property

@@ -3,9 +3,12 @@
 The detection stage watches the cascaded emission f -> e -> g of the
 two-exciton populations prepared by :mod:`excitonscope.excitation`.  Each
 photon passes a Lorentzian spectral gate and a one-sided exponential
-temporal gate, and the gate pair forms the detector spectrogram.  Folding
-its delay axis against an emission coherence at gap omega_ab with width
-gamma_ab gives one closed rational lineshape per delay branch, each
+temporal gate, and the gate pair forms the detector spectrogram.  A map
+scans the gate centres over its :class:`SignalGrid` axes and opens the
+gates at its waiting times, so a gate is its two widths
+(:class:`FilterSpec`).  Folding the spectrogram's delay axis against an
+emission coherence at gap omega_ab with width gamma_ab gives one closed
+rational lineshape per delay branch, each
 N / (sigma_omega +- sigma_t + gamma_ab +- i (omega_center - omega_ab)),
 N = 1 / (2 sigma_omega 2 pi c): the tau > 0 branch
 (:func:`_positive_branch`) always converges, the tau < 0 branch only
@@ -36,7 +39,7 @@ normalization (idealized flat detectors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,19 +50,15 @@ from .propagators import population_evolve, population_propagator
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """One detection channel: spectral gate center and half width (cm^-1),
-    temporal gate opening time (fs) and decay parameter (cm^-1)."""
+    """A detection gate's spectral half width ``sigma_omega`` and temporal
+    decay ``sigma_t`` (cm^-1); its centre and opening are the map's grid's."""
 
-    omega_center: float
     sigma_omega: float
-    t_center: float = 0.0
-    sigma_t: float = 1.0
+    sigma_t: float
 
     def __post_init__(self):
-        if self.sigma_omega <= 0.0:
-            raise ValueError("sigma_omega must be positive")
-        if self.sigma_t <= 0.0:
-            raise ValueError("sigma_t must be positive")
+        units.require(self.sigma_omega, "sigma_omega must be finite and positive", 0.0, strict=True)
+        units.require(self.sigma_t, "sigma_t must be finite and positive", 0.0, strict=True)
 
 
 def _check_negative_branch(filt: FilterSpec, gamma_min: float):
@@ -79,30 +78,31 @@ def _positive_branch(omega_bar, omega_ab, gamma_ab, sigma_omega, sigma_t):
 
 @dataclass
 class SignalGrid:
-    """Detector frequency axes (cm^-1), waiting times (fs) and the filled
-    coincidence map.
+    """A map's gate centres and opening times, which the constructor
+    takes, and the map :func:`coincidence_snapshot` fills in.
 
-    ``result`` rows follow ``omega_fe`` (the f -> e gate scan) and columns
-    ``omega_eg``; the map is max-normalized with small negative
-    interference residue clipped at zero.  ``clipped_cells`` counts the
-    clipped cells and ``clipped_fraction`` is their mass over the positive
-    mass of the normalized map, or None where cells were clipped and no
-    cell is positive.
+    The f -> e and e -> g gate centres scan ``omega_fe`` and ``omega_eg``
+    (cm^-1); the gates open at ``t_wait_two`` and ``t_wait_two +
+    t_wait_one`` (fs).  ``result`` rows follow ``omega_fe`` and columns
+    ``omega_eg``, max-normalized with small negative interference residue
+    clipped at zero.  ``clipped_cells`` counts the clipped cells and
+    ``clipped_fraction`` is their mass over the positive mass of the
+    normalized map, or None where cells were clipped and none is positive.
     """
 
     omega_fe: np.ndarray
     omega_eg: np.ndarray
     t_wait_two: float
     t_wait_one: float
-    result: np.ndarray | None = None
-    clipped_cells: int = 0
-    clipped_fraction: float | None = 0.0
+    result: np.ndarray | None = field(init=False, default=None)
+    clipped_cells: int = field(init=False, default=0)
+    clipped_fraction: float | None = field(init=False, default=0.0)
 
     def __post_init__(self):
         self.omega_fe = np.atleast_1d(np.asarray(self.omega_fe, dtype=float))
         self.omega_eg = np.atleast_1d(np.asarray(self.omega_eg, dtype=float))
-        if not (0.0 <= self.t_wait_two < np.inf and 0.0 <= self.t_wait_one < np.inf):
-            raise ValueError("waiting times must be finite and non-negative")
+        for t in (self.t_wait_two, self.t_wait_one):
+            units.require(t, "waiting times must be finite and non-negative", 0.0)
 
 
 def coincidence_snapshot(

@@ -345,6 +345,6 @@ def load_config(path: str) -> RunConfig:
     return from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def reference_config(scenario: str = "coincidence") -> RunConfig:
+def reference_config(scenario: str) -> RunConfig:
     """The documented reference scenario on the bundled aggregate."""
     return RunConfig(scenario=scenario)

@@ -67,7 +67,6 @@ class ExcitonSystem:
     d_fe: np.ndarray
     transport_one: TransportModel
     transport_two: TransportModel
-    polarization: tuple = DEFAULT_POLARIZATION
 
     @classmethod
     def build(
@@ -88,7 +87,6 @@ class ExcitonSystem:
             d_fe=d_fe,
             transport_one=build_transport_matrix(eig, aggregate, bath, "one"),
             transport_two=build_transport_matrix(eig, aggregate, bath, "two"),
-            polarization=tuple(float(p) for p in np.asarray(polarization, dtype=float)),
         )
 
     @property
@@ -471,8 +469,7 @@ def _prepared_partials(system: ExcitonSystem, source, t_fs: float):
     weights are cast to complex once here, each before its first pathway,
     rather than in every product.
     """
-    if t_fs < 0.0:
-        raise ValueError(f"evaluation time must be non-negative, got {t_fs}")
+    units.require(t_fs, "evaluation time must be finite and non-negative", 0.0)
     z, w = system.poles, system.weights
 
     def weight(name):

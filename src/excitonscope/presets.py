@@ -15,7 +15,7 @@ import numpy as np
 
 from .aggregate import AggregateSpec
 from .bath import BathSpec
-from .excitation import DEFAULT_POLARIZATION, ExcitonSystem
+from .excitation import ExcitonSystem
 
 
 def bundled_aggregate() -> AggregateSpec:
@@ -35,8 +35,8 @@ def reference_bath() -> BathSpec:
     return BathSpec(lambda0=1.5, gamma0=60.0, temperature=77.0)
 
 
-def bundled_system(polarization=DEFAULT_POLARIZATION) -> ExcitonSystem:
-    return ExcitonSystem.build(bundled_aggregate(), reference_bath(), polarization)
+def bundled_system() -> ExcitonSystem:
+    return ExcitonSystem.build(bundled_aggregate(), reference_bath())
 
 
 def bright_pair(system: ExcitonSystem) -> tuple[int, int]:

@@ -451,13 +451,9 @@ def _preparation_warnings(prep) -> list:
 
 
 def _filters(cfg: RunConfig) -> tuple[FilterSpec, FilterSpec]:
-    # gate centers are scanned by the grid; the stored centers just seed
-    # single-point evaluations.  Gate times follow the waiting times.
-    sig_w, sig_t = cfg.filters.sigma_omega, cfg.filters.sigma_t
-    w = cfg.waiting
-    filter_fe = FilterSpec(0.0, sig_w, w.t_wait_two, sig_t)
-    filter_eg = FilterSpec(0.0, sig_w, w.t_wait_two + w.t_wait_one, sig_t)
-    return filter_fe, filter_eg
+    """The (f -> e, e -> g) gate pair: both gates take the config's widths."""
+    gate = FilterSpec(cfg.filters.sigma_omega, cfg.filters.sigma_t)
+    return gate, gate
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,7 @@ def _taylor_orders(radius):
 
 def gaussian_gamma_from_tau(tau_fs: float) -> float:
     """Spectral-width parameter G = 1/(2 tau^2) in rad^2/fs^2."""
-    if tau_fs <= 0.0:
-        raise ValueError("temporal width must be positive")
+    units.require(tau_fs, "temporal width must be finite and positive", 0.0, strict=True)
     return 1.0 / (2.0 * tau_fs * tau_fs)
 
 
@@ -380,8 +379,6 @@ def _screened_exp(axes, exponent):
     floor = real.max(axis=others, keepdims=True)
     floor -= _SCREEN_MARGIN
     dead = real < floor  # false at NaN, which stays live
-    if not dead.any():  # numpy's masked loop is slower than the plain one
-        return np.exp(exponent, out=exponent)
     np.exp(exponent, out=exponent, where=~dead)
     exponent[dead] = 0.0
     return exponent
@@ -446,12 +443,14 @@ class EppSource:
     e0: float = 1.0
 
     def __post_init__(self):
-        if self.tau_pump <= 0.0:
-            raise ValueError("pump duration tau_pump must be positive")
-        if self.t2 < self.t1:
-            raise ValueError("group delays must satisfy t2 >= t1")
-        if self.alpha <= 0.0:
-            raise ValueError("down-conversion efficiency alpha must be positive")
+        # omega1, omega2 and pump_center hold one value per target in a scan block
+        for name in ("omega1", "omega2", "pump_center", "t1", "e0"):
+            units.require(getattr(self, name), f"{name} must be finite")
+        units.require(self.tau_pump, "pump duration tau_pump must be finite and positive",
+                      0.0, strict=True)
+        units.require(self.t2, "group delays must be finite and satisfy t2 >= t1", self.t1)
+        units.require(self.alpha, "down-conversion efficiency alpha must be finite and positive",
+                      0.0, strict=True)
 
     @property
     def entanglement_time(self) -> float:
@@ -581,8 +580,9 @@ class CoherentSource:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("pulse width tau must be positive")
+        units.require(self.center, "pulse center must be finite")
+        units.require(self.scale, "pulse scale must be finite")
+        units.require(self.tau, "pulse width tau must be finite and positive", 0.0, strict=True)
 
     @property
     def gamma(self) -> float:

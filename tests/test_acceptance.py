@@ -41,10 +41,10 @@ from excitonscope.units import TWO_PI_C, beta_cm
 
 from bath_reference import re_correlation_time_domain
 from conftest import dimer_bath, make_dimer, make_trimer
-from detector_reference import filtered_lineshape, spectrogram, temporal_gate
+from detector_reference import Gate, filtered_lineshape, spectrogram, temporal_gate
 from product_space import sector_eigensystems, sector_transition_dipoles
 from quadrature_oracle import prepare_quadrature_oracle
-from time_oracle import coincidence_time_map, coincidence_time_oracle
+from time_oracle import coincidence_time_map
 
 
 def generic_aggregate(n: int) -> AggregateSpec:
@@ -158,19 +158,19 @@ def test_c6_detection_identities():
 
     # the spectrogram closed form equals gate product times the Fourier
     # transform of the squared spectral gate
-    filt = FilterSpec(12350.0, 12.0, t_center=30.0, sigma_t=3.5)
+    gate = Gate(FilterSpec(12.0, 3.5), 12350.0, t_center=30.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         for tp, tau in [(30.0, 0.0), (30.0, 11.0), (45.0, -14.9),
                         (200.0, 7.3), (30.0, 250.0), (80.0, -49.9)]:
             x = TWO_PI_C * tau
-            gates = temporal_gate(filt, tp) * temporal_gate(filt, tp + tau)
-            val = quad(lambda u: 1.0 / (u * u + filt.sigma_omega**2), 0.0, np.inf,
+            gates = temporal_gate(gate, tp) * temporal_gate(gate, tp + tau)
+            val = quad(lambda u: 1.0 / (u * u + gate.filt.sigma_omega**2), 0.0, np.inf,
                        weight="cos", wvar=x, epsabs=1e-13, epsrel=1e-12)[0]
-            defined = gates * np.exp(-1j * filt.omega_center * x) * val / np.pi
-            closed = spectrogram(filt, tp, tau)
+            defined = gates * np.exp(-1j * gate.omega_center * x) * val / np.pi
+            closed = spectrogram(gate, tp, tau)
             assert abs(defined - closed) <= 1e-8 * max(abs(closed), 1e-30)
-        assert spectrogram(filt, 20.0, 5.0) == 0.0
+        assert spectrogram(gate, 20.0, 5.0) == 0.0
 
         # both lineshape branches against direct delay quadrature; the
         # backward branch runs along the wedge edge t' + tau = t_center with
@@ -183,18 +183,18 @@ def test_c6_detection_identities():
             return re + 1j * im
 
         for center in (gap, gap - 35.0, gap + 80.0):
-            f2 = FilterSpec(center, 10.0, 40.0, 4.8681)
+            f2 = Gate(FilterSpec(10.0, 4.8681), center, 40.0)
             pos, neg = filtered_lineshape(f2, gap, gamma)
             pos_num = cquad(
                 lambda tau: spectrogram(f2, f2.t_center, tau)
                 * np.exp((1j * gap - gamma) * TWO_PI_C * tau),
-                40.0 / ((f2.sigma_omega + f2.sigma_t + gamma) * TWO_PI_C),
+                40.0 / ((f2.filt.sigma_omega + f2.filt.sigma_t + gamma) * TWO_PI_C),
             )
             neg_num = cquad(
                 lambda s: spectrogram(f2, f2.t_center + s, -s)
-                * np.exp((2.0 * f2.sigma_t - gamma) * TWO_PI_C * s)
+                * np.exp((2.0 * f2.filt.sigma_t - gamma) * TWO_PI_C * s)
                 * np.exp(-1j * gap * TWO_PI_C * s),
-                40.0 / ((f2.sigma_omega - f2.sigma_t + gamma) * TWO_PI_C),
+                40.0 / ((f2.filt.sigma_omega - f2.filt.sigma_t + gamma) * TWO_PI_C),
             )
             assert abs(pos - pos_num) <= 1e-8 * abs(pos)
             assert abs(neg - neg_num) <= 1e-8 * abs(neg)
@@ -204,7 +204,7 @@ def test_c6_detection_identities():
 
     def fwhm(sigma_omega):
         amp = np.abs([
-            sum(filtered_lineshape(FilterSpec(c, sigma_omega, 0.0, 2.0), gap, 1.0))
+            sum(filtered_lineshape(Gate(FilterSpec(sigma_omega, 2.0), c), gap, 1.0))
             for c in centers
         ])
         half = 0.5 * amp.max()
@@ -231,34 +231,27 @@ def test_c7_snapshot_against_time_oracle(dimer):
     # peak location on axes that include every exact channel gap
     fe_axis = np.sort(w_fe.ravel())
     eg_axis = np.sort(lines)
-    ref_fe = FilterSpec(0.0, 10.0, 0.0, 4.8681)
-    ref_eg = FilterSpec(0.0, 10.0, 100.0, 4.8681)
-    oracle = coincidence_time_map(dimer, rho, ref_fe, ref_eg, fe_axis, eg_axis)
-    grid = coincidence_snapshot(
-        dimer, rho, ref_fe, ref_eg, SignalGrid(fe_axis, eg_axis, 0.0, 100.0)
-    )
+    ref_fe = ref_eg = FilterSpec(10.0, 4.8681)
+    grid = SignalGrid(fe_axis, eg_axis, 0.0, 100.0)
+    oracle = coincidence_time_map(dimer, rho, ref_fe, ref_eg, grid)
+    grid = coincidence_snapshot(dimer, rho, ref_fe, ref_eg, grid)
     i_o, j_o = np.unravel_index(np.argmax(np.abs(oracle)), oracle.shape)
     i_s, j_s = np.unravel_index(np.argmax(grid.result), grid.result.shape)
     assert abs(fe_axis[i_o] - fe_axis[i_s]) <= 2.0 * ref_fe.sigma_omega
     assert abs(eg_axis[j_o] - eg_axis[j_s]) <= 2.0 * ref_eg.sigma_omega
 
     # zero populations give a zero map through both routes
-    assert coincidence_time_oracle(dimer, np.zeros(3), ref_fe, ref_eg) == 0.0
-    empty = coincidence_snapshot(
-        dimer, np.zeros(3), ref_fe, ref_eg, SignalGrid(fe_axis, eg_axis, 0.0, 100.0)
-    )
+    empty = SignalGrid(fe_axis, eg_axis, 0.0, 100.0)
+    assert np.all(coincidence_time_map(dimer, np.zeros(3), ref_fe, ref_eg, empty) == 0.0)
+    empty = coincidence_snapshot(dimer, np.zeros(3), ref_fe, ref_eg, empty)
     assert np.all(empty.result == 0.0)
 
     # short gates: relative amplitudes of the two bright coincidence
     # channels (f -> e followed by the same e -> g) within 20 percent
-    short_fe = FilterSpec(0.0, 40.0, 100.0, 30.0)
-    short_eg = FilterSpec(0.0, 40.0, 100.0, 30.0)
-    fe_pts = w_fe[1]
-    eg_pts = lines
-    oracle2 = coincidence_time_map(dimer, rho, short_fe, short_eg, fe_pts, eg_pts)
-    grid2 = coincidence_snapshot(
-        dimer, rho, short_fe, short_eg, SignalGrid(fe_pts, eg_pts, 100.0, 0.0)
-    )
+    short_fe = short_eg = FilterSpec(40.0, 30.0)
+    grid2 = SignalGrid(w_fe[1], lines, 100.0, 0.0)
+    oracle2 = coincidence_time_map(dimer, rho, short_fe, short_eg, grid2)
+    grid2 = coincidence_snapshot(dimer, rho, short_fe, short_eg, grid2)
     channels = [(0, 0), (1, 1)]  # gate pairs sharing the intermediate e
     o = np.array([oracle2[c] for c in channels])
     s = np.array([grid2.result[c] for c in channels])
@@ -297,7 +290,7 @@ def test_c8_filtering_trends(bundled):
     w_fe = bundled.eig.omega_fe()
     axis_fe = np.linspace(w_fe.min() - 60.0, w_fe.max() + 60.0, 128)
     axis_eg = np.linspace(ee.min() - 60.0, ee.max() + 60.0, 128)
-    filt = FilterSpec(0.0, 10.0, 0.0, 4.8681)
+    filt = FilterSpec(10.0, 4.8681)
 
     def eg_peak_count(t_wait_two):
         grid = coincidence_snapshot(
@@ -347,7 +340,7 @@ def test_c9_full_scale_runs(bundled, tmp_path):
         100.0,
     )
     start = time.perf_counter()
-    filt = FilterSpec(0.0, 10.0, 0.0, 4.8681)
+    filt = FilterSpec(10.0, 4.8681)
     coincidence_snapshot(bundled, rho, filt, filt, grid)
     assert time.perf_counter() - start < 300.0
     assert grid.result.shape == (128, 128)

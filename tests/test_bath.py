@@ -12,6 +12,7 @@ from excitonscope.bath import (
     spectral_density_slope,
 )
 from excitonscope.presets import reference_bath
+from excitonscope.units import beta_cm
 
 from bath_reference import re_correlation_time_domain
 
@@ -72,6 +73,20 @@ def test_bath_spec_validation():
         BathSpec(1.0, 50.0, pure_dephasing=-0.1)
     with pytest.raises(ValueError):
         BathSpec(1.0, 50.0, brownian_modes=((1.0, -700.0, 20.0),))
+    for temperature in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="temperature"):
+            beta_cm(temperature)
+
+
+@pytest.mark.parametrize("fields", [
+    {"lambda0": np.nan}, {"lambda0": np.inf}, {"gamma0": np.nan}, {"gamma0": np.inf},
+    {"temperature": np.inf}, {"temperature": np.nan}, {"pure_dephasing": np.nan},
+    {"brownian_modes": ((np.nan, 740.0, 30.0),)}, {"brownian_modes": ((1.0, np.inf, 30.0),)},
+    {"brownian_modes": ((1.0, 740.0, np.nan),)},
+])
+def test_bath_spec_rejects_non_finite_numbers(fields):
+    with pytest.raises(ValueError):
+        BathSpec(**{"lambda0": 1.0, "gamma0": 50.0, **fields})
 
 
 def test_site_occupations_count_quanta(bundled):

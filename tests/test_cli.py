@@ -194,6 +194,17 @@ def test_config_errors_found_after_validation_name_their_field(
     assert f"invalid configuration:\n  {field}: " in capsys.readouterr().err
 
 
+def test_unbounded_snapshot_time_is_a_numerical_error(tmp_path, capsys):
+    # 1e12 fs on the bundled two-exciton manifold: qs about 3.1e9, refused
+    # before the series builds a weight
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"scenario": "propagate", "snapshot_times": [1e12]}))
+    assert main(["propagate", "--config", str(path), "--out", str(tmp_path / "far")]) == 3
+    err = capsys.readouterr().err
+    assert "error: ValueError" in err
+    assert "series terms (qs + 9.5 sqrt(qs) + 10)" in err
+
+
 def test_numerical_error_exit_code(dimer_setup, tmp_path, capsys):
     _, root = dimer_setup
     # a temporal gate wider than the spectral gate has no convergent

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from excitonscope.excitons import TransitionDipoles
 from excitonscope.units import TWO_PI_C
 
 from detector_reference import (
+    Gate,
     filtered_lineshape,
     lineshape_branches,
     spectral_gate,
@@ -23,7 +25,7 @@ from detector_reference import (
     temporal_gate,
 )
 from loop_reference import branch_sum, loop_coincidence_snapshot, loop_signed_map, plain_snapshot
-from time_oracle import coincidence_time_oracle
+from time_oracle import coincidence_time_map
 
 
 def make_grid(system, n=31, **kw):
@@ -40,18 +42,35 @@ def make_grid(system, n=31, **kw):
     return SignalGrid(**defaults)
 
 
-REFERENCE_FILTER = FilterSpec(omega_center=0.0, sigma_omega=10.0, t_center=0.0, sigma_t=4.8681)
+REFERENCE_FILTER = FilterSpec(sigma_omega=10.0, sigma_t=4.8681)
 
 
 def test_filter_validation():
     with pytest.raises(ValueError, match="sigma_omega"):
-        FilterSpec(12000.0, 0.0)
+        FilterSpec(0.0, 4.8681)
     with pytest.raises(ValueError, match="sigma_t"):
-        FilterSpec(12000.0, 10.0, 0.0, -1.0)
+        FilterSpec(10.0, -1.0)
+
+
+@pytest.mark.parametrize("widths", [(np.nan, 4.8681), (10.0, np.inf), (np.inf, 4.8681),
+                                    (10.0, np.nan)])
+def test_filter_rejects_non_finite_widths(widths):
+    with pytest.raises(ValueError, match="finite"):
+        FilterSpec(*widths)
+
+
+def test_settable_values_are_the_gate_widths_and_the_grid():
+    # a gate holds its two widths alone: the map scans the centres over the
+    # grid axes and opens the gates at the waiting times
+    gate_fields = dataclasses.fields(FilterSpec)
+    assert [f.name for f in gate_fields] == ["sigma_omega", "sigma_t"]
+    assert all(f.default is dataclasses.MISSING for f in gate_fields)
+    assert [f.name for f in dataclasses.fields(SignalGrid) if f.init] == [
+        "omega_fe", "omega_eg", "t_wait_two", "t_wait_one"]
 
 
 def test_spectral_gate_profile():
-    filt = FilterSpec(12000.0, 8.0)
+    filt = Gate(FilterSpec(8.0, 3.0), 12000.0)
     on_center = spectral_gate(filt, 12000.0)
     assert on_center == pytest.approx(1.0 / 8.0)
     half = np.abs(spectral_gate(filt, 12008.0)) ** 2 / np.abs(on_center) ** 2
@@ -59,7 +78,7 @@ def test_spectral_gate_profile():
 
 
 def test_temporal_gate_profile():
-    filt = FilterSpec(12000.0, 8.0, t_center=50.0, sigma_t=3.0)
+    filt = Gate(FilterSpec(8.0, 3.0), 12000.0, t_center=50.0)
     assert temporal_gate(filt, 49.9) == 0.0
     assert temporal_gate(filt, 50.0) == pytest.approx(1.0)
     t = 120.0
@@ -67,7 +86,7 @@ def test_temporal_gate_profile():
 
 
 def test_spectrogram_support_envelope_phase():
-    filt = FilterSpec(12000.0, 8.0, t_center=20.0, sigma_t=3.0)
+    filt = Gate(FilterSpec(8.0, 3.0), 12000.0, t_center=20.0)
     # both detection events must come after the gate opens
     assert spectrogram(filt, 10.0, 100.0) == 0.0
     assert spectrogram(filt, 30.0, -15.0) == 0.0
@@ -93,20 +112,20 @@ def test_lineshape_peaks_at_emission_gap():
     centers = np.linspace(gap - 120.0, gap + 120.0, 241)
     values = [
         np.abs(
-            filtered_lineshape(FilterSpec(c, 10.0, 0.0, 4.8681), gap, width)[0]
+            filtered_lineshape(Gate(REFERENCE_FILTER, c), gap, width)[0]
         )
         for c in centers
     ]
     assert centers[int(np.argmax(values))] == pytest.approx(gap)
 
-    on_peak = filtered_lineshape(FilterSpec(gap, 10.0, 0.0, 4.8681), gap, width)
+    on_peak = filtered_lineshape(Gate(REFERENCE_FILTER, gap), gap, width)
     norm = 0.5 / 10.0 / TWO_PI_C
     assert on_peak[0] == pytest.approx(norm / (10.0 + 4.8681 + width))
     assert on_peak[1] == pytest.approx(norm / (10.0 - 4.8681 + width))
 
 
 def test_lineshape_negative_branch_guard():
-    tight = FilterSpec(12000.0, 1.0, 0.0, 5.0)
+    tight = Gate(FilterSpec(1.0, 5.0), 12000.0)
     with pytest.raises(ValueError, match="diverges"):
         filtered_lineshape(tight, 12000.0, 1.0)
     # wide enough coherence width rescues the branch
@@ -135,7 +154,7 @@ def test_branch_sum_closed_form(sigma_omega, sigma_t, gamma):
 
 def test_lineshape_rejects_negative_width():
     with pytest.raises(ValueError, match="gamma_ab"):
-        filtered_lineshape(REFERENCE_FILTER, 12000.0, -0.5)
+        filtered_lineshape(Gate(REFERENCE_FILTER, 12000.0), 12000.0, -0.5)
 
 
 def test_grid_validation():
@@ -192,7 +211,7 @@ def test_snapshot_population_shape_guard(dimer_system):
 def test_snapshot_rejects_divergent_gate_pairing(dimer_system):
     # temporal width exceeding spectral width + emission width has no
     # convergent backward branch on the two-exciton side
-    tight = FilterSpec(0.0, 1.0, 0.0, 40.0)
+    tight = FilterSpec(1.0, 40.0)
     with pytest.raises(ValueError, match="diverges"):
         coincidence_snapshot(
             dimer_system,
@@ -258,7 +277,7 @@ def _counting(monkeypatch, name, owner=coincidence):
 def test_each_panel_equals_its_own_snapshot(bundled, monkeypatch):
     system = replace(bundled)  # a copy with no table built yet
     rho = np.random.default_rng(5).random(system.n_two)
-    gate_eg = FilterSpec(omega_center=0.0, sigma_omega=12.0, t_center=100.0, sigma_t=3.0)
+    gate_eg = FilterSpec(sigma_omega=12.0, sigma_t=3.0)
     grid = make_grid(system, n=24, t_wait_two=10.0, t_wait_one=200.0)
     sides = _counting(monkeypatch, "_emission_side")
     norms = _counting(monkeypatch, "magnitudes", TransitionDipoles)
@@ -318,11 +337,12 @@ def test_maps_are_bitwise_the_plain_closed_form(request, name):
 
 def test_time_oracle_restricted_to_small_systems(bundled):
     with pytest.raises(ValueError, match="3 sites"):
-        coincidence_time_oracle(
+        coincidence_time_map(
             bundled,
             np.ones(bundled.n_two) / bundled.n_two,
             REFERENCE_FILTER,
             REFERENCE_FILTER,
+            make_grid(bundled),
         )
 
 
@@ -333,7 +353,7 @@ def test_snapshot_matches_loop_reference(request, name, waits):
     rng = np.random.default_rng(7)
     rho = rng.random(system.n_two)
     rho[::3] = 0.0  # zero weights: the loop skips them, the array sums them
-    gate_eg = FilterSpec(omega_center=0.0, sigma_omega=12.0, sigma_t=3.0)
+    gate_eg = FilterSpec(sigma_omega=12.0, sigma_t=3.0)
     axes = dict(n=40, t_wait_two=waits[0], t_wait_one=waits[1])
     for populations in (rho, np.eye(system.n_two)[-1]):
         grid = coincidence_snapshot(system, populations, REFERENCE_FILTER, gate_eg,

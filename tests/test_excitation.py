@@ -488,7 +488,7 @@ def test_tables_are_built_once_per_system(monkeypatch):
     scan_targets(system, source, threads=2)
     rho = prepare_closed_form(system, source).populations
     grid = SignalGrid(np.linspace(11400.0, 13100.0, 8), np.linspace(12000.0, 12600.0, 8), 10.0, 20.0)
-    gate = FilterSpec(0.0, 12.0, 0.0, 1.0)
+    gate = FilterSpec(12.0, 1.0)
     for _ in range(2):
         coincidence_snapshot(system, rho, gate, gate, grid)
     assert builds == [system]
@@ -661,8 +661,9 @@ def test_populations_decay_at_depopulation_rate(dimer_system):
 
 
 def test_negative_evaluation_time_rejected(dimer_system):
-    with pytest.raises(ValueError, match="non-negative"):
-        prepare_closed_form(dimer_system, dimer_source(dimer_system), t_fs=-1.0)
+    for t_fs in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-negative"):
+            prepare_closed_form(dimer_system, dimer_source(dimer_system), t_fs=t_fs)
 
 
 def test_zero_projected_dipoles_give_zero():

@@ -1,5 +1,7 @@
 """The array-built model against its plain-loop reference, bit for bit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,9 @@ def test_pole_widths_match_loop(case):
     if case == "isolated":
         assert all(np.all(w == WIDTH_FLOOR_VALUE) for w in widths.values())
         assert poles.floored_families == ["eg", "fg", "fe", "ee", "ff", "modes"]
+
+
+def test_system_keeps_no_polarization():
+    # the polarization enters the projected dipoles at build time; the
+    # system holds those, and nothing reads the axis after
+    assert "polarization" not in [f.name for f in dataclasses.fields(ExcitonSystem)]

@@ -14,6 +14,7 @@ from excitonscope import (
     population_evolve,
     population_propagator,
 )
+from excitonscope import propagators
 from excitonscope.bath import eigendecompose_transport
 from excitonscope.config import from_dict
 from excitonscope.excitation import DEFAULT_POLARIZATION, prepare_closed_form
@@ -93,6 +94,20 @@ def test_propagators_reject_non_finite_times(bundled, t):
     for waiting in [(t, 100.0), (0.0, t)]:
         with pytest.raises(ValueError, match="finite and non-negative"):
             SignalGrid(axis, axis, *waiting)
+
+
+def test_series_past_the_bound_is_refused(bundled, monkeypatch):
+    model = bundled.transport_two
+    rho = np.ones(model.size)
+    fs_per_qs = 1.0 / (float(model.rate_matrix.diagonal().max()) * TWO_PI_C)
+    monkeypatch.setattr(propagators, "_MAX_QS", 40.0)
+    below = population_evolve(model, rho, 39.0 * fs_per_qs)
+    assert abs(below.sum() - rho.sum()) <= 1e-13 * rho.sum()
+    with pytest.raises(ValueError, match=r"qs = 41\b.* about 111\.8 series terms") as refused:
+        population_evolve(model, rho, 41.0 * fs_per_qs)
+    assert "qs + 9.5 sqrt(qs) + 10" in str(refused.value)
+    with pytest.raises(ValueError, match="series terms"):
+        population_propagator(bundled.transport_one, 1e15)
 
 
 @pytest.mark.parametrize("name", ["dimer_system", "trimer_system", "bundled"])

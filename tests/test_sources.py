@@ -361,8 +361,7 @@ def test_merged_drops_every_all_zero_sum():
 def test_pump_screen_zeroes_only_cells_far_below_their_slice():
     # exponents on (t, f, u, e) with real parts spread over 600 and each
     # (t, f) slice raised by its own offset; the last target's slices span
-    # less than the margin, so its block slice takes the masked exp where
-    # the target alone takes the plain one
+    # less than the margin, so none of its cells is screened
     rng = np.random.default_rng(11)
     shape = (3, 5, 4, 6)
     exponent = (-600.0 * rng.random(shape) + rng.uniform(-300.0, 0.0, shape[:2] + (1, 1))
@@ -393,8 +392,9 @@ def test_jsa_conjugate_leg_off_the_real_axis():
 
 def test_gaussian_gamma_from_tau():
     assert gaussian_gamma_from_tau(100.0) == pytest.approx(0.5e-4)
-    with pytest.raises(ValueError):
-        gaussian_gamma_from_tau(0.0)
+    for tau in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            gaussian_gamma_from_tau(tau)
 
 
 def test_pulse_amplitude_peak_and_width():
@@ -437,6 +437,30 @@ def test_source_validation():
     with pytest.raises(ValueError):
         make_source(alpha=0.0)
     assert make_source(t_ent=25.0).entanglement_time == 25.0
+
+
+@pytest.mark.parametrize("field", ["omega1", "omega2", "pump_center", "tau_pump", "t1", "t2",
+                                   "alpha", "e0"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_source_rejects_non_finite_numbers(field, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make_source(**{field: bad})
+
+
+def test_scan_block_rejects_a_non_finite_target():
+    # one value per target on the fields a scan block moves
+    centers = np.array([24400.0, np.nan, 24800.0])
+    for fields in ({"pump_center": centers}, {"omega1": 0.5 * centers, "omega2": 0.5 * centers}):
+        with pytest.raises(ValueError, match="finite"):
+            make_source(**fields)
+    make_source(pump_center=np.array([24400.0, 24800.0]))
+
+
+@pytest.mark.parametrize("fields", [{"center": np.nan}, {"tau": np.nan}, {"tau": np.inf},
+                                    {"scale": np.inf}])
+def test_coherent_source_rejects_non_finite_numbers(fields):
+    with pytest.raises(ValueError, match="finite"):
+        CoherentSource(**{"center": 12300.0, "tau": 60.0, **fields})
 
 
 def test_jsa_conjugate_leg_is_plain_conjugate_on_real_axis():

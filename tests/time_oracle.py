@@ -9,8 +9,10 @@ preserving the kink at max(gate opening, emission completion); the
 remaining two time axes are integrated on graded Gauss-Legendre panels
 with the horizon set by the slowest gate decay and a two-level
 convergence check.  It checks :func:`excitonscope.coincidence_snapshot`,
-the waiting-time factorization, which shares only the detection tables
-and the closed lineshapes with it.
+the waiting-time factorization, which shares only the detection tables,
+the closed lineshapes and the map's :class:`~excitonscope.SignalGrid`
+with it: the gate centres scan the grid's axes, and the f -> e and
+e -> g gates open at its ``t_wait_two`` and ``t_wait_two + t_wait_one``.
 """
 
 import math
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from excitonscope import units
-from excitonscope.coincidence import FilterSpec, _check_negative_branch
+from excitonscope.coincidence import FilterSpec, SignalGrid, _check_negative_branch
 from excitonscope.excitation import ExcitonSystem
 
 from detector_reference import lineshape_branches
@@ -59,8 +61,7 @@ def _time_oracle_map(
     rho_ff: np.ndarray,
     filter_fe: FilterSpec,
     filter_eg: FilterSpec,
-    omega_fe_axis: np.ndarray,
-    omega_eg_axis: np.ndarray,
+    grid: SignalGrid,
     level: int,
 ) -> np.ndarray:
     """Nested-time evaluation of both pathway terms on a frequency grid.
@@ -77,9 +78,9 @@ def _time_oracle_map(
     cfg = _ORACLE_LEVELS[level]
     n_panels, n_nodes, hor = cfg["panels"], cfg["nodes"], cfg["horizon"]
 
-    tbar1, tbar2 = filter_eg.t_center, filter_fe.t_center
-    if tbar1 < tbar2:
-        raise ValueError("the e -> g gate must open at or after the f -> e gate")
+    omega_fe_axis, omega_eg_axis = grid.omega_fe, grid.omega_eg
+    tbar2 = grid.t_wait_two
+    tbar1 = grid.t_wait_two + grid.t_wait_one
     _check_negative_branch(filter_fe, float(g_fe.min()))
 
     rho_tilde = (two.chi_left @ np.asarray(rho_ff, dtype=float)) / two.dpp
@@ -152,11 +153,11 @@ def coincidence_time_map(
     rho_ff: np.ndarray,
     filter_fe: FilterSpec,
     filter_eg: FilterSpec,
-    omega_fe_axis,
-    omega_eg_axis,
+    grid: SignalGrid,
     rtol: float = 1e-3,
 ) -> np.ndarray:
-    """Convergence-checked oracle map over detector frequency grids.
+    """Convergence-checked oracle map over the gate centres and opening
+    times of ``grid``, which it leaves unfilled.
 
     Runs the nested-time integration at two refinement levels (panel and
     node counts, decay horizons) and raises when the max-normalized maps
@@ -164,10 +165,8 @@ def coincidence_time_map(
     """
     if system.aggregate.n_sites > 3:
         raise ValueError("the time-domain oracle is intended for at most 3 sites")
-    fe_axis = np.atleast_1d(np.asarray(omega_fe_axis, dtype=float))
-    eg_axis = np.atleast_1d(np.asarray(omega_eg_axis, dtype=float))
-    coarse = _time_oracle_map(system, rho_ff, filter_fe, filter_eg, fe_axis, eg_axis, 1)
-    fine = _time_oracle_map(system, rho_ff, filter_fe, filter_eg, fe_axis, eg_axis, 2)
+    coarse = _time_oracle_map(system, rho_ff, filter_fe, filter_eg, grid, 1)
+    fine = _time_oracle_map(system, rho_ff, filter_fe, filter_eg, grid, 2)
     scale = np.abs(fine).max(initial=0.0)
     diff = float(np.abs(fine - coarse).max(initial=0.0) / scale) if scale > 0.0 else 0.0
     if not np.isfinite(diff) or diff > rtol:
@@ -177,19 +176,3 @@ def coincidence_time_map(
         )
     return fine
 
-
-def coincidence_time_oracle(
-    system: ExcitonSystem,
-    rho_ff: np.ndarray,
-    filter_fe: FilterSpec,
-    filter_eg: FilterSpec,
-    rtol: float = 1e-3,
-) -> float:
-    """Oracle value at the filters' own spectral centers."""
-    value = coincidence_time_map(
-        system, rho_ff, filter_fe, filter_eg,
-        np.array([filter_fe.omega_center]),
-        np.array([filter_eg.omega_center]),
-        rtol=rtol,
-    )
-    return float(value[0, 0])
