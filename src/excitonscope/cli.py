@@ -4,8 +4,8 @@ The scenario is a positional argument; the options may come before or
 after it.  Without ``--config`` the documented defaults run on the
 bundled aggregate; with it, the file is validated first and every
 offending field is reported.  The scenario given on the command line
-overrides the ``scenario`` field of the config, so one config file can
-drive several scenarios.
+overrides the ``scenario`` field of the config, which a file may leave
+out, so one config file can drive several scenarios.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -54,7 +54,8 @@ def main(argv=None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:
-        cfg = load_config(args.config) if args.config else reference_config(args.scenario)
+        cfg = (load_config(args.config, scenario=args.scenario) if args.config
+               else reference_config(args.scenario))
         cfg = replace(cfg, scenario=args.scenario)
         manifest = run_scenario(cfg, out_dir=args.out, threads=args.threads, fmt=args.format)
     except ConfigError as exc:

@@ -101,6 +101,9 @@ class SignalGrid:
     def __post_init__(self):
         self.omega_fe = np.atleast_1d(np.asarray(self.omega_fe, dtype=float))
         self.omega_eg = np.atleast_1d(np.asarray(self.omega_eg, dtype=float))
+        for name in ("omega_fe", "omega_eg"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         for t in (self.t_wait_two, self.t_wait_one):
             units.require(t, "waiting times must be finite and non-negative", 0.0)
 
@@ -132,6 +135,11 @@ def _checked_populations(system: ExcitonSystem, rho_ff) -> np.ndarray:
     return rho
 
 
+# The bytes one (e, f', omega) scratch buffer of _emission_side may take for
+# a block of two e; a block holds one e where two do not fit.
+_BLOCK_BYTES = 224 * 1024
+
+
 def _emission_side(system, rho, filter_fe, omega_fe, t_wait_two):
     """The two-exciton side of the map: the populations ``rho`` evolved
     for ``t_wait_two`` and emitted through the f -> e gate, as the real
@@ -156,30 +164,46 @@ def _emission_side(system, rho, filter_fe, omega_fe, t_wait_two):
     a_prod = a_pos * a_neg
     scale = (populations_f[:, None] * dd_fe * (0.5 / sigma_omega / units.TWO_PI_C)
              * (a_pos + a_neg))
-    # One e at a time in four reused real (f', omega) buffers, 105 KB each
-    # on the bundled model, which stay in L2 cache: 1.7 ms for this side of
-    # a bundled map, against 2.2 ms with fresh temporaries for each e and
-    # 6.8 ms for the same arithmetic on (f', e, omega) at once, which is
-    # memory-bound (2-vCPU x86-64 host, BLAS at 1 thread).  Each step keeps
-    # the operands and order of the plain expressions P = detune * detune +
-    # A+ A-, Q = (2 sigma_t) detune, r = (weight N (A+ + A-)) / (P P + Q Q)
-    # and the f' sums of r P and r Q, so every cell is bitwise theirs.
-    detune, p, q, r = np.empty((4, w_fe.shape[0], omega_fe.size))
-    side_re = np.empty((system.n_one, omega_fe.size))
+    # A block of e at a time in five reused real (e, f', omega) buffers, per
+    # call since maps of one system may run in threads.  A block holds two
+    # e where they fit _BLOCK_BYTES (the bundled model's 105 KiB an e), else
+    # one: two were the fastest on the bundled model and slower than one
+    # from N=20 on, and on small models more than two cost more on a map's
+    # first call, in fresh pages, than they saved.  The gate axis is
+    # tiled once, so that each subtraction broadcasts only the (e, f')
+    # column, and Q overwrites detune, since a step whose output is one of
+    # its inputs need not first read the output into cache.  This side of
+    # a bundled map takes about 1.1 ms, and 3.0, 6.9 and 33 ms at N=20, 26
+    # and 40 (fastest of repeated calls, 2-vCPU x86-64 host, BLAS at 1
+    # thread).  Each step keeps the operands and order of the plain
+    # expressions P = detune * detune + A+ A-, Q = (2 sigma_t) detune,
+    # r = (weight N (A+ + A-)) / (P P + Q Q) and the f' sums of r P and r Q,
+    # row by row over a non-innermost axis, so every cell is bitwise theirs
+    # (np.square(x) is x * x).
+    n_f, n_w = w_fe.shape[0], omega_fe.size
+    block = 2 if 2 * n_f * n_w * 8 <= _BLOCK_BYTES else 1
+    w_e, a_prod_e, scale_e = w_fe.T.copy(), a_prod.T.copy(), scale.T.copy()
+    gate = np.empty((block, n_f, n_w))
+    gate[...] = omega_fe
+    detune, p, r, q_sq = np.empty((4, block, n_f, n_w))
+    side_re = np.empty((system.n_one, n_w))
     side_im = np.empty_like(side_re)
-    for e in range(system.n_one):
-        np.subtract(omega_fe, w_fe[:, e, None], out=detune)
-        np.multiply(detune, detune, out=p)
-        np.add(p, a_prod[:, e, None], out=p)
-        np.multiply(2.0 * sigma_t, detune, out=q)
-        np.multiply(p, p, out=r)
-        np.multiply(q, q, out=detune)
-        np.add(r, detune, out=r)
-        np.divide(scale[:, e, None], r, out=r)
-        np.multiply(r, p, out=p)
-        np.multiply(r, q, out=q)
-        p.sum(axis=0, out=side_re[e])
-        q.sum(axis=0, out=side_im[e])
+    for start in range(0, system.n_one, block):
+        es = slice(start, min(start + block, system.n_one))
+        n = es.stop - start
+        d, pb, rb, qq = detune[:n], p[:n], r[:n], q_sq[:n]
+        np.subtract(gate[:n], w_e[es, :, None], out=d)
+        np.square(d, out=pb)
+        np.add(pb, a_prod_e[es, :, None], out=pb)
+        np.multiply(2.0 * sigma_t, d, out=d)  # Q
+        np.square(pb, out=rb)
+        np.square(d, out=qq)
+        np.add(rb, qq, out=rb)
+        np.divide(scale_e[es, :, None], rb, out=rb)
+        np.multiply(rb, pb, out=pb)
+        np.multiply(rb, d, out=d)
+        pb.sum(axis=1, out=side_re[es])
+        d.sum(axis=1, out=side_im[es])
     return side_re, side_im
 
 

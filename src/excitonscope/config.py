@@ -1,6 +1,7 @@
 """Run configuration for the command-line scenarios.
 
-A run is one JSON object; only ``scenario`` is required.  Each field's
+A run is one JSON object; only ``scenario`` is required, and the command
+line's scenario stands in for a missing one.  Each field's
 default is written once, on its dataclass field below (the bath's in
 :func:`presets.reference_bath`), and its check, message and conversion
 once, as a ``_Rule`` in the field's metadata.  One walker checks every
@@ -316,25 +317,28 @@ def _plain(value, table):
     return value
 
 
-def from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
+def from_dict(raw: dict, base_dir: str = ".", scenario: str | None = None) -> RunConfig:
     """Validate a raw JSON object and resolve every default.
 
-    Raises ConfigError listing all offending fields if anything is
-    missing, unknown, mistyped or out of range.
+    ``scenario`` is the scenario of an object that names none; without it
+    the object must name one.  Raises ConfigError listing all offending
+    fields if anything is missing, unknown, mistyped or out of range.
     """
     if not isinstance(raw, dict):
         raise ConfigError([("<root>", "config must be a JSON object")])
     problems: list[tuple[str, str]] = []
-    # scenario has no default: a missing one is checked as null ("required")
+    # scenario has no default: a missing one is ``scenario``, and is checked
+    # as null ("required") where that is None
     table = {**_table(RunConfig), "aggregate": _aggregate(base_dir)}
-    values = _walk(table, {"scenario": None, **raw}, "", problems)
+    values = _walk(table, {"scenario": scenario, **raw}, "", problems)
     if problems:
         raise ConfigError(problems)
     return RunConfig(**values)
 
 
-def load_config(path: str) -> RunConfig:
-    """Read and validate a JSON run configuration file."""
+def load_config(path: str, scenario: str | None = None) -> RunConfig:
+    """Read and validate a JSON run configuration file; ``scenario`` is
+    the scenario of a file that names none (see :func:`from_dict`)."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -342,7 +346,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError([("<file>", f"cannot read {path}: {exc}")]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([("<file>", f"not valid JSON: {exc}")]) from exc
-    return from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+    return from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)), scenario=scenario)
 
 
 def reference_config(scenario: str) -> RunConfig:

@@ -9,7 +9,7 @@ import pytest
 
 from excitonscope import AggregateSpec, runner
 from excitonscope.cli import build_parser, main
-from excitonscope.config import SCENARIOS, load_config
+from excitonscope.config import SCENARIOS, ConfigError, load_config
 from excitonscope.runner import SCENARIO_RUNS
 
 from conftest import make_dimer
@@ -63,6 +63,23 @@ def test_subcommand_overrides_config_scenario(dimer_setup, tmp_path, capsys):
     manifest = json.loads(Path(out, "manifest.json").read_text())
     assert manifest["scenario"] == "propagate"
     assert os.path.isfile(os.path.join(out, "snapshots.csv"))
+
+
+def test_config_without_scenario_runs_the_command_line_scenario(dimer_setup, tmp_path, capsys):
+    cfg_path, root = dimer_setup
+    config = json.loads(Path(cfg_path).read_text())
+    del config["scenario"]
+    bare = root / "no-scenario.json"
+    bare.write_text(json.dumps(config))
+    for scenario in ("propagate", "coincidence"):
+        out = str(tmp_path / scenario)
+        assert main([scenario, "--config", str(bare), "--out", out]) == 0
+        manifest = json.loads(Path(out, "manifest.json").read_text())
+        assert manifest["scenario"] == manifest["config"]["scenario"] == scenario
+        assert manifest["config"] == load_config(str(bare), scenario).to_dict()
+    # the library still requires the field of a file read alone
+    with pytest.raises(ConfigError, match="scenario: required"):
+        load_config(str(bare))
 
 
 def test_config_error_exit_code(dimer_setup, tmp_path, capsys):

@@ -1,10 +1,13 @@
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from excitonscope import (
+    ExcitonSystem,
     FilterSpec,
     SignalGrid,
     coincidence,
@@ -16,6 +19,7 @@ from excitonscope.config import RunConfig
 from excitonscope.excitons import TransitionDipoles
 from excitonscope.units import TWO_PI_C
 
+from conftest import dimer_bath
 from detector_reference import (
     Gate,
     filtered_lineshape,
@@ -25,6 +29,7 @@ from detector_reference import (
     temporal_gate,
 )
 from loop_reference import branch_sum, loop_coincidence_snapshot, loop_signed_map, plain_snapshot
+from test_excitons import generic_aggregate
 from time_oracle import coincidence_time_map
 
 
@@ -160,6 +165,11 @@ def test_lineshape_rejects_negative_width():
 def test_grid_validation():
     with pytest.raises(ValueError, match="waiting"):
         SignalGrid(np.array([1.0]), np.array([1.0]), -1.0, 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="omega_fe must be finite"):
+            SignalGrid(np.array([1.0, bad]), np.array([1.0]), 0.0, 0.0)
+        with pytest.raises(ValueError, match="omega_eg must be finite"):
+            SignalGrid(np.array([1.0]), np.array([bad, 1.0]), 0.0, 0.0)
 
 
 def test_snapshot_shape_and_normalization(dimer_system):
@@ -333,6 +343,59 @@ def test_maps_are_bitwise_the_plain_closed_form(request, name):
     edge_fe, edge_eg = replace(gate_fe, **gates), replace(gate_eg, **gates)
     _assert_plain(coincidence_snapshot(system, rho, edge_fe, edge_eg, replace(grid)),
                   system, rho, edge_fe, edge_eg, "convergence edge")
+
+
+@pytest.fixture(scope="module")
+def generic20():
+    return ExcitonSystem.build(generic_aggregate(20), dimer_bath(), (1.0, 1.0, 1.0))
+
+
+# (system, e per block of the emission side on 128 gate points): one block
+# on the dimer, a short last block on the trimer (3 e), full blocks on the
+# bundled model and blocks of one e at N=20
+BLOCK_CASES = [("dimer_system", 2), ("trimer_system", 2), ("bundled", 2), ("generic20", 1)]
+
+
+@pytest.mark.parametrize("name, block", BLOCK_CASES)
+@pytest.mark.parametrize("sigma_omega", [6.0, 30.0])
+@pytest.mark.parametrize("sigma_t", [0.5, 5.0])
+@pytest.mark.parametrize("t_wait_two", [0.0, 37.0, 200.0])
+@pytest.mark.parametrize("t_wait_one", [0.0, 1000.0])
+def test_blocked_maps_are_bitwise_the_plain_closed_form(
+    request, name, block, sigma_omega, sigma_t, t_wait_two, t_wait_one
+):
+    system = request.getfixturevalue(name)
+    n_f = system.detection_tables[0].shape[0]
+    assert (2 * n_f * 128 * 8 <= coincidence._BLOCK_BYTES) == (block == 2)
+    grid = make_grid(system, n=128, t_wait_two=t_wait_two, t_wait_one=t_wait_one)
+    rho = np.random.default_rng(11).random(system.n_two)
+    gate = FilterSpec(sigma_omega=sigma_omega, sigma_t=sigma_t)
+    _assert_plain(coincidence_snapshot(system, rho, gate, gate, grid), system, rho, gate, gate,
+                  name)
+
+
+def test_maps_in_threads_are_bitwise_the_serial_maps(bundled):
+    rho = np.random.default_rng(2).random(bundled.n_two)
+    settings = [(FilterSpec(sigma_omega=sw, sigma_t=st), t2, t1)
+                for sw in (6.0, 30.0) for st in (0.5, 5.0) for t2, t1 in ((0.0, 1000.0), (37.0, 0.0))]
+
+    def snapshot(setting):
+        gate, t2, t1 = setting
+        return coincidence_snapshot(bundled, rho, gate, gate,
+                                    make_grid(bundled, n=128, t_wait_two=t2, t_wait_one=t1))
+
+    serial = [snapshot(s) for s in settings]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(snapshot, settings * 3, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for alone, pooled in zip(serial * 3, threaded):
+        assert pooled.result.tobytes() == alone.result.tobytes()
+        assert (pooled.clipped_cells, pooled.clipped_fraction) == (
+            alone.clipped_cells, alone.clipped_fraction)
 
 
 def test_time_oracle_restricted_to_small_systems(bundled):
