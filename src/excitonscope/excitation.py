@@ -262,8 +262,9 @@ class PathwayWeights:
     ``coherent[f, e] = d_eg[e] d_fe[f, e]`` feeds the fully coherent
     pathway.  The transport pathways weigh (f, e, u, p) by
     ``fe_squared[f, u] * transport[e, u, p]``, with ``fe_squared = d_fe^2``
-    and ``transport`` the eigen-sum d_eg[e]^2 chi_R[u, p] / dpp[p]
-    chi_L[p, e] between the bra index e and the ket index u, and
+    and ``transport`` the eigen-sum d_eg[e]^2 chi_R[u, p] chi_L[p, e]
+    between the bra index e and the ket index u (the symmetrized modes
+    are normalized, chi_L chi_R = 1), and
     ``transport_sum[e, u]`` its sum over p, exact before one rounding
     (d_eg[e]^2 delta_eu up to the rounding of the modes).
     ``coherence[f, e, e']`` is the off-diagonal dipole chain.
@@ -281,10 +282,8 @@ class PathwayWeights:
         d2 = system.d_fe
         one = system.transport_one
         wk = d1[None, :] * d2
-        transport = np.einsum(
-            "e,up,p,pe->eup", d1 * d1, one.chi_right, 1.0 / one.dpp, one.chi_left,
-            optimize=True,
-        )
+        transport = np.einsum("e,up,pe->eup", d1 * d1, one.chi_right, one.chi_left,
+                              optimize=True)
         off = ~np.eye(system.n_one, dtype=bool)
         return cls(
             coherent=wk,

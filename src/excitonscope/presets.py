@@ -9,6 +9,7 @@ ordinary starting point, not a physical claim.
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 
 import numpy as np
@@ -20,9 +21,8 @@ from .excitation import ExcitonSystem
 
 def bundled_aggregate() -> AggregateSpec:
     """The packaged 14-site double-ring aggregate."""
-    path = resources.files("excitonscope").joinpath("data/aggregate14.json")
-    with resources.as_file(path) as file_path:
-        return AggregateSpec.from_json(file_path)
+    text = resources.files("excitonscope").joinpath("data/aggregate14.json").read_text("utf-8")
+    return AggregateSpec.from_dict(json.loads(text))
 
 
 def reference_bath() -> BathSpec:

@@ -1,8 +1,11 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import excitonscope
 from excitonscope import AggregateSpec, PairIndex
 from conftest import make_trimer
 
@@ -85,6 +88,11 @@ def test_bundled_aggregate_loads():
     assert np.any(spec.pair_anharmonicity != 0.0)
     round_tripped = AggregateSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     np.testing.assert_array_equal(round_tripped.couplings, spec.couplings)
+    # field by field the packaged file as any aggregate file is read
+    packaged = Path(excitonscope.__file__).parent / "data" / "aggregate14.json"
+    from_file = AggregateSpec.from_json(packaged)
+    for name in (f.name for f in dataclasses.fields(AggregateSpec)):
+        np.testing.assert_array_equal(getattr(spec, name), getattr(from_file, name), err_msg=name)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

@@ -506,7 +506,7 @@ def test_scan_pool_starts_with_the_tables_built(monkeypatch):
 
     def recording(system, *args, **kwargs):
         seen.append({"poles", "weights"} <= system.__dict__.keys()
-                    and {"lambdas", "chi_right", "chi_left", "dpp"}
+                    and {"lambdas", "chi_right", "chi_left"}
                     <= system.transport_one.__dict__.keys())
         return original(system, *args, **kwargs)
 

@@ -68,7 +68,7 @@ def test_matrix_csv_layout_round_trips():
     rows = np.array([1.0, 2.0, 3.0])
     cols = np.array([10.0, 20.0])
     values = np.array([[1.5, -2.5e-17], [0.0, 4.0], [np.pi, 1e300]])
-    text = _matrix_csv(rows, cols, values)
+    text = _matrix_csv(rows, cols, values).decode("ascii")
     lines = text.strip().split("\n")
     header = lines[0].split(",")
     # gnuplot nonuniform matrix: first cell is the column count
@@ -85,12 +85,13 @@ def test_fmt_preserves_doubles():
         assert float(_fmt(x)) == x
 
 
-def per_row_matrix_csv(row_axis, col_axis, values) -> str:
+def per_row_matrix_csv(row_axis, col_axis, values) -> bytes:
     """The matrix writer before the vectorized one, as the reference: the
     column count as text and every double through one ``%`` per row."""
     row = ",".join(["%.16e"] * (len(col_axis) + 1)) + "\n"
     head = ",".join([str(len(col_axis)), *("%.16e" % c for c in col_axis.tolist())]) + "\n"
-    return head + "".join(row % (r, *v.tolist()) for r, v in zip(row_axis.tolist(), values))
+    text = head + "".join(row % (r, *v.tolist()) for r, v in zip(row_axis.tolist(), values))
+    return text.encode("ascii")
 
 
 def e16_texts(values) -> list:
@@ -180,7 +181,7 @@ def test_matrix_csv_cells_are_printf_e16(data, n_rows, n_cols, block_cells):
                      for narrow in data.draw(st.lists(st.booleans(), min_size=n_rows + 1,
                                                       max_size=n_rows + 1))])
     with mock.patch.object(runner, "_BLOCK_CELLS", block_cells):
-        text = _matrix_csv(grid[1:, 0], grid[0, 1:], grid[1:, 1:])
+        text = _matrix_csv(grid[1:, 0], grid[0, 1:], grid[1:, 1:]).decode("ascii")
     expected = [[str(n_cols), *("%.16e" % x for x in grid[0, 1:])]]
     expected += [["%.16e" % x for x in row] for row in grid[1:]]
     assert text.endswith("\n")
@@ -393,15 +394,33 @@ def test_explicit_detection_axes_are_taken_as_given(tmp_path, dimer_file):
     assert [float(x) for x in header.split(",")[1:]] == list(np.linspace(12000.0, 13000.0, 5))
 
 
+def mixed_map(rng) -> np.ndarray:
+    """A 40 x 30 map, mostly zeros as the JSI is, whose other rows mix
+    negatives, subnormals, exponents beyond ±99, ±inf and nan with zeros;
+    every fourth row holds only cells of one width, and rows 0 and 5 are
+    all zeros."""
+    narrow = rng.uniform(1.0, 10.0, (40, 30)) * 10.0 ** rng.integers(-99, 100, (40, 30))
+    wild = rng.standard_normal((40, 30)) * 10.0 ** rng.integers(-320, 300, (40, 30))
+    wild.flat[rng.choice(wild.size, 60, replace=False)] = rng.choice(
+        [np.inf, -np.inf, np.nan, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e100, -1e-100],
+        60)
+    values = np.where(np.arange(40)[:, None] % 4 == 0, narrow, wild)
+    values[rng.random((40, 30)) < 0.8] = 0.0
+    values[[0, 5]] = 0.0
+    return values
+
+
 @pytest.mark.parametrize("block_cells", [1, 10, runner._BLOCK_CELLS])
 def test_matrix_csv_matches_the_per_row_writer_for_any_block(monkeypatch, block_cells):
     rng = np.random.default_rng(7)
     special = TIES + CARRIES + BELOW_POWERS + [0.0, -0.0, np.inf, -np.nan, 1e-300]
     values = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-20, 20, (7, 5))
     values.flat[:len(special)] = special
-    rows, cols = rng.uniform(0, 100, 7), np.linspace(-1.0, 1.0, 5)
+    maps = [(rng.uniform(0, 100, 7), np.linspace(-1.0, 1.0, 5), values),
+            (np.linspace(0.0, 2e4, 40), -np.logspace(-150, 150, 30), mixed_map(rng))]
     monkeypatch.setattr(runner, "_BLOCK_CELLS", block_cells)
-    assert _matrix_csv(rows, cols, values) == per_row_matrix_csv(rows, cols, values)
+    for rows, cols, values in maps:
+        assert _matrix_csv(rows, cols, values) == per_row_matrix_csv(rows, cols, values)
 
 
 @pytest.mark.parametrize("scenario", ["jsa", "excite-scan", "coincidence", "panel-study"])
@@ -487,6 +506,58 @@ def test_failed_write_leaves_no_temporary_and_no_partial_artifact(tmp_path, monk
     assert [path.name for path in tmp_path.iterdir()] == ([] if old is None else ["artifact.csv"])
     if old is not None:
         assert target.read_text() == old
+
+
+def _contents(out) -> dict:
+    return {name: Path(out, name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+def test_run_failing_before_its_writes_leaves_the_previous_run(tmp_path, dimer_file):
+    _, out = run_into(tmp_path, dimer_file, "coincidence")
+    before = _contents(out)
+    with pytest.raises(ConfigError) as err:
+        run_into(tmp_path, dimer_file, "coincidence", target=7)  # past the dimer's 3 states
+    assert err.value.fields == ("target",)
+    assert _contents(out) == before
+
+
+def test_write_failing_on_the_third_artifact_leaves_no_manifest(tmp_path, dimer_file,
+                                                                monkeypatch):
+    """The old manifest goes before the first artifact is replaced, so a
+    write phase cut short leaves none, and no temporary."""
+    manifest, out = run_into(tmp_path, dimer_file, "coincidence")
+    before = _contents(out)
+    _, fresh = run_into(tmp_path, dimer_file, "coincidence", subdir="fresh", grids={"points": 9})
+    expected = _contents(fresh)
+    calls = []
+
+    def failing_write(fd, data):
+        calls.append(len(data))
+        if len(calls) == 3:  # each small artifact is one write
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return os.write(fd, data)
+
+    monkeypatch.setattr(runner, "os", _OsWith(failing_write))
+    with pytest.raises(ConfigError) as err:
+        run_into(tmp_path, dimer_file, "coincidence", grids={"points": 9})
+    assert err.value.fields == ("out_dir",) and len(calls) == 3
+    after = _contents(out)
+    assert sorted(after) == sorted(manifest.artifacts)
+    first, second, third = manifest.artifacts
+    assert after[first] == expected[first] != before[first]
+    assert after[second] == expected[second] != before[second]
+    assert after[third] == before[third]
+
+
+def test_second_run_into_a_directory_leaves_exactly_its_own_bytes(tmp_path, dimer_file):
+    run_into(tmp_path, dimer_file, "coincidence")
+    manifest, out = run_into(tmp_path, dimer_file, "coincidence", grids={"points": 9})
+    _, fresh = run_into(tmp_path, dimer_file, "coincidence", subdir="fresh", grids={"points": 9})
+    assert sorted(os.listdir(out)) == sorted(manifest.artifacts + ["manifest.json"])
+    rerun, alone = _contents(out), _contents(fresh)
+    for name in manifest.artifacts:
+        assert rerun[name] == alone[name], name
+    assert json.loads(rerun["manifest.json"])["artifacts"] == manifest.artifacts
 
 
 def _prepared(raw):
