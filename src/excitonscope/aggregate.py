@@ -158,13 +158,3 @@ class PairIndex:
     @property
     def overtone_mask(self) -> np.ndarray:
         return self.first_site == self.second_site
-
-    def index(self, m: int, n: int) -> int:
-        """Flat index of the pair ``(m, n)`` (order insensitive)."""
-        if not (0 <= m < self.n_sites and 0 <= n < self.n_sites):
-            raise IndexError(f"site index out of range for {self.n_sites} sites: ({m}, {n})")
-        if m > n:
-            m, n = n, m
-        # row m starts after rows 0..m-1, each row k holds n_sites - k entries
-        offset = m * self.n_sites - m * (m - 1) // 2
-        return offset + (n - m)

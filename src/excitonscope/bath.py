@@ -141,10 +141,6 @@ class TransportModel:
     depopulation: np.ndarray
     pure_dephasing: float = 0.0
 
-    @property
-    def size(self) -> int:
-        return self.energies.size
-
     @cached_property
     def _modes(self):
         lambdas, chi_right, chi_left, dpp = eigendecompose_transport(self.rate_matrix,

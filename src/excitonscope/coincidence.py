@@ -102,6 +102,8 @@ class SignalGrid:
         self.omega_fe = np.atleast_1d(np.asarray(self.omega_fe, dtype=float))
         self.omega_eg = np.atleast_1d(np.asarray(self.omega_eg, dtype=float))
         for name in ("omega_fe", "omega_eg"):
+            if getattr(self, name).ndim != 1:
+                raise ValueError(f"{name} must be a 1-D axis")
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
         for t in (self.t_wait_two, self.t_wait_one):
@@ -132,6 +134,7 @@ def _checked_populations(system: ExcitonSystem, rho_ff) -> np.ndarray:
     rho = np.asarray(rho_ff, dtype=float)
     if rho.shape != (system.n_two,):
         raise ValueError(f"rho_ff must have shape ({system.n_two},), got {rho.shape}")
+    units.require(rho, "rho_ff must be finite")
     return rho
 
 

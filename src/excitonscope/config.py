@@ -277,9 +277,6 @@ class RunConfig(_Plain):
     format: str = _field("csv", _one_of(FORMATS))
     emit_plots: bool = _field(True, _Rule(lambda v: isinstance(v, bool), "must be true or false"))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
 
 _SECTION_DEFAULTS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 

@@ -132,43 +132,57 @@ class ExcitonSystem:
 class PoleTable:
     """Complex resolvent poles zeta = w_ab - i gamma_ab for every coherence family.
 
-    ``eg``/``fg``/``fe``/``ee``/``ef`` follow the (bra-state inside ket-state)
-    labelling of the pathway chains, ``ff`` holds the two-exciton population
-    poles -i Gamma_f and ``modes`` the one-exciton transport eigenpoles
+    ``eg``/``fg``/``fe`` follow the (bra-state inside ket-state) labelling
+    of the pathway chains, ``ff`` holds the two-exciton population poles
+    -i Gamma_f and ``modes`` the one-exciton transport eigenpoles
     -i lambda_p.  A coherence width is gamma_ab = (Gamma_a + Gamma_b)/2 plus
-    the bath's pure dephasing, with Gamma = 0 for the ground state, and
-    ``ef`` shares the widths of ``fe``.  Every width below
-    ``WIDTH_FLOOR_TRIGGER`` is raised to ``WIDTH_FLOOR_VALUE``;
-    ``floored_widths`` counts them per family, and ``regularized`` says
-    whether any width beyond ``STATIONARY_FLOORS`` was floored.
+    the bath's pure dephasing, with Gamma = 0 for the ground state.  The
+    mirrored family ef, which shares the widths of fe, is -conj(fe).  Every
+    width below ``WIDTH_FLOOR_TRIGGER`` is raised to ``WIDTH_FLOOR_VALUE``;
+    ``floored_widths`` counts them per family, the one-exciton coherences
+    ee among them, and ``regularized`` says whether any width beyond
+    ``STATIONARY_FLOORS`` was floored.
+
+    The same poles but the modes are also held as sums of state poles: the
+    state poles ``s_f`` = E_f - i (Gamma_f / 2 + pure) and ``s_e`` likewise,
+    the pure dephasing constant ``i_pure`` and, per family, its floor
+    ``residuals``: -i times its floored widths less its widths, exactly 0.0
+    wherever no width is floored.  Then eg[a] = s_a + r_eg[a],
+    fg[f] = s_f + r_fg[f], fe[f, b] = s_f - conj(s_b) + i pure + r_fe[f, b],
+    ee[a, b] = s_a - conj(s_b) + i pure + r_ee[a, b],
+    ef[f, a] = s_a - conj(s_f) + i pure + r_fe[f, a] and
+    ff[f] = s_f - conj(s_f) + 2 i pure + r_ff[f], each up to rounding.
     """
 
     eg: np.ndarray
     fg: np.ndarray
     fe: np.ndarray
-    ee: np.ndarray
-    ef: np.ndarray
     ff: np.ndarray
     modes: np.ndarray
+    s_f: np.ndarray
+    s_e: np.ndarray
+    i_pure: complex
+    residuals: dict
     floored_widths: dict
 
     @classmethod
     def from_system(cls, system: ExcitonSystem) -> "PoleTable":
-        widths = {**_widths(system), "modes": system.transport_one.lambdas}
+        widths = _widths(system)
         g = {name: _floored(w) for name, w in widths.items()}
-
+        lambdas = system.transport_one.lambdas
         eig = system.eig
-        w_fe = eig.omega_fe()
         return cls(
             eg=eig.energies_e - 1j * g["eg"],
             fg=eig.energies_f - 1j * g["fg"],
-            fe=w_fe - 1j * g["fe"],
-            ee=(eig.energies_e[:, None] - eig.energies_e[None, :]) - 1j * g["ee"],
-            ef=-w_fe - 1j * g["fe"],
+            fe=eig.omega_fe() - 1j * g["fe"],
             ff=-1j * g["ff"],
-            modes=-1j * g["modes"],
+            modes=-1j * _floored(lambdas),
+            s_f=eig.energies_f - 1j * widths["fg"],
+            s_e=eig.energies_e - 1j * widths["eg"],
+            i_pure=1j * system.bath.pure_dephasing,
+            residuals={name: -1j * (g[name] - w) for name, w in widths.items()},
             floored_widths={name: int(np.count_nonzero(w < WIDTH_FLOOR_TRIGGER))
-                            for name, w in widths.items()},
+                            for name, w in {**widths, "modes": lambdas}.items()},
         )
 
     @property
@@ -206,26 +220,6 @@ def _floored(width):
     return np.where(width < WIDTH_FLOOR_TRIGGER, WIDTH_FLOOR_VALUE, width)
 
 
-def _state_poles(system: ExcitonSystem):
-    """The poles of ``PoleTable`` but the modes as sums of state poles.
-
-    Returns (s_f, s_e, i pure, residuals): the state poles
-    s_f = E_f - i (Gamma_f / 2 + pure) and s_e likewise, the pure
-    dephasing constant and, per family, its floor residual: -i times its
-    floored widths less its widths, exactly 0.0 wherever no width is
-    floored.  Then eg[a] = s_a + r_eg[a], fg[f] = s_f + r_fg[f],
-    fe[f, b] = s_f - conj(s_b) + i pure + r_fe[f, b],
-    ee[a, b] = s_a - conj(s_b) + i pure + r_ee[a, b],
-    ef[f, a] = s_a - conj(s_f) + i pure + r_fe[f, a] and
-    ff[f] = s_f - conj(s_f) + 2 i pure + r_ff[f], each up to rounding.
-    """
-    widths = _widths(system)
-    residuals = {name: -1j * (_floored(w) - w) for name, w in widths.items()}
-    eig = system.eig
-    return (eig.energies_f - 1j * widths["fg"], eig.energies_e - 1j * widths["eg"],
-            1j * system.bath.pure_dephasing, residuals)
-
-
 @dataclass
 class PreparationResult:
     """Two-exciton distribution prepared by one pulse, with pathway breakdown.
@@ -247,12 +241,6 @@ class PreparationResult:
     pathway_partials: np.ndarray
     regularized: bool
     diagnostics: dict = field(default_factory=dict)
-
-    def normalized(self) -> np.ndarray:
-        peak = self.populations.max(initial=0.0)
-        if peak <= 0.0:
-            return np.zeros_like(self.populations)
-        return self.populations / peak
 
 
 @dataclass(frozen=True)
@@ -498,19 +486,19 @@ def _prepared_partials(system: ExcitonSystem, source, t_fs: float):
     pair = source.pair_factors([("fu", z.fe), minus_zp], [eg], [("fu", z.fe - z.ff[:, None])],
                                [eg, minus_zp])
     p2 = _pathway(transport, summed, *pair)
-    # p4: ket (ff - ef, eg), bra (zp - ef, eg - zp)
-    pair = source.pair_factors([("fu", z.ff[:, None] - z.ef)], [eg], [zp, ("fu", -z.ef)],
-                               [eg, minus_zp])
+    # p4: ket (ff - ef, eg), bra (zp - ef, eg - zp), with ef = -conj(fe)
+    pair = source.pair_factors([("fu", z.ff[:, None] + z.fe.conj())], [eg],
+                               [zp, ("fu", z.fe.conj())], [eg, minus_zp])
     p4 = _pathway(transport, summed, *pair)
 
     # coherence pathways on axes (f, a, b): the middle interval is an
     # off-diagonal one-exciton coherence a-b, again with ket- and bra-sided
     # completion.  Their poles enter as sums of state poles, the pure
-    # dephasing constant and the floor residuals (``_state_poles``), so
+    # dephasing constant and the floor residuals (``PoleTable``), so
     # each leg's sum telescopes: its one-exciton state poles cancel, and
     # the pump lies on f and the residuals' axes alone.
     coherence = [("fab", weight("coherence"))]
-    s_f, s_e, i_pure, r = _state_poles(system)
+    s_f, s_e, i_pure, r = z.s_f, z.s_e, z.i_pure, z.residuals
     fe = [("f", s_f), ("b", -s_e.conj()), ("", i_pure), ("fb", r["fe"])]
     ee = [("a", s_e), ("b", -s_e.conj()), ("", i_pure), ("ab", r["ee"])]
     ef = [("a", s_e), ("f", -s_f.conj()), ("", i_pure), ("fa", r["fe"])]

@@ -49,7 +49,7 @@ one method:
   each of the axis's full size.  Terms on equal axis sets are added, and
   a sum of all zeros, a pole that cancels or a lone term of zeros, drops
   out exactly.  So once poles are passed as sums of state-pole terms,
-  each on one axis (``excitation._state_poles``), the one-exciton poles
+  each on one axis (``excitation.PoleTable``), the one-exciton poles
   cancel across the poles' axes: fe[f, b] - ee[a, b] + eg[a] leaves the
   state pole s_f on f alone.  Terms on the mode axis ``MODES`` alone are
   shifts: the transport pathways' mode poles, which move the pair

@@ -10,12 +10,16 @@ The map's closed form is also written plainly, with a fresh array for
 every intermediate, which its in-place kernel must reproduce bit for bit.
 The transport pathways of the preparation are written the same way in
 extended precision, as the reference for the closed form's rounding.
+``pole_chains`` gives these references and the quadrature oracle the two
+pole families the pathway chains name but the library does not hold.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from excitonscope import excitation
 from excitonscope.bath import phonon_correlation_real
 from excitonscope.coincidence import _check_negative_branch
 from excitonscope.excitation import WIDTH_FLOOR_TRIGGER, WIDTH_FLOOR_VALUE
@@ -124,6 +128,20 @@ def loop_pole_table(system):
         "modes": [floor("modes", lam) for lam in system.transport_one.lambdas],
     }
     return {name: np.array(w, dtype=float) for name, w in widths.items()}, floored
+
+
+def pole_chains(system):
+    """The system's pole table with the two families the pathway chains
+    name but the table does not hold: the one-exciton coherence poles
+    ee[a, b] = (E_a - E_b) - i gamma_ab and the mirrored
+    ef[f, e] = -w_fe - i gamma_fe, each width floored as the table's."""
+    widths = excitation._widths(system)
+    e = system.eig.energies_e
+    return SimpleNamespace(
+        **vars(system.poles),
+        ee=(e[:, None] - e[None, :]) - 1j * excitation._floored(widths["ee"]),
+        ef=-system.eig.omega_fe() - 1j * excitation._floored(widths["fe"]),
+    )
 
 
 def loop_signed_map(system, rho_ff, filter_fe, filter_eg, grid):
@@ -250,7 +268,7 @@ def extended_transport_pathways(system, source):
     evaluated in extended precision, so the result carries none of the
     float64 rounding of sum frequencies near 2.4e4 cm^-1.
     """
-    z = system.poles
+    z = pole_chains(system)
     w = system.weights
     cx = np.clongdouble
 

@@ -37,18 +37,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
 
 from excitonscope import units
-from excitonscope.excitation import (
-    ExcitonSystem,
-    PoleTable,
-    PreparationResult,
-    pathway_weights,
-)
+from excitonscope.excitation import ExcitonSystem, PreparationResult, pathway_weights
 from excitonscope.sources import CoherentSource, EppSource
+
+from loop_reference import pole_chains
 
 _GRADE_RATIO = 5.0
 _PHASE_PER_NODE = 1.2  # rad of oscillation one quadrature node can carry
@@ -248,7 +246,7 @@ def _pull(grid: RegGrid, q, weight=1.0) -> sparse.csr_matrix:
 
 @dataclass
 class _Ctx:
-    z: PoleTable
+    z: SimpleNamespace
     wk: np.ndarray
     wt: np.ndarray
     wc: np.ndarray
@@ -420,7 +418,7 @@ def _chart_bra(ctx: _Ctx, lv: dict):
 
 
 def _run_level(system: ExcitonSystem, source, t_fs, window_scale, level) -> np.ndarray:
-    z = system.poles
+    z = pole_chains(system)
     wk, wt, wc = pathway_weights(system)
     smooth = feature_scale(source)
     ket_sum, bra_sum = sum_centers(source)

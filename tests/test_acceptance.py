@@ -100,7 +100,7 @@ def test_c3_transport_suite(bundled):
     beta = beta_cm(bundled.bath.temperature)
     for model in (bundled.transport_one, bundled.transport_two):
         k = model.rate_matrix
-        n = model.size
+        n = model.energies.size
         assert np.abs(k.sum(axis=0)).max() < 1e-12 * max(1.0, np.abs(k).max())
 
         weights = np.exp(-beta * (model.energies - model.energies.min()))
@@ -148,7 +148,8 @@ def test_c5_preparation_against_quadrature(dimer):
     for source in sources:
         closed = prepare_closed_form(dimer, source, t_fs=160.0)
         brute = prepare_quadrature_oracle(dimer, source, t_fs=160.0)
-        diff = np.abs(closed.normalized() - brute.normalized()).max()
+        closed, brute = (r.populations / r.populations.max() for r in (closed, brute))
+        diff = np.abs(closed - brute).max()
         assert diff < 1e-3, f"{type(source).__name__}: {diff:.2e}"
     assert time.perf_counter() - start < 300.0
 

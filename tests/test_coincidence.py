@@ -170,6 +170,11 @@ def test_grid_validation():
             SignalGrid(np.array([1.0, bad]), np.array([1.0]), 0.0, 0.0)
         with pytest.raises(ValueError, match="omega_eg must be finite"):
             SignalGrid(np.array([1.0]), np.array([bad, 1.0]), 0.0, 0.0)
+    # an axis that is not 1-D is refused where it is given, not in the map
+    with pytest.raises(ValueError, match="omega_fe must be a 1-D axis"):
+        SignalGrid(np.ones((2, 3)), np.array([1.0]), 0.0, 0.0)
+    with pytest.raises(ValueError, match="omega_eg must be a 1-D axis"):
+        SignalGrid(np.array([1.0]), np.ones((2, 3)), 0.0, 0.0)
 
 
 def test_snapshot_shape_and_normalization(dimer_system):
@@ -216,6 +221,14 @@ def test_snapshot_population_shape_guard(dimer_system):
             REFERENCE_FILTER,
             make_grid(dimer_system),
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [coincidence_snapshot, parameter_study])
+def test_maps_refuse_non_finite_populations(dimer_system, entry, bad):
+    rho = np.array([0.2, bad, 0.1])
+    with pytest.raises(ValueError, match="rho_ff must be finite"):
+        entry(dimer_system, rho, REFERENCE_FILTER, REFERENCE_FILTER, make_grid(dimer_system))
 
 
 def test_snapshot_rejects_divergent_gate_pairing(dimer_system):

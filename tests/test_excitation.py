@@ -1,7 +1,7 @@
 import functools
 import itertools
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from excitonscope.sources import MODES, TARGETS, _grid, on_axes
 from excitonscope.units import TWO_PI_C
 
 from conftest import dimer_bath, make_dimer, off_modes
-from loop_reference import extended_transport_pathways
+from loop_reference import extended_transport_pathways, pole_chains
 from test_model_build import POLE_CASES
 
 
@@ -107,7 +107,7 @@ def engine_sources(system):
 def loop_pathways(system, source):
     """The five pathway sums at t = 0 as plain loops over the pole chains,
     with the summed term magnitudes of each as the rounding scale."""
-    z = PoleTable.from_system(system)
+    z = pole_chains(system)
     wk, wt, wc = pathway_weights(system)
     ket, bra = source.preparation_ket, source.preparation_bra
     n_f, n_e = z.fe.shape
@@ -314,13 +314,21 @@ def test_coherence_pathways_match_plain_loops_with_residuals(case, trimer_system
         assert np.all(np.abs(partials - sums) <= 1e-12 * mags), source
 
 
+def test_pole_table_holds_the_chain_poles_and_their_state_pole_form():
+    # the table keeps the poles the pathways read and the state-pole form of
+    # the coherence pathways; ee and ef are not held
+    assert [f.name for f in fields(PoleTable)] == [
+        "eg", "fg", "fe", "ff", "modes", "s_f", "s_e", "i_pure", "residuals", "floored_widths"]
+
+
 @pytest.mark.parametrize("case", sorted(POLE_CASES))
 def test_floor_residuals_vanish_where_no_width_is_floored(case):
     # each family's residual is nonzero at its floored widths alone, and the
-    # state-pole sums give the pole table's poles up to rounding
+    # state-pole sums give the chains' poles up to rounding
     system = _pole_case(case)
-    poles = system.poles
-    s_f, s_e, pure, residuals = excitation._state_poles(system)
+    poles = pole_chains(system)
+    s_f, s_e, pure, residuals = poles.s_f, poles.s_e, poles.i_pure, poles.residuals
+    assert list(residuals) == ["eg", "fg", "fe", "ee", "ff"]
     for name, residual in residuals.items():
         assert np.count_nonzero(residual) == poles.floored_widths[name], name
     sums = {
@@ -671,7 +679,7 @@ def test_zero_projected_dipoles_give_zero():
     system = ExcitonSystem.build(spec, dimer_bath(), polarization=(1.0, 0.0, 0.0))
     result = prepare_closed_form(system, dimer_source(system))
     assert np.all(result.raw == 0.0)
-    assert result.normalized() == pytest.approx(np.zeros(system.n_two))
+    assert np.all(result.populations == 0.0)
 
 
 def test_scan_source_modes(dimer_system):

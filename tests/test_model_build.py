@@ -17,6 +17,7 @@ from loop_reference import (
     loop_rate_matrix,
     loop_site_occupations,
     loop_two_exciton_hamiltonian,
+    pole_chains,
 )
 from test_acceptance import generic_aggregate
 
@@ -106,11 +107,14 @@ POLE_CASES = {
 def test_pole_widths_match_loop(case):
     factory, bath_spec = POLE_CASES[case]
     system = ExcitonSystem.build(factory(), bath_spec)
-    poles = system.poles
+    poles, chains = system.poles, pole_chains(system)
     widths, floored = loop_pole_table(system)
     for name in ("eg", "fg", "fe", "ee", "ff", "modes"):
-        assert np.array_equal(-getattr(poles, name).imag, widths[name]), name
-    assert np.array_equal(-poles.ef.imag, widths["fe"])
+        assert np.array_equal(-getattr(chains, name).imag, widths[name]), name
+    assert np.array_equal(-chains.ef.imag, widths["fe"])
+    # p4 reads ef as -conj(fe), bitwise -w_fe - i gamma_fe
+    ef = -system.eig.omega_fe() - 1j * widths["fe"]
+    assert (-poles.fe.conj()).tobytes() == ef.tobytes()
     assert poles.floored_widths == floored
     # every model floors its stationary transport mode, and only the
     # uncoupled dimer floors more

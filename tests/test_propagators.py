@@ -36,7 +36,7 @@ def test_transport_suite_on_bundled_model(bundled, manifold):
     start = time.perf_counter()
     model = bundled.transport_one if manifold == "one" else bundled.transport_two
     k = model.rate_matrix
-    n = model.size
+    n = model.energies.size
 
     # conservation: every column of K sums to zero
     assert np.abs(k.sum(axis=0)).max() < 1e-12 * max(1.0, np.abs(k).max())
@@ -89,7 +89,7 @@ def test_propagators_reject_non_finite_times(bundled, t):
     with pytest.raises(ValueError, match="finite t >= 0"):
         population_propagator(model, t)
     with pytest.raises(ValueError, match="finite t >= 0"):
-        population_evolve(model, np.ones(model.size), [0.0, t])
+        population_evolve(model, np.ones(model.energies.size), [0.0, t])
     axis = np.linspace(12000.0, 13000.0, 5)
     for waiting in [(t, 100.0), (0.0, t)]:
         with pytest.raises(ValueError, match="finite and non-negative"):
@@ -98,7 +98,7 @@ def test_propagators_reject_non_finite_times(bundled, t):
 
 def test_series_past_the_bound_is_refused(bundled, monkeypatch):
     model = bundled.transport_two
-    rho = np.ones(model.size)
+    rho = np.ones(model.energies.size)
     fs_per_qs = 1.0 / (float(model.rate_matrix.diagonal().max()) * TWO_PI_C)
     monkeypatch.setattr(propagators, "_MAX_QS", 40.0)
     below = population_evolve(model, rho, 39.0 * fs_per_qs)
@@ -114,7 +114,7 @@ def test_series_past_the_bound_is_refused(bundled, monkeypatch):
 @pytest.mark.parametrize("manifold", ["one", "two"])
 def test_propagator_matches_expm(request, name, manifold):
     model = getattr(request.getfixturevalue(name), f"transport_{manifold}")
-    assert np.array_equal(population_propagator(model, 0.0), np.eye(model.size))
+    assert np.array_equal(population_propagator(model, 0.0), np.eye(model.energies.size))
     for t in (0.0, 50.0, 250.0, 1000.0):
         g = population_propagator(model, t)
         assert np.abs(g - expm(-model.rate_matrix * TWO_PI_C * t)).max() < 1e-14, t
@@ -144,9 +144,9 @@ def test_zero_rate_manifold_is_the_identity_at_every_time():
         warnings.simplefilter("error")
         for model in (system.transport_one, system.transport_two):
             assert not model.rate_matrix.any()
-            rho = np.arange(1.0, model.size + 1.0)
+            rho = np.arange(1.0, model.energies.size + 1.0)
             for t in (0.0, 1000.0, 1e5):
-                assert np.array_equal(population_propagator(model, t), np.eye(model.size))
+                assert np.array_equal(population_propagator(model, t), np.eye(model.energies.size))
             assert np.array_equal(population_evolve(model, rho, [0.0, 1e5]), [rho, rho])
 
 
@@ -161,17 +161,17 @@ def test_strong_bath_long_time_against_expm():
         assert g.min() >= 0.0
         assert np.abs(g.sum(axis=0) - 1.0).max() < 1e-12
         assert np.abs(g - expm(-model.rate_matrix * TWO_PI_C * 1e5)).max() < 1e-12
-        rho = population_evolve(model, np.eye(model.size)[-1], 1e5)
+        rho = population_evolve(model, np.eye(model.energies.size)[-1], 1e5)
         assert abs(rho.sum() - 1.0) < 1e-13
 
 
 def test_population_evolve_rows_follow_times(bundled):
     model = bundled.transport_one
-    rho0 = np.zeros(model.size)
+    rho0 = np.zeros(model.energies.size)
     rho0[0] = 1.0
     times = [50.0, 200.0]
     rows = population_evolve(model, rho0, times)
-    assert rows.shape == (2, model.size)
+    assert rows.shape == (2, model.energies.size)
     np.testing.assert_allclose(rows[0], population_propagator(model, 50.0) @ rho0)
     np.testing.assert_allclose(rows[1], population_propagator(model, 200.0) @ rho0)
 
