@@ -16,11 +16,15 @@ from pathlib import Path
 import numpy as np
 
 
-def _as_square(name: str, value, n: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (n, n):
-        raise ValueError(f"{name} must have shape ({n}, {n}), got {arr.shape}")
-    return arr
+# The array fields in file order, each with its shape in the site count n.
+_ARRAYS = {
+    "site_energies": lambda n: (n,),
+    "couplings": lambda n: (n, n),
+    "onsite_anharmonicity": lambda n: (n,),
+    "pair_anharmonicity": lambda n: (n, n),
+    "site_dipoles": lambda n: (n, 3),
+    "bath_coupling_weights": lambda n: (n,),
+}
 
 
 @dataclass(frozen=True)
@@ -43,39 +47,31 @@ class AggregateSpec:
     notes: str = ""
 
     def __post_init__(self):
-        energies = np.asarray(self.site_energies, dtype=float)
+        arrays = {}
+        for name in _ARRAYS:
+            try:
+                arrays[name] = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{name} must be an array of numbers: {exc}") from exc
+        energies = arrays["site_energies"]
         if energies.ndim != 1 or energies.size == 0:
             raise ValueError("site_energies must be a non-empty 1-d sequence")
         n = energies.size
-        couplings = _as_square("couplings", self.couplings, n)
-        pair_u = _as_square("pair_anharmonicity", self.pair_anharmonicity, n)
-        onsite_u = np.asarray(self.onsite_anharmonicity, dtype=float)
-        if onsite_u.shape != (n,):
-            raise ValueError(f"onsite_anharmonicity must have shape ({n},)")
-        dipoles = np.asarray(self.site_dipoles, dtype=float)
-        if dipoles.shape != (n, 3):
-            raise ValueError(f"site_dipoles must have shape ({n}, 3), got {dipoles.shape}")
-        weights = np.asarray(self.bath_coupling_weights, dtype=float)
-        if weights.shape != (n,):
-            raise ValueError(f"bath_coupling_weights must have shape ({n},)")
-        for name, arr in (
-            ("site_energies", energies),
-            ("couplings", couplings),
-            ("onsite_anharmonicity", onsite_u),
-            ("pair_anharmonicity", pair_u),
-            ("site_dipoles", dipoles),
-            ("bath_coupling_weights", weights),
-        ):
+        for name, arr in arrays.items():
+            shape = _ARRAYS[name](n)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        for name, mat in (("couplings", couplings), ("pair_anharmonicity", pair_u)):
+        for name in ("couplings", "pair_anharmonicity"):
+            mat = arrays[name]
             if np.abs(mat - mat.T).max() > 1e-12:
                 raise ValueError(f"{name} must be symmetric")
             if np.any(np.abs(np.diag(mat)) > 1e-12):
                 raise ValueError(f"{name} must have zero diagonal")
-        if np.any(weights < 0.0):
+        if np.any(self.bath_coupling_weights < 0.0):
             raise ValueError("bath_coupling_weights must be non-negative")
 
     @property
@@ -83,37 +79,19 @@ class AggregateSpec:
         return self.site_energies.size
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "notes": self.notes,
-            "site_energies": self.site_energies.tolist(),
-            "couplings": self.couplings.tolist(),
-            "onsite_anharmonicity": self.onsite_anharmonicity.tolist(),
-            "pair_anharmonicity": self.pair_anharmonicity.tolist(),
-            "site_dipoles": self.site_dipoles.tolist(),
-            "bath_coupling_weights": self.bath_coupling_weights.tolist(),
-        }
+        return {"label": self.label, "notes": self.notes,
+                **{name: getattr(self, name).tolist() for name in _ARRAYS}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "AggregateSpec":
-        required = (
-            "site_energies",
-            "couplings",
-            "onsite_anharmonicity",
-            "pair_anharmonicity",
-            "site_dipoles",
-            "bath_coupling_weights",
-        )
-        missing = [key for key in required if key not in data]
+        if not isinstance(data, dict):
+            kind = type(data).__name__
+            raise ValueError(f"aggregate definition must be a JSON object, got {kind}")
+        missing = [key for key in _ARRAYS if key not in data]
         if missing:
             raise ValueError(f"aggregate definition is missing fields: {', '.join(missing)}")
         return cls(
-            site_energies=data["site_energies"],
-            couplings=data["couplings"],
-            onsite_anharmonicity=data["onsite_anharmonicity"],
-            pair_anharmonicity=data["pair_anharmonicity"],
-            site_dipoles=data["site_dipoles"],
-            bath_coupling_weights=data["bath_coupling_weights"],
+            **{name: data[name] for name in _ARRAYS},
             label=str(data.get("label", "aggregate")),
             notes=str(data.get("notes", "")),
         )

@@ -452,6 +452,9 @@ def build_system(cfg: RunConfig) -> ExcitonSystem:
     else:
         try:
             spec = AggregateSpec.from_json(cfg.aggregate)
+        except OSError as exc:
+            reason = f"cannot read {cfg.aggregate}: {exc.strerror or exc}"
+            raise ConfigError([("aggregate", reason)]) from exc
         except ValueError as exc:  # JSONDecodeError is one too
             raise ConfigError([("aggregate", f"{cfg.aggregate}: {exc}")]) from exc
     return ExcitonSystem.build(spec, cfg.bath, cfg.polarization)

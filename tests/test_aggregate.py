@@ -7,6 +7,7 @@ import pytest
 
 import excitonscope
 from excitonscope import AggregateSpec, PairIndex
+from excitonscope.presets import bundled_aggregate
 from conftest import make_trimer
 
 
@@ -93,6 +94,40 @@ def test_bundled_aggregate_loads():
     from_file = AggregateSpec.from_json(packaged)
     for name in (f.name for f in dataclasses.fields(AggregateSpec)):
         np.testing.assert_array_equal(getattr(spec, name), getattr(from_file, name), err_msg=name)
+
+
+def test_array_table_is_the_dataclass_schema():
+    from excitonscope.aggregate import _ARRAYS
+
+    names = [f.name for f in dataclasses.fields(AggregateSpec)]
+    arrays = [name for name in names if name not in ("label", "notes")]
+    assert list(_ARRAYS) == arrays
+    spec = bundled_aggregate()
+    assert {name: shape(spec.n_sites) for name, shape in _ARRAYS.items()} == {
+        name: getattr(spec, name).shape for name in arrays}
+
+
+def test_to_dict_writes_the_packaged_file_back():
+    packaged = Path(excitonscope.__file__).parent / "data" / "aggregate14.json"
+    written = bundled_aggregate().to_dict()
+    assert list(written.items()) == list(json.loads(packaged.read_text("utf-8")).items())
+
+
+def _bundled_with(**fields):
+    return {**bundled_aggregate().to_dict(), **fields}
+
+
+@pytest.mark.parametrize("data, message", [
+    (3, "aggregate definition must be a JSON object, got int"),
+    ([1, 2], "aggregate definition must be a JSON object, got list"),
+    (_bundled_with(couplings={"a": 1}), "couplings"),
+    (_bundled_with(site_dipoles=[[1.0, 0.0, 0.0]] * 13 + [[1.0, 0.0]]), "site_dipoles"),
+    (_bundled_with(onsite_anharmonicity="large"), "onsite_anharmonicity"),
+    (_bundled_with(bath_coupling_weights=[10**400] * 14), "bath_coupling_weights"),
+], ids=["number", "list", "object-field", "ragged-dipoles", "string-field", "past-double"])
+def test_malformed_definitions_name_their_field(data, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        AggregateSpec.from_dict(data)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

@@ -197,7 +197,10 @@ def test_unwritable_output_directory_fails_before_any_work(tmp_path, monkeypatch
     ({"t1": 20.0, "t2": 10.0}, None, "source.t2"),
     ({}, '{"site_energies": [12000.0]}', "aggregate"),
     ({}, "site_energies: [12000.0]", "aggregate"),
-], ids=["group-delays", "aggregate-fields", "aggregate-json"])
+    ({}, "3", "aggregate"),
+    ({}, json.dumps({**make_dimer().to_dict(), "couplings": {"a": 1}}), "aggregate"),
+], ids=["group-delays", "aggregate-fields", "aggregate-json", "aggregate-number",
+        "aggregate-object-field"])
 def test_config_errors_found_after_validation_name_their_field(
         tmp_path, capsys, source, aggregate, field):
     cfg = {"scenario": "excite", "source": source}

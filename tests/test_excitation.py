@@ -644,6 +644,27 @@ def test_pump_screen_keeps_every_raw_bit(system_name, request, monkeypatch):
         assert np.all(np.abs(partials - plain) <= 1e-60 * np.abs(plain).max()), source
 
 
+def test_p3_equals_p5_without_pure_dephasing(bundled):
+    # with no pure dephasing and no width floored beyond the stationary mode
+    # the legs of p3 and p5 sum to the same state poles, s_f - s_a and
+    # conj(s_f) - conj(s_b); measured: bitwise at t1 = 0, within 2.2e-16 of
+    # the largest partial at (t1, t2) = (3, 13) and 7.4e-18 for the coherent source
+    assert bundled.bath.pure_dephasing == 0.0 and not bundled.poles.regularized
+    config = from_dict({"scenario": "excite"})
+    default = resolve_source(config, bundled)
+    coherent = resolve_source(replace(config, source=replace(config.source, mode="coherent")),
+                              bundled)
+    detuned = replace(default, pump_center=default.pump_center + 37.0)
+    delayed = replace(default, t1=3.0, t2=13.0)
+    for source, rtol in ((default, 0.0), (detuned, 0.0), (delayed, 1e-15), (coherent, 1e-15)):
+        partials = prepare_closed_form(bundled, source).pathway_partials
+        assert np.abs(partials[2] - partials[4]).max() <= rtol * np.abs(partials).max(), source
+    # pure dephasing enters the two pathways' legs differently
+    dephased = ExcitonSystem.build(bundled.aggregate, replace(bundled.bath, pure_dephasing=3.0))
+    partials = prepare_closed_form(dephased, default).pathway_partials
+    assert np.abs(partials[2] - partials[4]).max() > 1e-2 * np.abs(partials).max()
+
+
 def test_field_strength_enters_quadratically(dimer_system):
     base = dimer_source(dimer_system)
     reference = prepare_closed_form(dimer_system, base).raw

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -329,6 +330,14 @@ def test_scan_targets_out_of_range_on_dimer(tmp_path, dimer_file):
     with pytest.raises(ConfigError) as err:
         run_scenario(cfg, out_dir=str(tmp_path / "x"))
     assert err.value.fields == ("targets",)
+
+
+def test_unreadable_aggregate_is_a_config_error(tmp_path, dimer_file):
+    # the file was there when the config was read, and is gone at the run
+    cfg = replace(dimer_config(dimer_file, "model-info"), aggregate=str(tmp_path / "gone.json"))
+    with pytest.raises(ConfigError) as err:
+        run_scenario(cfg, out_dir=str(tmp_path / "x"))
+    assert err.value.fields == ("aggregate",)
 
 
 @pytest.mark.parametrize("scenario", ["jsa", "excite-scan"])
