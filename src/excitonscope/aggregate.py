@@ -9,9 +9,7 @@ onsite_anharmonicity[m]``.  Simultaneous excitation of two distinct sites
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -95,14 +93,6 @@ class AggregateSpec:
             label=str(data.get("label", "aggregate")),
             notes=str(data.get("notes", "")),
         )
-
-    @classmethod
-    def from_json(cls, path) -> "AggregateSpec":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,13 @@ class FilterSpec:
         units.require(self.sigma_t, "sigma_t must be finite and positive", 0.0, strict=True)
 
 
+class DivergentGateError(ValueError):
+    """A gate pair whose tau < 0 branch diverges for the model's widths."""
+
+
 def _check_negative_branch(filt: FilterSpec, gamma_min: float):
     if filt.sigma_omega + gamma_min <= filt.sigma_t:
-        raise ValueError(
+        raise DivergentGateError(
             "tau < 0 branch diverges: need sigma_omega + gamma_ab > sigma_t, "
             f"got {filt.sigma_omega} + {gamma_min} <= {filt.sigma_t}"
         )

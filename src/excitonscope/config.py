@@ -80,7 +80,7 @@ class _Rule(NamedTuple):
 
 
 def _is_num(x) -> bool:
-    """A finite int or float: ``json.load`` reads NaN and +-Infinity as
+    """A finite int or float: ``read_json`` reads NaN and +-Infinity as
     floats, and integers of any size."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return False
@@ -333,16 +333,22 @@ def from_dict(raw: dict, base_dir: str = ".", scenario: str | None = None) -> Ru
     return RunConfig(**values)
 
 
+def read_json(path: str, field: str):
+    """The JSON value in the UTF-8 file at ``path``; a file that cannot be
+    read or decoded, too deep a nesting included, is a ConfigError on ``field``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError([(field, f"cannot read {path}: {exc.strerror or exc}")]) from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError([(field, f"{path} is not valid JSON: {exc}")]) from exc
+
+
 def load_config(path: str, scenario: str | None = None) -> RunConfig:
     """Read and validate a JSON run configuration file; ``scenario`` is
     the scenario of a file that names none (see :func:`from_dict`)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError([("<file>", f"cannot read {path}: {exc}")]) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError([("<file>", f"not valid JSON: {exc}")]) from exc
+    raw = read_json(path, "<file>")
     return from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)), scenario=scenario)
 
 

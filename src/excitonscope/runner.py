@@ -50,8 +50,9 @@ import numpy as np
 
 from . import __version__, units
 from .aggregate import AggregateSpec
-from .coincidence import FilterSpec, SignalGrid, coincidence_snapshot, parameter_study
-from .config import ConfigError, RunConfig, snapshot_label
+from .coincidence import (DivergentGateError, FilterSpec, SignalGrid, coincidence_snapshot,
+                          parameter_study)
+from .config import ConfigError, RunConfig, read_json, snapshot_label
 from .excitation import WIDTH_FLOOR_VALUE, ExcitonSystem, prepare_closed_form, scan_targets
 from .presets import bright_pair, bundled_aggregate
 from .propagators import population_evolve
@@ -102,9 +103,6 @@ class RunManifest:
     def to_dict(self) -> dict:
         # every field already holds plain JSON data, so no deep copy
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def _atomic_write(path: str, data) -> None:
@@ -450,12 +448,10 @@ def build_system(cfg: RunConfig) -> ExcitonSystem:
     if cfg.aggregate == "bundled":
         spec = bundled_aggregate()
     else:
+        raw = read_json(cfg.aggregate, "aggregate")
         try:
-            spec = AggregateSpec.from_json(cfg.aggregate)
-        except OSError as exc:
-            reason = f"cannot read {cfg.aggregate}: {exc.strerror or exc}"
-            raise ConfigError([("aggregate", reason)]) from exc
-        except ValueError as exc:  # JSONDecodeError is one too
+            spec = AggregateSpec.from_dict(raw)
+        except ValueError as exc:
             raise ConfigError([("aggregate", f"{cfg.aggregate}: {exc}")]) from exc
     return ExcitonSystem.build(spec, cfg.bath, cfg.polarization)
 
@@ -888,7 +884,10 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None,
     run.lap("build-model")
 
     sink = _Sink(cfg.format, cfg.emit_plots)
-    SCENARIO_RUNS[cfg.scenario](cfg, system, sink, run)
+    try:
+        SCENARIO_RUNS[cfg.scenario](cfg, system, sink, run)
+    except DivergentGateError as exc:  # a gate pair the config chose, map or panel
+        raise ConfigError([("filters", str(exc))]) from exc
 
     # the old manifest certified the artifacts about to be replaced
     _write_all(cfg.out_dir, sink.items, remove=["manifest.json"])
@@ -896,5 +895,5 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None,
     run.resolved["peak_rss_mb"] = _peak_rss_mb()
     run.created = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     run.artifacts = [name for name, _ in sink.items]
-    _write_all(cfg.out_dir, [("manifest.json", run.to_json())])
+    _write_all(cfg.out_dir, [("manifest.json", json.dumps(run.to_dict(), indent=2) + "\n")])
     return run

@@ -19,7 +19,7 @@ from conftest import make_dimer
 def dimer_setup(tmp_path_factory):
     """Aggregate file plus a config that keeps dimer runs cheap."""
     root = tmp_path_factory.mktemp("cli")
-    make_dimer().to_json(root / "dimer.json")
+    (root / "dimer.json").write_text(json.dumps(make_dimer().to_dict()))
     config = {
         "scenario": "excite",
         "aggregate": "dimer.json",
@@ -144,9 +144,11 @@ def test_map_with_no_positive_cell_records_a_null_clipped_fraction(tmp_path, cap
 def test_one_site_aggregate_runs_every_scenario(tmp_path, capsys):
     # one state per manifold: the auto source gives the lone line to both
     # photons, and model-info has no gap to take a median of
-    AggregateSpec(site_energies=(12100.0,), couplings=((0.0,),), onsite_anharmonicity=(-250.0,),
-                  pair_anharmonicity=((0.0,),), site_dipoles=((1.2, 0.0, 0.0),),
-                  bath_coupling_weights=(1.0,), label="monomer").to_json(tmp_path / "monomer.json")
+    monomer = AggregateSpec(site_energies=(12100.0,), couplings=((0.0,),),
+                            onsite_anharmonicity=(-250.0,), pair_anharmonicity=((0.0,),),
+                            site_dipoles=((1.2, 0.0, 0.0),), bath_coupling_weights=(1.0,),
+                            label="monomer")
+    (tmp_path / "monomer.json").write_text(json.dumps(monomer.to_dict()))
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"scenario": "excite", "aggregate": str(tmp_path / "monomer.json"),
                                 "target": 0}))
@@ -225,22 +227,38 @@ def test_unbounded_snapshot_time_is_a_numerical_error(tmp_path, capsys):
     assert "series terms (qs + 9.5 sqrt(qs) + 10)" in err
 
 
-def test_numerical_error_exit_code(dimer_setup, tmp_path, capsys):
-    _, root = dimer_setup
-    # a temporal gate wider than the spectral gate has no convergent
-    # backward branch, which surfaces as a numerical failure
-    cfg = {
-        "scenario": "coincidence",
-        "aggregate": "dimer.json",
-        "target": 1,
-        "grids": {"points": 9},
-        "filters": {"sigma_omega": 1.0, "sigma_t": 40.0},
-    }
-    path = root / "divergent.json"
-    path.write_text(json.dumps(cfg))
-    code = main(["coincidence", "--config", str(path), "--out", str(tmp_path / "x")])
-    assert code == 3
-    assert "error: ValueError" in capsys.readouterr().err
+_DEEP = b"[" * 100000 + b"]" * 100000
+_NOT_UTF8 = b"\xff\xfe{}"
+_NAMES_AGGREGATE = json.dumps({"aggregate": "aggregate.json"}).encode()
+
+
+def _filters(**widths):
+    return json.dumps({"filters": widths}).encode()
+
+
+@pytest.mark.parametrize("scenario, config, aggregate, field, detail", [
+    ("model-info", _DEEP, None, "<file>", "is not valid JSON: maximum recursion depth"),
+    ("model-info", _NOT_UTF8, None, "<file>", "is not valid JSON: 'utf-8' codec"),
+    ("model-info", _NAMES_AGGREGATE, _DEEP, "aggregate",
+     "is not valid JSON: maximum recursion depth"),
+    ("model-info", _NAMES_AGGREGATE, _NOT_UTF8, "aggregate", "is not valid JSON: 'utf-8' codec"),
+    ("coincidence", _filters(sigma_t=50), None, "filters", "tau < 0 branch diverges"),
+    ("panel-study", _filters(sigma_t=50), None, "filters", "tau < 0 branch diverges"),
+    # the reference gates converge, the sigma_t_0.5409 panel's do not
+    ("panel-study", _filters(sigma_omega=0.1, sigma_t=0.1), None, "filters", "<= 0.5409"),
+], ids=["config-nested", "config-not-utf8", "aggregate-nested", "aggregate-not-utf8",
+        "coincidence-divergent-gate", "panel-study-divergent-gate", "panel-study-divergent-panel"])
+def test_input_faults_exit_2_naming_their_field(tmp_path, scenario, config, aggregate, field,
+                                                detail):
+    (tmp_path / "run.json").write_bytes(config)
+    if aggregate is not None:
+        (tmp_path / "aggregate.json").write_bytes(aggregate)
+    done = _python("-m", "excitonscope.cli", scenario, "--config", str(tmp_path / "run.json"),
+                   "--out", str(tmp_path / "out"))
+    assert done.returncode == 2, done.stderr
+    assert f"invalid configuration:\n  {field}: " in done.stderr
+    assert detail in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_threads_zero_rejected(capsys):

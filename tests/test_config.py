@@ -129,7 +129,7 @@ def test_targets_validation():
 
 
 def test_load_config_resolves_aggregate_relative_to_file(tmp_path):
-    make_dimer().to_json(tmp_path / "dimer.json")
+    (tmp_path / "dimer.json").write_text(json.dumps(make_dimer().to_dict()))
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"scenario": "excite", "aggregate": "dimer.json"}))
     cfg = load_config(str(cfg_path))
@@ -146,12 +146,16 @@ def test_load_config_missing_aggregate_flagged(tmp_path):
 
 
 def test_load_config_file_errors(tmp_path):
-    with pytest.raises(ConfigError, match="cannot read"):
+    with pytest.raises(ConfigError, match="cannot read") as err:
         load_config(str(tmp_path / "absent.json"))
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError, match="not valid JSON"):
-        load_config(str(bad))
+    assert err.value.fields == ("<file>",)
+    # a syntax error, a nesting too deep to decode, and bytes that are not UTF-8
+    for text in (b"{not json", b"[" * 100000 + b"]" * 100000, b"\xff\xfe{}"):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        with pytest.raises(ConfigError, match="bad.json is not valid JSON") as err:
+            load_config(str(bad))
+        assert err.value.fields == ("<file>",)
 
 
 def test_to_dict_is_plain_json_data():

@@ -28,7 +28,7 @@ from conftest import make_dimer
 @pytest.fixture(scope="module")
 def dimer_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("model") / "dimer.json"
-    make_dimer().to_json(path)
+    path.write_text(json.dumps(make_dimer().to_dict()))
     return str(path)
 
 

@@ -506,12 +506,6 @@ def test_coherent_pairing_matches_four_point_on_real_axis():
     assert paired == pytest.approx(np.prod(amplitudes))
 
 
-def _marginal_spread(axis, profile):
-    profile = profile / profile.sum()
-    mean = float(profile @ axis)
-    return float(np.sqrt(profile @ (axis - mean) ** 2))
-
-
 def _jsi_widths(source, span, n):
     """Half-max support lengths of the JSI marginals along sum and difference."""
     wa = np.linspace(source.omega1 - span, source.omega1 + span, n)
