@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 The scenario is a positional argument; the options may come before or
-after it.  Without ``--config`` the documented defaults run on the
-bundled aggregate; with it, the file is validated first and every
-offending field is reported.  The scenario given on the command line
-overrides the ``scenario`` field of the config, which a file may leave
-out, so one config file can drive several scenarios.
+after it.  The scenario, ``--out``, ``--threads`` and ``--format`` are
+config fields (``out_dir``, ``threads``, ``format``): each replaces the
+field of the ``--config`` file, which may leave the scenario out, so one
+file can drive several scenarios.  Without ``--config`` the documented
+defaults run on the bundled aggregate.  The fields are validated once,
+flags and file together, and every offending field is reported.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -14,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .config import FORMATS, ConfigError, load_config, reference_config
+from .config import FORMATS, ConfigError, load_config
 from .runner import SCENARIO_RUNS, run_scenario
 
 
@@ -50,14 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
+    flags = {"scenario": args.scenario, "out_dir": args.out, "threads": args.threads,
+             "format": args.format}
     try:
-        cfg = (load_config(args.config, scenario=args.scenario) if args.config
-               else reference_config(args.scenario))
-        cfg = replace(cfg, scenario=args.scenario)
-        manifest = run_scenario(cfg, out_dir=args.out, threads=args.threads, fmt=args.format)
+        cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
+        manifest = run_scenario(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -66,8 +63,8 @@ def main(argv=None) -> int:
         return 3
     for note in manifest.warnings:
         print(f"warning: {note}", file=sys.stderr)
-    out_dir = manifest.resolved["out_dir"]
-    print(f"{args.scenario}: wrote {len(manifest.artifacts)} artifacts and manifest.json to {out_dir}")
+    print(f"{cfg.scenario}: wrote {len(manifest.artifacts)} artifacts and manifest.json "
+          f"to {cfg.out_dir}")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Run configuration for the command-line scenarios.
 
-A run is one JSON object; only ``scenario`` is required, and the command
-line's scenario stands in for a missing one.  Each field's
-default is written once, on its dataclass field below (the bath's in
+A run is one JSON object, a file's fields with the command line's laid
+over them; only ``scenario`` is required.  Each field's default is
+written once, on its dataclass field below (the bath's in
 :func:`presets.reference_bath`), and its check, message and conversion
 once, as a ``_Rule`` in the field's metadata.  One walker checks every
 section against these tables, and one serializer writes them back.
@@ -27,10 +27,10 @@ time_fs         preparation snapshot time; snapshot_times: propagate columns (fs
 targets         "all" or two-exciton indices (excite-scan), scan_mode
                 "degenerate" | "mediated"; target: state auto sources tune to
 out_dir, format ("csv" | "json"), emit_plots (gnuplot scripts next to data)
-threads         null (one thread) or a count; --threads overrides it
+threads         null (one thread) or a count
 
-``load_config`` validates the whole object before constructing anything
-and reports every offending field at once.
+``load_config`` validates the whole object, flags included, before
+constructing anything and reports every offending field at once.
 """
 
 from __future__ import annotations
@@ -126,6 +126,12 @@ def _keyword_or(word: str, rule: _Rule) -> _Rule:
                  lambda v: v if v == word else rule.convert(v))
 
 
+def _clip(text: str, keep: int = 60) -> str:
+    """``text`` with all but its first and last ``keep`` characters cut to
+    "...": a message echoes a rejected value, which may be of any length."""
+    return text if len(text) <= 2 * keep + 3 else f"{text[:keep]}...{text[-keep:]}"
+
+
 def _aggregate(base_dir: str) -> _Rule:
     """"bundled", or a JSON file path resolved relative to ``base_dir``."""
 
@@ -137,13 +143,14 @@ def _aggregate(base_dir: str) -> _Rule:
 
     return _Rule(
         lambda v: v == "bundled" or (named(v) and os.path.isfile(resolve(v))),
-        lambda v: f"no such file: {resolve(v)}" if named(v) else "must be a non-empty string",
+        lambda v: (f"no such file: {_clip(resolve(v))}" if named(v)
+                   else "must be a non-empty string"),
         lambda v: v if v == "bundled" else resolve(v),
     )
 
 
 def _scenario_message(value) -> str:
-    head = "required" if value is None else f"unknown scenario {value!r}"
+    head = "required" if value is None else f"unknown scenario {_clip(repr(value))}"
     return f"{head}; one of " + ", ".join(SCENARIOS)
 
 
@@ -178,7 +185,7 @@ def _times(v) -> bool:
 def _times_message(v) -> str:
     if not _times(v):
         return "must be a non-empty list of numbers >= 0 (fs)"
-    labels = ", ".join(snapshot_label(t) for t in v)
+    labels = _clip(", ".join(snapshot_label(t) for t in v))
     return f"times must differ in the 6 significant digits that name their columns, got {labels}"
 
 
@@ -314,20 +321,18 @@ def _plain(value, table):
     return value
 
 
-def from_dict(raw: dict, base_dir: str = ".", scenario: str | None = None) -> RunConfig:
+def from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     """Validate a raw JSON object and resolve every default.
 
-    ``scenario`` is the scenario of an object that names none; without it
-    the object must name one.  Raises ConfigError listing all offending
-    fields if anything is missing, unknown, mistyped or out of range.
+    Raises ConfigError listing all offending fields if anything is
+    missing, unknown, mistyped or out of range.
     """
     if not isinstance(raw, dict):
         raise ConfigError([("<root>", "config must be a JSON object")])
     problems: list[tuple[str, str]] = []
-    # scenario has no default: a missing one is ``scenario``, and is checked
-    # as null ("required") where that is None
+    # scenario has no default: a missing one is checked as null ("required")
     table = {**_table(RunConfig), "aggregate": _aggregate(base_dir)}
-    values = _walk(table, {"scenario": scenario, **raw}, "", problems)
+    values = _walk(table, {"scenario": None, **raw}, "", problems)
     if problems:
         raise ConfigError(problems)
     return RunConfig(**values)
@@ -345,13 +350,9 @@ def read_json(path: str, field: str):
         raise ConfigError([(field, f"{path} is not valid JSON: {exc}")]) from exc
 
 
-def load_config(path: str, scenario: str | None = None) -> RunConfig:
-    """Read and validate a JSON run configuration file; ``scenario`` is
-    the scenario of a file that names none (see :func:`from_dict`)."""
-    raw = read_json(path, "<file>")
-    return from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)), scenario=scenario)
-
-
-def reference_config(scenario: str) -> RunConfig:
-    """The documented reference scenario on the bundled aggregate."""
-    return RunConfig(scenario=scenario)
+def load_config(path: str | None, fields: dict = {}) -> RunConfig:
+    """The run configuration in the JSON file at ``path`` ({} if None) with
+    ``fields`` laid over it, validated once: a file value they replace is not checked."""
+    raw = {} if path is None else read_json(path, "<file>")
+    base_dir = "." if path is None else os.path.dirname(os.path.abspath(path))
+    return from_dict({**raw, **fields} if isinstance(raw, dict) else raw, base_dir)

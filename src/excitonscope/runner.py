@@ -59,6 +59,14 @@ from .propagators import population_evolve
 from .sources import CoherentSource, EppSource, jsi_map
 
 
+def _median(values) -> float:
+    """``np.median``'s double, the middle value or the mean of the middle
+    two, without the ``numpy.ma`` import that it costs a fresh run."""
+    ordered = np.sort(values, axis=None)
+    mid = ordered.size // 2
+    return float(ordered[mid] if ordered.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def _fmt(x) -> str:
     """CSV cell: a float in 17 significant digits, anything else as text."""
     return f"{x:.16e}" if isinstance(x, float) else str(x)
@@ -625,8 +633,8 @@ def _run_model_info(cfg, system, sink, run):
             "energy_min": float(energies.min()),
             "energy_max": float(energies.max()),
             # a lone state has no gap, and json writes NaN, which is not JSON
-            "median_gap": float(np.median(np.diff(energies))) if energies.size > 1 else None,
-            "median_depopulation": float(np.median(widths)),
+            "median_gap": _median(np.diff(energies)) if energies.size > 1 else None,
+            "median_depopulation": _median(widths),
         }
     run.lap("analyze")
     sizes = [energies.size for energies, _, _ in manifolds.values()]
@@ -728,7 +736,7 @@ def _run_excite_scan(cfg, system, sink, run):
         "source_template": run.resolved["source"],
         "mode": scan.mode,
         "time_fs": cfg.time_fs,
-        "median_selectivity": float(np.median(scan.selectivity)),
+        "median_selectivity": _median(scan.selectivity),
     })
     sink.script("plot_scan.gp", emit_heatmap_script(
         "scan.csv", "scan.png",
@@ -850,23 +858,14 @@ SCENARIO_RUNS = {
 }
 
 
-def run_scenario(cfg: RunConfig, out_dir: str | None = None,
-                 threads: int | None = None, fmt: str | None = None) -> RunManifest:
+def run_scenario(cfg: RunConfig) -> RunManifest:
     """Execute one scenario and write its artifacts plus a manifest.
 
-    ``out_dir``/``threads``/``fmt`` override the corresponding config
-    fields (command-line flags take precedence); with neither a flag nor
-    a config value the run uses one thread.  The manifest echoes ``cfg``
-    as given and records the settings the run used under ``resolved``.
-    Returns the manifest; the manifest file itself is written last.
+    The manifest echoes ``cfg`` as given and records what the run
+    resolved under ``resolved``, first the thread count: ``threads``, or
+    one thread where that is null.  Returns the manifest; the manifest
+    file itself is written last.
     """
-    given = cfg
-    cfg = dataclasses.replace(
-        cfg,
-        out_dir=out_dir if out_dir is not None else cfg.out_dir,
-        threads=threads if threads is not None else (cfg.threads or 1),
-        format=fmt if fmt is not None else cfg.format,
-    )
     run = RunManifest(
         scenario=cfg.scenario,
         created="",
@@ -875,9 +874,10 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
         },
-        config=given.to_dict(),
-        resolved={"threads": cfg.threads, "format": cfg.format, "out_dir": cfg.out_dir},
+        config=cfg.to_dict(),
+        resolved={"threads": cfg.threads or 1},
     )
+    cfg = dataclasses.replace(cfg, threads=run.resolved["threads"])
 
     _write_all(cfg.out_dir, [])  # an unusable directory fails before any work
     system = build_system(cfg)

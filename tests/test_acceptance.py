@@ -13,6 +13,7 @@ evaluated through a slower, dumber route inside the test itself.
 import os
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,9 +320,9 @@ def test_c9_full_scale_runs(bundled, tmp_path):
     # emitted artifacts do not depend on the thread count
     cfg = from_dict({"scenario": "excite-scan"})
     start = time.perf_counter()
-    run_scenario(cfg, out_dir=str(tmp_path / "serial"), threads=1)
+    run_scenario(replace(cfg, out_dir=str(tmp_path / "serial"), threads=1))
     assert time.perf_counter() - start < 600.0
-    run_scenario(cfg, out_dir=str(tmp_path / "pooled"), threads=4)
+    run_scenario(replace(cfg, out_dir=str(tmp_path / "pooled"), threads=4))
     for name in ("scan.csv", "selectivity.csv"):
         a = (tmp_path / "serial" / name).read_bytes()
         b = (tmp_path / "pooled" / name).read_bytes()

@@ -76,7 +76,8 @@ def test_config_without_scenario_runs_the_command_line_scenario(dimer_setup, tmp
         assert main([scenario, "--config", str(bare), "--out", out]) == 0
         manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["scenario"] == manifest["config"]["scenario"] == scenario
-        assert manifest["config"] == load_config(str(bare), scenario).to_dict()
+        flags = {"scenario": scenario, "out_dir": out}
+        assert manifest["config"] == load_config(str(bare), flags).to_dict()
     # the library still requires the field of a file read alone
     with pytest.raises(ConfigError, match="scenario: required"):
         load_config(str(bare))
@@ -264,7 +265,26 @@ def test_input_faults_exit_2_naming_their_field(tmp_path, scenario, config, aggr
 def test_threads_zero_rejected(capsys):
     code = main(["excite", "--threads", "0"])
     assert code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert "invalid configuration:\n  threads: must be null or an integer >= 1" \
+        in capsys.readouterr().err
+
+
+def test_flag_faults_are_config_errors_reported_together(tmp_path, capsys):
+    # flags are config fields, checked by the config's rules in one pass
+    assert main(["model-info", "--threads", "0", "--out", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.count("invalid configuration:") == 1
+    assert "  out_dir: must be a non-empty string\n" in err
+    assert "  threads: must be null or an integer >= 1\n" in err
+    # a flag replaces the file's value before the check, so a bad value there is not read
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"scenario": "teleport", "threads": 0, "format": "xml"}))
+    out = str(tmp_path / "out")
+    assert main(["model-info", "--config", str(path), "--threads", "1", "--format", "json",
+                 "--out", out]) == 0
+    manifest = json.loads(Path(out, "manifest.json").read_text())
+    assert manifest["scenario"] == "model-info"
+    assert (manifest["config"]["threads"], manifest["config"]["format"]) == (1, "json")
 
 
 def test_outputs_identical_across_thread_flag(dimer_setup, tmp_path, capsys):
@@ -292,10 +312,11 @@ def test_flags_are_recorded_over_the_config_as_given(dimer_setup, tmp_path, caps
     assert main(["excite", "--config", cfg_path, "--out", out, "--threads", "2",
                  "--format", "json"]) == 0
     manifest = json.loads(Path(out, "manifest.json").read_text())
-    assert manifest["config"] == load_config(cfg_path).to_dict()
-    assert list(manifest["resolved"].items())[:3] == [
-        ("threads", 2), ("format", "json"), ("out_dir", out),
-    ]
+    flags = {"out_dir": out, "threads": 2, "format": "json"}
+    assert manifest["config"] == load_config(cfg_path, flags).to_dict()
+    assert {name: manifest["config"][name] for name in flags} == flags
+    assert next(iter(manifest["resolved"].items())) == ("threads", 2)
+    assert not {"format", "out_dir"} & set(manifest["resolved"])
 
 
 def test_parser_lists_all_scenarios():
@@ -331,6 +352,18 @@ def test_cli_import_leaves_scipy_and_thread_pools_unloaded():
             "print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))")
     done = _python("-c", code, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_scenario_runs_leave_masked_arrays_scipy_and_thread_pools_unloaded(tmp_path):
+    """At one thread no scenario needs numpy.ma (which np.median loads,
+    44-85 ms of a fresh run), scipy or concurrent.futures."""
+    code = ("import sys; from excitonscope.cli import main; from excitonscope.config import "
+            "SCENARIOS\nfor s in SCENARIOS:\n"
+            "    assert main([s, '--threads', '1', '--out', sys.argv[1] + '/' + s]) == 0\n"
+            "    print(s, sorted({'numpy.ma', 'scipy', 'concurrent.futures'} & set(sys.modules)))")
+    done = _python("-c", code, str(tmp_path), check=True)
+    lines = [line for line in done.stdout.splitlines() if ": wrote " not in line]
+    assert lines == [f"{scenario} []" for scenario in SCENARIOS]
 
 
 def test_cli_import_leaves_exact_arithmetic_modules_unloaded():

@@ -17,7 +17,6 @@ from excitonscope.config import (
     SCENARIOS,
     from_dict,
     load_config,
-    reference_config,
 )
 
 from conftest import make_dimer
@@ -49,7 +48,7 @@ def test_minimal_config_fills_documented_defaults():
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_round_trip_is_stable(scenario):
-    cfg = reference_config(scenario)
+    cfg = RunConfig(scenario=scenario)
     again = from_dict(cfg.to_dict())
     assert again == cfg
     # and through the JSON text form
@@ -159,7 +158,7 @@ def test_load_config_file_errors(tmp_path):
 
 
 def test_to_dict_is_plain_json_data():
-    cfg = reference_config("panel-study")
+    cfg = RunConfig(scenario="panel-study")
     text = json.dumps(cfg.to_dict())
     assert json.loads(text)["scenario"] == "panel-study"
     assert isinstance(cfg.to_dict()["bath"]["brownian_modes"], list)
@@ -229,7 +228,7 @@ def _at(cfg, path):
 
 
 def test_field_cases_cover_every_leaf_field():
-    cfg = reference_config("excite")
+    cfg = RunConfig(scenario="excite")
     leaves = set()
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
@@ -244,7 +243,7 @@ def test_field_cases_cover_every_leaf_field():
 @pytest.mark.parametrize("path, given, stored, bad, message", FIELD_CASES,
                          ids=[case[0] for case in FIELD_CASES])
 def test_each_field_accepts_converts_and_rejects(path, given, stored, bad, message):
-    assert repr(_at(reference_config("excite"), path)) != repr(stored)
+    assert repr(_at(RunConfig(scenario="excite"), path)) != repr(stored)
     cfg = from_dict(_raw(path, given))
     assert repr(_at(cfg, path)) == repr(stored)
     assert from_dict(cfg.to_dict()) == cfg
@@ -258,7 +257,8 @@ def test_each_field_accepts_converts_and_rejects(path, given, stored, bad, messa
 
 # Values json.load reads that no field takes: NaN, +-Infinity and integers
 # past the float range, which every number rule rejects with its message,
-# and a zero polarization axis.
+# and a zero polarization axis.  Values of any length, which the messages
+# that echo them cut to their first and last 60 characters.
 REJECTED_CASES = [
     ("source.t1", math.nan, "must be a number (fs)"),
     ("source.pump_center", math.inf, NUMBER_OR_AUTO),
@@ -273,6 +273,13 @@ REJECTED_CASES = [
     ("snapshot_times", [10, math.nan], "must be a non-empty list of numbers >= 0 (fs)"),
     ("polarization", [1, math.nan, 0], VECTOR),
     ("polarization", [0, 0.0, 0], VECTOR),
+    ("scenario", "x" * 5000,
+     "unknown scenario '" + "x" * 59 + "..." + "x" * 59 + "'; one of " + ", ".join(SCENARIOS)),
+    ("snapshot_times", [50.0, 50.0000001] + [float(t) for t in range(501)],
+     "times must differ in the 6 significant digits that name their columns, got "
+     "p_50fs, p_50fs, p_0fs, p_1fs, p_2fs, p_3fs, p_4fs, p_5fs, p_..._494fs, p_495fs, "
+     "p_496fs, p_497fs, p_498fs, p_499fs, p_500fs"),
+    ("aggregate", "/" + "a" * 2999, "no such file: /" + "a" * 59 + "..." + "a" * 60),
 ]
 
 
@@ -283,6 +290,7 @@ def test_non_finite_numbers_and_a_zero_axis_are_rejected(path, bad, message):
     with pytest.raises(ConfigError) as err:
         from_dict(raw)
     assert err.value.problems == ((path, message),)
+    assert all(len(line) < 300 for line in f"error: {err.value}".splitlines())
 
 
 @pytest.mark.parametrize("section", SECTIONS)

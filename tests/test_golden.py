@@ -29,11 +29,12 @@ import json
 import os
 import re
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from excitonscope.config import SCENARIOS, RunConfig, SourceConfig, reference_config
+from excitonscope.config import SCENARIOS, RunConfig, SourceConfig
 from excitonscope.runner import run_scenario
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "scenarios.json")
@@ -68,7 +69,7 @@ DELAYED_RUNS = {
     "excite-scan-t1": RunConfig(scenario="excite-scan", source=_DELAYED_SOURCE,
                                 targets=(0, 15, 30, 45, 60, 75, 90, 104)),
 }
-RUNS = {**{scenario: reference_config(scenario) for scenario in SCENARIOS}, **DELAYED_RUNS}
+RUNS = {**{scenario: RunConfig(scenario=scenario) for scenario in SCENARIOS}, **DELAYED_RUNS}
 
 
 def _cell(text: str):
@@ -102,7 +103,7 @@ def reduce_csv(path: str) -> dict:
 def reduce_run(run: str, out_dir: str):
     """Runs the configuration ``RUNS[run]``; returns the reduction of every
     CSV artifact it writes, and its manifest."""
-    manifest = run_scenario(RUNS[run], out_dir=out_dir, fmt="csv")
+    manifest = run_scenario(replace(RUNS[run], out_dir=out_dir, format="csv"))
     return {
         f"{run}/{name[:-4]}": reduce_csv(os.path.join(out_dir, name))
         for name in sorted(os.listdir(out_dir)) if name.endswith(".csv")

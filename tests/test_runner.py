@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excitonscope import PreparationResult, bath, coincidence, excitation, propagators, runner, sources
+from excitonscope.cli import main
 from excitonscope.config import SCENARIOS, ConfigError, from_dict
 from excitonscope.runner import (
     NEGATIVE_MASS_WARN_RATIO,
@@ -47,7 +48,7 @@ def dimer_config(dimer_file, scenario, **overrides):
 def run_into(tmp_path, dimer_file, scenario, subdir="out", **overrides):
     cfg = dimer_config(dimer_file, scenario, **overrides)
     out = str(tmp_path / subdir)
-    manifest = run_scenario(cfg, out_dir=out)
+    manifest = run_scenario(replace(cfg, out_dir=out))
     return manifest, out
 
 
@@ -57,12 +58,17 @@ def test_threads_are_the_flag_else_the_config_else_one(tmp_path, dimer_file, mon
     monkeypatch.setenv("EXCITONSCOPE_THREADS", "4")  # the environment sets no thread count
     for subdir, configured, flag, expected in [("none", None, None, 1), ("config", 2, None, 2),
                                                ("flag", 2, 3, 3)]:
-        cfg = dimer_config(dimer_file, "excite-scan", threads=configured)
-        manifest = run_scenario(cfg, out_dir=str(tmp_path / subdir), threads=flag)
-        assert manifest.config["threads"] == configured
-        assert manifest.resolved["threads"] == expected
-        assert manifest.resolved["scan"]["workers"] == expected
-        assert manifest.warnings == []
+        path = tmp_path / f"{subdir}.json"
+        path.write_text(json.dumps(
+            dimer_config(dimer_file, "excite-scan", threads=configured).to_dict()))
+        argv = ["excite-scan", "--config", str(path), "--out", str(tmp_path / subdir)]
+        assert main(argv + (["--threads", str(flag)] if flag else [])) == 0
+        manifest = json.loads((tmp_path / subdir / "manifest.json").read_text())
+        # the manifest's config holds the flag where one was given
+        assert manifest["config"]["threads"] == (flag or configured)
+        assert manifest["resolved"]["threads"] == expected
+        assert manifest["resolved"]["scan"]["workers"] == expected
+        assert manifest["warnings"] == []
 
 
 def test_matrix_csv_layout_round_trips():
@@ -269,7 +275,7 @@ def test_scan_manifest_records_blocks_workers_and_peak_rss(tmp_path, dimer_file,
     # two threads then evaluate them
     def scan_record(subdir):
         cfg = dimer_config(dimer_file, "excite-scan")
-        run_scenario(cfg, out_dir=str(tmp_path / subdir), threads=2)
+        run_scenario(replace(cfg, out_dir=str(tmp_path / subdir), threads=2))
         return json.loads(Path(tmp_path, subdir, "manifest.json").read_text())["resolved"]
 
     one = scan_record("one")
@@ -321,14 +327,14 @@ def test_emit_plots_off_drops_scripts(tmp_path, dimer_file):
 def test_default_target_out_of_range_on_dimer(tmp_path, dimer_file):
     cfg = dimer_config(dimer_file, "excite", target=7)
     with pytest.raises(ConfigError) as err:
-        run_scenario(cfg, out_dir=str(tmp_path / "x"))
+        run_scenario(replace(cfg, out_dir=str(tmp_path / "x")))
     assert err.value.fields == ("target",)
 
 
 def test_scan_targets_out_of_range_on_dimer(tmp_path, dimer_file):
     cfg = dimer_config(dimer_file, "excite-scan", targets=[0, 5])
     with pytest.raises(ConfigError) as err:
-        run_scenario(cfg, out_dir=str(tmp_path / "x"))
+        run_scenario(replace(cfg, out_dir=str(tmp_path / "x")))
     assert err.value.fields == ("targets",)
 
 
@@ -336,7 +342,7 @@ def test_unreadable_aggregate_is_a_config_error(tmp_path, dimer_file):
     # the file was there when the config was read, and is gone at the run
     cfg = replace(dimer_config(dimer_file, "model-info"), aggregate=str(tmp_path / "gone.json"))
     with pytest.raises(ConfigError) as err:
-        run_scenario(cfg, out_dir=str(tmp_path / "x"))
+        run_scenario(replace(cfg, out_dir=str(tmp_path / "x")))
     assert err.value.fields == ("aggregate",)
 
 
@@ -344,14 +350,14 @@ def test_unreadable_aggregate_is_a_config_error(tmp_path, dimer_file):
 def test_jsa_requires_entangled_source(tmp_path, dimer_file, scenario):
     cfg = dimer_config(dimer_file, scenario, source={"mode": "coherent"})
     with pytest.raises(ConfigError) as err:
-        run_scenario(cfg, out_dir=str(tmp_path / "x"))
+        run_scenario(replace(cfg, out_dir=str(tmp_path / "x")))
     assert err.value.fields == ("source.mode",)
 
 
 def test_scan_csv_identical_across_thread_counts(tmp_path, dimer_file):
     cfg = dimer_config(dimer_file, "excite-scan")
-    run_scenario(cfg, out_dir=str(tmp_path / "serial"), threads=1)
-    run_scenario(cfg, out_dir=str(tmp_path / "pooled"), threads=4)
+    run_scenario(replace(cfg, out_dir=str(tmp_path / "serial"), threads=1))
+    run_scenario(replace(cfg, out_dir=str(tmp_path / "pooled"), threads=4))
     for name in ("scan.csv", "selectivity.csv"):
         a = (tmp_path / "serial" / name).read_bytes()
         b = (tmp_path / "pooled" / name).read_bytes()
@@ -578,7 +584,7 @@ def _prepared(raw):
 
 
 def test_default_excite_does_not_warn_about_rounding_negatives(tmp_path):
-    manifest = run_scenario(from_dict({"scenario": "excite"}), out_dir=str(tmp_path / "excite"))
+    manifest = run_scenario(replace(from_dict({"scenario": "excite"}), out_dir=str(tmp_path)))
     assert not [w for w in manifest.warnings if "negative preparation" in w]
 
 
