@@ -81,18 +81,10 @@ def phonon_correlation_real(bath: BathSpec, omega) -> np.ndarray:
     The omega -> 0 limit is k_B T dJ/domega.
     """
     w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.empty_like(w)
     small = np.abs(w) < _OMEGA_EPS
-    if np.any(small):
-        out[small] = spectral_density_slope(bath) / bath.beta
-    big = ~small
-    if np.any(big):
-        wb = w[big]
-        x = 0.5 * bath.beta * wb
-        out[big] = 0.5 * spectral_density(bath, wb) * (1.0 / np.tanh(x) + 1.0)
-    return out[0] if scalar else out
+    safe = np.where(small, 1.0, w)  # keeps coth's pole out of the discarded cells
+    away = 0.5 * spectral_density(bath, safe) * (1.0 / np.tanh(0.5 * bath.beta * safe) + 1.0)
+    return np.where(small, spectral_density_slope(bath) / bath.beta, away)[()]
 
 
 def site_occupations(eig: ExcitonEigensystem, manifold: str) -> np.ndarray:

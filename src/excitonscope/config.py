@@ -8,7 +8,8 @@ once, as a ``_Rule`` in the field's metadata.  One walker checks every
 section against these tables, and one serializer writes them back.
 
 scenario        model-info | jsa | excite | excite-scan | propagate
-                | coincidence | panel-study
+                | coincidence | panel-study; jsa and excite-scan need
+                an entangled source
 aggregate       "bundled" (packaged 14-site model) or a JSON file path,
                 resolved relative to the config file
 polarization    three numbers, not all zero
@@ -16,7 +17,7 @@ bath            lambda0, gamma0, pure_dephasing (cm^-1), temperature (K),
                 brownian_modes [[lambda, omega, gamma], ...]
 source          entangled mode: omega1, omega2, pump_center (cm^-1 or "auto":
                 brightest one-exciton lines, pump tuned to ``target``),
-                tau_pump, t1, t2 (fs), alpha, e0; coherent mode: center
+                tau_pump, t1 <= t2 (fs), alpha, e0; coherent mode: center
                 (cm^-1 or "auto"), tau (fs), scale
 filters         gate widths sigma_omega, sigma_t (cm^-1)
 waiting         t_wait_two, t_wait_one (fs)
@@ -26,11 +27,13 @@ time_fs         preparation snapshot time; snapshot_times: propagate columns (fs
                 distinct in the 6 significant digits of their headers
 targets         "all" or two-exciton indices (excite-scan), scan_mode
                 "degenerate" | "mediated"; target: state auto sources tune to
+                (not read by excite-scan, which retunes every row's pump)
 out_dir, format ("csv" | "json"), emit_plots (gnuplot scripts next to data)
 threads         null (one thread) or a count
 
 ``load_config`` validates the whole object, flags included, before
-constructing anything and reports every offending field at once.
+constructing anything and reports every offending field at once; only
+a two-exciton index waits for the built model.
 """
 
 from __future__ import annotations
@@ -286,6 +289,9 @@ class RunConfig(_Plain):
 
 
 _SECTION_DEFAULTS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
+# scenarios that read an entangled source alone, and what they report for another
+_ENTANGLED_ONLY = {"jsa": "jsa scenario needs an entangled source",
+                   "excite-scan": "excite-scan needs an entangled source"}
 
 
 def _walk(table: dict, raw: dict, prefix: str, problems: list) -> dict:
@@ -325,7 +331,7 @@ def from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     """Validate a raw JSON object and resolve every default.
 
     Raises ConfigError listing all offending fields if anything is
-    missing, unknown, mistyped or out of range.
+    missing, unknown, mistyped, out of range or against a rule across fields.
     """
     if not isinstance(raw, dict):
         raise ConfigError([("<root>", "config must be a JSON object")])
@@ -333,6 +339,13 @@ def from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     # scenario has no default: a missing one is checked as null ("required")
     table = {**_table(RunConfig), "aggregate": _aggregate(base_dir)}
     values = _walk(table, {"scenario": None, **raw}, "", problems)
+    # the rules across two fields, each asked where both passed their own
+    failed, source = {path for path, _ in problems}, values.get("source")
+    if source and failed.isdisjoint({"source.t1", "source.t2"}) and source.t2 < source.t1:
+        problems.append(("source.t2", f"must be >= source.t1 = {source.t1} (fs)"))
+    needs = _ENTANGLED_ONLY.get(values.get("scenario"))
+    if needs and source and source.mode != "entangled":  # a failed mode stays "entangled"
+        problems.append(("source.mode", needs))
     if problems:
         raise ConfigError(problems)
     return RunConfig(**values)

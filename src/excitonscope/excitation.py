@@ -585,10 +585,8 @@ class ScanResult:
     unsplit_pathways: list = field(default_factory=list)
 
 
-def scan_source(template: EppSource, target_energy, mode: str) -> EppSource:
-    """Source tuned at one scan target, or at each target of a block when
-    ``target_energy`` is an array (``sources`` labels such fields on the
-    target axis).
+def scan_fields(target_energy, mode: str) -> dict:
+    """The source fields a scan retunes at ``target_energy``, and their values.
 
     Degenerate targeting parks both photons at half the target energy;
     mediated targeting keeps the photon carriers on their chosen
@@ -596,10 +594,17 @@ def scan_source(template: EppSource, target_energy, mode: str) -> EppSource:
     """
     if mode == "degenerate":
         half = 0.5 * target_energy
-        return replace(template, omega1=half, omega2=half, pump_center=target_energy)
+        return {"omega1": half, "omega2": half, "pump_center": target_energy}
     if mode == "mediated":
-        return replace(template, pump_center=target_energy)
+        return {"pump_center": target_energy}
     raise ValueError(f"unknown scan mode {mode!r} (expected 'degenerate' or 'mediated')")
+
+
+def scan_source(template: EppSource, target_energy, mode: str) -> EppSource:
+    """Source tuned at one scan target, or at each target of a block when
+    ``target_energy`` is an array (``sources`` labels such fields on the
+    target axis): ``template`` with its ``scan_fields`` replaced."""
+    return replace(template, **scan_fields(target_energy, mode))
 
 
 def _target_bytes(system: ExcitonSystem, template: EppSource, mode: str) -> int:

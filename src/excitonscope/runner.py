@@ -44,7 +44,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +53,8 @@ from .aggregate import AggregateSpec
 from .coincidence import (DivergentGateError, FilterSpec, SignalGrid, coincidence_snapshot,
                           parameter_study)
 from .config import ConfigError, RunConfig, read_json, snapshot_label
-from .excitation import WIDTH_FLOOR_VALUE, ExcitonSystem, prepare_closed_form, scan_targets
+from .excitation import (WIDTH_FLOOR_VALUE, ExcitonSystem, prepare_closed_form, scan_fields,
+                         scan_targets)
 from .presets import bright_pair, bundled_aggregate
 from .propagators import population_evolve
 from .sources import CoherentSource, EppSource, jsi_map
@@ -120,17 +121,11 @@ def _atomic_write(path: str, data) -> None:
     so ``path`` is briefly absent but never partial."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    data = memoryview(data)
-    # os.open with mode 0o666, not mkstemp's 0o600, so the umask sets the
-    # artifact's permissions as it does for any file the user creates
     tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}~")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    fh = open(tmp, "xb")  # O_EXCL; 0o666 less the umask, as for any file the user makes
     try:
-        try:
-            while data:  # os.write may write less than it is given
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
+        with fh:  # the buffered writer loops on short writes
+            fh.write(data)
         # a rename onto an existing file makes ext4 (auto_da_alloc) start
         # writing the new file back at once: 157 us for a 400 KB artifact on
         # a 2-vCPU VM, against 19 us for an unlink and a rename onto no file
@@ -469,36 +464,32 @@ def describe_source(source) -> dict:
     return {"kind": type(source).__name__, **dataclasses.asdict(source)}
 
 
-def _checked_target(cfg: RunConfig, system: ExcitonSystem) -> int:
-    if cfg.target >= system.n_two:
-        raise ConfigError(
-            [("target", f"only {system.n_two} two-exciton states in this aggregate")]
-        )
-    return cfg.target
+def _two_exciton(system: ExcitonSystem, field: str, index) -> np.ndarray:
+    """``index`` as an array; a state past the built manifold is a ConfigError on ``field``."""
+    index = np.asarray(index)
+    if index.max() >= system.n_two:
+        raise ConfigError([(field, f"only {system.n_two} two-exciton states in this aggregate")])
+    return index
 
 
 def resolve_source(cfg: RunConfig, system: ExcitonSystem):
     """Fill the "auto" source fields from the eigensystem."""
     s = cfg.source
+
+    def target_energy() -> float:
+        return float(system.eig.energies_f[_two_exciton(system, "target", cfg.target)])
+
     if s.mode == "coherent":
-        center = s.center
-        if center == "auto":
-            center = 0.5 * float(system.eig.energies_f[_checked_target(cfg, system)])
+        center = 0.5 * target_energy() if s.center == "auto" else s.center
         return CoherentSource(float(center), s.tau, s.scale)
-    if s.t2 < s.t1:
-        raise ConfigError([("source.t2", f"must be >= source.t1 = {s.t1} (fs)")])
     omega1, omega2 = s.omega1, s.omega2
     if "auto" in (omega1, omega2):
         lines = system.eig.energies_e[list(bright_pair(system))]
         omega1, omega2 = (float(line) if omega == "auto" else omega
                           for omega, line in zip((omega1, omega2), lines))
-    pump = s.pump_center
-    if pump == "auto":
-        pump = float(system.eig.energies_f[_checked_target(cfg, system)])
-    return EppSource(
-        omega1=omega1, omega2=omega2, pump_center=pump,
-        tau_pump=s.tau_pump, t1=s.t1, t2=s.t2, alpha=s.alpha, e0=s.e0,
-    )
+    pump = target_energy() if s.pump_center == "auto" else s.pump_center
+    return EppSource(omega1=omega1, omega2=omega2, pump_center=pump, tau_pump=s.tau_pump,
+                     t1=s.t1, t2=s.t2, alpha=s.alpha, e0=s.e0)
 
 
 def _axis_values(spec, auto_lo: float, auto_hi: float, points: int) -> np.ndarray:
@@ -652,8 +643,6 @@ def _run_model_info(cfg, system, sink, run):
 def _run_jsa(cfg, system, sink, run):
     """joint spectral intensity of the photon-pair source"""
     source = resolve_source(cfg, system)
-    if not isinstance(source, EppSource):
-        raise ConfigError([("source.mode", "jsa scenario needs an entangled source")])
     run.resolved["source"] = describe_source(source)
     pad, points = cfg.grids.pad, cfg.grids.points
     half_pump = 4.0 * np.sqrt(2.0) / (units.TWO_PI_C * source.tau_pump)
@@ -710,15 +699,11 @@ def _run_excite(cfg, system, sink, run):
 
 def _run_excite_scan(cfg, system, sink, run):
     """preparation map over all scan targets"""
-    template = resolve_source(cfg, system)
-    if not isinstance(template, EppSource):
-        raise ConfigError([("source.mode", "excite-scan needs an entangled source")])
-    run.resolved["source"] = describe_source(template)
-    targets = None if cfg.targets == "all" else np.asarray(cfg.targets, dtype=int)
-    if targets is not None and targets.max(initial=0) >= system.n_two:
-        raise ConfigError(
-            [("targets", f"only {system.n_two} two-exciton states in this aggregate")]
-        )
+    targets = (np.arange(system.n_two) if cfg.targets == "all"
+               else _two_exciton(system, "targets", cfg.targets))
+    tuned = scan_fields(0.0, cfg.scan_mode)  # set on every row: the template holds 0
+    template = resolve_source(replace(cfg, source=replace(cfg.source, **tuned)), system)
+    run.resolved["source"] = {k: v for k, v in describe_source(template).items() if k not in tuned}
     scan = scan_targets(system, template, targets, cfg.scan_mode, cfg.time_fs, cfg.threads)
     run.lap("scan")
     _record_floors(system.poles, run)
@@ -877,7 +862,7 @@ def run_scenario(cfg: RunConfig) -> RunManifest:
         config=cfg.to_dict(),
         resolved={"threads": cfg.threads or 1},
     )
-    cfg = dataclasses.replace(cfg, threads=run.resolved["threads"])
+    cfg = replace(cfg, threads=run.resolved["threads"])
 
     _write_all(cfg.out_dir, [])  # an unusable directory fails before any work
     system = build_system(cfg)

@@ -328,6 +328,41 @@ def test_problems_are_listed_in_field_order():
     )
 
 
+ENTANGLED_ONLY = {"jsa": "jsa scenario needs an entangled source",
+                  "excite-scan": "excite-scan needs an entangled source"}
+
+
+@pytest.mark.parametrize("raw, problems", [
+    *[({"scenario": scenario, "source": {"mode": "coherent"}, "threads": 0},
+       (("threads", "must be null or an integer >= 1"), ("source.mode", message)))
+      for scenario, message in ENTANGLED_ONLY.items()],
+    # no scenario reads t1 and t2 apart, so model-info refuses them too
+    *[({"scenario": scenario, "source": {"t1": 5, "t2": 1}, "grids": {"points": 1}},
+       (("grids.points", "must be an integer >= 2"),
+        ("source.t2", "must be >= source.t1 = 5.0 (fs)")))
+      for scenario in ("excite", "model-info")],
+], ids=["jsa", "excite-scan", "excite", "model-info"])
+def test_rules_across_two_fields_join_the_field_report(raw, problems):
+    with pytest.raises(ConfigError) as err:
+        from_dict(raw)
+    assert err.value.problems == problems
+
+
+@pytest.mark.parametrize("raw, problems", [
+    # t1 failed its own rule, so t2 >= t1 is not asked; the mode rule is
+    ({"scenario": "jsa", "source": {"mode": "coherent", "t1": "x", "t2": 1}},
+     (("source.t1", "must be a number (fs)"), ("source.mode", ENTANGLED_ONLY["jsa"]))),
+    # the scenario failed its own rule, so the mode rule is not asked; t2 >= t1 is
+    ({"scenario": "teleport", "source": {"mode": "coherent", "t1": 5, "t2": 1}},
+     (("scenario", "unknown scenario 'teleport'; one of " + ", ".join(SCENARIOS)),
+      ("source.t2", "must be >= source.t1 = 5.0 (fs)"))),
+], ids=["t1-failed", "scenario-failed"])
+def test_a_rule_across_two_fields_waits_for_both(raw, problems):
+    with pytest.raises(ConfigError) as err:
+        from_dict(raw)
+    assert err.value.problems == problems
+
+
 def readme_block(language: str) -> str:
     """The one code block of ``language`` in the README."""
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()

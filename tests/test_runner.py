@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import math
 import os
@@ -347,11 +348,26 @@ def test_unreadable_aggregate_is_a_config_error(tmp_path, dimer_file):
 
 
 @pytest.mark.parametrize("scenario", ["jsa", "excite-scan"])
-def test_jsa_requires_entangled_source(tmp_path, dimer_file, scenario):
-    cfg = dimer_config(dimer_file, scenario, source={"mode": "coherent"})
+def test_jsa_requires_entangled_source(dimer_file, scenario):
     with pytest.raises(ConfigError) as err:
-        run_scenario(replace(cfg, out_dir=str(tmp_path / "x")))
+        dimer_config(dimer_file, scenario, source={"mode": "coherent"})
     assert err.value.fields == ("source.mode",)
+
+
+@pytest.mark.parametrize("mode, retuned", [("degenerate", {"omega1", "omega2", "pump_center"}),
+                                           ("mediated", {"pump_center"})])
+def test_scan_reads_no_target(tmp_path, dimer_file, mode, retuned):
+    """Every row retunes its pump, so the default target 7, past the dimer's
+    three two-exciton states, is not read; the template records no retuned field."""
+    runs = {}
+    for target in (7, 1):
+        _, out = run_into(tmp_path, dimer_file, "excite-scan", subdir=f"target-{target}",
+                          target=target, scan_mode=mode)
+        runs[target] = _contents(out)
+    assert runs[7]["scan.csv"] == runs[1]["scan.csv"]
+    template = json.loads(runs[7]["metadata.json"])["source_template"]
+    assert set(template) == {"kind", "omega1", "omega2", "pump_center", "tau_pump", "t1", "t2",
+                             "alpha", "e0"} - retuned
 
 
 def test_scan_csv_identical_across_thread_counts(tmp_path, dimer_file):
@@ -471,14 +487,15 @@ def test_failed_atomic_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path
     assert target.read_text() == "old\n"
 
 
-class _OsWith:
-    """``os`` as the runner sees it, with ``write`` replaced."""
+def _open_with(write):
+    """``open`` as the runner sees it, each system write of its files made
+    by ``write(fd, data)``."""
 
-    def __init__(self, write):
-        self.write = write
+    class Raw(io.FileIO):
+        def write(self, data):
+            return write(self.fileno(), data)
 
-    def __getattr__(self, name):
-        return getattr(os, name)
+    return lambda path, mode: io.BufferedWriter(Raw(path, mode))
 
 
 def _large_text() -> str:
@@ -492,7 +509,7 @@ def test_large_artifact_is_written_whole_through_short_writes(tmp_path, monkeypa
         calls.append(len(data))
         return os.write(fd, data[:65536])  # never more than 64 KiB at once
 
-    monkeypatch.setattr(runner, "os", _OsWith(short_write))
+    monkeypatch.setattr(runner, "open", _open_with(short_write), raising=False)
     target = tmp_path / "artifact.csv"
     text = _large_text()
     runner._atomic_write(str(target), text)
@@ -511,7 +528,7 @@ def test_failed_write_leaves_no_temporary_and_no_partial_artifact(tmp_path, monk
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return os.write(fd, data[:65536])
 
-    monkeypatch.setattr(runner, "os", _OsWith(failing_write))
+    monkeypatch.setattr(runner, "open", _open_with(failing_write), raising=False)
     target = tmp_path / "artifact.csv"
     if old is not None:
         target.write_text(old)
@@ -552,7 +569,7 @@ def test_write_failing_on_the_third_artifact_leaves_no_manifest(tmp_path, dimer_
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return os.write(fd, data)
 
-    monkeypatch.setattr(runner, "os", _OsWith(failing_write))
+    monkeypatch.setattr(runner, "open", _open_with(failing_write), raising=False)
     with pytest.raises(ConfigError) as err:
         run_into(tmp_path, dimer_file, "coincidence", grids={"points": 9})
     assert err.value.fields == ("out_dir",) and len(calls) == 3
